@@ -24,6 +24,8 @@
 //! external dependencies) using Rust's shortest-round-trip float
 //! formatting, so `from_json(to_json(c)) == c` exactly.
 
+use acr_obs::json;
+
 use crate::recovery::Scheme;
 
 /// Current `version` field written by [`Calibration::to_json`].
@@ -349,12 +351,12 @@ impl Calibration {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2048);
         out.push_str("{\n");
-        kv_num(&mut out, "version", self.version);
+        kv(&mut out, "version", self.version);
         kv_str(&mut out, "source", &self.source);
         kv_str(&mut out, "clock", &self.clock);
-        kv_num(&mut out, "probe_ranks", self.probe_ranks);
-        kv_num(&mut out, "probe_state_bytes", self.probe_state_bytes);
-        kv_num(&mut out, "probe_work_s", self.probe_work_s);
+        kv(&mut out, "probe_ranks", self.probe_ranks);
+        kv(&mut out, "probe_state_bytes", self.probe_state_bytes);
+        kv(&mut out, "probe_work_s", self.probe_work_s);
         kv_stat(&mut out, "pack", &self.pack);
         kv_stat(&mut out, "gamma", &self.gamma);
         kv_stat(&mut out, "beta", &self.beta);
@@ -364,7 +366,7 @@ impl Calibration {
         kv_stat(&mut out, "round_overhead", &self.round_overhead);
         kv_stat(&mut out, "hard_fault_rate", &self.hard_fault_rate);
         kv_stat(&mut out, "sdc_fault_rate", &self.sdc_fault_rate);
-        kv_bool(&mut out, "checksum_wins", self.checksum_wins);
+        kv(&mut out, "checksum_wins", self.checksum_wins);
         for (name, costs) in [
             ("strong", &self.strong),
             ("medium", &self.medium),
@@ -387,13 +389,13 @@ impl Calibration {
     /// Parse the flat JSON produced by [`Calibration::to_json`] (newlines
     /// and indentation are tolerated anywhere whitespace is legal).
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let f = Flat::parse(text)?;
+        let f = json::Fields::parse(text).map_err(|e| format!("calibration: {e}"))?;
         let stat = |prefix: &str| -> Result<SampleStat, String> {
             Ok(SampleStat {
-                mean: f.num(&format!("{prefix}_mean"))?,
-                min: f.num(&format!("{prefix}_min"))?,
-                max: f.num(&format!("{prefix}_max"))?,
-                count: f.num(&format!("{prefix}_n"))?,
+                mean: num(&f, &format!("{prefix}_mean"))?,
+                min: num(&f, &format!("{prefix}_min"))?,
+                max: num(&f, &format!("{prefix}_max"))?,
+                count: num(&f, &format!("{prefix}_n"))?,
             })
         };
         let costs = |name: &str| -> Result<SchemeCosts, String> {
@@ -403,13 +405,14 @@ impl Calibration {
                 sdc_restart: stat(&format!("{name}_sdc_restart"))?,
             })
         };
+        let str = |key: &str| f.str(key).map(str::to_string).ok_or_else(|| missing(key));
         Ok(Self {
-            version: f.num("version")?,
-            source: f.str("source")?.to_string(),
-            clock: f.str("clock")?.to_string(),
-            probe_ranks: f.num("probe_ranks")?,
-            probe_state_bytes: f.num("probe_state_bytes")?,
-            probe_work_s: f.num("probe_work_s")?,
+            version: num(&f, "version")?,
+            source: str("source")?,
+            clock: str("clock")?,
+            probe_ranks: num(&f, "probe_ranks")?,
+            probe_state_bytes: num(&f, "probe_state_bytes")?,
+            probe_work_s: num(&f, "probe_work_s")?,
             pack: stat("pack")?,
             gamma: stat("gamma")?,
             beta: stat("beta")?,
@@ -419,7 +422,9 @@ impl Calibration {
             round_overhead: stat("round_overhead")?,
             hard_fault_rate: stat("hard_fault_rate")?,
             sdc_fault_rate: stat("sdc_fault_rate")?,
-            checksum_wins: f.bool("checksum_wins")?,
+            checksum_wins: f
+                .bool("checksum_wins")
+                .ok_or_else(|| missing("checksum_wins"))?,
             strong: costs("strong")?,
             medium: costs("medium")?,
             weak: costs("weak")?,
@@ -431,157 +436,32 @@ fn scale_cost(measured: f64, probe_bytes: f64, per_byte: f64, bytes: f64) -> f64
     (measured + (bytes - probe_bytes) * per_byte).max(measured.min(VIRTUAL_RATE_FLOOR))
 }
 
+/// One `  "key": token,` line of the artifact's one-key-per-line layout.
+fn kv(out: &mut String, key: &str, token: impl std::fmt::Display) {
+    use std::fmt::Write;
+    let _ = writeln!(out, "  \"{key}\": {token},");
+}
+
 fn kv_str(out: &mut String, key: &str, value: &str) {
-    out.push_str("  \"");
-    out.push_str(key);
-    out.push_str("\": \"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push_str("\",\n");
-}
-
-fn kv_num(out: &mut String, key: &str, value: impl std::fmt::Display) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "  \"{key}\": {value},");
-}
-
-fn kv_bool(out: &mut String, key: &str, value: bool) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "  \"{key}\": {value},");
+    let mut quoted = String::from("\"");
+    json::escape_into(&mut quoted, value);
+    quoted.push('"');
+    kv(out, key, quoted);
 }
 
 fn kv_stat(out: &mut String, key: &str, stat: &SampleStat) {
-    kv_num(out, &format!("{key}_mean"), stat.mean);
-    kv_num(out, &format!("{key}_min"), stat.min);
-    kv_num(out, &format!("{key}_max"), stat.max);
-    kv_num(out, &format!("{key}_n"), stat.count);
+    kv(out, &format!("{key}_mean"), stat.mean);
+    kv(out, &format!("{key}_min"), stat.min);
+    kv(out, &format!("{key}_max"), stat.max);
+    kv(out, &format!("{key}_n"), stat.count);
 }
 
-/// Parsed key/value pairs of one flat JSON object (strings, numbers,
-/// booleans; no nesting). A sibling of `acr-obs`'s event-log parser, kept
-/// local because that one is crate-private and single-line only.
-struct Flat(Vec<(String, FlatVal)>);
-
-enum FlatVal {
-    Str(String),
-    Raw(String),
+fn missing(key: &str) -> String {
+    format!("calibration: key {key:?} is missing or has the wrong type")
 }
 
-impl Flat {
-    fn parse(text: &str) -> Result<Self, String> {
-        let s = text.trim();
-        let inner = s
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| "calibration: not a JSON object".to_string())?;
-        let mut fields = Vec::new();
-        let mut chars = inner.chars().peekable();
-        loop {
-            while matches!(chars.peek(), Some(c) if c.is_whitespace() || *c == ',') {
-                chars.next();
-            }
-            if chars.peek().is_none() {
-                break;
-            }
-            let key = parse_string(&mut chars)?;
-            while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-                chars.next();
-            }
-            match chars.next() {
-                Some(':') => {}
-                other => return Err(format!("expected ':' after key {key:?}, got {other:?}")),
-            }
-            while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-                chars.next();
-            }
-            let val = match chars.peek() {
-                Some('"') => FlatVal::Str(parse_string(&mut chars)?),
-                Some(_) => {
-                    let mut tok = String::new();
-                    while matches!(chars.peek(), Some(c) if *c != ',') {
-                        tok.push(chars.next().expect("peeked"));
-                    }
-                    FlatVal::Raw(tok.trim().to_string())
-                }
-                None => return Err(format!("missing value for key {key:?}")),
-            };
-            fields.push((key, val));
-        }
-        Ok(Flat(fields))
-    }
-
-    fn get(&self, key: &str) -> Result<&FlatVal, String> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("calibration: missing key {key:?}"))
-    }
-
-    fn str(&self, key: &str) -> Result<&str, String> {
-        match self.get(key)? {
-            FlatVal::Str(s) => Ok(s.as_str()),
-            FlatVal::Raw(_) => Err(format!("calibration: key {key:?} is not a string")),
-        }
-    }
-
-    fn num<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
-        match self.get(key)? {
-            FlatVal::Raw(s) => s
-                .parse()
-                .map_err(|_| format!("calibration: key {key:?} has bad number {s:?}")),
-            FlatVal::Str(_) => Err(format!("calibration: key {key:?} is not a number")),
-        }
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, String> {
-        match self.get(key)? {
-            FlatVal::Raw(s) if s == "true" => Ok(true),
-            FlatVal::Raw(s) if s == "false" => Ok(false),
-            _ => Err(format!("calibration: key {key:?} is not a boolean")),
-        }
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Result<String, String> {
-    match chars.next() {
-        Some('"') => {}
-        other => return Err(format!("expected '\"', got {other:?}")),
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            None => return Err("unterminated string".into()),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let code =
-                        u32::from_str_radix(&hex, 16).map_err(|_| format!("bad \\u{hex}"))?;
-                    out.push(char::from_u32(code).ok_or_else(|| format!("bad \\u{hex}"))?);
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => out.push(c),
-        }
-    }
+fn num<T: std::str::FromStr>(f: &json::Fields, key: &str) -> Result<T, String> {
+    f.num(key).ok_or_else(|| missing(key))
 }
 
 #[cfg(test)]

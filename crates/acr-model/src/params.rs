@@ -151,7 +151,12 @@ impl ModelParamsBuilder {
         self
     }
 
-    /// `S`: sockets per replica (the Fig. 7 x-axis).
+    /// `S`: sockets per replica (the Fig. 7 x-axis). System rates scale
+    /// with this **per-replica** count: the model tracks failures as seen
+    /// by one replica's execution, and the companion replica's influence
+    /// enters through the scheme rework terms, not through a doubled raw
+    /// rate. (Scaling by `2S` instead shifts every curve by a constant
+    /// factor without changing any ordering.)
     pub fn sockets(mut self, sockets_per_replica: u64) -> Self {
         self.sockets = sockets_per_replica;
         self
@@ -274,53 +279,6 @@ impl ModelParams {
         scenario.validate().map_err(ModelParamsError::BadScenario)?;
         Self::builder().calibration(cal, scheme, scenario).build()
     }
-
-    /// Build system-level parameters from per-socket reliability.
-    ///
-    /// System rates follow the paper's Fig. 7 parameterization and scale
-    /// with the **per-replica** socket count `S` (the figure's x-axis): the
-    /// model tracks failures as seen by one replica's execution, and the
-    /// companion replica's influence enters through the scheme rework terms,
-    /// not through a doubled raw rate. (Scaling by `2S` instead shifts every
-    /// curve by a constant factor without changing any ordering.)
-    #[deprecated(
-        since = "0.10.0",
-        note = "use ModelParams::builder() with named setters"
-    )]
-    pub fn from_sockets(
-        w: f64,
-        delta: f64,
-        r_h: f64,
-        r_s: f64,
-        sockets_per_replica: u64,
-        m_h_socket_years: f64,
-        sdc_fit_per_socket: f64,
-    ) -> Self {
-        Self::builder()
-            .work(w)
-            .delta(delta)
-            .hard_restart(r_h)
-            .sdc_restart(r_s)
-            .sockets(sockets_per_replica)
-            .mtbf_years(m_h_socket_years)
-            .sdc_fit(sdc_fit_per_socket)
-            .build()
-            .expect("from_sockets inputs must be positive")
-    }
-
-    /// The Fig. 7 baseline configuration: per-socket hard MTBF 50 years,
-    /// SDC rate 100 FIT, restart times of one checkpoint each, 24 h of work.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use ModelParams::builder().sockets(..).delta(..)"
-    )]
-    pub fn fig7(sockets_per_replica: u64, delta: f64) -> Self {
-        Self::builder()
-            .sockets(sockets_per_replica)
-            .delta(delta)
-            .build()
-            .expect("fig7 inputs must be positive")
-    }
 }
 
 #[cfg(test)]
@@ -374,30 +332,6 @@ mod tests {
     fn zero_fit_means_no_sdc() {
         let p = from_sockets_via_builder(1.0, 1.0, 1024, 50.0, 0.0);
         assert!(p.m_s.is_infinite());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_agree_with_the_builder() {
-        let shim = ModelParams::from_sockets(1e5, 15.0, 12.0, 9.0, 4096, 50.0, 100.0);
-        let built = ModelParams::builder()
-            .work(1e5)
-            .delta(15.0)
-            .hard_restart(12.0)
-            .sdc_restart(9.0)
-            .sockets(4096)
-            .mtbf_years(50.0)
-            .sdc_fit(100.0)
-            .build()
-            .unwrap();
-        assert_eq!(shim, built);
-        let fig7 = ModelParams::fig7(4096, 15.0);
-        let built = ModelParams::builder()
-            .sockets(4096)
-            .delta(15.0)
-            .build()
-            .unwrap();
-        assert_eq!(fig7, built);
     }
 
     #[test]

@@ -264,13 +264,13 @@ pub enum EventKind {
         frames_recv: u64,
         /// Raw bytes read off the socket.
         bytes_recv: u64,
-        /// Uncompressed body bytes of checkpoint-ship frames
-        /// (`Net::Compare` / `Net::Install`) sent on this link.
+        /// Body bytes of checkpoint-ship frames (`Net::Compare` /
+        /// `Net::Install`) sent on this link.
         ship_raw_bytes: u64,
-        /// Wire bytes actually spent on that ship traffic (its share of
-        /// each batched, possibly compressed flush).
+        /// Wire bytes spent on that ship traffic: the bodies plus their
+        /// share of each flush's framing.
         ship_wire_bytes: u64,
-        /// Flushes that coalesced ≥ 2 frames or applied a codec.
+        /// Flushes that coalesced ≥ 2 frames.
         batch_flushes: u64,
         /// What `bytes_sent` would have been as one plain frame per
         /// message — the unbatched baseline batching is measured against.
@@ -282,22 +282,17 @@ pub enum EventKind {
         delta_shipped_bytes: u64,
         /// Dirty chunk windows carried across all delta records.
         chunks_dirty: u64,
-        /// Negotiated ship codec for this link ("none"/"rle"/"lz").
-        codec: String,
     },
-    /// (TCP transport) one batched flush that coalesced several frames
-    /// into a super-frame and/or compressed the payload. Emitted only for
-    /// flushes where batching did something (≥ 2 frames or a codec), so
-    /// event volume stays bounded by send-side coalescing opportunities.
+    /// (TCP transport) one batched flush that coalesced ≥ 2 frames into a
+    /// super-frame. Lone plain frames emit nothing, so event volume stays
+    /// bounded by send-side coalescing opportunities.
     BatchFlush {
         /// Frames coalesced into this super-frame.
         frames: u64,
-        /// Super-frame payload bytes before compression.
+        /// Super-frame payload bytes (sub-record headers + bodies).
         raw_bytes: u64,
-        /// Bytes that went on the wire (header + stored payload + trailer).
+        /// Bytes that went on the wire (header + payload + trailer).
         wire_bytes: u64,
-        /// Codec actually applied ("none" when compression didn't pay).
-        codec: String,
     },
     /// The driver appended a record to its durable event log (or wrote a
     /// checkpoint slot), followed by an fsync.
@@ -476,7 +471,6 @@ impl EventKind {
                 delta_raw_bytes,
                 delta_shipped_bytes,
                 chunks_dirty,
-                codec,
             } => {
                 push_raw(out, "frames_sent", frames_sent);
                 push_raw(out, "bytes_sent", bytes_sent);
@@ -489,18 +483,15 @@ impl EventKind {
                 push_raw(out, "delta_raw_bytes", delta_raw_bytes);
                 push_raw(out, "delta_shipped_bytes", delta_shipped_bytes);
                 push_raw(out, "chunks_dirty", chunks_dirty);
-                push_str(out, "codec", codec);
             }
             EventKind::BatchFlush {
                 frames,
                 raw_bytes,
                 wire_bytes,
-                codec,
             } => {
                 push_raw(out, "frames", frames);
                 push_raw(out, "raw_bytes", raw_bytes);
                 push_raw(out, "wire_bytes", wire_bytes);
-                push_str(out, "codec", codec);
             }
             EventKind::StoreAppend { kind, bytes } => {
                 push_str(out, "kind", kind);
@@ -622,13 +613,11 @@ impl EventKind {
                 delta_raw_bytes: f.num("delta_raw_bytes").unwrap_or(0),
                 delta_shipped_bytes: f.num("delta_shipped_bytes").unwrap_or(0),
                 chunks_dirty: f.num("chunks_dirty").unwrap_or(0),
-                codec: f.str("codec").unwrap_or("none").to_string(),
             },
             "batch_flush" => EventKind::BatchFlush {
                 frames: f.num("frames")?,
                 raw_bytes: f.num("raw_bytes")?,
                 wire_bytes: f.num("wire_bytes")?,
-                codec: f.str("codec")?.to_string(),
             },
             "store_append" => EventKind::StoreAppend {
                 kind: f.str("kind")?.to_string(),
@@ -822,13 +811,11 @@ mod tests {
             delta_raw_bytes: 40960,
             delta_shipped_bytes: 8192,
             chunks_dirty: 13,
-            codec: "lz".into(),
         });
         roundtrip(EventKind::BatchFlush {
             frames: 7,
             raw_bytes: 4096,
             wire_bytes: 1210,
-            codec: "rle".into(),
         });
         roundtrip(EventKind::StoreAppend {
             kind: "commit".into(),

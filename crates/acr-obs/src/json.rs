@@ -1,13 +1,16 @@
-//! A minimal flat-JSON writer/parser for the event log.
+//! The workspace's one flat-JSON writer/parser: the event log, the
+//! calibration artifact and the store's recovery report all go through it.
 //!
-//! Event records are single-line JSON objects whose values are strings,
-//! numbers, or booleans — never nested — so a ~100-line hand parser keeps
-//! the crate dependency-free while making the JSONL log fully replayable.
-//! Numbers are kept as raw token strings on parse so `u64` fields (seeds,
-//! digests) round-trip exactly instead of through an `f64`.
+//! Records are JSON objects whose values are strings, numbers, or booleans
+//! — never nested — so a ~100-line hand parser keeps the workspace free of
+//! a JSON dependency while making every artifact replayable. Numbers are
+//! kept as raw token strings on parse so `u64` fields (seeds, digests) and
+//! shortest-round-trip `f64`s come back exactly. Whitespace (including
+//! newlines) is tolerated wherever JSON allows it, so one-key-per-line
+//! artifacts parse the same as single-line log records.
 
 /// Append `"key":"escaped-value",` to a JSON object under construction.
-pub(crate) fn push_str(out: &mut String, key: &str, value: &str) {
+pub fn push_str(out: &mut String, key: &str, value: &str) {
     out.push('"');
     out.push_str(key);
     out.push_str("\":\"");
@@ -16,12 +19,13 @@ pub(crate) fn push_str(out: &mut String, key: &str, value: &str) {
 }
 
 /// Append `"key":token,` for an unquoted token (number or boolean).
-pub(crate) fn push_raw(out: &mut String, key: &str, token: impl std::fmt::Display) {
+pub fn push_raw(out: &mut String, key: &str, token: impl std::fmt::Display) {
     use std::fmt::Write;
     let _ = write!(out, "\"{key}\":{token},");
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Append `s` with JSON string escaping applied (no surrounding quotes).
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -40,18 +44,18 @@ fn escape_into(out: &mut String, s: &str) {
 
 /// One parsed value: a decoded string or a raw unquoted token.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Val {
+enum Val {
     Str(String),
     Raw(String),
 }
 
 /// The parsed key/value pairs of one flat JSON object.
 #[derive(Debug, Default)]
-pub(crate) struct Fields(Vec<(String, Val)>);
+pub struct Fields(Vec<(String, Val)>);
 
 impl Fields {
-    /// Parse a single-line flat JSON object.
-    pub(crate) fn parse(line: &str) -> Result<Fields, String> {
+    /// Parse one flat JSON object.
+    pub fn parse(line: &str) -> Result<Fields, String> {
         let mut fields = Vec::new();
         let s = line.trim();
         let inner = s
@@ -67,10 +71,12 @@ impl Fields {
                 break;
             }
             let key = parse_string(&mut chars)?;
+            skip_whitespace(&mut chars);
             match chars.next() {
                 Some(':') => {}
                 other => return Err(format!("expected ':' after key {key:?}, got {other:?}")),
             }
+            skip_whitespace(&mut chars);
             let val = match chars.peek() {
                 Some('"') => Val::Str(parse_string(&mut chars)?),
                 Some(_) => {
@@ -87,7 +93,8 @@ impl Fields {
         Ok(Fields(fields))
     }
 
-    pub(crate) fn str(&self, key: &str) -> Option<&str> {
+    /// The string value under `key`, if present and a string.
+    pub fn str(&self, key: &str) -> Option<&str> {
         self.0.iter().find(|(k, _)| k == key).and_then(|(_, v)| {
             if let Val::Str(s) = v {
                 Some(s.as_str())
@@ -107,16 +114,24 @@ impl Fields {
         })
     }
 
-    pub(crate) fn num<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+    /// The unquoted token under `key` parsed as `T`, if present and valid.
+    pub fn num<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
         self.raw(key)?.parse().ok()
     }
 
-    pub(crate) fn bool(&self, key: &str) -> Option<bool> {
+    /// The boolean under `key`, if present and `true`/`false`.
+    pub fn bool(&self, key: &str) -> Option<bool> {
         match self.raw(key)? {
             "true" => Some(true),
             "false" => Some(false),
             _ => None,
         }
+    }
+}
+
+fn skip_whitespace(chars: &mut std::iter::Peekable<std::str::Chars>) {
+    while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
+        chars.next();
     }
 }
 
@@ -165,6 +180,15 @@ mod tests {
         assert_eq!(f.str("a"), Some("x \"y\"\\\n\tz\u{1}"));
         assert_eq!(f.num::<u64>("n"), Some(u64::MAX));
         assert_eq!(f.bool("b"), Some(true));
+    }
+
+    #[test]
+    fn tolerates_pretty_printed_layout() {
+        let f =
+            Fields::parse("{\n  \"s\" : \"a, b\",\n  \"x\": 1.5e-9,\n  \"b\": false\n}\n").unwrap();
+        assert_eq!(f.str("s"), Some("a, b"));
+        assert_eq!(f.num::<f64>("x"), Some(1.5e-9));
+        assert_eq!(f.bool("b"), Some(false));
     }
 
     #[test]

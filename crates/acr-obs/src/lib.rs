@@ -37,7 +37,7 @@
 #![warn(missing_docs)]
 
 mod event;
-mod json;
+pub mod json;
 mod metrics;
 mod recorder;
 pub mod report;

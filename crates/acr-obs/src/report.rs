@@ -53,13 +53,13 @@ pub struct Breakdown {
     pub wire_frames: u64,
     /// Bytes crossing node endpoints, both directions summed.
     pub wire_bytes: u64,
-    /// Uncompressed checkpoint-ship body bytes (Compare/Install frames)
-    /// summed over all links' `WireBytes` totals.
+    /// Checkpoint-ship body bytes (Compare/Install frames) summed over
+    /// all links' `WireBytes` totals.
     pub wire_ship_raw_bytes: u64,
-    /// Wire bytes actually spent on that ship traffic after batching and
-    /// the negotiated codec.
+    /// Wire bytes spent on that ship traffic: the bodies plus their
+    /// share of frame and super-frame overhead.
     pub wire_ship_wire_bytes: u64,
-    /// Send-side flushes that coalesced ≥ 2 frames or applied a codec.
+    /// Send-side flushes that coalesced ≥ 2 frames.
     pub wire_batch_flushes: u64,
     /// What the sent traffic would have cost unbatched (one plain frame
     /// per message) — the baseline for the batching non-regression gate.
@@ -607,7 +607,6 @@ mod tests {
                     delta_raw_bytes: 2000,
                     delta_shipped_bytes: 500,
                     chunks_dirty: 4,
-                    codec: "lz".into(),
                 },
             ),
             ev(5, 1.0, DRIVER_NODE, EventKind::JobEnd { completed: true }),

@@ -29,7 +29,7 @@ use acr_fault::{FaultAction, FaultScript, ScriptedFault, Trigger};
 use acr_obs::{debug_trace, EventKind, ObsConfig, RecordedEvent, Recorder, RunPhase, DRIVER_NODE};
 use acr_store::{RecoveryReport, SlotData, SlotEntry};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use parking_lot::RwLock;
 
 use crate::clock::Clock;
@@ -1631,7 +1631,7 @@ impl Driver {
                 }
                 _ => {}
             },
-            Event::Installed { node, .. } => {
+            Event::Installed { node } => {
                 if let Phase::Recovery(rec) = &mut self.phase {
                     rec.expect_installed.remove(&node);
                     self.maybe_finish_recovery();
@@ -2466,18 +2466,30 @@ impl Driver {
         // read, so a virtual-time driver could never hang here; the attempt
         // bound covers clocks that stand still regardless.
         let deadline = self.now() + 10.0;
-        let mut received = 0;
+        let mut owed: HashSet<NodeIndex> = (0..total).collect();
         let mut attempts = 0u32;
-        while received < total && self.now() < deadline && attempts < 10_000 {
+        while !owed.is_empty() && self.now() < deadline && attempts < 10_000 {
             attempts += 1;
             match self.events.recv_timeout(Duration::from_millis(50)) {
                 Ok(ev) => {
-                    if matches!(ev, Event::FinalState { .. }) {
-                        received += 1;
+                    if let Event::FinalState { node, .. } = &ev {
+                        owed.remove(node);
                     }
                     self.record_final_state(ev);
                 }
-                Err(_) => break,
+                // A live node's FinalState can take longer than one idle gap
+                // to cross the TCP ship path (megabytes of task state through
+                // two hops); the gap ends the drain only once every node
+                // still owed is one the driver has given up on.
+                Err(RecvTimeoutError::Timeout) => {
+                    let given_up = |n: &NodeIndex| {
+                        self.dead_nodes.contains(n) || self.transport_suspects.contains_key(n)
+                    };
+                    if owed.iter().all(given_up) {
+                        break;
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => break,
             }
         }
         // Tear the fabric down before joining: a TCP worker wedged on a

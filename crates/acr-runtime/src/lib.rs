@@ -75,6 +75,7 @@ pub use task::{Task, TaskCtx};
 pub use transport::{
     run_node_host, run_node_host_for_job, SharedReactor, TcpConfig, TransportControl, TransportKind,
 };
+#[doc(hidden)]
 pub use wire::WireCodec;
 
 pub use acr_core::{DetectionMethod, Divergence, Scheme};

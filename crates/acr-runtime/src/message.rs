@@ -152,11 +152,7 @@ pub(crate) enum Ctrl {
 }
 
 /// Node → driver events.
-///
-/// Some fields exist for diagnostics (log lines, debugging assertions in
-/// tests) rather than driver control flow.
 #[derive(Debug)]
-#[allow(dead_code)]
 pub(crate) enum Event {
     /// `dead` missed its heartbeats (reported by its buddy).
     BuddyDead {
@@ -194,7 +190,7 @@ pub(crate) enum Event {
     /// Rollback finished on this node.
     RolledBack { node: NodeIndex },
     /// Recovery checkpoint installed on this node.
-    Installed { node: NodeIndex, iteration: u64 },
+    Installed { node: NodeIndex },
     /// Every task on this node reports done.
     AllTasksDone { node: NodeIndex },
     /// Answer to a [`Ctrl::Ping`] liveness probe.

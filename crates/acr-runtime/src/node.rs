@@ -1392,7 +1392,6 @@ impl NodeWorker {
                 }
             }
             Net::Install { checkpoint } => {
-                let iteration = checkpoint.iteration;
                 let payload = checkpoint.payload.clone();
                 // A wholesale install is a recovery path: any delta chain
                 // spanning it is meaningless on both sides.
@@ -1402,7 +1401,6 @@ impl NodeWorker {
                 self.rebuild_engines(self.floor);
                 self.port.send_event(Event::Installed {
                     node: self.cfg.index,
-                    iteration,
                 });
             }
             Net::Heartbeat { from } => {

@@ -19,7 +19,7 @@
 
 use crate::message::{Ctrl, Event, Net};
 use crate::tcp::Router;
-use crate::wire::{self, codec_mask_all, Hello, WelcomeCfg, WireCodec, DRIVER_DEST, WELCOME_LEN};
+use crate::wire::{self, Hello, WelcomeCfg, DRIVER_DEST, WELCOME_LEN};
 use acr_obs::Recorder;
 use crossbeam::channel::{unbounded, Receiver};
 use std::io::{Read, Write};
@@ -204,7 +204,6 @@ pub fn run_reactor_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
             Recorder::disabled(),
             soak_welcome(cfg.links_per_job),
             Duration::from_secs(600),
-            WireCodec::None,
         )?;
         event_rxs.push(rx);
     }
@@ -230,7 +229,6 @@ pub fn run_reactor_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
                 job,
                 node: node as u32,
                 last_recv_seq: 0,
-                codecs: codec_mask_all(),
             }))
             .map_err(|e| format!("hello (job {job} node {node}): {e}"))?;
             sock.set_read_timeout(Some(Duration::from_secs(30)))

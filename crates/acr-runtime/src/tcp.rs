@@ -26,7 +26,7 @@
 //! flushes every writable link, and scans for stale links. Writes that
 //! would block park in a per-link buffer and resume next tick. Flushes
 //! coalesce queued frames into [`wire::encode_batch`](encode_batch)
-//! super-frames with the link's negotiated [`WireCodec`].
+//! super-frames.
 
 use std::collections::btree_map::Entry;
 use std::collections::VecDeque;
@@ -43,10 +43,9 @@ use parking_lot::Mutex;
 
 use crate::message::{Event, Net, NodeIndex};
 use crate::wire::{
-    codec_mask_all, decode_event, decode_hello, decode_net, decode_welcome, encode_batch,
-    encode_hello, encode_net, encode_welcome, negotiate_codec, Frame, FrameDecoder, Hello, Welcome,
-    WelcomeCfg, WireCodec, DRIVER_DEST, FRAME_HEADER, FRAME_TRAILER, HELLO_LEN,
-    SUPER_RECORD_HEADER, WELCOME_LEN,
+    decode_event, decode_hello, decode_net, decode_welcome, encode_batch, encode_hello, encode_net,
+    encode_welcome, Frame, FrameDecoder, Hello, Welcome, WelcomeCfg, WireCodec, DRIVER_DEST,
+    FRAME_HEADER, FRAME_TRAILER, HELLO_LEN, SUPER_RECORD_HEADER, WELCOME_LEN,
 };
 
 /// Sent frames kept per link direction for replay after a reconnect.
@@ -110,7 +109,7 @@ impl SendBuf {
 /// [`EventKind::WireBytes`] event at shutdown. `plain_bytes` is the
 /// unbatched-equivalent cost (one plain frame per message) the batching
 /// layer is measured against; `ship_*` isolate checkpoint-ship traffic
-/// (`Net::Compare` / `Net::Install` bodies), where compression pays.
+/// (`Net::Compare` / `Net::Install` bodies).
 #[derive(Default)]
 struct WireStats {
     frames_sent: u64,
@@ -131,7 +130,7 @@ struct WireStats {
 }
 
 impl WireStats {
-    fn emit(&self, rec: &Recorder, node: u32, codec: WireCodec) {
+    fn emit(&self, rec: &Recorder, node: u32) {
         let (frames_sent, bytes_sent) = (self.frames_sent, self.bytes_sent);
         let (frames_recv, bytes_recv) = (self.frames_recv, self.bytes_recv);
         let (ship_raw_bytes, ship_wire_bytes) = (self.ship_raw_bytes, self.ship_wire_bytes);
@@ -151,7 +150,6 @@ impl WireStats {
             delta_raw_bytes,
             delta_shipped_bytes,
             chunks_dirty,
-            codec: codec.name().to_string(),
         });
     }
 
@@ -208,7 +206,6 @@ fn flush_socket(
     stream: &mut TcpStream,
     out: &mut SendBuf,
     outq: &mut VecDeque<OutFrame>,
-    codec: WireCodec,
     stats: &mut WireStats,
     rec: &Recorder,
     obs_node: u32,
@@ -243,7 +240,7 @@ fn flush_socket(
             .take(take)
             .map(|f| (f.to, f.seq, f.body.as_slice()))
             .collect();
-        let batch = encode_batch(&records, codec);
+        let batch = encode_batch(&records, WireCodec::None);
         let wire = batch.bytes.len() as u64;
         let raw_total = batch.raw_payload as u64;
         let plain: u64 = records
@@ -263,19 +260,17 @@ fn flush_socket(
         stats.plain_bytes += plain;
         stats.ship_raw_bytes += ship_raw;
         if ship_raw > 0 {
-            // Apportion the flush's wire cost to ship traffic by its share
-            // of the raw payload (compression acts on the whole flush).
+            // Apportion the flush's wire cost (bodies plus framing) to
+            // ship traffic by its share of the payload.
             stats.ship_wire_bytes += (wire * ship_raw) / raw_total.max(1);
         }
-        if batch.frames >= 2 || batch.codec != WireCodec::None {
+        if batch.frames >= 2 {
             stats.batch_flushes += 1;
             let frames = batch.frames as u64;
-            let codec_name = batch.codec.name();
             rec.emit_with(obs_node, || EventKind::BatchFlush {
                 frames,
                 raw_bytes: raw_total,
                 wire_bytes: wire,
-                codec: codec_name.to_string(),
             });
         }
         outq.drain(..take);
@@ -385,7 +380,6 @@ struct LinkShared {
 struct LinkState {
     stream: Option<TcpStream>,
     dec: FrameDecoder,
-    codec: WireCodec,
     tx_seq: u64,
     ring: VecDeque<OutFrame>,
     outq: VecDeque<OutFrame>,
@@ -400,7 +394,6 @@ impl LinkState {
         Self {
             stream: None,
             dec: FrameDecoder::new(),
-            codec: WireCodec::None,
             tx_seq: 0,
             ring: VecDeque::new(),
             outq: VecDeque::new(),
@@ -445,7 +438,6 @@ struct JobShared {
     event_tx: Sender<Event>,
     welcome_cfg: WelcomeCfg,
     stale_after: Duration,
-    codec: WireCodec,
     /// The job's flight recorder: batch-flush events, the stale counter,
     /// and the shutdown wire-stats report all land here, so a service
     /// job's transport telemetry stays in its own report.
@@ -505,7 +497,6 @@ impl Router {
     /// Register `job`'s link namespace: `total` links, the channel its
     /// driver-bound events feed, and its handshake parameters. Fails on a
     /// duplicate id or a shut-down reactor.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn register_job(
         &self,
         job: u32,
@@ -514,7 +505,6 @@ impl Router {
         rec: Arc<Recorder>,
         welcome_cfg: WelcomeCfg,
         stale_after: Duration,
-        codec: WireCodec,
     ) -> Result<(), String> {
         if self.is_shutdown() {
             return Err("reactor is shut down".into());
@@ -533,7 +523,6 @@ impl Router {
             event_tx,
             welcome_cfg,
             stale_after,
-            codec,
             rec,
         });
         let mut jobs = self.jobs.write();
@@ -739,7 +728,7 @@ fn teardown_job(jl: &mut JobLinks) {
             .connected
             .store(false, Ordering::SeqCst);
     }
-    jl.stats.emit(&jl.shared.rec, DRIVER_NODE, jl.shared.codec);
+    jl.stats.emit(&jl.shared.rec, DRIVER_NODE);
 }
 
 /// The reactor loop: one thread multiplexing the listener, every pending
@@ -790,7 +779,7 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                     } else if let Some(shared) = router.job(job) {
                         // Registered but never touched: still report (zero)
                         // wire stats, like a single-job run with no traffic.
-                        WireStats::default().emit(&shared.rec, DRIVER_NODE, shared.codec);
+                        WireStats::default().emit(&shared.rec, DRIVER_NODE);
                     }
                     let _ = done.send(());
                 }
@@ -880,11 +869,9 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                     }
                     ls.dec = FrameDecoder::new();
                     ls.out.clear();
-                    ls.codec = negotiate_codec(jl.shared.codec, hello.codecs);
                     ls.out.set(encode_welcome(&Welcome {
                         last_recv_seq: shared.last_recv.load(Ordering::SeqCst),
                         cfg: jl.shared.welcome_cfg,
-                        codec: ls.codec,
                     }));
                     // Replay everything the dead socket swallowed: the
                     // ring tail above the peer's receive high-water mark.
@@ -991,7 +978,6 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                     stream,
                     &mut ls.out,
                     &mut ls.outq,
-                    ls.codec,
                     &mut jl.stats,
                     &jl.shared.rec,
                     DRIVER_NODE,
@@ -1032,7 +1018,7 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
     for (id, shared) in registered {
         match jobs.remove(&id) {
             Some(mut jl) => teardown_job(&mut jl),
-            None => WireStats::default().emit(&shared.rec, DRIVER_NODE, shared.codec),
+            None => WireStats::default().emit(&shared.rec, DRIVER_NODE),
         }
     }
     // Jobs deregistered from the registry whose teardown command never
@@ -1068,6 +1054,9 @@ pub(crate) struct Endpoint {
     node: usize,
     tx: Sender<EpMsg>,
     shutdown: AtomicBool,
+    /// Set by [`Endpoint::linger`]: a dead socket ends the loop instead of
+    /// starting a redial.
+    lingering: AtomicBool,
     /// Highest frame sequence received from the router (dedup; sent in
     /// the hello so the router replays what a dropped socket swallowed).
     last_recv: AtomicU64,
@@ -1097,6 +1086,7 @@ impl Endpoint {
             node,
             tx,
             shutdown: AtomicBool::new(false),
+            lingering: AtomicBool::new(false),
             last_recv: AtomicU64::new(0),
             conn: Mutex::new(None),
             inbox_tx: Mutex::new(Some(inbox)),
@@ -1145,6 +1135,22 @@ impl Endpoint {
         }
     }
 
+    /// Graceful close for a node host whose worker has exited: keep the
+    /// link up — what the worker queued last (its `FinalState`) flushes,
+    /// inbound traffic keeps draining — until the router closes it, as the
+    /// driver does once it has collected every final state. Closing first
+    /// would race that flush (and a close over unread inbound bytes resets
+    /// the connection, discarding what the kernel had not yet sent).
+    /// `deadline` bounds the wait; then [`shutdown`](Endpoint::shutdown).
+    pub(crate) fn linger(&self, deadline: Instant) {
+        self.lingering.store(true, Ordering::SeqCst);
+        let finished = || self.thread.lock().as_ref().is_none_or(|h| h.is_finished());
+        while !finished() && Instant::now() < deadline {
+            std::thread::sleep(POLL_TICK);
+        }
+        self.shutdown();
+    }
+
     /// Stop the endpoint thread, close the socket, and drop the inbox
     /// sender (unblocking a worker waiting on it).
     pub(crate) fn shutdown(&self) {
@@ -1187,7 +1193,6 @@ fn endpoint_loop(
     let mut out = SendBuf::default();
     let mut dec = FrameDecoder::new();
     let mut stream: Option<TcpStream> = None;
-    let mut codec = WireCodec::None;
     let mut backoff = reconnect_initial;
     let mut attempt: u32 = 0;
     let mut stats = WireStats::default();
@@ -1203,11 +1208,13 @@ fn endpoint_loop(
     'main: while !ep.is_shutdown() {
         // --- dial until attached --------------------------------------
         if stream.is_none() {
+            if ep.lingering.load(Ordering::SeqCst) {
+                break;
+            }
             attempt += 1;
             match dial(&ep, addr) {
                 Ok((s, welcome)) => {
                     let _ = s.set_nonblocking(true);
-                    codec = welcome.codec;
                     dec = FrameDecoder::new();
                     out.clear();
                     // Replay is driven by the router's view of what it
@@ -1345,25 +1352,17 @@ fn endpoint_loop(
 
         // --- batched flush --------------------------------------------
         if let Some(s) = stream.as_mut() {
-            if !flush_socket(
-                s,
-                &mut out,
-                &mut outq,
-                codec,
-                &mut stats,
-                &ep.rec,
-                ep.obs_node(),
-            ) {
+            if !flush_socket(s, &mut out, &mut outq, &mut stats, &ep.rec, ep.obs_node()) {
                 detach(&mut stream, &ep);
             }
         }
     }
-    stats.emit(&ep.rec, ep.obs_node(), codec);
+    stats.emit(&ep.rec, ep.obs_node());
     detach(&mut stream, &ep);
 }
 
 /// One dial + handshake: connect, send the hello (with our high-water
-/// receive mark and supported-codec mask), read the welcome. Blocking
+/// receive mark), read the welcome. Blocking
 /// with timeouts; the socket goes nonblocking after the handshake.
 fn dial(ep: &Endpoint, addr: SocketAddr) -> Result<(TcpStream, Welcome), String> {
     let mut stream =
@@ -1373,7 +1372,6 @@ fn dial(ep: &Endpoint, addr: SocketAddr) -> Result<(TcpStream, Welcome), String>
         job: ep.job,
         node: ep.node as u32,
         last_recv_seq: ep.last_recv.load(Ordering::SeqCst),
-        codecs: codec_mask_all(),
     });
     stream.write_all(&hello).map_err(|e| e.to_string())?;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
@@ -1433,7 +1431,6 @@ mod tests {
                 Recorder::disabled(),
                 test_welcome(LINKS),
                 Duration::from_secs(600),
-                WireCodec::Lz,
             )
             .expect("register job");
         let addr = router.local_addr();
@@ -1451,7 +1448,6 @@ mod tests {
                 job: 0,
                 node: node as u32,
                 last_recv_seq: 0,
-                codecs: codec_mask_all(),
             }))
             .expect("hello");
             clients.push(s);
@@ -1465,6 +1461,48 @@ mod tests {
                 "driver transport is not O(1) threads: {b} -> {d} for {LINKS} links"
             );
         }
+        router.shutdown();
+    }
+
+    /// A v4 dialer (25-byte hello carrying the codec mask, version 4) is
+    /// refused at the handshake: the reactor reads the hello at today's
+    /// length, fails the version check, and closes the socket — no
+    /// welcome, no link.
+    #[test]
+    fn v4_hello_is_refused_at_the_handshake() {
+        let (event_tx, _event_rx) = unbounded();
+        let router = Router::spawn(None).expect("router binds");
+        router
+            .register_job(
+                0,
+                1,
+                event_tx,
+                Recorder::disabled(),
+                test_welcome(1),
+                Duration::from_secs(600),
+            )
+            .expect("register job");
+        let mut v4 = encode_hello(&Hello {
+            job: 0,
+            node: 0,
+            last_recv_seq: 0,
+        });
+        v4[4..8].copy_from_slice(&4u32.to_le_bytes());
+        v4.push(0b111);
+        assert_eq!(
+            decode_hello(&v4[..HELLO_LEN]),
+            Err(crate::wire::WireError::BadVersion(4))
+        );
+        let mut s = TcpStream::connect(router.local_addr()).expect("connect");
+        s.write_all(&v4).expect("hello");
+        let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
+        let mut one = [0u8; 1];
+        assert_eq!(
+            s.read(&mut one).unwrap_or(0),
+            0,
+            "a v4 hello must get no welcome"
+        );
+        assert_eq!(router.connected_links(), 0);
         router.shutdown();
     }
 
@@ -1486,7 +1524,6 @@ mod tests {
                     Recorder::disabled(),
                     test_welcome(2),
                     Duration::from_secs(600),
-                    WireCodec::None,
                 )
                 .expect("register job");
         }
@@ -1497,7 +1534,6 @@ mod tests {
                 job,
                 node,
                 last_recv_seq: 0,
-                codecs: codec_mask_all(),
             }))
             .expect("hello");
             let mut w = [0u8; WELCOME_LEN];
@@ -1525,7 +1561,6 @@ mod tests {
                 job: 99,
                 node: 0,
                 last_recv_seq: 0,
-                codecs: codec_mask_all(),
             }))
             .expect("hello");
         let _ = ghost.set_read_timeout(Some(Duration::from_secs(5)));

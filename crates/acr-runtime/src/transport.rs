@@ -15,7 +15,7 @@
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use acr_core::ReplicaLayout;
 use acr_obs::Recorder;
@@ -154,7 +154,10 @@ impl fmt::Debug for SharedReactor {
     }
 }
 
-/// Tuning for the TCP backend.
+/// Tuning for the TCP backend: where the router listens, how endpoints
+/// reconnect, and when a silent link counts as stale. The wire format
+/// itself has no options — one frame layout, no payload compression (see
+/// [`wire`](crate::wire)).
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
     /// Listen address for the driver's router; `None` binds an ephemeral
@@ -181,10 +184,8 @@ pub struct TcpConfig {
     /// for `2·ranks + spares` external node hosts (see
     /// [`run_node_host`]) to connect.
     pub remote_nodes: bool,
-    /// Preferred codec for checkpoint-ship bodies, negotiated per link at
-    /// the HELLO handshake (a peer that doesn't offer it falls back to
-    /// [`WireCodec::None`]). Applies to batched super-frame payloads;
-    /// kept only when it actually shrinks them.
+    /// Compile shim read by `benchmark/src/layers.rs`; see [`WireCodec`].
+    #[doc(hidden)]
     pub codec: WireCodec,
     /// Optional hook tests use to sever or quarantine live links
     /// mid-run (socket-kill coverage). `None` in production.
@@ -206,7 +207,7 @@ impl Default for TcpConfig {
             stale_after: Duration::from_millis(50),
             connect_timeout: Duration::from_secs(10),
             remote_nodes: false,
-            codec: WireCodec::default(),
+            codec: WireCodec::None,
             control: None,
             shared: None,
         }
@@ -383,7 +384,6 @@ pub(crate) fn build_fabric(
                     Arc::clone(rec),
                     welcome,
                     tcp.stale_after,
-                    tcp.codec,
                 )
                 .unwrap_or_else(|e| panic!("tcp transport: cannot register job {job}: {e}"));
             if let Some(control) = &tcp.control {
@@ -542,8 +542,9 @@ pub fn run_node_host_for_job(
     for h in handles {
         let _ = h.join();
     }
+    let deadline = Instant::now() + Duration::from_secs(10);
     for ep in &endpoints {
-        ep.shutdown();
+        ep.linger(deadline);
     }
     Ok(())
 }

@@ -22,29 +22,25 @@
 //! frames the dead socket swallowed. Receivers drop `seq` values they have
 //! already seen (replayed duplicates).
 //!
-//! ## Super-frames (batching + compression)
+//! ## Super-frames (batching)
 //!
-//! Several frames headed for the same socket may be coalesced into one
-//! *super-frame* so a flush costs one syscall instead of one per frame:
+//! Two or more frames headed for the same socket in one flush are coalesced
+//! into one *super-frame*, so the flush costs one syscall and one checksum
+//! instead of one per frame; a lone frame always travels as a plain frame.
 //!
 //! ```text
 //! magic    u32   0x53524341 ("ACRS")
-//! wire_len u32   stored payload length (≤ MAX_FRAME_BODY)
-//! count    u16   number of sub-frames inside
-//! codec    u8    WireCodec tag the payload is stored under
-//! raw_len  u32   payload length after decompression
-//! payload  [u8; wire_len]   codec(concat of sub-records)
-//! check    u64   fletcher64(payload as stored)
+//! len      u32   payload length (≤ MAX_FRAME_BODY)
+//! count    u16   number of sub-records inside (≥ 2 on encode, ≥ 1 on decode)
+//! payload  [u8; len]   concatenated sub-records
+//! check    u64   fletcher64(payload)
 //! ```
 //!
 //! Each sub-record is `to u32 · seq u64 · len u32 · body`: the same triple a
 //! plain frame carries, so batching is invisible above the decoder. The
-//! payload may be compressed with an optional std-only [`WireCodec`]
-//! (byte-RLE or an LZSS-style "LZ-lite"), negotiated at HELLO/WELCOME time:
-//! the hello advertises a codec bitmask, the welcome picks one. Checkpoint
-//! ship bodies (`Compare`/`Install`) are where compression pays; an encoder
-//! that fails to shrink the payload stores it uncompressed (`codec` says
-//! what was actually stored, never what was merely attempted).
+//! payload is stored verbatim — there is no byte compression on the wire
+//! (checkpoint-ship volume is cut by the §4.2 checksum and by delta
+//! checkpoints, both above this layer).
 //!
 //! The body codec is deliberately hand-rolled (no serde in the dependency
 //! tree): one tag byte per enum variant, fixed little-endian scalars,
@@ -58,18 +54,20 @@ use crate::message::{AppMsg, Ctrl, Event, Net, NodeFault, Scope, TaskId};
 
 /// Frame magic: `"ACRF"` little-endian.
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"ACRF");
-/// Super-frame (batched, possibly compressed) magic: `"ACRS"`.
+/// Super-frame (batched) magic: `"ACRS"`.
 pub const SUPER_MAGIC: u32 = u32::from_le_bytes(*b"ACRS");
 /// Handshake (client hello) magic: `"ACRH"`.
 pub const HELLO_MAGIC: u32 = u32::from_le_bytes(*b"ACRH");
 /// Handshake (server welcome) magic: `"ACRW"`.
 pub const WELCOME_MAGIC: u32 = u32::from_le_bytes(*b"ACRW");
 /// Wire protocol version carried by the handshake. Version 2 added
-/// super-frames and the codec negotiation byte in hello/welcome; version 3
-/// added the delta detection record and the welcome's delta-checkpoint
-/// knobs; version 4 added the hello's job id, which a multi-job reactor
-/// uses to route the link into its job's namespace.
-pub const WIRE_VERSION: u32 = 4;
+/// super-frames; version 3 added the delta detection record and the
+/// welcome's delta-checkpoint knobs; version 4 added the hello's job id,
+/// which a multi-job reactor uses to route the link into its job's
+/// namespace; version 5 removed the payload codecs (the hello's codec mask,
+/// the welcome's codec byte, the super-frame header's codec and raw-length
+/// fields). Peers of any other version are refused at the handshake.
+pub const WIRE_VERSION: u32 = 5;
 /// `to` value addressing the driver rather than a node.
 pub const DRIVER_DEST: u32 = u32::MAX;
 /// Upper bound on a frame body; anything larger is a corrupt length field.
@@ -79,23 +77,19 @@ pub const MAX_FRAME_BODY: usize = 256 << 20;
 pub const FRAME_HEADER: usize = 4 + 4 + 4 + 8;
 /// Trailer bytes after the body (the Fletcher-64 checksum).
 pub const FRAME_TRAILER: usize = 8;
-/// Super-frame header bytes (magic + wire_len + count + codec + raw_len).
-pub const SUPER_HEADER: usize = 4 + 4 + 2 + 1 + 4;
+/// Super-frame header bytes (magic + len + count).
+pub const SUPER_HEADER: usize = 4 + 4 + 2;
 /// Per-sub-frame overhead inside a super-frame payload (to + seq + len).
 pub const SUPER_RECORD_HEADER: usize = 4 + 8 + 4;
-/// Encoded hello length (fixed): magic, version, job, node, last_recv,
-/// codecs. The job id (added in wire version 4) scopes the link: node
-/// indices are per-job namespaces, so a service reactor hosting several
-/// jobs routes a frame's `to` within the job its link handshook into.
-pub const HELLO_LEN: usize = 4 + 4 + 4 + 4 + 8 + 1;
-/// Encoded welcome length (fixed); the final byte is the chosen codec tag.
-/// The `+ 1 + 4` pair is the delta-checkpoint enable flag and anchor
-/// interval added in wire version 3.
-pub const WELCOME_LEN: usize = 4 + 4 + 8 + 4 * 4 + 1 + 8 + 8 + 8 + 1 + 4 + 1;
-
-/// Only compress payloads at least this large: below it the codec header
-/// bookkeeping eats any saving and the CPU is better spent elsewhere.
-pub const COMPRESS_MIN: usize = 128;
+/// Encoded hello length (fixed): magic, version, job, node, last_recv.
+/// The job id (added in wire version 4) scopes the link: node indices are
+/// per-job namespaces, so a service reactor hosting several jobs routes a
+/// frame's `to` within the job its link handshook into.
+pub const HELLO_LEN: usize = 4 + 4 + 4 + 4 + 8;
+/// Encoded welcome length (fixed). The `+ 1 + 4` pair is the
+/// delta-checkpoint enable flag and anchor interval added in wire
+/// version 3.
+pub const WELCOME_LEN: usize = 4 + 4 + 8 + 4 * 4 + 1 + 8 + 8 + 8 + 1 + 4;
 
 /// A decoding failure. `Truncated` is only returned by the fixed-size
 /// handshake parsers and the body codecs; the incremental [`FrameDecoder`]
@@ -147,287 +141,17 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-// ---------------------------------------------------------------------------
-// Compression codecs
-// ---------------------------------------------------------------------------
-
-/// Payload codec a super-frame may be stored under. Negotiated at
-/// handshake time: the hello carries a bitmask of codecs the client can
-/// decode ([`WireCodec::bit`]), the welcome answers with the single codec
-/// the link will use for compressible flushes. `None` is always legal and
-/// is what an encoder falls back to when compression does not pay.
+/// Compile shim, no behaviour: `benchmark/src/layers.rs` (which this
+/// repository's changes may not edit) names `WireCodec::None`,
+/// `TcpConfig::default().codec` and a second argument to [`encode_batch`].
+/// The wire has no payload codecs; the next `benchmark` issue deletes this
+/// enum, that field and that parameter together with the two lines that
+/// use them.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireCodec {
-    /// Payload stored verbatim.
-    None,
-    /// Byte-oriented run-length encoding (PackBits-style). Cheap, wins on
-    /// long zero runs — freshly-initialised or sparse checkpoint payloads.
-    Rle,
-    /// LZSS-style "LZ-lite": greedy single-probe hash matching over a
-    /// 64 KiB window, flag-byte groups of 8 literals/copies. Wins on
-    /// repetitive structured state (striding f64 fields, repeated tables).
     #[default]
-    Lz,
-}
-
-impl WireCodec {
-    /// Wire tag carried in super-frame headers and the welcome.
-    pub fn tag(self) -> u8 {
-        match self {
-            WireCodec::None => 0,
-            WireCodec::Rle => 1,
-            WireCodec::Lz => 2,
-        }
-    }
-
-    /// Inverse of [`WireCodec::tag`].
-    pub fn from_tag(tag: u8) -> Result<Self, WireError> {
-        Ok(match tag {
-            0 => WireCodec::None,
-            1 => WireCodec::Rle,
-            2 => WireCodec::Lz,
-            t => {
-                return Err(WireError::BadTag {
-                    what: "WireCodec",
-                    tag: t,
-                })
-            }
-        })
-    }
-
-    /// This codec's bit in the hello's supported-codec bitmask.
-    pub fn bit(self) -> u8 {
-        1 << self.tag()
-    }
-
-    /// Stable lower-case label for metrics and event streams.
-    pub fn name(self) -> &'static str {
-        match self {
-            WireCodec::None => "none",
-            WireCodec::Rle => "rle",
-            WireCodec::Lz => "lz",
-        }
-    }
-}
-
-/// Bitmask of every codec this build can decode (advertised in the hello).
-pub fn codec_mask_all() -> u8 {
-    WireCodec::None.bit() | WireCodec::Rle.bit() | WireCodec::Lz.bit()
-}
-
-/// Pick the link codec: the server's preference if the client offered it,
-/// otherwise uncompressed.
-pub(crate) fn negotiate_codec(preferred: WireCodec, offered_mask: u8) -> WireCodec {
-    if offered_mask & preferred.bit() != 0 {
-        preferred
-    } else {
-        WireCodec::None
-    }
-}
-
-/// Compress `data` under `codec`. The caller compares lengths and keeps
-/// the original when compression does not shrink it.
-fn compress(codec: WireCodec, data: &[u8]) -> Vec<u8> {
-    match codec {
-        WireCodec::None => data.to_vec(),
-        WireCodec::Rle => rle_compress(data),
-        WireCodec::Lz => lz_compress(data),
-    }
-}
-
-/// Decompress a stored payload; `raw_len` is the expected output length
-/// from the super-frame header and any mismatch is a decode error.
-fn decompress(codec: WireCodec, data: &[u8], raw_len: usize) -> Result<Vec<u8>, WireError> {
-    let out = match codec {
-        WireCodec::None => data.to_vec(),
-        WireCodec::Rle => rle_decompress(data, raw_len)?,
-        WireCodec::Lz => lz_decompress(data, raw_len)?,
-    };
-    if out.len() != raw_len {
-        return Err(WireError::Truncated);
-    }
-    Ok(out)
-}
-
-/// PackBits-style RLE. Control byte `c`: `0..=127` → copy `c+1` literal
-/// bytes; `129..=255` → repeat the next byte `257-c` times; `128` is
-/// never emitted and rejected on decode.
-fn rle_compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    let mut i = 0;
-    while i < data.len() {
-        // Measure the run starting here.
-        let b = data[i];
-        let mut run = 1;
-        while run < 128 && i + run < data.len() && data[i + run] == b {
-            run += 1;
-        }
-        if run >= 3 {
-            out.push((257 - run) as u8);
-            out.push(b);
-            i += run;
-            continue;
-        }
-        // Literal stretch: emit until the next ≥3 run or 128 bytes.
-        let start = i;
-        i += run;
-        while i < data.len() && i - start < 128 {
-            let c = data[i];
-            let mut r = 1;
-            while r < 3 && i + r < data.len() && data[i + r] == c {
-                r += 1;
-            }
-            if r >= 3 {
-                break;
-            }
-            i += r;
-        }
-        let lit = (i - start).min(128);
-        out.push((lit - 1) as u8);
-        out.extend_from_slice(&data[start..start + lit]);
-        i = start + lit;
-    }
-    out
-}
-
-fn rle_decompress(data: &[u8], raw_len: usize) -> Result<Vec<u8>, WireError> {
-    let mut out = Vec::with_capacity(raw_len);
-    let mut i = 0;
-    while i < data.len() {
-        let c = data[i];
-        i += 1;
-        if c < 128 {
-            let n = c as usize + 1;
-            if i + n > data.len() {
-                return Err(WireError::Truncated);
-            }
-            out.extend_from_slice(&data[i..i + n]);
-            i += n;
-        } else if c == 128 {
-            return Err(WireError::BadTag {
-                what: "rle control",
-                tag: c,
-            });
-        } else {
-            let n = 257 - c as usize;
-            if i >= data.len() {
-                return Err(WireError::Truncated);
-            }
-            out.resize(out.len() + n, data[i]);
-            i += 1;
-        }
-        if out.len() > raw_len {
-            return Err(WireError::TooLarge(out.len()));
-        }
-    }
-    Ok(out)
-}
-
-/// LZ-lite window: matches may reach back up to `u16::MAX` bytes.
-const LZ_WINDOW: usize = u16::MAX as usize;
-/// Minimum/maximum encodable match length (`len` byte stores `len-4`).
-const LZ_MIN_MATCH: usize = 4;
-const LZ_MAX_MATCH: usize = 255 + LZ_MIN_MATCH;
-
-fn lz_hash(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-    (v.wrapping_mul(2_654_435_761) >> 16) as usize
-}
-
-/// Greedy LZSS with flag-byte groups: each flag byte covers 8 items, bit
-/// set → a 3-byte copy (`offset u16 LE`, `len-4 u8`), bit clear → one
-/// literal byte. A single-probe hash table keeps compression O(n).
-fn lz_compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    // Hash table of position+1 (0 = empty) for 4-byte sequences.
-    let mut table = vec![0u32; 1 << 16];
-    let mut i = 0;
-    let mut flag_at = usize::MAX;
-    let mut flag_bit = 8;
-    let mut push_item = |out: &mut Vec<u8>, is_match: bool| {
-        if flag_bit == 8 {
-            flag_at = out.len();
-            out.push(0);
-            flag_bit = 0;
-        }
-        if is_match {
-            out[flag_at] |= 1 << flag_bit;
-        }
-        flag_bit += 1;
-    };
-    while i < data.len() {
-        let mut matched = 0usize;
-        let mut offset = 0usize;
-        if i + LZ_MIN_MATCH <= data.len() {
-            let h = lz_hash(&data[i..]);
-            let cand = table[h] as usize;
-            table[h] = (i + 1) as u32;
-            if cand > 0 {
-                let p = cand - 1;
-                let off = i - p;
-                if (1..=LZ_WINDOW).contains(&off) {
-                    let max = (data.len() - i).min(LZ_MAX_MATCH);
-                    let mut l = 0;
-                    while l < max && data[p + l] == data[i + l] {
-                        l += 1;
-                    }
-                    if l >= LZ_MIN_MATCH {
-                        matched = l;
-                        offset = off;
-                    }
-                }
-            }
-        }
-        if matched > 0 {
-            push_item(&mut out, true);
-            out.extend_from_slice(&(offset as u16).to_le_bytes());
-            out.push((matched - LZ_MIN_MATCH) as u8);
-            i += matched;
-        } else {
-            push_item(&mut out, false);
-            out.push(data[i]);
-            i += 1;
-        }
-    }
-    out
-}
-
-fn lz_decompress(data: &[u8], raw_len: usize) -> Result<Vec<u8>, WireError> {
-    let mut out = Vec::with_capacity(raw_len);
-    let mut i = 0;
-    while i < data.len() {
-        let flags = data[i];
-        i += 1;
-        for bit in 0..8 {
-            if i >= data.len() {
-                break;
-            }
-            if flags & (1 << bit) != 0 {
-                if i + 3 > data.len() {
-                    return Err(WireError::Truncated);
-                }
-                let offset = u16::from_le_bytes(data[i..i + 2].try_into().unwrap()) as usize;
-                let len = data[i + 2] as usize + LZ_MIN_MATCH;
-                i += 3;
-                if offset == 0 || offset > out.len() {
-                    return Err(WireError::Truncated);
-                }
-                let start = out.len() - offset;
-                // Overlapping copies are legal (offset < len repeats).
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
-                }
-            } else {
-                out.push(data[i]);
-                i += 1;
-            }
-            if out.len() > raw_len {
-                return Err(WireError::TooLarge(out.len()));
-            }
-        }
-    }
-    Ok(out)
+    None,
 }
 
 // ---------------------------------------------------------------------------
@@ -535,86 +259,60 @@ pub fn encode_frame(to: u32, seq: u64, body: &[u8]) -> Vec<u8> {
 pub struct EncodedBatch {
     /// Exactly what goes on the socket: one plain frame or one super-frame.
     pub bytes: Vec<u8>,
-    /// Codec the payload was *actually stored* under ([`WireCodec::None`]
-    /// when compression was skipped or did not pay).
-    pub codec: WireCodec,
-    /// Concatenated sub-record payload length before compression. For a
-    /// plain-frame fallback this is the body length.
+    /// Concatenated sub-record length (the super-frame payload). For a lone
+    /// plain frame this is the body length.
     pub raw_payload: usize,
     /// Number of frames coalesced into this flush.
     pub frames: usize,
 }
 
-/// Encode one flush worth of frames for a single socket. A lone frame
-/// stays a plain `"ACRF"` frame unless compressing it beats the plain
-/// encoding outright; two or more frames always coalesce into a
-/// super-frame (whose per-record overhead, 16 bytes, undercuts the
-/// 28-byte plain header+trailer — batching never costs bytes).
+/// Encode one flush worth of frames for a single socket. A lone frame is a
+/// plain `"ACRF"` frame; two or more coalesce into a super-frame, whose
+/// per-record overhead (16 bytes) undercuts the 28-byte plain
+/// header+trailer — batching never costs bytes. Header and sub-records are
+/// written straight into the output buffer and checksummed in place.
+///
+/// The second parameter is ignored (see [`WireCodec`]).
 ///
 /// The caller must keep the batch payload under [`MAX_FRAME_BODY`] and
 /// the frame count under `u16::MAX` (the reactor's flush loop splits
 /// batches long before either bound).
-pub fn encode_batch(records: &[(u32, u64, &[u8])], codec: WireCodec) -> EncodedBatch {
+pub fn encode_batch(records: &[(u32, u64, &[u8])], _codec: WireCodec) -> EncodedBatch {
     assert!(!records.is_empty(), "encode_batch of zero frames");
     assert!(
         records.len() <= u16::MAX as usize,
         "batch frame count overflow"
     );
-    let plain_single = |records: &[(u32, u64, &[u8])]| {
-        let (to, seq, body) = records[0];
-        EncodedBatch {
+    if let [(to, seq, body)] = *records {
+        return EncodedBatch {
             bytes: encode_frame(to, seq, body),
-            codec: WireCodec::None,
             raw_payload: body.len(),
             frames: 1,
-        }
-    };
-    if records.len() == 1 && codec == WireCodec::None {
-        return plain_single(records);
+        };
     }
-    let raw_len: usize = records
+    let payload_len: usize = records
         .iter()
         .map(|(_, _, b)| SUPER_RECORD_HEADER + b.len())
         .sum();
-    assert!(raw_len <= MAX_FRAME_BODY, "batch payload exceeds frame cap");
-    let mut raw = Vec::with_capacity(raw_len);
-    for &(to, seq, body) in records {
-        put_u32(&mut raw, to);
-        put_u64(&mut raw, seq);
-        put_u32(&mut raw, body.len() as u32);
-        raw.extend_from_slice(body);
-    }
-    let (stored, used) = if codec != WireCodec::None && raw.len() >= COMPRESS_MIN {
-        let c = compress(codec, &raw);
-        if c.len() < raw.len() {
-            (c, codec)
-        } else {
-            (raw.clone(), WireCodec::None)
-        }
-    } else {
-        (raw.clone(), WireCodec::None)
-    };
-    if records.len() == 1 {
-        // A singleton super-frame only earns its keep when compression
-        // beats the plain encoding.
-        let super_total = SUPER_HEADER + stored.len() + FRAME_TRAILER;
-        let plain_total = FRAME_HEADER + records[0].2.len() + FRAME_TRAILER;
-        if super_total >= plain_total {
-            return plain_single(records);
-        }
-    }
-    let mut buf = Vec::with_capacity(SUPER_HEADER + stored.len() + FRAME_TRAILER);
+    assert!(
+        payload_len <= MAX_FRAME_BODY,
+        "batch payload exceeds frame cap"
+    );
+    let mut buf = Vec::with_capacity(SUPER_HEADER + payload_len + FRAME_TRAILER);
     put_u32(&mut buf, SUPER_MAGIC);
-    put_u32(&mut buf, stored.len() as u32);
+    put_u32(&mut buf, payload_len as u32);
     buf.extend_from_slice(&(records.len() as u16).to_le_bytes());
-    put_u8(&mut buf, used.tag());
-    put_u32(&mut buf, raw.len() as u32);
-    buf.extend_from_slice(&stored);
-    put_u64(&mut buf, fletcher64(&stored));
+    for &(to, seq, body) in records {
+        put_u32(&mut buf, to);
+        put_u64(&mut buf, seq);
+        put_u32(&mut buf, body.len() as u32);
+        buf.extend_from_slice(body);
+    }
+    let check = fletcher64(&buf[SUPER_HEADER..]);
+    put_u64(&mut buf, check);
     EncodedBatch {
         bytes: buf,
-        codec: used,
-        raw_payload: raw.len(),
+        raw_payload: payload_len,
         frames: records.len(),
     }
 }
@@ -703,69 +401,55 @@ impl FrameDecoder {
         if avail.len() < SUPER_HEADER {
             return Ok(None);
         }
-        let wire_len = u32::from_le_bytes(avail[4..8].try_into().unwrap()) as usize;
-        if wire_len > MAX_FRAME_BODY {
-            return self.poison(WireError::TooLarge(wire_len));
+        let len = u32::from_le_bytes(avail[4..8].try_into().unwrap()) as usize;
+        if len > MAX_FRAME_BODY {
+            return self.poison(WireError::TooLarge(len));
         }
         let count = u16::from_le_bytes(avail[8..10].try_into().unwrap()) as usize;
-        let codec_tag = avail[10];
-        let raw_len = u32::from_le_bytes(avail[11..15].try_into().unwrap()) as usize;
-        if raw_len > MAX_FRAME_BODY {
-            return self.poison(WireError::TooLarge(raw_len));
-        }
-        let total = SUPER_HEADER + wire_len + FRAME_TRAILER;
+        let total = SUPER_HEADER + len + FRAME_TRAILER;
         if avail.len() < total {
             return Ok(None);
         }
-        let stored = &avail[SUPER_HEADER..SUPER_HEADER + wire_len];
-        let found = u64::from_le_bytes(avail[SUPER_HEADER + wire_len..total].try_into().unwrap());
-        let expected = fletcher64(stored);
+        let payload = &avail[SUPER_HEADER..SUPER_HEADER + len];
+        let found = u64::from_le_bytes(avail[SUPER_HEADER + len..total].try_into().unwrap());
+        let expected = fletcher64(payload);
         if expected != found {
             return self.poison(WireError::Checksum { expected, found });
         }
         // An empty batch is never emitted; a zero count means corruption
-        // the checksum happened to miss structurally.
+        // the checksum happened to miss structurally (the header is not
+        // under the checksum).
         if count == 0 {
             return self.poison(WireError::Truncated);
         }
-        let codec = match WireCodec::from_tag(codec_tag) {
-            Ok(c) => c,
-            Err(e) => return self.poison(e),
-        };
-        let raw = match decompress(codec, stored, raw_len) {
-            Ok(r) => r,
-            Err(e) => return self.poison(e),
-        };
-        // Unpack sub-records; they must exactly tile the raw payload.
-        let mut frames = Vec::with_capacity(count);
-        let mut pos = 0usize;
-        for _ in 0..count {
-            if raw.len() - pos < SUPER_RECORD_HEADER {
-                return self.poison(WireError::Truncated);
+        match sub_records(payload, count) {
+            Ok(frames) => {
+                self.pos += total;
+                self.pending.extend(frames);
+                Ok(self.pending.pop_front())
             }
-            let to = u32::from_le_bytes(raw[pos..pos + 4].try_into().unwrap());
-            let seq = u64::from_le_bytes(raw[pos + 4..pos + 12].try_into().unwrap());
-            let len = u32::from_le_bytes(raw[pos + 12..pos + 16].try_into().unwrap()) as usize;
-            pos += SUPER_RECORD_HEADER;
-            if len > MAX_FRAME_BODY || raw.len() - pos < len {
-                return self.poison(WireError::Truncated);
-            }
-            frames.push(Frame {
-                to,
-                seq,
-                body: raw[pos..pos + len].to_vec(),
-            });
-            pos += len;
+            Err(e) => self.poison(e),
         }
-        if pos != raw.len() {
-            return self.poison(WireError::Truncated);
-        }
-        self.pos += total;
-        let mut it = frames.into_iter();
-        let first = it.next();
-        self.pending.extend(it);
-        Ok(first)
     }
+}
+
+/// Unpack a super-frame payload; the `count` sub-records must exactly tile
+/// it.
+fn sub_records(payload: &[u8], count: usize) -> Result<Vec<Frame>, WireError> {
+    let mut r = Reader::new(payload);
+    let mut frames = Vec::with_capacity(count);
+    for _ in 0..count {
+        let to = r.u32()?;
+        let seq = r.u64()?;
+        let len = r.u32()? as usize;
+        frames.push(Frame {
+            to,
+            seq,
+            body: r.take(len)?.to_vec(),
+        });
+    }
+    r.finish()?;
+    Ok(frames)
 }
 
 // ---------------------------------------------------------------------------
@@ -775,13 +459,12 @@ impl FrameDecoder {
 /// Client hello: which job the link belongs to, the connecting node's
 /// identity within that job, the highest frame sequence it has received
 /// from the router (so the router can replay the tail a dropped socket
-/// swallowed), and the bitmask of [`WireCodec`]s it can decode.
+/// swallowed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Hello {
     pub job: u32,
     pub node: u32,
     pub last_recv_seq: u64,
-    pub codecs: u8,
 }
 
 pub(crate) fn encode_hello(h: &Hello) -> Vec<u8> {
@@ -791,7 +474,6 @@ pub(crate) fn encode_hello(h: &Hello) -> Vec<u8> {
     put_u32(&mut buf, h.job);
     put_u32(&mut buf, h.node);
     put_u64(&mut buf, h.last_recv_seq);
-    put_u8(&mut buf, h.codecs);
     debug_assert_eq!(buf.len(), HELLO_LEN);
     buf
 }
@@ -810,7 +492,6 @@ pub(crate) fn decode_hello(buf: &[u8]) -> Result<Hello, WireError> {
         job: r.u32()?,
         node: r.u32()?,
         last_recv_seq: r.u64()?,
-        codecs: r.u8()?,
     };
     r.finish()?;
     Ok(h)
@@ -834,14 +515,11 @@ pub(crate) struct WelcomeCfg {
 }
 
 /// Server welcome: the router's highest received sequence from this node
-/// (the node replays everything above it), the job shape, and the codec
-/// the link will use for compressible flushes (chosen from the hello's
-/// offered bitmask).
+/// (the node replays everything above it) and the job shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Welcome {
     pub last_recv_seq: u64,
     pub cfg: WelcomeCfg,
-    pub codec: WireCodec,
 }
 
 fn detection_tag(d: DetectionMethod) -> u8 {
@@ -881,7 +559,6 @@ pub(crate) fn encode_welcome(w: &Welcome) -> Vec<u8> {
     put_u64(&mut buf, w.cfg.heartbeat_timeout_ns);
     put_u32(&mut buf, w.cfg.delta_anchor_interval);
     put_u8(&mut buf, w.cfg.delta_checkpoints as u8);
-    put_u8(&mut buf, w.codec.tag());
     debug_assert_eq!(buf.len(), WELCOME_LEN);
     buf
 }
@@ -909,13 +586,8 @@ pub(crate) fn decode_welcome(buf: &[u8]) -> Result<Welcome, WireError> {
         delta_anchor_interval: r.u32()?,
         delta_checkpoints: r.u8()? != 0,
     };
-    let codec = WireCodec::from_tag(r.u8()?)?;
     r.finish()?;
-    Ok(Welcome {
-        last_recv_seq,
-        cfg,
-        codec,
-    })
+    Ok(Welcome { last_recv_seq, cfg })
 }
 
 // ---------------------------------------------------------------------------
@@ -1500,10 +1172,9 @@ pub(crate) fn encode_event(ev: &Event) -> Vec<u8> {
             put_u8(&mut buf, 4);
             put_usize(&mut buf, *node);
         }
-        Event::Installed { node, iteration } => {
+        Event::Installed { node } => {
             put_u8(&mut buf, 5);
             put_usize(&mut buf, *node);
-            put_u64(&mut buf, *iteration);
         }
         Event::AllTasksDone { node } => {
             put_u8(&mut buf, 6);
@@ -1607,10 +1278,7 @@ pub(crate) fn decode_event(buf: &[u8]) -> Result<Event, WireError> {
             fault: get_node_fault(&mut r)?,
         },
         4 => Event::RolledBack { node: r.usize()? },
-        5 => Event::Installed {
-            node: r.usize()?,
-            iteration: r.u64()?,
-        },
+        5 => Event::Installed { node: r.usize()? },
         6 => Event::AllTasksDone { node: r.usize()? },
         7 => Event::Pong {
             node: r.usize()?,
@@ -1848,10 +1516,7 @@ mod tests {
                 fault: NodeFault::Sdc { seed: 9, bits: 1 },
             },
             Event::RolledBack { node: 3 },
-            Event::Installed {
-                node: 4,
-                iteration: 40,
-            },
+            Event::Installed { node: 4 },
             Event::AllTasksDone { node: 5 },
             Event::Pong { node: 6, token: 8 },
             Event::FinalState {
@@ -1933,19 +1598,8 @@ mod tests {
         assert!(matches!(dec.next_frame(), Err(WireError::Checksum { .. })));
     }
 
-    #[test]
-    fn hello_and_welcome_round_trip() {
-        let h = Hello {
-            job: 7,
-            node: 5,
-            last_recv_seq: 123,
-            codecs: codec_mask_all(),
-        };
-        let buf = encode_hello(&h);
-        assert_eq!(buf.len(), HELLO_LEN);
-        assert_eq!(decode_hello(&buf).unwrap(), h);
-
-        let w = Welcome {
+    fn sample_welcome() -> Welcome {
+        Welcome {
             last_recv_seq: 456,
             cfg: WelcomeCfg {
                 ranks: 4,
@@ -1959,11 +1613,102 @@ mod tests {
                 delta_checkpoints: true,
                 delta_anchor_interval: 16,
             },
-            codec: WireCodec::Lz,
+        }
+    }
+
+    #[test]
+    fn hello_and_welcome_round_trip() {
+        let h = Hello {
+            job: 7,
+            node: 5,
+            last_recv_seq: 123,
         };
+        let buf = encode_hello(&h);
+        assert_eq!(buf.len(), HELLO_LEN);
+        assert_eq!(decode_hello(&buf).unwrap(), h);
+
+        let w = sample_welcome();
         let buf = encode_welcome(&w);
         assert_eq!(buf.len(), WELCOME_LEN);
         assert_eq!(decode_welcome(&buf).unwrap(), w);
+    }
+
+    fn le32(b: &[u8], at: usize) -> u32 {
+        u32::from_le_bytes(b[at..at + 4].try_into().unwrap())
+    }
+    fn le64(b: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
+    }
+
+    /// The v5 handshake records and super-frame header, byte for byte: a
+    /// peer written against this layout interoperates, and any reshuffle
+    /// must bump [`WIRE_VERSION`].
+    #[test]
+    fn v5_handshake_and_super_header_layouts_are_pinned() {
+        assert_eq!(WIRE_VERSION, 5);
+        assert_eq!((HELLO_LEN, WELCOME_LEN, SUPER_HEADER), (24, 62, 10));
+
+        let h = encode_hello(&Hello {
+            job: 7,
+            node: 5,
+            last_recv_seq: 123,
+        });
+        assert_eq!(&h[0..4], b"ACRH");
+        assert_eq!((le32(&h, 4), le32(&h, 8), le32(&h, 12)), (5, 7, 5));
+        assert_eq!(le64(&h, 16), 123);
+
+        let w = encode_welcome(&sample_welcome());
+        assert_eq!(&w[0..4], b"ACRW");
+        assert_eq!((le32(&w, 4), le64(&w, 8)), (5, 456));
+        assert_eq!(
+            (le32(&w, 16), le32(&w, 20), le32(&w, 24), le32(&w, 28)),
+            (4, 1, 2, 10),
+            "ranks, tasks_per_rank, spares, total"
+        );
+        assert_eq!(w[32], 2, "DetectionMethod::ChunkedChecksum tag");
+        assert_eq!(
+            (le64(&w, 33), le64(&w, 41), le64(&w, 49)),
+            (2048, 5_000_000, 40_000_000),
+            "chunk_size, heartbeat period, heartbeat timeout"
+        );
+        assert_eq!((le32(&w, 57), w[61]), (16, 1), "anchor interval, delta on");
+
+        let s = encode_batch(&[(1, 9, b"ab"), (2, 10, b"c")], WireCodec::None).bytes;
+        let payload = 2 * SUPER_RECORD_HEADER + 3;
+        assert_eq!(s.len(), SUPER_HEADER + payload + FRAME_TRAILER);
+        assert_eq!(&s[0..4], b"ACRS");
+        assert_eq!(le32(&s, 4) as usize, payload);
+        assert_eq!(u16::from_le_bytes([s[8], s[9]]), 2);
+        assert_eq!((le32(&s, 10), le64(&s, 14), le32(&s, 22)), (1, 9, 2));
+        assert_eq!(&s[26..28], b"ab");
+        assert_eq!(
+            le64(&s, SUPER_HEADER + payload),
+            fletcher64(&s[SUPER_HEADER..SUPER_HEADER + payload])
+        );
+    }
+
+    /// A v4 peer is refused, never misparsed: its hello (one codec-mask
+    /// byte longer) fails on the version field whether the reader takes
+    /// the new length or the old one, and so does its welcome.
+    #[test]
+    fn v4_handshake_records_are_refused_with_a_version_error() {
+        let mut v4_hello = encode_hello(&Hello {
+            job: 0,
+            node: 1,
+            last_recv_seq: 0,
+        });
+        v4_hello[4..8].copy_from_slice(&4u32.to_le_bytes());
+        v4_hello.push(0b111);
+        assert_eq!(v4_hello.len(), 25);
+        assert_eq!(
+            decode_hello(&v4_hello[..HELLO_LEN]),
+            Err(WireError::BadVersion(4))
+        );
+        assert_eq!(decode_hello(&v4_hello), Err(WireError::BadVersion(4)));
+
+        let mut v4_welcome = encode_welcome(&sample_welcome());
+        v4_welcome[4..8].copy_from_slice(&4u32.to_le_bytes());
+        assert_eq!(decode_welcome(&v4_welcome), Err(WireError::BadVersion(4)));
     }
 
     fn delta_compare(dirty: Vec<(u32, Bytes)>) -> Net {
@@ -2046,22 +1791,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn codec_negotiation_prefers_offered_codec_else_none() {
-        assert_eq!(
-            negotiate_codec(WireCodec::Lz, codec_mask_all()),
-            WireCodec::Lz
-        );
-        assert_eq!(
-            negotiate_codec(WireCodec::Rle, WireCodec::None.bit() | WireCodec::Rle.bit()),
-            WireCodec::Rle
-        );
-        assert_eq!(
-            negotiate_codec(WireCodec::Lz, WireCodec::None.bit()),
-            WireCodec::None
-        );
-    }
-
     fn decode_all(bytes: &[u8]) -> Vec<Frame> {
         let mut dec = FrameDecoder::new();
         dec.feed(bytes);
@@ -2074,28 +1803,26 @@ mod tests {
 
     #[test]
     fn batch_of_many_frames_round_trips_and_never_costs_bytes() {
-        for codec in [WireCodec::None, WireCodec::Rle, WireCodec::Lz] {
-            let bodies: Vec<Vec<u8>> = all_nets().iter().map(encode_net).collect();
-            let records: Vec<(u32, u64, &[u8])> = bodies
-                .iter()
-                .enumerate()
-                .map(|(i, b)| (i as u32, i as u64 + 1, b.as_slice()))
-                .collect();
-            let batch = encode_batch(&records, codec);
-            let plain: usize = bodies
-                .iter()
-                .map(|b| FRAME_HEADER + b.len() + FRAME_TRAILER)
-                .sum();
-            assert!(
-                batch.bytes.len() <= plain,
-                "{codec:?}: batch {} > plain {plain}",
-                batch.bytes.len()
-            );
-            let frames = decode_all(&batch.bytes);
-            assert_eq!(frames.len(), records.len());
-            for (f, (to, seq, body)) in frames.iter().zip(&records) {
-                assert_eq!((f.to, f.seq, f.body.as_slice()), (*to, *seq, *body));
-            }
+        let bodies: Vec<Vec<u8>> = all_nets().iter().map(encode_net).collect();
+        let records: Vec<(u32, u64, &[u8])> = bodies
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (i as u32, i as u64 + 1, b.as_slice()))
+            .collect();
+        let batch = encode_batch(&records, WireCodec::None);
+        let plain: usize = bodies
+            .iter()
+            .map(|b| FRAME_HEADER + b.len() + FRAME_TRAILER)
+            .sum();
+        assert!(
+            batch.bytes.len() <= plain,
+            "batch {} > plain {plain}",
+            batch.bytes.len()
+        );
+        let frames = decode_all(&batch.bytes);
+        assert_eq!(frames.len(), records.len());
+        for (f, (to, seq, body)) in frames.iter().zip(&records) {
+            assert_eq!((f.to, f.seq, f.body.as_slice()), (*to, *seq, *body));
         }
     }
 
@@ -2111,116 +1838,59 @@ mod tests {
     }
 
     #[test]
-    fn incompressible_singleton_stays_a_plain_frame() {
-        // Pseudo-random bytes: neither codec can shrink them, so a lone
-        // frame must keep the cheaper plain encoding.
-        let mut x = 0x9e3779b97f4a7c15u64;
-        let body: Vec<u8> = (0..512)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x as u8
-            })
-            .collect();
-        for codec in [WireCodec::Rle, WireCodec::Lz] {
-            let batch = encode_batch(&[(3, 7, body.as_slice())], codec);
-            assert_eq!(batch.codec, WireCodec::None);
-            assert_eq!(batch.bytes.len(), FRAME_HEADER + body.len() + FRAME_TRAILER);
-            let frames = decode_all(&batch.bytes);
-            assert_eq!(frames[0].body, body);
-        }
-    }
-
-    #[test]
-    fn compressible_singleton_ships_compressed() {
+    fn lone_record_is_always_a_plain_frame() {
+        // Even an all-zero body: nothing on this path looks at content.
         let body = vec![0u8; 4096];
-        for codec in [WireCodec::Rle, WireCodec::Lz] {
-            let batch = encode_batch(&[(3, 7, body.as_slice())], codec);
-            assert_eq!(batch.codec, codec, "{codec:?} should win on zeros");
-            assert!(batch.bytes.len() < body.len() / 4);
-            let frames = decode_all(&batch.bytes);
-            assert_eq!(frames.len(), 1);
-            assert_eq!(frames[0].body, body);
-        }
-    }
-
-    #[test]
-    fn rle_and_lz_round_trip_awkward_inputs() {
-        let cases: Vec<Vec<u8>> = vec![
-            vec![],
-            vec![7],
-            vec![0; 1],
-            vec![0; 2],
-            vec![0; 3],
-            vec![0; 127],
-            vec![0; 128],
-            vec![0; 129],
-            vec![0; 100_000],
-            (0..=255u8).collect(),
-            (0..1024).map(|i| (i % 7) as u8).collect(),
-            b"abcabcabcabcabcabcabcabc".to_vec(),
-            {
-                let mut v = vec![1, 2, 3, 4];
-                v.extend_from_slice(&[9u8; 300]);
-                v.extend_from_slice(&[1, 2, 3, 4, 1, 2, 3, 4]);
-                v
-            },
-        ];
-        for data in &cases {
-            let c = rle_compress(data);
-            assert_eq!(&rle_decompress(&c, data.len()).unwrap(), data, "rle");
-            let c = lz_compress(data);
-            assert_eq!(&lz_decompress(&c, data.len()).unwrap(), data, "lz");
-        }
+        let batch = encode_batch(&[(3, 7, body.as_slice())], WireCodec::None);
+        assert_eq!(batch.bytes, encode_frame(3, 7, &body));
+        assert_eq!((batch.frames, batch.raw_payload), (1, body.len()));
+        assert_eq!(decode_all(&batch.bytes)[0].body, body);
     }
 
     #[test]
     fn corrupt_super_frames_poison_the_decoder() {
         let records: Vec<(u32, u64, &[u8])> = vec![(1, 1, &[0u8; 300]), (2, 2, &[0u8; 300])];
-        let good = encode_batch(&records, WireCodec::Lz).bytes;
+        let good = encode_batch(&records, WireCodec::None).bytes;
+        let decode = |bytes: &[u8]| {
+            let mut dec = FrameDecoder::new();
+            dec.feed(bytes);
+            let first = dec.next_frame();
+            assert!(
+                first.is_ok() || dec.next_frame().is_err(),
+                "decoder must stay poisoned"
+            );
+            first
+        };
 
         // Flipped payload bit → checksum failure.
         let mut bad = good.clone();
         bad[SUPER_HEADER + 2] ^= 0x10;
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bad);
-        assert!(matches!(dec.next_frame(), Err(WireError::Checksum { .. })));
-        assert!(dec.next_frame().is_err(), "decoder must stay poisoned");
+        assert!(matches!(decode(&bad), Err(WireError::Checksum { .. })));
 
-        // Lying raw_len (header is not checksummed) → strict tiling check.
+        // Lying count (the header is not checksummed) → strict tiling check.
+        for lie in [1u8, 3] {
+            let mut bad = good.clone();
+            bad[8] = lie;
+            assert_eq!(decode(&bad), Err(WireError::Truncated), "count {lie}");
+        }
+
+        // Zero count.
         let mut bad = good.clone();
-        bad[11] ^= 0x01;
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bad);
-        assert!(dec.next_frame().is_err());
+        bad[8] = 0;
+        assert_eq!(decode(&bad), Err(WireError::Truncated));
 
-        // Lying count.
-        let mut bad = good.clone();
-        bad[8] = bad[8].wrapping_add(1);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bad);
-        assert!(dec.next_frame().is_err());
-
-        // Unknown codec tag.
+        // Shortened length: the checksum no longer covers what it was
+        // computed over.
         let mut bad = good;
-        bad[10] = 0xEE;
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bad);
-        assert!(matches!(
-            dec.next_frame(),
-            Err(WireError::BadTag {
-                what: "WireCodec",
-                ..
-            })
-        ));
+        bad[4] = bad[4].wrapping_sub(1);
+        assert!(matches!(decode(&bad), Err(WireError::Checksum { .. })));
     }
 
     #[test]
     fn mixed_plain_and_super_frames_share_one_stream() {
         let a = encode_frame(1, 1, b"plain");
         let recs: Vec<(u32, u64, &[u8])> = vec![(2, 2, b"bb"), (3, 3, b"ccc")];
-        let b = encode_batch(&recs, WireCodec::Rle).bytes;
+        let b = encode_batch(&recs, WireCodec::None).bytes;
         let c = encode_frame(4, 4, b"tail");
         let mut stream = Vec::new();
         stream.extend_from_slice(&a);

@@ -29,6 +29,4 @@ pub use breakdown::{
     checkpoint_breakdown, restart_breakdown, CheckpointBreakdown, RestartBreakdown,
 };
 pub use machine::Machine;
-#[allow(deprecated)]
-pub use timeline::ExplicitCosts;
 pub use timeline::{CostProfile, SimConfig, SimReport, TauPolicy, Timeline};

@@ -185,21 +185,6 @@ impl CostProfile {
     }
 }
 
-/// Directly-specified protocol costs, bypassing the machine-derived
-/// breakdowns. Superseded by [`CostProfile`].
-#[deprecated(since = "0.10.0", note = "use CostProfile::explicit")]
-#[derive(Debug, Clone, Copy)]
-pub struct ExplicitCosts {
-    /// Checkpoint cost δ (pack + transfer + compare), seconds.
-    pub delta: f64,
-    /// Hard-error recovery cost (spare promotion + state transfer), seconds.
-    pub hard_restart: f64,
-    /// SDC rollback cost (reload + reconstruct), seconds.
-    pub sdc_restart: f64,
-    /// Ranks per replica: node `n`'s replica is `n / ranks`.
-    pub ranks: usize,
-}
-
 /// The simulator: machine + application profile.
 #[derive(Debug, Clone)]
 pub struct Timeline {
@@ -228,23 +213,6 @@ impl Timeline {
             app,
             costs: Some(costs),
         }
-    }
-
-    /// Simulator with directly-specified costs. Superseded by
-    /// [`Timeline::with_costs`].
-    #[deprecated(since = "0.10.0", note = "use Timeline::with_costs with a CostProfile")]
-    #[allow(deprecated)]
-    pub fn with_explicit_costs(machine: Machine, app: AppProfile, costs: ExplicitCosts) -> Self {
-        Self::with_costs(
-            machine,
-            app,
-            CostProfile::explicit(
-                costs.delta,
-                costs.hard_restart,
-                costs.sdc_restart,
-                costs.ranks,
-            ),
-        )
     }
 
     /// The machine in use.
@@ -886,28 +854,6 @@ mod tests {
         assert_eq!(derived.total_time, pinned.total_time);
         assert_eq!(derived.rework_time, pinned.rework_time);
         assert_eq!(derived.checkpoints, pinned.checkpoints);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_explicit_costs_shim_matches_with_costs() {
-        let machine = Machine::bgp(1024, MappingKind::Default);
-        let cfg = fixed_cfg(500.0, 50.0, Scheme::Strong, FailureTrace::default());
-        let old = Timeline::with_explicit_costs(
-            machine.clone(),
-            TABLE2[0],
-            ExplicitCosts {
-                delta: 2.0,
-                hard_restart: 3.0,
-                sdc_restart: 1.0,
-                ranks: 2,
-            },
-        )
-        .run(&cfg);
-        let new = Timeline::with_costs(machine, TABLE2[0], CostProfile::explicit(2.0, 3.0, 1.0, 2))
-            .run(&cfg);
-        assert_eq!(old.total_time, new.total_time);
-        assert_eq!(old.checkpoints, new.checkpoints);
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! battery: C-01 resume from the primary slot, C-02 resume over a damaged
 //! log tail (skips counted), C-03 fallback to the rollback slot when the
 //! primary is corrupt, C-04 fail closed with a guardrail diagnostic when
-//! no slot is usable. The report is flat JSON, hand-rolled so the crate
-//! stays std-only.
+//! no slot is usable. The report is flat JSON, written with the
+//! workspace's std-only [`acr_obs::json`] helpers.
 
 use std::io::{self, Write};
 use std::path::Path;
+
+use acr_obs::json::{escape_into, push_raw, push_str};
 
 /// Summary of one recovery attempt, successful or not.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -64,36 +66,6 @@ impl RecoveryReport {
     pub fn write_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let mut f = std::fs::File::create(path)?;
         f.write_all(self.to_json().as_bytes())
-    }
-}
-
-fn push_str(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    escape_into(out, value);
-    out.push_str("\",");
-}
-
-fn push_raw(out: &mut String, key: &str, value: u64) {
-    use std::fmt::Write;
-    let _ = write!(out, "\"{key}\":{value},");
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -20,11 +20,9 @@
 //! from the current sweep. Virtual time makes the numbers deterministic,
 //! so the gate catches protocol-behavior regressions, not machine noise.
 //!
-//! Two additional `jacobi_wire_codec_{off,on}` scenarios run the Jacobi
-//! halo workload over the threaded TCP backend and gate the wire columns:
-//! batching must never cost more bytes than plain per-message framing, the
-//! negotiated codec must cut checkpoint-ship bytes by ≥ 20%, and under
-//! `--baseline` the ship compression ratio must not regress.
+//! A `jacobi_wire_batch` scenario runs the Jacobi halo workload over the
+//! threaded TCP backend and gates the wire columns: super-frame batching
+//! must never cost more bytes than plain per-message framing.
 //!
 //! A `jacobi_wire_delta{,_off}` pair runs a slowly-mutating drift-field
 //! workload with incremental delta checkpoints on and off: delta records
@@ -58,7 +56,7 @@ use acr::obs::{sinks, Breakdown, EventKind, ObsConfig};
 use acr::pup::{Pup, PupResult, Puper};
 use acr::runtime::{
     AddrSlot, AppMsg, DetectionMethod, ExecMode, FaultAction, FaultScript, Job, JobConfig,
-    JobReport, Scheme, Task, TaskCtx, TaskId, TcpConfig, TransportKind, Trigger, WireCodec,
+    JobReport, Scheme, Task, TaskCtx, TaskId, TcpConfig, TransportKind, Trigger,
 };
 
 /// Communicating token ring with float dynamics — the same workload shape
@@ -302,9 +300,9 @@ fn run_http_scraped() -> (JobReport, u64, bool) {
 
 /// Threaded-TCP wire scenario: the Jacobi halo workload over real sockets
 /// with `FullCompare` detection, so every comparison round ships whole
-/// checkpoint payloads to the buddy — the traffic the super-frame batching
-/// and `WireCodec` exist for.
-fn run_wire(codec: WireCodec) -> JobReport {
+/// checkpoint payloads to the buddy alongside the halo and protocol
+/// chatter the super-frame batching coalesces.
+fn run_wire() -> JobReport {
     const RANKS: usize = 2;
     let cfg = JobConfig::builder()
         .ranks(RANKS)
@@ -316,10 +314,7 @@ fn run_wire(codec: WireCodec) -> JobReport {
         .heartbeat_period(Duration::from_millis(10))
         .heartbeat_timeout(Duration::from_millis(800))
         .max_duration(Duration::from_secs(60))
-        .transport(TransportKind::Tcp(TcpConfig {
-            codec,
-            ..TcpConfig::default()
-        }))
+        .transport(TransportKind::Tcp(TcpConfig::default()))
         .build()
         .expect("valid wire config");
     Job::new(cfg)
@@ -328,8 +323,7 @@ fn run_wire(codec: WireCodec) -> JobReport {
 
 /// Delta-checkpoint wire scenario: the drift-field workload over real
 /// sockets with `FullCompare`, chunked at 4 KiB, with incremental delta
-/// checkpoints off or on. The codec is off so the delta savings are
-/// measured unconfounded.
+/// checkpoints off or on.
 fn run_wire_delta(delta: bool) -> JobReport {
     const RANKS: usize = 2;
     const DRIFT_ITERS: u64 = 2500;
@@ -351,10 +345,7 @@ fn run_wire_delta(delta: bool) -> JobReport {
         .heartbeat_period(Duration::from_millis(10))
         .heartbeat_timeout(Duration::from_millis(800))
         .max_duration(Duration::from_secs(60))
-        .transport(TransportKind::Tcp(TcpConfig {
-            codec: WireCodec::None,
-            ..TcpConfig::default()
-        }))
+        .transport(TransportKind::Tcp(TcpConfig::default()))
         .build()
         .expect("valid delta wire config");
     Job::new(cfg).run(|rank, _| Box::new(DriftField::new(rank, DRIFT_ITERS)) as Box<dyn Task>)
@@ -698,16 +689,14 @@ fn main() -> ExitCode {
         rows.push((name.to_string(), b));
     }
 
-    // Wire-efficiency scenarios: the same report, but over the threaded TCP
-    // backend with the ship codec off and on. Wall-clock phase timings are
-    // machine noise, so those columns are zeroed (the baseline phase gate
-    // skips zero rows); the wire columns carry the signal and are gated by
-    // within-run invariants that hold on any machine.
-    for (name, codec) in [
-        ("jacobi_wire_codec_off", WireCodec::None),
-        ("jacobi_wire_codec_on", WireCodec::default()),
-    ] {
-        let report = run_wire(codec);
+    // Wire-batching scenario: the same report, but over the threaded TCP
+    // backend. Wall-clock phase timings are machine noise, so those columns
+    // are zeroed (the baseline phase gate skips zero rows); the wire
+    // columns carry the signal and are gated by a within-run invariant
+    // that holds on any machine.
+    {
+        let name = "jacobi_wire_batch";
+        let report = run_wire();
         if !report.completed {
             eprintln!(
                 "FAIL {name}: run did not complete: {}",
@@ -726,15 +715,6 @@ fn main() -> ExitCode {
             eprintln!(
                 "FAIL {name}: batching inflated the wire ({} sent > {} plain)",
                 w.sent, w.plain
-            );
-            failed = true;
-        }
-        // Codec effectiveness: ship bytes must drop by ≥ 20% on this
-        // mostly-smooth Jacobi state.
-        if codec != WireCodec::None && w.ship_wire * 10 > w.ship_raw * 8 {
-            eprintln!(
-                "FAIL {name}: codec saved too little ({} wire vs {} raw ship bytes)",
-                w.ship_wire, w.ship_raw
             );
             failed = true;
         }
@@ -928,23 +908,6 @@ fn gate_against_baseline(
                 println!("  ok {scenario}/{phase}: {old:.6}s -> {new:.6}s ({ratio:.2}x)");
             }
         }
-        // Wire-efficiency column: the checkpoint-ship compression ratio
-        // (wire/raw, lower is better) must not regress past the tolerance.
-        // Absolute byte counts vary with wall-clock round counts on a
-        // threaded run; the ratio is machine-independent.
-        if base.wire_ship_raw_bytes > 0 && cur.wire_ship_raw_bytes > 0 {
-            let old = base.wire_ship_wire_bytes as f64 / base.wire_ship_raw_bytes as f64;
-            let new = cur.wire_ship_wire_bytes as f64 / cur.wire_ship_raw_bytes as f64;
-            if new > old * (1.0 + tolerance) {
-                eprintln!(
-                    "FAIL perf gate: {scenario}/ship_ratio regressed \
-                     (baseline {old:.3}, now {new:.3})"
-                );
-                ok = false;
-            } else {
-                println!("  ok {scenario}/ship_ratio: {old:.3} -> {new:.3}");
-            }
-        }
         // Durable-store volume columns: journal + slot bytes written per
         // run are virtual-time deterministic, so they get a hard ≤ 5%
         // regression budget regardless of `--tolerance` — a new record
@@ -968,8 +931,9 @@ fn gate_against_baseline(
             }
         }
         // Delta-efficiency column: the delta shipped/raw ratio (lower is
-        // better) must not regress past the tolerance, same reasoning as
-        // the ship ratio above.
+        // better) must not regress past the tolerance. Absolute byte
+        // counts vary with wall-clock round counts on a threaded run; the
+        // ratio is machine-independent.
         if base.wire_delta_raw_bytes > 0 && cur.wire_delta_raw_bytes > 0 {
             let old = base.wire_delta_shipped_bytes as f64 / base.wire_delta_raw_bytes as f64;
             let new = cur.wire_delta_shipped_bytes as f64 / cur.wire_delta_raw_bytes as f64;

@@ -14,5 +14,5 @@
 pub use acr_runtime::{
     ConfigError, DetectionMethod, ExecMode, Fault, FaultAction, FaultScript, Job, JobBuilder,
     JobConfig, JobConfigBuilder, JobReport, Scheme, Task, TaskCtx, TcpConfig, TransportKind,
-    Trigger, WireCodec,
+    Trigger,
 };

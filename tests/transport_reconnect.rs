@@ -14,8 +14,8 @@ use std::time::Duration;
 use acr::obs::{EventKind, DRIVER_NODE};
 use acr::pup::{Pup, PupResult, Puper};
 use acr::runtime::{
-    AppMsg, DetectionMethod, ExecMode, Job, JobConfig, JobReport, Scheme, Task, TaskCtx, TaskId,
-    TcpConfig, TransportControl, TransportKind,
+    run_node_host, AppMsg, DetectionMethod, ExecMode, Job, JobConfig, JobReport, Scheme, Task,
+    TaskCtx, TaskId, TcpConfig, TransportControl, TransportKind,
 };
 
 /// Threaded TCP jobs are thread-heavy; concurrent cases oversubscribe CI
@@ -419,4 +419,124 @@ fn quarantined_link_is_probed_and_node_replaced() {
         report.metrics
     );
     audit_transport_attribution(&report);
+}
+
+/// A task whose only weight is its state: `BALLAST` bytes of xorshift
+/// noise and a short paced loop.
+struct Ballast {
+    iter: u64,
+    noise: Vec<u8>,
+}
+
+const BALLAST: usize = 8 << 20;
+
+impl Ballast {
+    fn new(rank: usize) -> Self {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ rank as u64;
+        let noise = (0..BALLAST)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        Self { iter: 0, noise }
+    }
+}
+
+impl Task for Ballast {
+    fn try_step(&mut self, _ctx: &mut TaskCtx<'_>) -> bool {
+        if self.done() {
+            return false;
+        }
+        std::thread::sleep(Duration::from_micros(500));
+        self.iter += 1;
+        true
+    }
+
+    fn on_message(&mut self, _msg: AppMsg, _ctx: &mut TaskCtx<'_>) {}
+
+    fn progress(&self) -> u64 {
+        self.iter
+    }
+
+    fn done(&self) -> bool {
+        self.iter >= 20
+    }
+
+    fn pup(&mut self, p: &mut dyn Puper) -> PupResult {
+        p.pup_u64(&mut self.iter)?;
+        self.noise.pup(p)
+    }
+}
+
+/// Teardown must deliver every live node's `FinalState`, however long the
+/// ship path takes to carry it: with megabytes of incompressible task
+/// state per node the first one arrives well after the driver drain loop's
+/// 50 ms idle gap, and a drain that gave up at that gap left
+/// `final_states` short (and `replicas_agree()` vacuous). The second pass
+/// runs the nodes in a node host (`run_node_host`, as another process
+/// would): the host must keep its links up until the driver has what the
+/// workers queued last, not close them the moment the workers exit.
+#[test]
+fn teardown_delivers_large_final_states() {
+    let _guard = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const SPARES: usize = 1;
+    for remote_nodes in [false, true] {
+        // Reserve a port by binding then dropping; the router rebinds it.
+        let addr = remote_nodes.then(|| {
+            let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("bind probe");
+            probe.local_addr().expect("probe addr")
+        });
+        let cfg = JobConfig::builder()
+            .ranks(RANKS)
+            .tasks_per_rank(1)
+            .spares(SPARES)
+            .scheme(Scheme::Strong)
+            .detection(DetectionMethod::Checksum)
+            // No round fires: the only bulk traffic is the final states.
+            .checkpoint_interval(Duration::from_secs(20))
+            .heartbeat_period(Duration::from_millis(20))
+            .heartbeat_timeout(Duration::from_secs(2))
+            .max_duration(Duration::from_secs(30))
+            .transport(TransportKind::Tcp(TcpConfig {
+                addr,
+                remote_nodes,
+                ..TcpConfig::default()
+            }))
+            .build()
+            .expect("valid ballast config");
+        let host = addr.map(|addr| {
+            let nodes: Vec<usize> = (0..2 * RANKS + SPARES).collect();
+            std::thread::spawn(move || {
+                run_node_host(addr, &nodes, |rank, _| {
+                    Box::new(Ballast::new(rank)) as Box<dyn Task>
+                })
+            })
+        });
+        let report = Job::new(cfg)
+            .mode(ExecMode::Threaded)
+            .run(|rank, _| Box::new(Ballast::new(rank)) as Box<dyn Task>);
+        if let Some(host) = host {
+            host.join().unwrap().expect("node host ran");
+        }
+        assert!(
+            report.completed,
+            "remote_nodes={remote_nodes}: job failed: {:?}\n{}",
+            report.error,
+            report.trace.join("\n")
+        );
+        assert_eq!(
+            report.final_states.len(),
+            2 * RANKS,
+            "remote_nodes={remote_nodes}: teardown dropped final states: got {:?}",
+            report.final_states.keys().collect::<Vec<_>>()
+        );
+        for tasks in report.final_states.values() {
+            assert_eq!(tasks.len(), 1);
+            assert!(tasks[0].len() >= BALLAST);
+        }
+        assert!(report.replicas_agree());
+    }
 }

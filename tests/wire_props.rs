@@ -3,10 +3,9 @@
 //! whole, byte by byte, or in arbitrary short reads — and the decoder
 //! rejects garbage prefixes and corrupted bodies instead of
 //! desynchronizing. The super-frame section covers the batching layer:
-//! however a frame list is split into flushes and whatever codec each
-//! flush negotiates, the receiver sees the same frames in the same order,
-//! never pays more bytes than plain per-frame framing, and rejects
-//! truncated or structurally corrupt super-frames.
+//! however a frame list is split into flushes, the receiver sees the same
+//! frames in the same order, never pays more bytes than plain per-frame
+//! framing, and rejects truncated or structurally corrupt super-frames.
 
 use acr::protocol::{Checkpoint, ChunkTable, Detection, DetectionMethod, SdcDetector};
 use acr::pup::{chunk_digests, chunk_span};
@@ -157,36 +156,8 @@ proptest! {
 }
 
 // --------------------------------------------------------------------------
-// Super-frame batching and codecs
+// Super-frame batching
 // --------------------------------------------------------------------------
-
-fn codec_strategy() -> impl Strategy<Value = WireCodec> {
-    prop_oneof![
-        Just(WireCodec::None),
-        Just(WireCodec::Rle),
-        Just(WireCodec::Lz),
-    ]
-}
-
-/// Bodies in both shapes the codecs care about: uniform noise (which must
-/// survive untouched — the encoder keeps the raw payload when compression
-/// does not pay) and runny, highly compressible data.
-fn mixed_body_strategy() -> impl Strategy<Value = Vec<u8>> {
-    prop_oneof![
-        prop::collection::vec(any::<u8>(), 0..300),
-        (any::<u8>(), 1usize..600).prop_map(|(b, n)| vec![b; n]),
-        prop::collection::vec((any::<u8>(), 1usize..48), 0..10)
-            .prop_map(|runs| { runs.into_iter().flat_map(|(b, n)| vec![b; n]).collect() }),
-    ]
-}
-
-fn record_strategy() -> impl Strategy<Value = Frame> {
-    (mixed_body_strategy(), any::<u32>(), any::<u64>()).prop_map(|(body, to, seq)| Frame {
-        to,
-        seq,
-        body,
-    })
-}
 
 fn as_records(frames: &[Frame]) -> Vec<(u32, u64, &[u8])> {
     frames
@@ -208,14 +179,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Split/merge round-trip: however the sender partitions a frame list
-    /// into flushes, and whatever codec each flush uses, the receiver
-    /// reassembles the exact frame sequence from arbitrary partial reads —
-    /// and no flush ever costs more than plain per-frame framing.
+    /// into flushes, the receiver reassembles the exact frame sequence from
+    /// arbitrary partial reads — and no flush ever costs more than plain
+    /// per-frame framing.
     #[test]
     fn super_frames_roundtrip_whatever_the_split(
-        frames in prop::collection::vec(record_strategy(), 1..20),
+        frames in prop::collection::vec(frame_strategy(), 1..20),
         splits in prop::collection::vec(1usize..6, 0..10),
-        codec in codec_strategy(),
         cuts in prop::collection::vec(0usize..97, 0..12),
     ) {
         let mut stream = Vec::new();
@@ -228,7 +198,7 @@ proptest! {
             }
             .min(frames.len() - i);
             let chunk = &frames[i..i + take];
-            let batch = encode_batch(&as_records(chunk), codec);
+            let batch = encode_batch(&as_records(chunk), WireCodec::None);
             prop_assert!(
                 batch.bytes.len() <= plain_cost(chunk),
                 "batch of {} frames cost {} bytes, plain framing {}",
@@ -245,34 +215,14 @@ proptest! {
         prop_assert_eq!(dec.next_frame(), Ok(None));
     }
 
-    /// Codec round-trip for a single frame, incompressible bodies
-    /// included: whatever the encoder chose to store, the decoder hands
-    /// back the original body, and the wire never costs more than the
-    /// plain encoding.
-    #[test]
-    fn codec_roundtrips_incompressible_included(
-        body in mixed_body_strategy(),
-        codec in codec_strategy(),
-        to in any::<u32>(),
-        seq in any::<u64>(),
-    ) {
-        let batch = encode_batch(&[(to, seq, body.as_slice())], codec);
-        prop_assert!(batch.bytes.len() <= FRAME_HEADER + body.len() + FRAME_TRAILER);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&batch.bytes);
-        prop_assert_eq!(dec.next_frame(), Ok(Some(Frame { to, seq, body })));
-        prop_assert_eq!(dec.next_frame(), Ok(None));
-    }
-
     /// A truncated super-frame is an incomplete read, not an error; the
     /// remainder completes it.
     #[test]
     fn truncated_super_frame_is_incomplete_not_an_error(
-        frames in prop::collection::vec(record_strategy(), 2..6),
-        codec in codec_strategy(),
+        frames in prop::collection::vec(frame_strategy(), 2..6),
         cut_seed in any::<u64>(),
     ) {
-        let batch = encode_batch(&as_records(&frames), codec);
+        let batch = encode_batch(&as_records(&frames), WireCodec::None);
         let keep = 1 + (cut_seed as usize) % (batch.bytes.len() - 1);
         let mut dec = FrameDecoder::new();
         dec.feed(&batch.bytes[..keep]);
@@ -285,18 +235,17 @@ proptest! {
         prop_assert_eq!(out, frames);
     }
 
-    /// Any corrupted byte of the stored payload trips the super-frame's
+    /// Any corrupted byte of the payload trips the super-frame's
     /// Fletcher-64 trailer, and the poisoned decoder stays down.
     #[test]
     fn corrupted_super_frame_payload_fails_checksum(
-        frames in prop::collection::vec(record_strategy(), 2..6),
-        codec in codec_strategy(),
+        frames in prop::collection::vec(frame_strategy(), 2..6),
         pick in any::<u64>(),
     ) {
-        let batch = encode_batch(&as_records(&frames), codec);
+        let batch = encode_batch(&as_records(&frames), WireCodec::None);
         let mut bytes = batch.bytes;
-        let stored = bytes.len() - SUPER_HEADER - FRAME_TRAILER;
-        let at = SUPER_HEADER + (pick as usize) % stored;
+        let payload = bytes.len() - SUPER_HEADER - FRAME_TRAILER;
+        let at = SUPER_HEADER + (pick as usize) % payload;
         bytes[at] ^= 1 << (pick % 8);
         let mut dec = FrameDecoder::new();
         dec.feed(&bytes);
@@ -305,24 +254,16 @@ proptest! {
     }
 
     /// Structural garbage the checksum cannot see (the trailer covers only
-    /// the stored payload): a zero sub-frame count or an unknown codec tag
-    /// must poison the stream, never fabricate frames.
+    /// the payload): a zero sub-frame count must poison the stream, never
+    /// fabricate frames.
     #[test]
-    fn garbage_super_frame_header_is_rejected(
-        frames in prop::collection::vec(record_strategy(), 2..4),
-        which in any::<u8>(),
+    fn zero_count_super_frame_header_is_rejected(
+        frames in prop::collection::vec(frame_strategy(), 2..4),
     ) {
-        let batch = encode_batch(&as_records(&frames), WireCodec::Lz);
-        let mut bytes = batch.bytes;
+        let mut bytes = encode_batch(&as_records(&frames), WireCodec::None).bytes;
         prop_assert_eq!(&bytes[0..4], &SUPER_MAGIC.to_le_bytes());
-        if which % 2 == 0 {
-            // Sub-frame count of zero (offset 8..10).
-            bytes[8] = 0;
-            bytes[9] = 0;
-        } else {
-            // Unknown codec tag (offset 10).
-            bytes[10] = 0x7f;
-        }
+        bytes[8] = 0;
+        bytes[9] = 0;
         let mut dec = FrameDecoder::new();
         dec.feed(&bytes);
         prop_assert!(dec.next_frame().is_err(), "structural garbage accepted");
