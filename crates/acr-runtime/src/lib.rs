@@ -53,6 +53,7 @@ mod http;
 mod message;
 mod node;
 mod persist;
+mod poller;
 mod service;
 pub mod soak;
 mod storeview;

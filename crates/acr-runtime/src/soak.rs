@@ -14,8 +14,11 @@
 //! node→driver `Event::Pong` frames flowing back up each job's event
 //! channel. Every link is a real nonblocking socket; none of them gets
 //! a thread. Tick latency is sampled inside the reactor loop itself
-//! (`Router::tick_stats`) and measures the *work* portion of a tick,
-//! not the idle `recv_timeout` wait.
+//! (`Router::tick_stats`): a tick is one wake-up of the readiness-driven
+//! loop, timed from the moment `poll(2)` returns until the loop parks
+//! again. Time parked is not counted, and the loop touches only the
+//! links poll reported, so the figure is the cost of the work a wake-up
+//! found — not of scanning every link.
 
 use crate::message::{Ctrl, Event, Net};
 use crate::tcp::Router;
@@ -57,15 +60,15 @@ pub struct SoakReport {
     pub jobs: u32,
     /// Total links connected (all jobs).
     pub links: usize,
-    /// Reactor loop iterations observed during the run.
+    /// Reactor wake-ups (ticks) observed during the run.
     pub ticks: u64,
-    /// Median reactor tick work time, nanoseconds.
+    /// Median work per reactor wake-up, nanoseconds.
     pub tick_p50_ns: u64,
-    /// 99th-percentile reactor tick work time, nanoseconds.
+    /// 99th-percentile work per reactor wake-up, nanoseconds.
     pub tick_p99_ns: u64,
-    /// Worst reactor tick work time, nanoseconds.
+    /// Worst work per reactor wake-up, nanoseconds.
     pub tick_max_ns: u64,
-    /// Mean reactor tick work time, nanoseconds.
+    /// Mean work per reactor wake-up, nanoseconds.
     pub tick_mean_ns: u64,
     /// `Event::Pong`s received across every job's event channel.
     pub events_received: u64,
@@ -209,8 +212,8 @@ pub fn run_reactor_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
     }
     let addr = router.dial_addr();
 
-    // Handshake every link. Connects retry: the reactor drains the accept
-    // queue once per tick, so the backlog can briefly fill.
+    // Handshake every link. Connects retry: a burst of dialers can fill
+    // the accept queue faster than the reactor empties it.
     let mut links: Vec<(u32, SoakLink)> = Vec::with_capacity(cfg.jobs as usize * cfg.links_per_job);
     for job in 0..cfg.jobs {
         for node in 0..cfg.links_per_job {

@@ -15,21 +15,27 @@
 //! side replays everything newer. Receivers drop duplicates by sequence.
 //! A socket drop therefore looks, to the protocol, like a brief stall —
 //! which is exactly what distinguishes it from node death: the reactor's
-//! stale-link scan reports a link detached too long, and the *driver's
+//! stale-link timer reports a link detached too long, and the *driver's
 //! liveness probe* (not the transport) decides whether the node behind it
 //! is dead.
 //!
-//! Threading: the reactor is O(1) threads regardless of link count. All
-//! sockets (and the listener) run nonblocking; the reactor loop drains a
-//! command channel (its wake pipe, bounded by a 1ms tick), accepts and
-//! progresses handshakes, reads every readable link, dispatches frames,
-//! flushes every writable link, and scans for stale links. Writes that
-//! would block park in a per-link buffer and resume next tick. Flushes
-//! coalesce queued frames into [`wire::encode_batch`](encode_batch)
-//! super-frames.
+//! Threading: the reactor is O(1) threads regardless of link count, and
+//! both it and the endpoint loop are *readiness-driven*: every socket (and
+//! the listener) is nonblocking, and the loop parks in one `poll(2)`
+//! ([`poller::wait`]) over its sockets plus a wake descriptor that every
+//! command sender pokes ([`Waker`]). A byte arriving on a socket, a
+//! queued command, or the next timer (a pending handshake's deadline, a
+//! detached link turning stale) ends the wait; nothing else does, so an
+//! idle fabric makes no system calls. Per wake-up the reactor drains its
+//! commands, accepts and progresses handshakes, takes one bounded read
+//! from each link poll reported readable, dispatches the frames, and
+//! flushes the links that took frames or were reported writable. A write
+//! that would block parks the rest in a per-link buffer and the link asks
+//! poll for `POLLOUT` until it drains. Flushes coalesce queued frames
+//! into [`wire::encode_batch`](encode_batch) super-frames.
 
 use std::collections::btree_map::Entry;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,70 +44,154 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use acr_obs::{EventKind, Recorder, DRIVER_NODE};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use bytes::Bytes;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::message::{Event, Net, NodeIndex};
+use crate::poller::{self, PollFd, Waker, POLLIN, POLLOUT};
 use crate::wire::{
     decode_event, decode_hello, decode_net, decode_welcome, encode_batch, encode_hello, encode_net,
     encode_welcome, Frame, FrameDecoder, Hello, Welcome, WelcomeCfg, WireCodec, DRIVER_DEST,
     FRAME_HEADER, FRAME_TRAILER, HELLO_LEN, SUPER_RECORD_HEADER, WELCOME_LEN,
 };
 
-/// Sent frames kept per link direction for replay after a reconnect.
-/// Sized far above what the protocol keeps in flight between two
-/// checkpoint rounds; overflow drops the *oldest* frames, trading a
-/// possible (loud, probe-visible) wedge for bounded memory.
+/// Most *written* frames a replay ring keeps (see [`ReplayRing`]).
 const REPLAY_RING_FRAMES: usize = 8192;
 
-/// Reactor / endpoint loop tick: the longest either loop sleeps waiting
-/// for its command channel before polling sockets. Bounds added message
-/// latency per hop.
-const REACTOR_TICK: Duration = Duration::from_millis(1);
+/// Written bytes a replay ring keeps: whatever was handed to the socket
+/// longer ago than this has left every kernel buffer between the two
+/// processes (send plus receive buffers top out far below 32 MiB) and been
+/// read by the peer, so no reconnect can ask for it again.
+const REPLAY_RING_BYTES: usize = 32 << 20;
 
-/// How long backoff sleeps are sliced; bounds shutdown latency.
+/// How long backoff sleeps are sliced (bounds shutdown latency), and the
+/// pause of the two error paths that must not spin.
 const POLL_TICK: Duration = Duration::from_millis(5);
 
 /// A dialer that sends no (or a partial) hello is cut off after this.
 const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(1);
 
 /// Cap on the raw payload coalesced into one super-frame per flush step
-/// (several super-frames may still leave in one tick).
+/// (several super-frames may still leave in one flush).
 const BATCH_MAX_RAW: usize = 256 * 1024;
 
 /// Cap on frames per super-frame (well under the u16 wire bound).
 const BATCH_MAX_FRAMES: usize = 1024;
+
+/// Bytes taken from one link per wake-up: one `read` into a buffer this
+/// size. Level-triggered poll reports the link again while more is
+/// waiting, so a bulk sender shares every wake-up with the other links'
+/// small consensus frames instead of being drained to the end first.
+const READ_BUDGET: usize = 64 * 1024;
 
 // ---------------------------------------------------------------------------
 // Shared send-side machinery (reactor links and endpoints)
 // ---------------------------------------------------------------------------
 
 /// One frame awaiting (re)transmission: destination, link sequence, body.
+/// The body is shared, so the replay ring and the send queue hold one
+/// allocation between them.
 #[derive(Clone)]
 struct OutFrame {
     to: u32,
     seq: u64,
-    body: Vec<u8>,
+    body: Bytes,
 }
 
-/// Partially-written bytes parked until the socket is writable again.
+/// Encoded bytes on their way into the socket; what a write that would
+/// block leaves behind waits here until the socket is writable again.
 #[derive(Default)]
 struct SendBuf {
     buf: Vec<u8>,
     pos: usize,
+    /// Highest link sequence encoded in `buf` (0 for a handshake record).
+    last_seq: u64,
 }
 
 impl SendBuf {
     fn clear(&mut self) {
         self.buf.clear();
         self.pos = 0;
+        self.last_seq = 0;
     }
-    fn set(&mut self, bytes: Vec<u8>) {
+    fn set(&mut self, bytes: Vec<u8>, last_seq: u64) {
         self.buf = bytes;
         self.pos = 0;
+        self.last_seq = last_seq;
     }
     fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
+    }
+}
+
+/// Sent frames kept for replay after a reconnect.
+///
+/// A frame is *written* once all of its bytes have been handed to the
+/// current socket; until then it is never evicted, however large the ring
+/// grows (the send queue holds the same allocation, so this costs nothing
+/// extra — and dropping it would lose a frame no socket has carried).
+/// Written frames are evicted oldest-first while more than
+/// [`REPLAY_RING_FRAMES`] of them remain, or while the written frames
+/// *newer* than the oldest already cover [`REPLAY_RING_BYTES`]. The newest
+/// written frame therefore always stays, even one larger than the byte
+/// bound on its own. A reconnect handshake is an acknowledgement: frames
+/// at or below the peer's high-water mark are dropped, and everything
+/// left counts as unwritten again — the new socket has carried none of it.
+///
+/// "Never evicted" needs a socket to wait for. A link that has been
+/// without one long enough to be reported stale is [`shed`](Self::shed):
+/// the same two bounds then apply to everything it holds, so frames
+/// addressed to a node that is not coming back cannot pile up for the
+/// rest of the run.
+#[derive(Default)]
+struct ReplayRing {
+    frames: VecDeque<OutFrame>,
+    /// How many frames at the front are written, and their body bytes.
+    written_frames: usize,
+    written_bytes: usize,
+}
+
+impl ReplayRing {
+    fn push(&mut self, f: OutFrame) {
+        self.frames.push_back(f);
+    }
+
+    /// Everything up to and including `seq` is written.
+    fn mark_written(&mut self, seq: u64) {
+        while let Some(f) = self.frames.get(self.written_frames) {
+            if f.seq > seq {
+                break;
+            }
+            self.written_frames += 1;
+            self.written_bytes += f.body.len();
+        }
+        while self.written_frames > 0 {
+            let newer = self.written_bytes - self.frames[0].body.len();
+            if self.written_frames <= REPLAY_RING_FRAMES && newer < REPLAY_RING_BYTES {
+                break;
+            }
+            self.frames.pop_front();
+            self.written_frames -= 1;
+            self.written_bytes = newer;
+        }
+    }
+
+    /// No socket is coming for these soon (the link is stale): bound the
+    /// whole ring as if every frame had been written.
+    fn shed(&mut self) {
+        self.mark_written(u64::MAX);
+    }
+
+    /// The peer holds everything up to `peer_last_recv`: forget that, and
+    /// return the rest — what the dead socket swallowed — for replay.
+    fn reattach(&mut self, peer_last_recv: u64) -> VecDeque<OutFrame> {
+        while self.frames.front().is_some_and(|f| f.seq <= peer_last_recv) {
+            self.frames.pop_front();
+        }
+        self.written_frames = 0;
+        self.written_bytes = 0;
+        self.frames.clone()
     }
 }
 
@@ -176,105 +266,155 @@ fn is_ship(to: u32, body: &[u8]) -> bool {
     to != DRIVER_DEST && matches!(body.first(), Some(&2) | Some(&4))
 }
 
-/// Assign the next sequence number and queue `body` for `to` on this
-/// link: once into the replay ring (bounded), once onto the send queue.
-fn enqueue_frame(
-    ring: &mut VecDeque<OutFrame>,
-    outq: &mut VecDeque<OutFrame>,
-    tx_seq: &mut u64,
-    to: u32,
-    body: Vec<u8>,
-) {
-    *tx_seq += 1;
-    let f = OutFrame {
-        to,
-        seq: *tx_seq,
-        body,
-    };
-    ring.push_back(f.clone());
-    while ring.len() > REPLAY_RING_FRAMES {
-        ring.pop_front();
-    }
-    outq.push_back(f);
+/// The send half of one link direction: sequencing, the replay ring, the
+/// frames queued for the current socket and the bytes already encoded for
+/// it. The reactor keeps one per link, an endpoint keeps one.
+#[derive(Default)]
+struct SendSide {
+    tx_seq: u64,
+    ring: ReplayRing,
+    /// Whether a socket is attached; `outq` and `out` are empty otherwise.
+    attached: bool,
+    outq: VecDeque<OutFrame>,
+    out: SendBuf,
 }
 
-/// Write as much parked + queued data as the socket takes without
-/// blocking: drain the partial buffer, then repeatedly coalesce the head
-/// of the queue into one super-frame (or plain frame) and keep writing.
-/// Returns `false` on a fatal socket error — the caller detaches.
-fn flush_socket(
-    stream: &mut TcpStream,
-    out: &mut SendBuf,
-    outq: &mut VecDeque<OutFrame>,
-    stats: &mut WireStats,
-    rec: &Recorder,
-    obs_node: u32,
-) -> bool {
-    loop {
-        while !out.is_empty() {
-            match stream.write(&out.buf[out.pos..]) {
-                Ok(0) => return false,
-                Ok(n) => out.pos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return false,
+impl SendSide {
+    /// Assign the next sequence number and queue `body` for `to`: into
+    /// the replay ring, and onto the send queue if there is a socket to
+    /// send it on (the next one is fed from the ring).
+    fn enqueue(&mut self, to: u32, body: Bytes) {
+        self.tx_seq += 1;
+        let f = OutFrame {
+            to,
+            seq: self.tx_seq,
+            body,
+        };
+        if self.attached {
+            self.outq.push_back(f.clone());
+        }
+        self.ring.push(f);
+    }
+
+    /// Something is waiting for the socket. Between wake-ups this means
+    /// the last flush stopped at a write that would block, so the link
+    /// wants `POLLOUT`.
+    fn backlog(&self) -> bool {
+        !self.out.is_empty() || !self.outq.is_empty()
+    }
+
+    /// A fresh socket attached: `greeting` (the welcome, on the reactor
+    /// side) leaves first, then everything the peer has not acknowledged.
+    fn reattach(&mut self, peer_last_recv: u64, greeting: Vec<u8>) {
+        self.attached = true;
+        self.out.set(greeting, 0);
+        self.outq = self.ring.reattach(peer_last_recv);
+    }
+
+    /// The socket is gone: what was queued for it stays in the ring.
+    fn detach(&mut self) {
+        self.attached = false;
+        self.out.clear();
+        self.outq.clear();
+    }
+
+    /// Write as much parked + queued data as the socket takes without
+    /// blocking: drain the partial buffer, then repeatedly coalesce the
+    /// head of the queue into one super-frame (or plain frame) and keep
+    /// writing. Returns `false` on a fatal socket error — the caller
+    /// detaches.
+    fn flush(
+        &mut self,
+        stream: &mut TcpStream,
+        stats: &mut WireStats,
+        rec: &Recorder,
+        obs_node: u32,
+    ) -> bool {
+        let (out, outq) = (&mut self.out, &mut self.outq);
+        loop {
+            while !out.is_empty() {
+                match stream.write(&out.buf[out.pos..]) {
+                    Ok(0) => return false,
+                    Ok(n) => out.pos += n,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(_) => return false,
+                }
             }
-        }
-        out.clear();
-        if outq.is_empty() {
-            return true;
-        }
-        // Coalesce the queue head into one flush unit.
-        let mut take = 0;
-        let mut raw = 0usize;
-        while take < outq.len() && take < BATCH_MAX_FRAMES {
-            let sz = SUPER_RECORD_HEADER + outq[take].body.len();
-            if take > 0 && raw + sz > BATCH_MAX_RAW {
-                break;
+            self.ring.mark_written(out.last_seq);
+            out.clear();
+            if outq.is_empty() {
+                return true;
             }
-            raw += sz;
-            take += 1;
+            // Coalesce the queue head into one flush unit.
+            let mut take = 0;
+            let mut raw = 0usize;
+            while take < outq.len() && take < BATCH_MAX_FRAMES {
+                let sz = SUPER_RECORD_HEADER + outq[take].body.len();
+                if take > 0 && raw + sz > BATCH_MAX_RAW {
+                    break;
+                }
+                raw += sz;
+                take += 1;
+            }
+            let records: Vec<(u32, u64, &[u8])> = outq
+                .iter()
+                .take(take)
+                .map(|f| (f.to, f.seq, &f.body[..]))
+                .collect();
+            let batch = encode_batch(&records, WireCodec::None);
+            let wire = batch.bytes.len() as u64;
+            let raw_total = batch.raw_payload as u64;
+            let plain: u64 = records
+                .iter()
+                .map(|(_, _, b)| (FRAME_HEADER + b.len() + FRAME_TRAILER) as u64)
+                .sum();
+            let ship_raw: u64 = records
+                .iter()
+                .filter(|(to, _, b)| is_ship(*to, b))
+                .map(|(_, _, b)| b.len() as u64)
+                .sum();
+            for (to, _, body) in &records {
+                stats.classify_delta(*to, body);
+            }
+            stats.frames_sent += batch.frames as u64;
+            stats.bytes_sent += wire;
+            stats.plain_bytes += plain;
+            stats.ship_raw_bytes += ship_raw;
+            if ship_raw > 0 {
+                // Apportion the flush's wire cost (bodies plus framing) to
+                // ship traffic by its share of the payload.
+                stats.ship_wire_bytes += (wire * ship_raw) / raw_total.max(1);
+            }
+            if batch.frames >= 2 {
+                stats.batch_flushes += 1;
+                let frames = batch.frames as u64;
+                rec.emit_with(obs_node, || EventKind::BatchFlush {
+                    frames,
+                    raw_bytes: raw_total,
+                    wire_bytes: wire,
+                });
+            }
+            let last_seq = outq[take - 1].seq;
+            outq.drain(..take);
+            out.set(batch.bytes, last_seq);
         }
-        let records: Vec<(u32, u64, &[u8])> = outq
-            .iter()
-            .take(take)
-            .map(|f| (f.to, f.seq, f.body.as_slice()))
-            .collect();
-        let batch = encode_batch(&records, WireCodec::None);
-        let wire = batch.bytes.len() as u64;
-        let raw_total = batch.raw_payload as u64;
-        let plain: u64 = records
-            .iter()
-            .map(|(_, _, b)| (FRAME_HEADER + b.len() + FRAME_TRAILER) as u64)
-            .sum();
-        let ship_raw: u64 = records
-            .iter()
-            .filter(|(to, _, b)| is_ship(*to, b))
-            .map(|(_, _, b)| b.len() as u64)
-            .sum();
-        for (to, _, body) in &records {
-            stats.classify_delta(*to, body);
-        }
-        stats.frames_sent += batch.frames as u64;
-        stats.bytes_sent += wire;
-        stats.plain_bytes += plain;
-        stats.ship_raw_bytes += ship_raw;
-        if ship_raw > 0 {
-            // Apportion the flush's wire cost (bodies plus framing) to
-            // ship traffic by its share of the payload.
-            stats.ship_wire_bytes += (wire * ship_raw) / raw_total.max(1);
-        }
-        if batch.frames >= 2 {
-            stats.batch_flushes += 1;
-            let frames = batch.frames as u64;
-            rec.emit_with(obs_node, || EventKind::BatchFlush {
-                frames,
-                raw_bytes: raw_total,
-                wire_bytes: wire,
-            });
-        }
-        outq.drain(..take);
-        out.set(batch.bytes);
+    }
+}
+
+/// Park a fabric loop in [`poller::wait`]. `poll` itself can fail
+/// (`ENOMEM`; `EINVAL` once the set outgrows a lowered `RLIMIT_NOFILE`),
+/// and a loop that died of it would leave every link silently dead with
+/// nobody told. Pause instead, then report every descriptor ready for what
+/// it asked: they are all nonblocking, so a false "ready" costs one call
+/// that would block, and the loop limps on at [`POLL_TICK`] until the
+/// condition clears. Said once on stderr.
+fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) {
+    static WARNED: std::sync::Once = std::sync::Once::new();
+    if let Err(e) = poller::wait(fds, timeout) {
+        WARNED.call_once(|| eprintln!("acr transport: poll(2) failed ({e}); sweeping instead"));
+        std::thread::sleep(POLL_TICK);
+        fds.iter_mut().for_each(PollFd::assume_ready);
     }
 }
 
@@ -282,10 +422,12 @@ fn flush_socket(
 // Router (driver side): the reactor
 // ---------------------------------------------------------------------------
 
-/// Linear-bucket tick-latency accounting for the reactor loop: how long
-/// each loop iteration's *work* portion took (the 1 ms command-channel
-/// wait is excluded — an idle reactor records near-zero ticks, not
-/// `REACTOR_TICK`). The decade-spaced [`acr_obs::Histogram`] buckets are
+/// Linear-bucket tick-latency accounting for the reactor loop. A *tick*
+/// is one wake-up: the work the loop does from the moment `poll` returns
+/// until it parks again (commands, handshakes, reads, dispatch, flushes,
+/// timers, rebuilding the poll set). Time parked is not part of it, and an
+/// idle reactor records no ticks at all, so [`count`](TickStats::count) is
+/// also the number of wake-ups. The decade-spaced [`acr_obs::Histogram`] buckets are
 /// too coarse to gate a 25% p99 regression, so this keeps its own
 /// fixed-size linear buckets: [`TICK_BUCKET_NS`] nanoseconds each, with
 /// everything past the last bucket clamped into it (the max still tracks
@@ -321,7 +463,7 @@ impl TickStats {
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Ticks recorded so far.
+    /// Ticks (wake-ups) recorded so far.
     pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
@@ -380,12 +522,9 @@ struct LinkShared {
 struct LinkState {
     stream: Option<TcpStream>,
     dec: FrameDecoder,
-    tx_seq: u64,
-    ring: VecDeque<OutFrame>,
-    outq: VecDeque<OutFrame>,
-    out: SendBuf,
+    tx: SendSide,
     /// When the link lost its socket; `None` before the first attach and
-    /// while attached. Drives the stale scan.
+    /// while attached. Drives the stale timer.
     detached_since: Option<Instant>,
 }
 
@@ -394,12 +533,21 @@ impl LinkState {
         Self {
             stream: None,
             dec: FrameDecoder::new(),
-            tx_seq: 0,
-            ring: VecDeque::new(),
-            outq: VecDeque::new(),
-            out: SendBuf::default(),
+            tx: SendSide::default(),
             detached_since: None,
         }
+    }
+
+    /// Queue `body` for the node behind this link. A link whose queue was
+    /// empty needs a flush this wake-up and is noted in `to_flush`; one
+    /// that already holds a backlog is waiting for poll to report it
+    /// writable, and one without a socket keeps the frame in its ring
+    /// only, for the next socket.
+    fn enqueue(&mut self, at: (u32, usize), body: Bytes, to_flush: &mut Vec<(u32, usize)>) {
+        if self.stream.is_some() && !self.tx.backlog() {
+            to_flush.push(at);
+        }
+        self.tx.enqueue(at.1 as u32, body);
     }
 }
 
@@ -410,6 +558,8 @@ struct PendingHello {
     buf: [u8; HELLO_LEN],
     got: usize,
     since: Instant,
+    /// Poll reported it readable (or it was accepted this wake-up).
+    ready: bool,
 }
 
 enum Cmd {
@@ -452,8 +602,11 @@ struct JobShared {
 /// across jobs.
 pub(crate) struct Router {
     addr: SocketAddr,
-    jobs: parking_lot::RwLock<std::collections::BTreeMap<u32, Arc<JobShared>>>,
+    jobs: parking_lot::RwLock<BTreeMap<u32, Arc<JobShared>>>,
     cmd_tx: Sender<Cmd>,
+    /// Ends the reactor's `poll`; every command goes through
+    /// [`Router::post`], which pokes it.
+    waker: Waker,
     shutdown: AtomicBool,
     thread: Mutex<Option<JoinHandle<()>>>,
     ticks: TickStats,
@@ -479,8 +632,9 @@ impl Router {
         let (cmd_tx, cmd_rx) = unbounded();
         let router = Arc::new(Router {
             addr: local,
-            jobs: parking_lot::RwLock::new(std::collections::BTreeMap::new()),
+            jobs: parking_lot::RwLock::new(BTreeMap::new()),
             cmd_tx,
+            waker: Waker::new().map_err(|e| format!("reactor wake pipe: {e}"))?,
             shutdown: AtomicBool::new(false),
             thread: Mutex::new(None),
             ticks: TickStats::new(),
@@ -533,20 +687,25 @@ impl Router {
         Ok(())
     }
 
+    /// Queue `cmd` for the reactor and end its wait. The one way in:
+    /// a command sent past this would sit unseen until a socket stirred.
+    fn post(&self, cmd: Cmd) -> bool {
+        let queued = self.cmd_tx.send(cmd).is_ok();
+        self.waker.wake();
+        queued
+    }
+
     /// Remove `job` from the reactor: no new accepts, links detached,
     /// wire stats emitted into the job's recorder. Blocks (briefly — the
-    /// reactor drains commands every tick) until the reactor acknowledges,
-    /// so the caller may drain the job's recorder immediately after.
+    /// command wakes the reactor, which acts on it at once) until the
+    /// reactor acknowledges, so the caller may drain the job's recorder
+    /// immediately after.
     pub(crate) fn deregister_job(&self, job: u32) {
         if self.jobs.write().remove(&job).is_none() {
             return;
         }
         let (done_tx, done_rx) = unbounded();
-        if self
-            .cmd_tx
-            .send(Cmd::Deregister { job, done: done_tx })
-            .is_ok()
-        {
+        if self.post(Cmd::Deregister { job, done: done_tx }) {
             let _ = done_rx.recv_timeout(Duration::from_secs(5));
         }
     }
@@ -578,7 +737,7 @@ impl Router {
             return;
         };
         if to < shared.links.len() {
-            let _ = self.cmd_tx.send(Cmd::Send {
+            self.post(Cmd::Send {
                 job,
                 to,
                 body: encode_net(msg),
@@ -661,7 +820,7 @@ impl Router {
             .sum()
     }
 
-    /// The reactor loop's tick-latency accounting (work portion only).
+    /// The reactor loop's per-wake-up accounting (see [`TickStats`]).
     pub(crate) fn tick_stats(&self) -> &TickStats {
         &self.ticks
     }
@@ -671,7 +830,7 @@ impl Router {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        let _ = self.cmd_tx.send(Cmd::Shutdown);
+        self.post(Cmd::Shutdown);
         if let Some(h) = self.thread.lock().take() {
             let _ = h.join();
         }
@@ -711,8 +870,7 @@ fn detach_link(shared: &LinkShared, ls: &mut LinkState) {
     *shared.conn.lock() = None;
     shared.connected.store(false, Ordering::SeqCst);
     ls.detached_since = Some(Instant::now());
-    ls.out.clear();
-    ls.outq.clear();
+    ls.tx.detach();
     ls.dec = FrameDecoder::new();
 }
 
@@ -733,23 +891,91 @@ fn teardown_job(jl: &mut JobLinks) {
 
 /// The reactor loop: one thread multiplexing the listener, every pending
 /// handshake, and every link of every registered job via nonblocking
-/// I/O, woken by the command channel (or its tick).
+/// I/O, parked in `poll` until a socket, a command or a timer needs it.
 fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
-    let mut jobs: std::collections::BTreeMap<u32, JobLinks> = std::collections::BTreeMap::new();
+    let mut jobs: BTreeMap<u32, JobLinks> = BTreeMap::new();
     let mut pending: Vec<PendingHello> = Vec::new();
-    let mut rdbuf = vec![0u8; 64 * 1024];
+    let mut rdbuf = vec![0u8; READ_BUDGET];
     let mut inbound: Vec<(u32, usize, Frame)> = Vec::new();
+    // The poll set: the wake descriptor, the listener, one entry per
+    // pending handshake (in `pending` order), then one per attached link
+    // (`polled_links` says which).
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut polled_links: Vec<(u32, usize)> = Vec::new();
+    // Links owed a flush this wake-up: they took their first frame since
+    // draining, attached, or were reported writable.
+    let mut to_flush: Vec<(u32, usize)> = Vec::new();
+    let mut woke = Instant::now();
 
     'main: loop {
-        // --- 1. command drain (the wake pipe, bounded by the tick) -----
-        let mut next = match cmd_rx.recv_timeout(REACTOR_TICK) {
-            Ok(c) => Some(c),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break 'main,
+        // --- 1. timers, and the poll set for the next wait ------------
+        // A timer that is due fires here; one that is not bounds the wait.
+        let now = Instant::now();
+        let mut next_timer: Option<Instant> = None;
+        let mut due = |at: Instant| {
+            if at > now {
+                next_timer = Some(next_timer.map_or(at, |t| t.min(at)));
+            }
+            at <= now
         };
-        // Tick latency measures the work portion of the iteration, from
-        // the moment the wait returned; the 1 ms sleep itself is not work.
-        let tick_started = Instant::now();
+        fds.clear();
+        fds.push(router.waker.pollfd());
+        fds.push(PollFd::new(&listener, POLLIN));
+        pending.retain(|p| {
+            // A dialer that never finishes its hello is cut off.
+            if due(p.since + HANDSHAKE_DEADLINE) {
+                let _ = p.stream.shutdown(Shutdown::Both);
+                return false;
+            }
+            fds.push(PollFd::new(&p.stream, POLLIN));
+            true
+        });
+        polled_links.clear();
+        for (&job, jl) in jobs.iter_mut() {
+            let links = jl.shared.links.iter().zip(&mut jl.links);
+            for (node, (shared, ls)) in links.enumerate() {
+                if let Some(stream) = &ls.stream {
+                    let events = if ls.tx.backlog() {
+                        POLLIN | POLLOUT
+                    } else {
+                        POLLIN
+                    };
+                    fds.push(PollFd::new(stream, events));
+                    polled_links.push((job, node));
+                } else if let Some(since) = ls.detached_since {
+                    // Detached too long: tell the driver, once per outage,
+                    // and from then on hold no more for the node than an
+                    // attached link would (see `ReplayRing::shed`).
+                    if shared.stale_reported.load(Ordering::SeqCst) {
+                        ls.tx.ring.shed();
+                    } else if due(since + jl.shared.stale_after) {
+                        shared.stale_reported.store(true, Ordering::SeqCst);
+                        jl.shared.rec.inc_counter("acr_transport_stale_total", 1);
+                        let _ = jl.shared.event_tx.send(Event::TransportStale { node });
+                        ls.tx.ring.shed();
+                    }
+                }
+            }
+        }
+        router.ticks.record(woke.elapsed());
+
+        // --- 2. park until a socket, a command or a timer -------------
+        // Flag first, channel second (see `Waker`): a command that slips
+        // in after this check is followed by a wake byte. (The channel
+        // cannot disconnect: this thread's `Arc<Router>` holds a sender.)
+        router.waker.park();
+        let mut next = cmd_rx.try_recv().ok();
+        let timeout = match (&next, next_timer) {
+            // Work in hand: only collect what the sockets have ready.
+            (Some(_), _) => Some(Duration::ZERO),
+            (None, Some(at)) => Some(at.saturating_duration_since(Instant::now())),
+            (None, None) => None,
+        };
+        wait_ready(&mut fds, timeout);
+        router.waker.unpark(fds[0].readable());
+        woke = Instant::now();
+
+        // --- 3. command drain -----------------------------------------
         loop {
             match next {
                 Some(Cmd::Shutdown) => break 'main,
@@ -761,16 +987,8 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                             slot.insert(JobLinks::new(shared));
                         }
                     }
-                    if let Some(jl) = jobs.get_mut(&job) {
-                        if let Some(ls) = jl.links.get_mut(to) {
-                            enqueue_frame(
-                                &mut ls.ring,
-                                &mut ls.outq,
-                                &mut ls.tx_seq,
-                                to as u32,
-                                body,
-                            );
-                        }
+                    if let Some(ls) = jobs.get_mut(&job).and_then(|jl| jl.links.get_mut(to)) {
+                        ls.enqueue((job, to), Bytes::from(body), &mut to_flush);
                     }
                 }
                 Some(Cmd::Deregister { job, done }) => {
@@ -785,18 +1003,18 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                 }
                 None => break,
             }
-            next = match cmd_rx.try_recv() {
-                Ok(c) => Some(c),
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => break 'main,
-            };
+            next = cmd_rx.try_recv().ok();
         }
         if router.is_shutdown() {
             break;
         }
 
-        // --- 2. accept fresh sockets ----------------------------------
-        loop {
+        // --- 4. accept fresh sockets ----------------------------------
+        for (p, fd) in pending.iter_mut().zip(&fds[2..]) {
+            p.ready = fd.readable();
+        }
+        let link_fds = &fds[2 + pending.len()..];
+        while fds[1].readable() {
             match listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nonblocking(true);
@@ -806,17 +1024,28 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                         buf: [0u8; HELLO_LEN],
                         got: 0,
                         since: Instant::now(),
+                        // The hello usually rides in with the connect.
+                        ready: true,
                     });
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
+                Err(_) => {
+                    // Out of descriptors, most likely. The listener stays
+                    // readable, so pause rather than spin on it.
+                    std::thread::sleep(POLL_TICK);
+                    break;
+                }
             }
         }
 
-        // --- 3. progress handshakes -----------------------------------
+        // --- 5. progress the handshakes that have bytes ---------------
         let mut i = 0;
         while i < pending.len() {
             let p = &mut pending[i];
+            if !std::mem::take(&mut p.ready) {
+                i += 1;
+                continue;
+            }
             let verdict = loop {
                 match p.stream.read(&mut p.buf[p.got..]) {
                     Ok(0) => break Some(None),
@@ -826,17 +1055,16 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                             break Some(decode_hello(&p.buf).ok());
                         }
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        break (p.since.elapsed() >= HANDSHAKE_DEADLINE).then_some(None)
-                    }
+                    // Still reading; step 1 enforces the deadline.
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break None,
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
                     Err(_) => break Some(None),
                 }
             };
             match verdict {
-                None => i += 1, // still reading
+                None => i += 1,
                 Some(None) => {
-                    // Garbage, EOF, or deadline: drop the socket.
+                    // Garbage or EOF: drop the socket.
                     let p = pending.swap_remove(i);
                     let _ = p.stream.shutdown(Shutdown::Both);
                 }
@@ -868,19 +1096,16 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                         let _ = old.shutdown(Shutdown::Both);
                     }
                     ls.dec = FrameDecoder::new();
-                    ls.out.clear();
-                    ls.out.set(encode_welcome(&Welcome {
-                        last_recv_seq: shared.last_recv.load(Ordering::SeqCst),
-                        cfg: jl.shared.welcome_cfg,
-                    }));
-                    // Replay everything the dead socket swallowed: the
-                    // ring tail above the peer's receive high-water mark.
-                    ls.outq = ls
-                        .ring
-                        .iter()
-                        .filter(|f| f.seq > hello.last_recv_seq)
-                        .cloned()
-                        .collect();
+                    // The welcome, then everything the dead socket
+                    // swallowed: the ring above the peer's high-water mark.
+                    ls.tx.reattach(
+                        hello.last_recv_seq,
+                        encode_welcome(&Welcome {
+                            last_recv_seq: shared.last_recv.load(Ordering::SeqCst),
+                            cfg: jl.shared.welcome_cfg,
+                        }),
+                    );
+                    to_flush.push((hello.job, node));
                     *shared.conn.lock() = p.stream.try_clone().ok();
                     ls.stream = Some(p.stream);
                     shared.connected.store(true, Ordering::SeqCst);
@@ -890,53 +1115,50 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
             }
         }
 
-        // --- 4. read every readable link ------------------------------
+        // --- 6. one bounded read from each link poll reported ---------
+        // A hang-up or error polls readable, so a severed socket or a
+        // closed peer detaches here at once. (A socket replaced in step 5
+        // is read in its predecessor's name; it is nonblocking, so the
+        // worst case is a read that would block.)
         inbound.clear();
-        for (&job, jl) in jobs.iter_mut() {
-            for (node, (shared, ls)) in jl.shared.links.iter().zip(jl.links.iter_mut()).enumerate()
-            {
-                let Some(stream) = ls.stream.as_mut() else {
-                    continue;
-                };
-                let mut dead = false;
-                'rd: loop {
-                    match stream.read(&mut rdbuf) {
-                        Ok(0) => {
-                            dead = true;
-                            break;
-                        }
-                        Ok(k) => {
-                            jl.stats.bytes_recv += k as u64;
-                            ls.dec.feed(&rdbuf[..k]);
-                            loop {
-                                match ls.dec.next_frame() {
-                                    Ok(Some(frame)) => {
-                                        jl.stats.frames_recv += 1;
-                                        inbound.push((job, node, frame));
-                                    }
-                                    Ok(None) => break,
-                                    Err(_) => {
-                                        dead = true;
-                                        break 'rd;
-                                    }
-                                }
+        for (&(job, node), fd) in polled_links.iter().zip(link_fds) {
+            if fd.writable() {
+                to_flush.push((job, node));
+            }
+            if !fd.readable() {
+                continue;
+            }
+            let Some(jl) = jobs.get_mut(&job) else {
+                continue; // deregistered in step 3
+            };
+            let (shared, ls) = (&jl.shared.links[node], &mut jl.links[node]);
+            let Some(stream) = ls.stream.as_mut() else {
+                continue;
+            };
+            let dead = match stream.read(&mut rdbuf) {
+                Ok(0) => true,
+                Ok(k) => {
+                    jl.stats.bytes_recv += k as u64;
+                    ls.dec.feed(&rdbuf[..k]);
+                    loop {
+                        match ls.dec.next_frame() {
+                            Ok(Some(frame)) => {
+                                jl.stats.frames_recv += 1;
+                                inbound.push((job, node, frame));
                             }
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            dead = true;
-                            break;
+                            Ok(None) => break false,
+                            Err(_) => break true,
                         }
                     }
                 }
-                if dead {
-                    detach_link(shared, ls);
-                }
+                Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
+            };
+            if dead {
+                detach_link(shared, ls);
             }
         }
 
-        // --- 5. dispatch: dedup, then route to the driver or a link ---
+        // --- 7. dispatch: dedup, then route to the driver or a link ---
         // A frame's `to` is resolved strictly within the namespace of the
         // job its link handshook into; links cannot address other jobs.
         for (job, from, frame) in inbound.drain(..) {
@@ -955,55 +1177,28 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                     }
                     Err(_) => detach_link(shared, &mut jl.links[from]),
                 }
-            } else if (frame.to as usize) < jl.links.len() {
-                let dest = frame.to as usize;
-                let ls = &mut jl.links[dest];
-                enqueue_frame(
-                    &mut ls.ring,
-                    &mut ls.outq,
-                    &mut ls.tx_seq,
-                    frame.to,
-                    frame.body,
-                );
+            } else if let Some(ls) = jl.links.get_mut(frame.to as usize) {
+                let at = (job, frame.to as usize);
+                ls.enqueue(at, Bytes::from(frame.body), &mut to_flush);
             }
         }
 
-        // --- 6. flush every writable link -----------------------------
-        for jl in jobs.values_mut() {
-            for (shared, ls) in jl.shared.links.iter().zip(jl.links.iter_mut()) {
-                let Some(stream) = ls.stream.as_mut() else {
-                    continue;
-                };
-                if !flush_socket(
-                    stream,
-                    &mut ls.out,
-                    &mut ls.outq,
-                    &mut jl.stats,
-                    &jl.shared.rec,
-                    DRIVER_NODE,
-                ) {
-                    detach_link(shared, ls);
-                }
+        // --- 8. flush the links that have something new to say --------
+        for (job, node) in to_flush.drain(..) {
+            let Some(jl) = jobs.get_mut(&job) else {
+                continue;
+            };
+            let (shared, ls) = (&jl.shared.links[node], &mut jl.links[node]);
+            let Some(stream) = ls.stream.as_mut() else {
+                continue;
+            };
+            if !ls
+                .tx
+                .flush(stream, &mut jl.stats, &jl.shared.rec, DRIVER_NODE)
+            {
+                detach_link(shared, ls);
             }
         }
-
-        // --- 7. stale scan --------------------------------------------
-        for jl in jobs.values_mut() {
-            for (node, shared) in jl.shared.links.iter().enumerate() {
-                if shared.connected.load(Ordering::SeqCst) {
-                    continue;
-                }
-                let stale = jl.links[node]
-                    .detached_since
-                    .is_some_and(|t| t.elapsed() >= jl.shared.stale_after);
-                if stale && !shared.stale_reported.swap(true, Ordering::SeqCst) {
-                    jl.shared.rec.inc_counter("acr_transport_stale_total", 1);
-                    let _ = jl.shared.event_tx.send(Event::TransportStale { node });
-                }
-            }
-        }
-
-        router.ticks.record(tick_started.elapsed());
     }
 
     // Teardown: close every socket so endpoint readers see EOF, and emit
@@ -1045,14 +1240,22 @@ enum EpMsg {
 }
 
 /// A node's side of the fabric: **one** thread that dials the router
-/// (reconnecting with capped exponential backoff), polls the socket for
-/// inbound frames, and flushes queued frames in batches — the node-side
-/// mirror of the reactor's per-link state machine.
+/// (reconnecting with capped exponential backoff), then parks in `poll`
+/// on its socket and its wake descriptor, reading inbound frames and
+/// flushing queued ones in batches as either becomes ready — the
+/// node-side mirror of the reactor's per-link state machine.
 pub(crate) struct Endpoint {
     /// Job namespace this endpoint's hello routes its link into.
     job: u32,
     node: usize,
     tx: Sender<EpMsg>,
+    /// Ends the loop's `poll`; every message goes through
+    /// [`Endpoint::post`], which pokes it.
+    waker: Waker,
+    /// Times the attached loop woke from `poll` — the endpoint's
+    /// counterpart of [`TickStats::count`], kept for the tests only.
+    #[cfg(test)]
+    wakeups: AtomicU64,
     shutdown: AtomicBool,
     /// Set by [`Endpoint::linger`]: a dead socket ends the loop instead of
     /// starting a redial.
@@ -1085,6 +1288,9 @@ impl Endpoint {
             job,
             node,
             tx,
+            waker: Waker::new().expect("endpoint wake pipe"),
+            #[cfg(test)]
+            wakeups: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             lingering: AtomicBool::new(false),
             last_recv: AtomicU64::new(0),
@@ -1103,10 +1309,17 @@ impl Endpoint {
         ep
     }
 
+    /// Queue `msg` for the endpoint loop and end its wait (the one way
+    /// in, like [`Router::post`]).
+    fn post(&self, msg: EpMsg) {
+        let _ = self.tx.send(msg);
+        self.waker.wake();
+    }
+
     /// Frame and queue a protocol message for `to` (another node, routed
     /// by the driver's reactor).
     pub(crate) fn send_net(&self, to: NodeIndex, msg: &Net) {
-        let _ = self.tx.send(EpMsg::Frame {
+        self.post(EpMsg::Frame {
             to: to as u32,
             body: encode_net(msg),
         });
@@ -1114,7 +1327,7 @@ impl Endpoint {
 
     /// Frame and queue a node→driver event.
     pub(crate) fn send_event(&self, ev: &Event) {
-        let _ = self.tx.send(EpMsg::Frame {
+        self.post(EpMsg::Frame {
             to: DRIVER_DEST,
             body: crate::wire::encode_event(ev),
         });
@@ -1157,7 +1370,7 @@ impl Endpoint {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        let _ = self.tx.send(EpMsg::Shutdown);
+        self.post(EpMsg::Shutdown);
         if let Some(s) = self.conn.lock().take() {
             let _ = s.shutdown(Shutdown::Both);
         }
@@ -1178,8 +1391,9 @@ impl Endpoint {
 
 /// The endpoint's single-thread loop: dial (with backoff and
 /// `TransportRetry`/`TransportConnect` events), replay the ring tail,
-/// then alternate command draining, polled reads, and batched flushes
-/// until the socket or the endpoint dies.
+/// then park in `poll` on the socket and the wake descriptor — draining
+/// commands, taking one bounded read, flushing in batches — until the
+/// socket or the endpoint dies.
 fn endpoint_loop(
     ep: Arc<Endpoint>,
     addr: SocketAddr,
@@ -1187,27 +1401,17 @@ fn endpoint_loop(
     reconnect_initial: Duration,
     reconnect_max: Duration,
 ) {
-    let mut tx_seq: u64 = 0;
-    let mut ring: VecDeque<OutFrame> = VecDeque::new();
-    let mut outq: VecDeque<OutFrame> = VecDeque::new();
-    let mut out = SendBuf::default();
+    let mut tx = SendSide::default();
     let mut dec = FrameDecoder::new();
     let mut stream: Option<TcpStream> = None;
     let mut backoff = reconnect_initial;
     let mut attempt: u32 = 0;
     let mut stats = WireStats::default();
-    let mut rdbuf = vec![0u8; 64 * 1024];
-
-    let detach = |stream: &mut Option<TcpStream>, ep: &Endpoint| {
-        if let Some(s) = stream.take() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-        *ep.conn.lock() = None;
-    };
+    let mut rdbuf = vec![0u8; READ_BUDGET];
 
     'main: while !ep.is_shutdown() {
         // --- dial until attached --------------------------------------
-        if stream.is_none() {
+        let Some(s) = stream.as_mut() else {
             if ep.lingering.load(Ordering::SeqCst) {
                 break;
             }
@@ -1216,15 +1420,10 @@ fn endpoint_loop(
                 Ok((s, welcome)) => {
                     let _ = s.set_nonblocking(true);
                     dec = FrameDecoder::new();
-                    out.clear();
                     // Replay is driven by the router's view of what it
                     // received; everything newer went down with the old
                     // socket.
-                    outq = ring
-                        .iter()
-                        .filter(|f| f.seq > welcome.last_recv_seq)
-                        .cloned()
-                        .collect();
+                    tx.reattach(welcome.last_recv_seq, Vec::new());
                     *ep.conn.lock() = s.try_clone().ok();
                     *ep.welcome.lock() = Some(welcome.cfg);
                     stream = Some(s);
@@ -1254,111 +1453,103 @@ fn endpoint_loop(
                         std::thread::sleep(POLL_TICK.min(delay));
                     }
                     backoff = (backoff * 2).min(reconnect_max);
-                    continue;
                 }
             }
-        }
+            continue;
+        };
+
+        // --- park until the socket or a command needs the loop --------
+        // `POLLOUT` only while a backlog waits (the last flush stopped at
+        // a write that would block, or a replay was just queued). Flag
+        // first, channel second (see `Waker`).
+        let had_backlog = tx.backlog();
+        let events = if had_backlog {
+            POLLIN | POLLOUT
+        } else {
+            POLLIN
+        };
+        let mut fds = [ep.waker.pollfd(), PollFd::new(&*s, events)];
+        ep.waker.park();
+        let mut next = rx.try_recv().ok();
+        let timeout = next.is_some().then_some(Duration::ZERO);
+        wait_ready(&mut fds, timeout);
+        ep.waker.unpark(fds[0].readable());
+        #[cfg(test)]
+        ep.wakeups.fetch_add(1, Ordering::Relaxed);
 
         // --- command drain --------------------------------------------
-        let mut next = match rx.recv_timeout(REACTOR_TICK) {
-            Ok(m) => Some(m),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break 'main,
-        };
         loop {
             match next {
                 Some(EpMsg::Shutdown) => break 'main,
-                Some(EpMsg::Frame { to, body }) => {
-                    enqueue_frame(&mut ring, &mut outq, &mut tx_seq, to, body);
-                }
+                Some(EpMsg::Frame { to, body }) => tx.enqueue(to, Bytes::from(body)),
                 None => break,
             }
-            next = match rx.try_recv() {
-                Ok(m) => Some(m),
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => break 'main,
+            next = rx.try_recv().ok();
+        }
+
+        // --- one bounded read, if poll reported the socket ------------
+        // (A hang-up or error polls readable: shutdown, sever and a
+        // closed router all land here at once.)
+        let mut alive = true;
+        if fds[1].readable() {
+            alive = match s.read(&mut rdbuf) {
+                Ok(0) => false,
+                Ok(k) => {
+                    stats.bytes_recv += k as u64;
+                    dec.feed(&rdbuf[..k]);
+                    deliver_frames(&ep, &mut dec, &mut stats)
+                }
+                Err(e) => matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
             };
         }
 
-        // --- polled read ----------------------------------------------
-        if let Some(s) = stream.as_mut() {
-            let mut dead = false;
-            'rd: loop {
-                match s.read(&mut rdbuf) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(k) => {
-                        stats.bytes_recv += k as u64;
-                        dec.feed(&rdbuf[..k]);
-                        loop {
-                            match dec.next_frame() {
-                                Ok(Some(frame)) => {
-                                    let prev = ep.last_recv.fetch_max(frame.seq, Ordering::SeqCst);
-                                    if prev >= frame.seq {
-                                        continue; // replay duplicate
-                                    }
-                                    stats.frames_recv += 1;
-                                    match decode_net(&frame.body) {
-                                        Ok(msg) => {
-                                            let guard = ep.inbox_tx.lock();
-                                            if let Some(tx) = guard.as_ref() {
-                                                if tx.send(msg).is_err() {
-                                                    // The worker is gone (job
-                                                    // tearing down): count the
-                                                    // swallowed delivery like
-                                                    // the in-process backend
-                                                    // does.
-                                                    ep.rec.inc_counter(
-                                                        "acr_send_to_closed_inbox_total",
-                                                        1,
-                                                    );
-                                                }
-                                            } else {
-                                                ep.rec.inc_counter(
-                                                    "acr_send_to_closed_inbox_total",
-                                                    1,
-                                                );
-                                            }
-                                        }
-                                        Err(_) => {
-                                            dead = true;
-                                            break 'rd;
-                                        }
-                                    }
-                                }
-                                Ok(None) => break,
-                                Err(_) => {
-                                    dead = true;
-                                    break 'rd;
-                                }
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if dead {
-                detach(&mut stream, &ep);
-                continue;
-            }
+        // --- batched flush: new frames on an idle link, or writable ---
+        if alive && (fds[1].writable() || (!had_backlog && tx.backlog())) {
+            alive = tx.flush(s, &mut stats, &ep.rec, ep.obs_node());
         }
-
-        // --- batched flush --------------------------------------------
-        if let Some(s) = stream.as_mut() {
-            if !flush_socket(s, &mut out, &mut outq, &mut stats, &ep.rec, ep.obs_node()) {
-                detach(&mut stream, &ep);
-            }
+        if !alive {
+            detach_endpoint(&ep, &mut stream, &mut tx);
         }
     }
     stats.emit(&ep.rec, ep.obs_node());
-    detach(&mut stream, &ep);
+    detach_endpoint(&ep, &mut stream, &mut tx);
+}
+
+/// Close the endpoint's socket (if any) and forget what was queued for it
+/// — the ring still holds it for the next socket.
+fn detach_endpoint(ep: &Endpoint, stream: &mut Option<TcpStream>, tx: &mut SendSide) {
+    if let Some(s) = stream.take() {
+        let _ = s.shutdown(Shutdown::Both);
+    }
+    *ep.conn.lock() = None;
+    tx.detach();
+}
+
+/// Hand every complete frame in `dec` to the node's inbox, dropping replay
+/// duplicates. Returns `false` when the stream is corrupt — the caller
+/// detaches.
+fn deliver_frames(ep: &Endpoint, dec: &mut FrameDecoder, stats: &mut WireStats) -> bool {
+    loop {
+        let frame = match dec.next_frame() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return true,
+            Err(_) => return false,
+        };
+        let prev = ep.last_recv.fetch_max(frame.seq, Ordering::SeqCst);
+        if prev >= frame.seq {
+            continue; // replay duplicate
+        }
+        stats.frames_recv += 1;
+        let Ok(msg) = decode_net(&frame.body) else {
+            return false;
+        };
+        // A worker that is gone (job tearing down) swallows the delivery:
+        // count it like the in-process backend does.
+        let delivered = (ep.inbox_tx.lock().as_ref()).is_some_and(|tx| tx.send(msg).is_ok());
+        if !delivered {
+            ep.rec.inc_counter("acr_send_to_closed_inbox_total", 1);
+        }
+    }
 }
 
 /// One dial + handshake: connect, send the hello (with our high-water
@@ -1413,6 +1604,473 @@ mod tests {
         }
     }
 
+    /// A router with one job (id 0) of `total` links, and the channel its
+    /// driver-bound events land on.
+    fn router_with_job(total: usize, stale_after: Duration) -> (Arc<Router>, Receiver<Event>) {
+        let (event_tx, event_rx) = unbounded();
+        let router = Router::spawn(None).expect("router binds");
+        router
+            .register_job(
+                0,
+                total,
+                event_tx,
+                Recorder::disabled(),
+                test_welcome(total),
+                stale_after,
+            )
+            .expect("register job");
+        (router, event_rx)
+    }
+
+    /// Dial and handshake as `node` of job 0 the way a node host would,
+    /// with a plain blocking socket the test then drives by hand.
+    fn raw_link(router: &Router, node: u32) -> TcpStream {
+        let mut s = TcpStream::connect(router.local_addr()).expect("connect");
+        s.write_all(&encode_hello(&Hello {
+            job: 0,
+            node,
+            last_recv_seq: 0,
+        }))
+        .expect("hello");
+        let mut w = [0u8; WELCOME_LEN];
+        s.read_exact(&mut w).expect("welcome");
+        decode_welcome(&w).expect("welcome decodes");
+        s
+    }
+
+    /// A real endpoint for `node` of job 0 and the inbox it feeds.
+    fn endpoint(router: &Router, node: usize) -> (Arc<Endpoint>, Receiver<Net>) {
+        let (tx, rx) = unbounded();
+        let ep = Endpoint::spawn(
+            0,
+            node,
+            router.local_addr(),
+            tx,
+            Recorder::disabled(),
+            Duration::from_millis(1),
+            Duration::from_millis(50),
+        );
+        ep.wait_welcome(Duration::from_secs(10)).expect("welcome");
+        (ep, rx)
+    }
+
+    fn app_msg(tag: u64, data: Vec<u8>) -> Net {
+        Net::App {
+            to_task: 0,
+            epoch: 0,
+            msg: crate::message::AppMsg {
+                from: crate::message::TaskId { rank: 0, task: 0 },
+                tag,
+                data,
+            },
+        }
+    }
+
+    /// Wake-ups the reactor records over `window` of doing nothing.
+    fn idle_wakeups(router: &Router, window: Duration) -> u64 {
+        let before = router.tick_stats().count();
+        std::thread::sleep(window);
+        router.tick_stats().count() - before
+    }
+
+    const QUIET: Duration = Duration::from_millis(300);
+
+    /// (a) Idle burns nothing: with every link handshaken and silent, no
+    /// timer pending and no command queued, both loops stay parked in
+    /// `poll`. (A 1 ms tick woke each of them ~300 times in this window.)
+    #[test]
+    fn idle_loops_do_not_wake() {
+        let (router, _events) = router_with_job(9, Duration::from_secs(600));
+        let _links: Vec<TcpStream> = (0..8).map(|n| raw_link(&router, n)).collect();
+        let (ep, _inbox) = endpoint(&router, 8);
+        router
+            .wait_all_connected(0, Duration::from_secs(10))
+            .expect("links attach");
+        std::thread::sleep(Duration::from_millis(50)); // handshake flushes settle
+        let ep_before = ep.wakeups.load(Ordering::Relaxed);
+        let reactor_wakeups = idle_wakeups(&router, QUIET);
+        let ep_wakeups = ep.wakeups.load(Ordering::Relaxed) - ep_before;
+        println!("idle {QUIET:?}: reactor woke {reactor_wakeups}x, endpoint {ep_wakeups}x");
+        assert!(
+            reactor_wakeups <= 5,
+            "idle reactor woke {reactor_wakeups} times in {QUIET:?}"
+        );
+        assert!(
+            ep_wakeups <= 5,
+            "idle endpoint woke {ep_wakeups} times in {QUIET:?}"
+        );
+        ep.shutdown();
+        router.shutdown();
+    }
+
+    /// (b) A send wakes a parked loop: each ping/pong crosses four parked
+    /// waits (reactor command, endpoint socket, endpoint command, reactor
+    /// socket). Judged on the median, which a scheduler hiccup cannot
+    /// move; a tick-driven fabric cannot get under two ticks.
+    #[test]
+    fn a_send_wakes_a_parked_loop() {
+        const TRIPS: usize = 500;
+        let (router, events) = router_with_job(1, Duration::from_secs(600));
+        let (ep, inbox) = endpoint(&router, 0);
+        let mut trips: Vec<Duration> = Vec::with_capacity(TRIPS);
+        for token in 0..TRIPS as u64 {
+            let t = Instant::now();
+            router.send_net(0, 0, &Net::Ctrl(crate::message::Ctrl::Ping { token }));
+            match inbox.recv_timeout(Duration::from_secs(10)).expect("ping") {
+                Net::Ctrl(crate::message::Ctrl::Ping { token: got }) => assert_eq!(got, token),
+                other => panic!("unexpected delivery {other:?}"),
+            }
+            ep.send_event(&Event::Pong { node: 0, token });
+            match events.recv_timeout(Duration::from_secs(10)).expect("pong") {
+                Event::Pong { token: got, .. } => assert_eq!(got, token),
+                other => panic!("unexpected event {other:?}"),
+            }
+            trips.push(t.elapsed());
+        }
+        trips.sort();
+        let median = trips[TRIPS / 2];
+        println!(
+            "ping/pong: median {median:?}, p10 {:?}, max {:?}",
+            trips[TRIPS / 10],
+            trips[TRIPS - 1]
+        );
+        assert!(
+            median < Duration::from_micros(500),
+            "median round trip {median:?} (fastest {:?}, slowest {:?})",
+            trips[0],
+            trips[TRIPS - 1]
+        );
+        ep.shutdown();
+        router.shutdown();
+    }
+
+    /// (c) Backpressure without spinning: 64 MiB pushed at a peer that
+    /// takes 64 KiB every 2 ms. Every byte arrives in order; the reactor
+    /// wakes when the socket has room again — a small multiple of the
+    /// peer's reads, not a busy loop on `POLLOUT` — and once the backlog
+    /// is gone it stops asking for `POLLOUT` and goes idle.
+    #[test]
+    fn backpressure_parks_on_pollout_and_goes_idle_when_drained() {
+        const FRAMES: u64 = 64;
+        const FRAME_BYTES: usize = 1 << 20;
+        let (router, _events) = router_with_job(1, Duration::from_secs(600));
+        let mut peer = raw_link(&router, 0);
+        let before = router.tick_stats().count();
+        for tag in 0..FRAMES {
+            router.send_net(0, 0, &app_msg(tag, vec![tag as u8; FRAME_BYTES]));
+        }
+        let mut dec = FrameDecoder::new();
+        let mut buf = vec![0u8; 64 * 1024];
+        let (mut reads, mut got) = (0u64, 0u64);
+        while got < FRAMES {
+            let k = peer.read(&mut buf).expect("read");
+            assert!(k > 0, "router closed the link mid-transfer");
+            reads += 1;
+            dec.feed(&buf[..k]);
+            while let Some(frame) = dec.next_frame().expect("clean stream") {
+                got += 1;
+                assert_eq!(frame.seq, got, "frames arrive in sequence");
+                match decode_net(&frame.body).expect("decodes") {
+                    Net::App { msg, .. } => {
+                        assert_eq!(msg.tag, got - 1);
+                        assert_eq!(msg.data.len(), FRAME_BYTES);
+                        assert!(msg.data.iter().all(|&b| b == msg.tag as u8));
+                    }
+                    other => panic!("unexpected record {other:?}"),
+                }
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let wakeups = router.tick_stats().count() - before;
+        println!("backpressure: {wakeups} reactor wake-ups for {reads} peer reads");
+        assert!(
+            wakeups <= 4 * reads,
+            "{wakeups} reactor wake-ups for {reads} peer reads"
+        );
+        let after = idle_wakeups(&router, QUIET);
+        assert!(after <= 5, "drained link still wakes the reactor: {after}");
+        router.shutdown();
+    }
+
+    /// `poll` failing must not take a loop down: a set larger than the
+    /// descriptor limit is `EINVAL`, and `wait_ready` answers with a pause
+    /// and "try them all" instead of an error.
+    #[test]
+    fn a_failing_poll_degrades_to_a_sweep() {
+        let limits = std::fs::read_to_string("/proc/self/limits").unwrap_or_default();
+        let soft = limits
+            .lines()
+            .find_map(|l| l.strip_prefix("Max open files"))
+            .and_then(|rest| rest.split_whitespace().next()?.parse::<usize>().ok());
+        let Some(soft) = soft.filter(|&n| n < 1 << 20) else {
+            return; // no (readable, finite) limit to exceed on this box
+        };
+        let waker = Waker::new().expect("socket pair");
+        let mut fds: Vec<PollFd> = (0..=soft).map(|_| waker.pollfd()).collect();
+        assert!(poller::wait(&mut fds, Some(Duration::ZERO)).is_err());
+        let t = Instant::now();
+        wait_ready(&mut fds, None);
+        assert!(t.elapsed() >= POLL_TICK, "a failing poll must not spin");
+        assert!(fds.iter().all(|fd| fd.readable() && !fd.writable()));
+    }
+
+    /// (d) Timers fire with no traffic: the poll timeout is the next
+    /// deadline, so a dialer stuck mid-hello is cut after
+    /// `HANDSHAKE_DEADLINE` and a detached link is reported stale after
+    /// `stale_after`, each from a reactor that is otherwise parked.
+    #[test]
+    fn timers_fire_from_a_parked_reactor() {
+        let stale_after = Duration::from_millis(150);
+        let (router, events) = router_with_job(1, stale_after);
+
+        let mut half = TcpStream::connect(router.local_addr()).expect("connect");
+        let hello = encode_hello(&Hello {
+            job: 0,
+            node: 0,
+            last_recv_seq: 0,
+        });
+        let t = Instant::now();
+        half.write_all(&hello[..HELLO_LEN / 2]).expect("half hello");
+        std::thread::sleep(Duration::from_millis(50));
+        let before = router.tick_stats().count();
+        let _ = half.set_read_timeout(Some(Duration::from_secs(10)));
+        assert_eq!(half.read(&mut [0u8; 1]).unwrap_or(0), 0, "cut, no welcome");
+        assert!(
+            t.elapsed() >= HANDSHAKE_DEADLINE,
+            "cut early: {:?}",
+            t.elapsed()
+        );
+        let wakeups = router.tick_stats().count() - before;
+        assert!(wakeups <= 5, "{wakeups} wake-ups waiting out one deadline");
+        assert_eq!(router.connected_links(), 0);
+
+        let link = raw_link(&router, 0);
+        router
+            .wait_all_connected(0, Duration::from_secs(10))
+            .expect("link attaches");
+        let t = Instant::now();
+        let before = router.tick_stats().count();
+        drop(link);
+        match events.recv_timeout(Duration::from_secs(10)) {
+            Ok(Event::TransportStale { node: 0 }) => {}
+            other => panic!("expected a stale report for node 0, got {other:?}"),
+        }
+        assert!(t.elapsed() >= stale_after, "stale early: {:?}", t.elapsed());
+        let wakeups = router.tick_stats().count() - before;
+        assert!(wakeups <= 5, "{wakeups} wake-ups waiting out stale_after");
+        router.shutdown();
+    }
+
+    /// (e) Control calls reach a parked loop at once: nothing waits for a
+    /// tick or a timeout.
+    #[test]
+    fn control_calls_return_promptly_from_parked_loops() {
+        let prompt = Duration::from_millis(100);
+        let timed = |what: &str, f: &mut dyn FnMut()| {
+            std::thread::sleep(Duration::from_millis(30)); // let the loops park
+            let t = Instant::now();
+            f();
+            assert!(t.elapsed() < prompt, "{what} took {:?}", t.elapsed());
+        };
+        let (event_tx, _events) = unbounded();
+        let (router, _events0) = router_with_job(2, Duration::from_secs(600));
+        router
+            .register_job(
+                1,
+                1,
+                event_tx,
+                Recorder::disabled(),
+                test_welcome(1),
+                Duration::from_secs(600),
+            )
+            .expect("register job 1");
+        let (ep0, _inbox0) = endpoint(&router, 0);
+        let (ep1, _inbox1) = endpoint(&router, 1);
+        let _other = {
+            let mut s = TcpStream::connect(router.local_addr()).expect("connect");
+            s.write_all(&encode_hello(&Hello {
+                job: 1,
+                node: 0,
+                last_recv_seq: 0,
+            }))
+            .expect("hello");
+            s
+        };
+        router
+            .wait_all_connected(1, Duration::from_secs(10))
+            .expect("job 1 attaches");
+        timed("deregister_job", &mut || router.deregister_job(1));
+        timed("Endpoint::shutdown", &mut || ep0.shutdown());
+        // `linger` ends when the router closes the link, which shutting
+        // the router down does.
+        let closer = {
+            let router = Arc::clone(&router);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                let t = Instant::now();
+                router.shutdown();
+                t.elapsed()
+            })
+        };
+        let t = Instant::now();
+        ep1.linger(Instant::now() + Duration::from_secs(10));
+        let lingered = t.elapsed();
+        let shutdown_took = closer.join().expect("closer thread");
+        assert!(
+            shutdown_took < prompt,
+            "Router::shutdown took {shutdown_took:?}"
+        );
+        assert!(
+            lingered < Duration::from_millis(30) + prompt,
+            "linger outlasted the router by {:?}",
+            lingered.saturating_sub(Duration::from_millis(30))
+        );
+    }
+
+    /// (f) A socket severed while both loops are parked: the endpoint
+    /// redials and nothing is lost or repeated in either direction —
+    /// including a frame larger than `REPLAY_RING_BYTES`, cut mid-write.
+    #[test]
+    fn sever_while_parked_replays_losslessly_even_an_oversized_frame() {
+        const BIG: usize = REPLAY_RING_BYTES + (1 << 20);
+        let (router, events) = router_with_job(1, Duration::from_secs(600));
+        let (ep, inbox) = endpoint(&router, 0);
+        router
+            .wait_all_connected(0, Duration::from_secs(10))
+            .expect("link attaches");
+        std::thread::sleep(Duration::from_millis(30)); // both loops parked
+
+        assert!(router.sever(0, 0), "a live link to sever");
+        router.send_net(0, 0, &app_msg(1, vec![1]));
+        ep.send_event(&Event::Pong { node: 0, token: 1 });
+        // The big frame takes many writes; sever again in the middle.
+        router.send_net(0, 0, &app_msg(2, vec![0xB5; BIG]));
+        std::thread::sleep(Duration::from_millis(5));
+        router.sever(0, 0);
+        router.send_net(0, 0, &app_msg(3, vec![3]));
+        ep.send_event(&Event::Pong { node: 0, token: 2 });
+
+        for (tag, len) in [(1u64, 1usize), (2, BIG), (3, 1)] {
+            match inbox
+                .recv_timeout(Duration::from_secs(30))
+                .expect("delivery")
+            {
+                Net::App { msg, .. } => {
+                    assert_eq!((msg.tag, msg.data.len()), (tag, len));
+                    assert!(msg
+                        .data
+                        .iter()
+                        .all(|&b| b == if tag == 2 { 0xB5 } else { tag as u8 }));
+                }
+                other => panic!("unexpected delivery {other:?}"),
+            }
+        }
+        for token in [1u64, 2] {
+            match events.recv_timeout(Duration::from_secs(30)).expect("event") {
+                Event::Pong { token: got, .. } => assert_eq!(got, token),
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(
+            inbox.try_recv().is_err(),
+            "a replayed frame was delivered twice"
+        );
+        assert!(
+            events.try_recv().is_err(),
+            "a replayed event was delivered twice"
+        );
+        ep.shutdown();
+        router.shutdown();
+    }
+
+    /// (g) The replay ring's bounds: written frames evict by bytes and by
+    /// count, oldest first; unwritten frames never do while a socket may
+    /// still carry them; a reconnect's high-water mark drops what the peer
+    /// holds and un-writes the rest; a stale link sheds to the bounds.
+    #[test]
+    fn replay_ring_evicts_written_frames_only() {
+        let frame = |seq: u64, len: usize| OutFrame {
+            to: 0,
+            seq,
+            body: Bytes::from(vec![0u8; len]),
+        };
+        const MIB: usize = 1 << 20;
+        let cap = REPLAY_RING_BYTES / MIB;
+
+        // Unwritten: twice the byte bound stays, in full.
+        let mut ring = ReplayRing::default();
+        for seq in 1..=2 * cap as u64 {
+            ring.push(frame(seq, MIB));
+        }
+        assert_eq!(ring.frames.len(), 2 * cap);
+        // Written: a frame goes once the byte bound has been written
+        // behind it; nothing unwritten goes.
+        ring.mark_written(cap as u64 + 8);
+        assert_eq!(ring.frames.front().map(|f| f.seq), Some(9));
+        assert_eq!(ring.frames.len(), 2 * cap - 8);
+        ring.mark_written(2 * cap as u64);
+        assert_eq!(ring.frames.front().map(|f| f.seq), Some(cap as u64 + 1));
+        assert_eq!(ring.written_bytes, REPLAY_RING_BYTES);
+
+        // One frame larger than the whole bound survives being written,
+        // until enough newer bytes are written behind it.
+        let mut ring = ReplayRing::default();
+        ring.push(frame(1, REPLAY_RING_BYTES + MIB));
+        ring.mark_written(1);
+        assert_eq!(ring.frames.len(), 1);
+        ring.push(frame(2, REPLAY_RING_BYTES));
+        assert_eq!(ring.frames.len(), 2, "an unwritten frame evicts nothing");
+        ring.mark_written(2);
+        assert_eq!(ring.frames.front().map(|f| f.seq), Some(2));
+
+        // The frame-count bound, with bodies too small for the byte bound.
+        let mut ring = ReplayRing::default();
+        for seq in 1..=(REPLAY_RING_FRAMES as u64 + 100) {
+            ring.push(frame(seq, 8));
+        }
+        assert_eq!(ring.frames.len(), REPLAY_RING_FRAMES + 100);
+        ring.mark_written(REPLAY_RING_FRAMES as u64 + 50);
+        assert_eq!(ring.frames.len(), REPLAY_RING_FRAMES + 50);
+        assert_eq!(ring.frames.front().map(|f| f.seq), Some(51));
+
+        // Reattach: acknowledged frames go, the rest replays as unwritten.
+        let replay = ring.reattach(REPLAY_RING_FRAMES as u64);
+        assert_eq!(replay.len(), 100);
+        assert_eq!(
+            replay.front().map(|f| f.seq),
+            Some(REPLAY_RING_FRAMES as u64 + 1)
+        );
+        assert_eq!((ring.written_frames, ring.written_bytes), (0, 0));
+        assert_eq!(ring.frames.len(), 100);
+
+        // A link without a socket queues into its ring only (the next
+        // socket is fed from there), and keeps everything...
+        let mut tx = SendSide::default();
+        for _ in 0..2 * cap {
+            tx.enqueue(0, Bytes::from(vec![0u8; MIB]));
+        }
+        assert!(
+            !tx.backlog(),
+            "nothing is queued for a socket that is not there"
+        );
+        assert_eq!(tx.ring.frames.len(), 2 * cap);
+        // ...until it is reported stale: then the bounds apply to all of
+        // it, newest kept, and a late reconnect replays what is left.
+        tx.ring.shed();
+        assert_eq!(tx.ring.frames.len(), cap);
+        tx.enqueue(0, Bytes::from(vec![0u8; MIB]));
+        tx.ring.shed();
+        assert_eq!(tx.ring.frames.len(), cap);
+        assert_eq!(
+            tx.ring.frames.back().map(|f| f.seq),
+            Some(2 * cap as u64 + 1)
+        );
+        tx.reattach(0, Vec::new());
+        assert_eq!(tx.outq.len(), cap);
+        assert_eq!(tx.ring.written_frames, 0);
+    }
+
     /// The acceptance criterion for the reactor design: driver-side
     /// transport threads stay O(1) no matter how many links attach. 300
     /// raw clients handshake against one router; the process thread
@@ -1436,8 +2094,8 @@ mod tests {
         let addr = router.local_addr();
         let mut clients = Vec::with_capacity(LINKS);
         for node in 0..LINKS {
-            // The accept queue may briefly fill while the reactor drains
-            // it once per tick; retry rather than assume infinite backlog.
+            // A burst of dialers can fill the accept queue faster than the
+            // reactor empties it; retry rather than assume infinite backlog.
             let mut s = loop {
                 match TcpStream::connect(addr) {
                     Ok(s) => break s,

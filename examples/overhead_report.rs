@@ -229,8 +229,12 @@ fn run(scheme: Scheme, script: &FaultScript) -> JobReport {
         .run(|rank, _| Box::new(Ring::new(rank, ITERS)) as Box<dyn Task>)
 }
 
-/// One blocking GET against the operator endpoint, returning the body.
+/// One blocking GET against the operator endpoint, returning the body —
+/// all of it: the endpoint states a `Content-Length`, and a response the
+/// driver's exit cut short is a connection that ended (`UnexpectedEof`),
+/// not a malformed body for the caller to judge.
 fn scrape(addr: std::net::SocketAddr, path: &str) -> std::io::Result<String> {
+    use std::io::{Error, ErrorKind};
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.write_all(
@@ -238,10 +242,17 @@ fn scrape(addr: std::net::SocketAddr, path: &str) -> std::io::Result<String> {
     )?;
     let mut response = String::new();
     stream.read_to_string(&mut response)?;
-    Ok(response
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body.to_string())
-        .unwrap_or_default())
+    let cut = || Error::new(ErrorKind::UnexpectedEof, "response ended early");
+    let (head, body) = response.split_once("\r\n\r\n").ok_or_else(cut)?;
+    let stated: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length:"))
+        .and_then(|v| v.trim().parse().ok())
+        .ok_or_else(|| Error::new(ErrorKind::InvalidData, "no Content-Length"))?;
+    if body.len() < stated {
+        return Err(cut());
+    }
+    Ok(body.to_string())
 }
 
 /// Iteration count for the operator-endpoint scenario: 10x the sweep, so

@@ -20,6 +20,13 @@
 //!     --baseline BENCH_reactor.json --tolerance 0.25
 //! cargo run --release --example reactor_soak -- --write BENCH_reactor.json
 //! ```
+//!
+//! Run it alone. The gate times one thread's wake-ups on a shared
+//! machine: anything else busy on the box — most often the node-host
+//! children of a `jacobi_tcp` or `fault_campaign --transport tcp` still
+//! running next to it — is scheduled in between and shows up as tail
+//! latency (a p99 of tens of milliseconds where the quiet box gives a
+//! fraction of one).
 
 use acr::runtime::soak::{gate_p99, run_reactor_soak, SoakConfig};
 use std::process::ExitCode;
@@ -36,6 +43,10 @@ OPTIONS:
     --baseline <file>     gate p99 tick latency against this report JSON
     --tolerance <frac>    allowed p99 regression vs baseline (default 0.25)
     --no-assert-threads   skip the thread-count pinning assertion
+
+Run it alone: the p99 gate times one thread on a shared machine, and other
+busy processes (another example's node hosts, a second soak) land in its
+tail. Wait for them to exit before gating or writing a baseline.
 ";
 
 fn main() -> ExitCode {
