@@ -158,12 +158,25 @@ impl CampaignConfig {
     /// The scenario space scripts are generated from: the crash budget is
     /// the spare pool, heartbeat delays stay under the detector timeout,
     /// and time triggers land within the fault-free run's horizon.
+    ///
+    /// On a wall clock nothing fixes how long that run is — it follows the
+    /// transport and the machine — so it is measured: one fault-free job
+    /// over the campaign's own transport, the horizon 0.8 × its duration.
+    /// (Scripted times fall in the first 55 % of the horizon, so a faulted
+    /// run, which is never shorter, is still under way when they fire; a
+    /// guess that overshoots times faults into the sliver around `job_end`.)
     pub fn scenario_space(&self) -> ScenarioSpace {
+        let horizon = if self.wall_clock() {
+            let (scheme, detection) = (self.schemes[0], self.detections[0]);
+            0.8 * run_case(self, scheme, detection, &FaultScript::new(), None).duration
+        } else {
+            // ~1 ring iteration per quantum: keep injections inside the run.
+            self.iterations as f64 * self.quantum.as_secs_f64()
+        };
         ScenarioSpace {
             ranks: self.ranks,
             spares: self.spares,
-            // ~1 ring iteration per quantum: keep injections inside the run.
-            horizon: self.iterations as f64 * self.quantum.as_secs_f64(),
+            horizon,
             max_iteration: self.iterations,
             heartbeat_timeout: 0.040,
             max_faults: 3,

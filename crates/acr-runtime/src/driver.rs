@@ -2472,8 +2472,19 @@ impl Driver {
             attempts += 1;
             match self.events.recv_timeout(Duration::from_millis(50)) {
                 Ok(ev) => {
-                    if let Event::FinalState { node, .. } = &ev {
-                        owed.remove(node);
+                    match ev {
+                        Event::FinalState { node, .. } => {
+                            owed.remove(&node);
+                        }
+                        // A fault that landed after `job_end`: the journal
+                        // is closed, but the report must still say so, or a
+                        // flip after the last comparison reads as silent
+                        // corruption (`campaign::classify`).
+                        Event::FaultInjected { at, fault, .. } => match fault {
+                            NodeFault::Crash => self.report.crashes_injected_at.push(at),
+                            NodeFault::Sdc { .. } => self.report.sdc_injected_at.push(at),
+                        },
+                        _ => {}
                     }
                     self.record_final_state(ev);
                 }

@@ -150,6 +150,11 @@ struct SoakLink {
     out_pos: usize,
     next_seq: u64,
     node: u32,
+    /// Inbound frames are decoded only for their sequence numbers: each
+    /// pong acknowledges the pings received, as a node's endpoint would,
+    /// so the reactor's replay rings drain instead of growing all soak.
+    dec: wire::FrameDecoder,
+    last_recv: u64,
 }
 
 impl SoakLink {
@@ -158,12 +163,13 @@ impl SoakLink {
         if self.out.len() - self.out_pos > 16 * 1024 {
             return; // backpressure: the reactor is behind on this link
         }
-        let body = wire::encode_event(&Event::Pong {
+        let body = wire::flatten(&wire::encode_event(&Event::Pong {
             node: self.node as usize,
             token: self.next_seq,
-        });
+        }));
+        let pong = [(DRIVER_DEST, self.next_seq, &body[..])];
         self.out
-            .extend_from_slice(&wire::encode_frame(DRIVER_DEST, self.next_seq, &body));
+            .extend_from_slice(&wire::encode_batch_acked(&pong, self.last_recv).bytes);
         self.next_seq += 1;
     }
 
@@ -180,11 +186,10 @@ impl SoakLink {
             self.out.clear();
             self.out_pos = 0;
         }
-        loop {
-            match self.sock.read(scratch) {
-                Ok(0) => break,
-                Ok(_) => continue, // discard: load, not protocol
-                Err(_) => break,
+        // Inbound is load, not protocol: only the sequence numbers matter.
+        while matches!(self.dec.read_from(&mut self.sock, scratch), Ok(k) if k > 0) {
+            while let Ok(Some(frame)) = self.dec.next_frame() {
+                self.last_recv = self.last_recv.max(frame.seq);
             }
         }
     }
@@ -250,6 +255,8 @@ pub fn run_reactor_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
                     out_pos: 0,
                     next_seq: 1,
                     node: node as u32,
+                    dec: wire::FrameDecoder::new(),
+                    last_recv: 0,
                 },
             ));
         }

@@ -10,9 +10,13 @@
 //! consensus contribution would wedge a round forever), so the wire layer
 //! must make transient socket drops *lossless* rather than merely
 //! survivable. Each link direction carries a monotone frame sequence; the
-//! sender keeps a bounded replay ring of frame bodies, the connect/accept
-//! handshake exchanges "highest sequence received", and the reattaching
-//! side replays everything newer. Receivers drop duplicates by sequence.
+//! sender keeps every frame in a replay ring until the peer acknowledges
+//! it — every frame header carries the highest sequence its sender has
+//! received, and a link with nothing to say acknowledges with a bodiless
+//! frame after [`ACK_AFTER_BYTES`] — so the ring is the unacknowledged
+//! window and nothing more. The connect/accept handshake exchanges the
+//! same high-water mark, and the reattaching side replays everything
+//! newer. Receivers drop duplicates by sequence.
 //! A socket drop therefore looks, to the protocol, like a brief stall —
 //! which is exactly what distinguishes it from node death: the reactor's
 //! stale-link timer reports a link detached too long, and the *driver's
@@ -31,12 +35,24 @@
 //! from each link poll reported readable, dispatches the frames, and
 //! flushes the links that took frames or were reported writable. A write
 //! that would block parks the rest in a per-link buffer and the link asks
-//! poll for `POLLOUT` until it drains. Flushes coalesce queued frames
-//! into [`wire::encode_batch`](encode_batch) super-frames.
+//! poll for `POLLOUT` until it drains.
+//!
+//! Nothing is assembled that is already in memory. A message's body is a
+//! short list of shared segments (see [`wire`](crate::wire)); a lone frame
+//! leaves as `[header, segments…, trailer]` in one vectored write, a
+//! partial write resuming mid-segment, so a packed checkpoint goes from the
+//! node's pack buffer to the socket without a copy and the replay ring
+//! holds that same allocation. Only when two or more small single-segment
+//! frames wait together are they copied, into one
+//! [`wire::encode_batch_acked`](encode_batch_acked) super-frame. Inbound, a
+//! large frame is received straight into the allocation that becomes its
+//! body, and the reactor relays that body — and the trailer it was
+//! verified against — to the destination link as it is, so the
+//! destination's check covers the relay's memory as well as both wires.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,19 +67,28 @@ use parking_lot::Mutex;
 use crate::message::{Event, Net, NodeIndex};
 use crate::poller::{self, PollFd, Waker, POLLIN, POLLOUT};
 use crate::wire::{
-    decode_event, decode_hello, decode_net, decode_welcome, encode_batch, encode_hello, encode_net,
-    encode_welcome, Frame, FrameDecoder, Hello, Welcome, WelcomeCfg, WireCodec, DRIVER_DEST,
-    FRAME_HEADER, FRAME_TRAILER, HELLO_LEN, SUPER_RECORD_HEADER, WELCOME_LEN,
+    body_check, body_len, decode_event, decode_hello, decode_net, decode_welcome,
+    encode_batch_acked, encode_hello, encode_net, encode_welcome, frame_ends, Frame, FrameDecoder,
+    Hello, Welcome, WelcomeCfg, DRIVER_DEST, FRAME_HEADER, FRAME_TRAILER, HELLO_LEN,
+    SUPER_RECORD_HEADER, WELCOME_LEN,
 };
 
-/// Most *written* frames a replay ring keeps (see [`ReplayRing`]).
-const REPLAY_RING_FRAMES: usize = 8192;
-
-/// Written bytes a replay ring keeps: whatever was handed to the socket
-/// longer ago than this has left every kernel buffer between the two
-/// processes (send plus receive buffers top out far below 32 MiB) and been
-/// read by the peer, so no reconnect can ask for it again.
+/// Body bytes a *stale* link's replay ring is shed to (see
+/// [`ReplayRing::shed`]). An attached link needs no such bound: its ring
+/// holds what the peer has not acknowledged, and no more.
 const REPLAY_RING_BYTES: usize = 32 << 20;
+
+/// Body bytes a link lets arrive without sending anything before it sends
+/// a bodiless frame just to acknowledge them. Any frame acknowledges, so
+/// this only matters one-way: it bounds what the *sender's* ring holds on
+/// to while the receiver has nothing to say — one shipped checkpoint
+/// always crosses it, a round of consensus chatter never does.
+const ACK_AFTER_BYTES: usize = 256 << 10;
+
+/// Most parts handed to one vectored write (header, trailer and the few
+/// segments of a checkpoint record fit; a delta record with more dirty
+/// windows than this takes another write).
+const MAX_IOV: usize = 16;
 
 /// How long backoff sleeps are sliced (bounds shutdown latency), and the
 /// pause of the two error paths that must not spin.
@@ -90,108 +115,183 @@ const READ_BUDGET: usize = 64 * 1024;
 // ---------------------------------------------------------------------------
 
 /// One frame awaiting (re)transmission: destination, link sequence, body.
-/// The body is shared, so the replay ring and the send queue hold one
-/// allocation between them.
+/// The body's segments are shared, so the replay ring, the send queue and
+/// whoever encoded the message hold one allocation between them.
 #[derive(Clone)]
 struct OutFrame {
     to: u32,
     seq: u64,
-    body: Bytes,
+    body: Vec<Bytes>,
+    /// Total length of `body`.
+    len: usize,
+    /// The body's Fletcher-64 when it is already known: a relayed frame
+    /// keeps the trailer it arrived (and was verified) with.
+    check: Option<u64>,
 }
 
-/// Encoded bytes on their way into the socket; what a write that would
-/// block leaves behind waits here until the socket is writable again.
+/// Bytes on their way into the socket, as a list of shared parts and a
+/// cursor; what a write that would block leaves behind waits here until
+/// the socket is writable again. No part is empty, and `off` is always
+/// inside the first.
 #[derive(Default)]
 struct SendBuf {
-    buf: Vec<u8>,
-    pos: usize,
-    /// Highest link sequence encoded in `buf` (0 for a handshake record).
+    parts: VecDeque<Bytes>,
+    /// Bytes of `parts[0]` already written.
+    off: usize,
+    /// Highest link sequence among `parts` (0 for a handshake record or a
+    /// bodiless acknowledgement).
     last_seq: u64,
 }
 
 impl SendBuf {
     fn clear(&mut self) {
-        self.buf.clear();
-        self.pos = 0;
-        self.last_seq = 0;
+        self.set([], 0);
     }
-    fn set(&mut self, bytes: Vec<u8>, last_seq: u64) {
-        self.buf = bytes;
-        self.pos = 0;
+    fn set(&mut self, parts: impl IntoIterator<Item = Bytes>, last_seq: u64) {
+        self.parts.clear();
+        self.parts
+            .extend(parts.into_iter().filter(|p| !p.is_empty()));
+        self.off = 0;
         self.last_seq = last_seq;
     }
     fn is_empty(&self) -> bool {
-        self.pos >= self.buf.len()
+        self.parts.is_empty()
+    }
+
+    /// Write parts, [`MAX_IOV`] to a call, until none are left (`Ok(true)`)
+    /// or the socket would block (`Ok(false)`).
+    fn write_to(&mut self, w: &mut impl Write) -> std::io::Result<bool> {
+        while !self.parts.is_empty() {
+            let mut iov = [IoSlice::new(&[]); MAX_IOV];
+            let n = self.parts.len().min(MAX_IOV);
+            for (slot, part) in iov.iter_mut().zip(&self.parts) {
+                *slot = IoSlice::new(part);
+            }
+            iov[0] = IoSlice::new(&self.parts[0][self.off..]);
+            match w.write_vectored(&iov[..n]) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(k) => self.advance(k),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+
+    /// `k` more bytes are written: whole parts go, a partial one moves
+    /// the cursor.
+    fn advance(&mut self, mut k: usize) {
+        while k > 0 {
+            let left = self.parts[0].len() - self.off;
+            if k < left {
+                self.off += k;
+                return;
+            }
+            k -= left;
+            self.parts.pop_front();
+            self.off = 0;
+        }
     }
 }
 
-/// Sent frames kept for replay after a reconnect.
+/// Sent frames kept for replay after a reconnect: the link direction's
+/// unacknowledged window.
 ///
 /// A frame is *written* once all of its bytes have been handed to the
-/// current socket; until then it is never evicted, however large the ring
-/// grows (the send queue holds the same allocation, so this costs nothing
-/// extra — and dropping it would lose a frame no socket has carried).
-/// Written frames are evicted oldest-first while more than
-/// [`REPLAY_RING_FRAMES`] of them remain, or while the written frames
-/// *newer* than the oldest already cover [`REPLAY_RING_BYTES`]. The newest
-/// written frame therefore always stays, even one larger than the byte
-/// bound on its own. A reconnect handshake is an acknowledgement: frames
-/// at or below the peer's high-water mark are dropped, and everything
-/// left counts as unwritten again — the new socket has carried none of it.
+/// current socket, and leaves when the peer acknowledges it — every frame
+/// the peer sends carries the highest sequence it has received, and one
+/// that only receives says so every [`ACK_AFTER_BYTES`]. Until then it
+/// stays, however large the ring grows: the send queue (and, for a shipped
+/// checkpoint, the node's own local copy) holds the same allocation, so
+/// this costs nothing extra, and dropping it would lose a frame the peer
+/// may never have seen. A peer that stops reading stalls the socket, its
+/// frames stay unwritten, and the stale timer below is what ends that. A
+/// reconnect handshake is an acknowledgement too: frames at or below the
+/// peer's high-water mark are dropped, and everything left counts as
+/// unwritten again — the new socket has carried none of it.
 ///
-/// "Never evicted" needs a socket to wait for. A link that has been
-/// without one long enough to be reported stale is [`shed`](Self::shed):
-/// the same two bounds then apply to everything it holds, so frames
+/// "Until acknowledged" needs a peer to wait for. A link that has been
+/// without a socket long enough to be reported stale is
+/// [`shed`](Self::shed) to [`REPLAY_RING_BYTES`], newest kept, so frames
 /// addressed to a node that is not coming back cannot pile up for the
 /// rest of the run.
 #[derive(Default)]
 struct ReplayRing {
     frames: VecDeque<OutFrame>,
-    /// How many frames at the front are written, and their body bytes.
-    written_frames: usize,
-    written_bytes: usize,
+    /// How many frames at the front are written.
+    written: usize,
+    /// Body bytes held, written or not.
+    bytes: usize,
 }
 
 impl ReplayRing {
     fn push(&mut self, f: OutFrame) {
+        self.bytes += f.len;
         self.frames.push_back(f);
+    }
+
+    fn pop(&mut self) {
+        if let Some(f) = self.frames.pop_front() {
+            self.bytes -= f.len;
+            self.written = self.written.saturating_sub(1);
+        }
     }
 
     /// Everything up to and including `seq` is written.
     fn mark_written(&mut self, seq: u64) {
-        while let Some(f) = self.frames.get(self.written_frames) {
-            if f.seq > seq {
-                break;
-            }
-            self.written_frames += 1;
-            self.written_bytes += f.body.len();
-        }
-        while self.written_frames > 0 {
-            let newer = self.written_bytes - self.frames[0].body.len();
-            if self.written_frames <= REPLAY_RING_FRAMES && newer < REPLAY_RING_BYTES {
-                break;
-            }
-            self.frames.pop_front();
-            self.written_frames -= 1;
-            self.written_bytes = newer;
+        while (self.frames.get(self.written)).is_some_and(|f| f.seq <= seq) {
+            self.written += 1;
         }
     }
 
-    /// No socket is coming for these soon (the link is stale): bound the
-    /// whole ring as if every frame had been written.
+    /// The peer holds everything up to `ack`. Only written frames go: an
+    /// acknowledgement cannot be for bytes this socket has not carried.
+    fn acknowledge(&mut self, ack: u64) {
+        while self.written > 0 && self.frames[0].seq <= ack {
+            self.pop();
+        }
+    }
+
+    /// No socket is coming for these soon (the link is stale): keep the
+    /// newest [`REPLAY_RING_BYTES`] — and always the newest frame.
     fn shed(&mut self) {
-        self.mark_written(u64::MAX);
+        while self.frames.len() > 1 && self.bytes - self.frames[0].len >= REPLAY_RING_BYTES {
+            self.pop();
+        }
     }
 
     /// The peer holds everything up to `peer_last_recv`: forget that, and
     /// return the rest — what the dead socket swallowed — for replay.
     fn reattach(&mut self, peer_last_recv: u64) -> VecDeque<OutFrame> {
         while self.frames.front().is_some_and(|f| f.seq <= peer_last_recv) {
-            self.frames.pop_front();
+            self.pop();
         }
-        self.written_frames = 0;
-        self.written_bytes = 0;
+        self.written = 0;
         self.frames.clone()
+    }
+}
+
+/// What one link direction's [`ReplayRing`] holds, published by the loop
+/// that owns it each time round, for the tests to watch from outside.
+#[cfg(test)]
+#[derive(Default)]
+struct RingGauge {
+    frames: std::sync::atomic::AtomicUsize,
+    bytes: std::sync::atomic::AtomicUsize,
+}
+
+#[cfg(test)]
+impl RingGauge {
+    fn publish(&self, ring: &ReplayRing) {
+        self.frames.store(ring.frames.len(), Ordering::SeqCst);
+        self.bytes.store(ring.bytes, Ordering::SeqCst);
+    }
+    fn frames(&self) -> usize {
+        self.frames.load(Ordering::SeqCst)
+    }
+    fn bytes(&self) -> usize {
+        self.bytes.load(Ordering::SeqCst)
     }
 }
 
@@ -243,32 +343,39 @@ impl WireStats {
         });
     }
 
-    /// Classify one outgoing node-bound frame body for the delta columns.
-    /// Field offsets inside a delta `Net::Compare` body are fixed (pinned by
-    /// `wire::tests::delta_compare_body_offsets_are_pinned`), so the counters
-    /// come from a cheap peek instead of a full decode.
-    fn classify_delta(&mut self, to: u32, body: &[u8]) {
-        if to == DRIVER_DEST || body.len() < 38 || body[0] != 2 || body[9] != 3 {
-            return;
+    /// Count one frame about to leave; returns its body length if it is
+    /// checkpoint-ship traffic, by body tag (`Net::Compare` = 2,
+    /// `Net::Install` = 4; driver-bound event bodies share the tag space, so
+    /// only node-bound frames are classified). Field offsets inside a delta
+    /// `Net::Compare` body are fixed (pinned by
+    /// `wire::tests::delta_compare_body_offsets_are_pinned`) and all fall
+    /// inside the body's first segment, so the delta columns come from a
+    /// cheap peek instead of a full decode.
+    fn sending(&mut self, f: &OutFrame) -> u64 {
+        let len = f.len as u64;
+        self.frames_sent += 1;
+        self.plain_bytes += (FRAME_HEADER + FRAME_TRAILER) as u64 + len;
+        let head = f.body.first().map_or(&[][..], |seg| &seg[..]);
+        if f.to == DRIVER_DEST || !matches!(head.first(), Some(&2) | Some(&4)) {
+            return 0;
         }
-        let payload_len = u64::from_le_bytes(body[18..26].try_into().unwrap());
-        let dirty = u32::from_le_bytes(body[34..38].try_into().unwrap());
-        self.delta_raw_bytes += payload_len;
-        self.delta_shipped_bytes += body.len() as u64;
-        self.chunks_dirty += dirty as u64;
+        self.ship_raw_bytes += len;
+        if head.len() >= 38 && head[0] == 2 && head[9] == 3 {
+            let payload_len = u64::from_le_bytes(head[18..26].try_into().unwrap());
+            let dirty = u32::from_le_bytes(head[34..38].try_into().unwrap());
+            self.delta_raw_bytes += payload_len;
+            self.delta_shipped_bytes += len;
+            self.chunks_dirty += dirty as u64;
+        }
+        len
     }
 }
 
-/// Checkpoint-ship classification by body tag (`Net::Compare` = 2,
-/// `Net::Install` = 4). Driver-bound event bodies share the tag space,
-/// so only node-bound frames are classified.
-fn is_ship(to: u32, body: &[u8]) -> bool {
-    to != DRIVER_DEST && matches!(body.first(), Some(&2) | Some(&4))
-}
-
 /// The send half of one link direction: sequencing, the replay ring, the
-/// frames queued for the current socket and the bytes already encoded for
-/// it. The reactor keeps one per link, an endpoint keeps one.
+/// frames queued for the current socket and the parts already assembled
+/// for it — and, because every frame that leaves acknowledges what came
+/// the other way, the count of what has arrived since one last did. The
+/// reactor keeps one per link, an endpoint keeps one.
 #[derive(Default)]
 struct SendSide {
     tx_seq: u64,
@@ -277,23 +384,40 @@ struct SendSide {
     attached: bool,
     outq: VecDeque<OutFrame>,
     out: SendBuf,
+    /// Body bytes received on this link since a frame last left it.
+    unacked: usize,
 }
 
 impl SendSide {
     /// Assign the next sequence number and queue `body` for `to`: into
     /// the replay ring, and onto the send queue if there is a socket to
     /// send it on (the next one is fed from the ring).
-    fn enqueue(&mut self, to: u32, body: Bytes) {
+    fn enqueue(&mut self, to: u32, body: Vec<Bytes>, check: Option<u64>) {
         self.tx_seq += 1;
         let f = OutFrame {
             to,
             seq: self.tx_seq,
+            len: body_len(&body),
             body,
+            check,
         };
         if self.attached {
             self.outq.push_back(f.clone());
         }
         self.ring.push(f);
+    }
+
+    /// `frame` arrived on this link: what it acknowledges leaves the ring,
+    /// and its body counts toward the acknowledgement this side owes.
+    fn received(&mut self, frame: &Frame) {
+        self.ring.acknowledge(frame.ack);
+        self.unacked += frame.body.len();
+    }
+
+    /// Enough has arrived unanswered that a flush should acknowledge it
+    /// even with nothing else to send.
+    fn ack_due(&self) -> bool {
+        self.unacked >= ACK_AFTER_BYTES
     }
 
     /// Something is waiting for the socket. Between wake-ups this means
@@ -307,7 +431,7 @@ impl SendSide {
     /// side) leaves first, then everything the peer has not acknowledged.
     fn reattach(&mut self, peer_last_recv: u64, greeting: Vec<u8>) {
         self.attached = true;
-        self.out.set(greeting, 0);
+        self.out.set([Bytes::from(greeting)], 0);
         self.outq = self.ring.reattach(peer_last_recv);
     }
 
@@ -319,85 +443,99 @@ impl SendSide {
     }
 
     /// Write as much parked + queued data as the socket takes without
-    /// blocking: drain the partial buffer, then repeatedly coalesce the
-    /// head of the queue into one super-frame (or plain frame) and keep
-    /// writing. Returns `false` on a fatal socket error — the caller
-    /// detaches.
+    /// blocking: drain what is already assembled, then repeatedly take the
+    /// head of the queue — a lone frame as `[header, segments…, trailer]`
+    /// with nothing copied, a run of small single-segment frames coalesced
+    /// into one super-frame — and keep writing. Whatever is assembled here
+    /// carries `ack`, the highest sequence received on this link; when the
+    /// queue is empty and an acknowledgement is [due](Self::ack_due), a
+    /// bodiless frame carries it. Returns `false` on a fatal socket error —
+    /// the caller detaches.
     fn flush(
         &mut self,
         stream: &mut TcpStream,
+        ack: u64,
         stats: &mut WireStats,
         rec: &Recorder,
         obs_node: u32,
     ) -> bool {
         let (out, outq) = (&mut self.out, &mut self.outq);
+        // A plain frame's two ends as parts (one small allocation for both).
+        let ends = |to: u32, seq: u64, len: usize, check: u64| {
+            let (header, trailer) = frame_ends(to, seq, ack, len, check);
+            let both = Bytes::from([&header[..], &trailer[..]].concat());
+            [both.slice(..FRAME_HEADER), both.slice(FRAME_HEADER..)]
+        };
         loop {
-            while !out.is_empty() {
-                match stream.write(&out.buf[out.pos..]) {
-                    Ok(0) => return false,
-                    Ok(n) => out.pos += n,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => return false,
-                }
+            match out.write_to(stream) {
+                Ok(true) => {}
+                Ok(false) => return true,
+                Err(_) => return false,
             }
             self.ring.mark_written(out.last_seq);
             out.clear();
-            if outq.is_empty() {
-                return true;
-            }
-            // Coalesce the queue head into one flush unit.
-            let mut take = 0;
-            let mut raw = 0usize;
-            while take < outq.len() && take < BATCH_MAX_FRAMES {
-                let sz = SUPER_RECORD_HEADER + outq[take].body.len();
-                if take > 0 && raw + sz > BATCH_MAX_RAW {
+            let Some(head) = outq.front() else {
+                if self.unacked < ACK_AFTER_BYTES {
+                    return true;
+                }
+                self.unacked = 0;
+                stats.bytes_sent += (FRAME_HEADER + FRAME_TRAILER) as u64;
+                out.set(ends(0, 0, 0, body_check(&[])), 0);
+                continue;
+            };
+            self.unacked = 0;
+            // Coalesce the queue head into one flush unit. A body of
+            // several segments travels alone: it is large, and a batch
+            // would have to copy it.
+            let mut take = 1;
+            let mut raw = SUPER_RECORD_HEADER + head.len;
+            while head.body.len() <= 1 && take < outq.len().min(BATCH_MAX_FRAMES) {
+                let sz = SUPER_RECORD_HEADER + outq[take].len;
+                if outq[take].body.len() > 1 || raw + sz > BATCH_MAX_RAW {
                     break;
                 }
                 raw += sz;
                 take += 1;
             }
-            let records: Vec<(u32, u64, &[u8])> = outq
-                .iter()
-                .take(take)
-                .map(|f| (f.to, f.seq, &f.body[..]))
-                .collect();
-            let batch = encode_batch(&records, WireCodec::None);
-            let wire = batch.bytes.len() as u64;
-            let raw_total = batch.raw_payload as u64;
-            let plain: u64 = records
-                .iter()
-                .map(|(_, _, b)| (FRAME_HEADER + b.len() + FRAME_TRAILER) as u64)
-                .sum();
-            let ship_raw: u64 = records
-                .iter()
-                .filter(|(to, _, b)| is_ship(*to, b))
-                .map(|(_, _, b)| b.len() as u64)
-                .sum();
-            for (to, _, body) in &records {
-                stats.classify_delta(*to, body);
-            }
-            stats.frames_sent += batch.frames as u64;
+            let ship_raw: u64 = outq.iter().take(take).map(|f| stats.sending(f)).sum();
+            let last_seq = outq[take - 1].seq;
+            let (wire, raw_total) = if take == 1 {
+                let f = outq.pop_front().expect("the head was just looked at");
+                let check = f.check.unwrap_or_else(|| body_check(&f.body));
+                let [header, trailer] = ends(f.to, f.seq, f.len, check);
+                out.set(
+                    [header].into_iter().chain(f.body).chain([trailer]),
+                    last_seq,
+                );
+                (FRAME_HEADER + f.len + FRAME_TRAILER, f.len)
+            } else {
+                let records: Vec<(u32, u64, &[u8])> = outq
+                    .iter()
+                    .take(take)
+                    .map(|f| (f.to, f.seq, f.body.first().map_or(&[][..], |seg| &seg[..])))
+                    .collect();
+                let batch = encode_batch_acked(&records, ack);
+                let sizes = (batch.bytes.len(), batch.raw_payload);
+                outq.drain(..take);
+                out.set([Bytes::from(batch.bytes)], last_seq);
+                sizes
+            };
+            let (wire, raw_total) = (wire as u64, raw_total as u64);
             stats.bytes_sent += wire;
-            stats.plain_bytes += plain;
-            stats.ship_raw_bytes += ship_raw;
             if ship_raw > 0 {
                 // Apportion the flush's wire cost (bodies plus framing) to
                 // ship traffic by its share of the payload.
                 stats.ship_wire_bytes += (wire * ship_raw) / raw_total.max(1);
             }
-            if batch.frames >= 2 {
+            if take >= 2 {
                 stats.batch_flushes += 1;
-                let frames = batch.frames as u64;
+                let frames = take as u64;
                 rec.emit_with(obs_node, || EventKind::BatchFlush {
                     frames,
                     raw_bytes: raw_total,
                     wire_bytes: wire,
                 });
             }
-            let last_seq = outq[take - 1].seq;
-            outq.drain(..take);
-            out.set(batch.bytes, last_seq);
         }
     }
 }
@@ -516,6 +654,9 @@ struct LinkShared {
     stale_reported: AtomicBool,
     /// A clone of the attached socket, for severing from other threads.
     conn: Mutex<Option<TcpStream>>,
+    /// The reactor → node direction's replay ring, as of the last wake-up.
+    #[cfg(test)]
+    ring: RingGauge,
 }
 
 /// Reactor-local per-link state machine.
@@ -543,11 +684,17 @@ impl LinkState {
     /// that already holds a backlog is waiting for poll to report it
     /// writable, and one without a socket keeps the frame in its ring
     /// only, for the next socket.
-    fn enqueue(&mut self, at: (u32, usize), body: Bytes, to_flush: &mut Vec<(u32, usize)>) {
+    fn enqueue(
+        &mut self,
+        at: (u32, usize),
+        body: Vec<Bytes>,
+        check: Option<u64>,
+        to_flush: &mut Vec<(u32, usize)>,
+    ) {
         if self.stream.is_some() && !self.tx.backlog() {
             to_flush.push(at);
         }
-        self.tx.enqueue(at.1 as u32, body);
+        self.tx.enqueue(at.1 as u32, body, check);
     }
 }
 
@@ -568,7 +715,7 @@ enum Cmd {
     Send {
         job: u32,
         to: usize,
-        body: Vec<u8>,
+        body: Vec<Bytes>,
     },
     /// Detach `job`'s links, emit its wire stats, and drop its reactor
     /// state; `done` acknowledges so the caller can drain the job's
@@ -670,6 +817,8 @@ impl Router {
                 last_recv: AtomicU64::new(0),
                 stale_reported: AtomicBool::new(false),
                 conn: Mutex::new(None),
+                #[cfg(test)]
+                ring: RingGauge::default(),
             })
             .collect();
         let shared = Arc::new(JobShared {
@@ -934,6 +1083,8 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
         for (&job, jl) in jobs.iter_mut() {
             let links = jl.shared.links.iter().zip(&mut jl.links);
             for (node, (shared, ls)) in links.enumerate() {
+                #[cfg(test)]
+                shared.ring.publish(&ls.tx.ring);
                 if let Some(stream) = &ls.stream {
                     let events = if ls.tx.backlog() {
                         POLLIN | POLLOUT
@@ -988,7 +1139,7 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                         }
                     }
                     if let Some(ls) = jobs.get_mut(&job).and_then(|jl| jl.links.get_mut(to)) {
-                        ls.enqueue((job, to), Bytes::from(body), &mut to_flush);
+                        ls.enqueue((job, to), body, None, &mut to_flush);
                     }
                 }
                 Some(Cmd::Deregister { job, done }) => {
@@ -1135,17 +1286,13 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
             let Some(stream) = ls.stream.as_mut() else {
                 continue;
             };
-            let dead = match stream.read(&mut rdbuf) {
+            let dead = match ls.dec.read_from(stream, &mut rdbuf) {
                 Ok(0) => true,
                 Ok(k) => {
                     jl.stats.bytes_recv += k as u64;
-                    ls.dec.feed(&rdbuf[..k]);
                     loop {
                         match ls.dec.next_frame() {
-                            Ok(Some(frame)) => {
-                                jl.stats.frames_recv += 1;
-                                inbound.push((job, node, frame));
-                            }
+                            Ok(Some(frame)) => inbound.push((job, node, frame)),
                             Ok(None) => break false,
                             Err(_) => break true,
                         }
@@ -1165,21 +1312,31 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
             let Some(jl) = jobs.get_mut(&job) else {
                 continue;
             };
-            let shared = &jl.shared.links[from];
+            let (shared, rx) = (&jl.shared.links[from], &mut jl.links[from]);
+            rx.tx.received(&frame);
+            if frame.seq == 0 {
+                continue; // bodiless: its acknowledgement was all of it
+            }
+            jl.stats.frames_recv += 1;
             let prev = shared.last_recv.fetch_max(frame.seq, Ordering::SeqCst);
             if prev >= frame.seq {
                 continue; // replay duplicate
+            }
+            // An idle link owes the sender word that this much arrived.
+            if rx.stream.is_some() && rx.tx.ack_due() && !rx.tx.backlog() {
+                to_flush.push((job, from));
             }
             if frame.to == DRIVER_DEST {
                 match decode_event(&frame.body) {
                     Ok(ev) => {
                         let _ = jl.shared.event_tx.send(ev);
                     }
-                    Err(_) => detach_link(shared, &mut jl.links[from]),
+                    Err(_) => detach_link(shared, rx),
                 }
             } else if let Some(ls) = jl.links.get_mut(frame.to as usize) {
+                // Relayed as verified: the same allocation, the same trailer.
                 let at = (job, frame.to as usize);
-                ls.enqueue(at, Bytes::from(frame.body), &mut to_flush);
+                ls.enqueue(at, vec![frame.body], frame.check, &mut to_flush);
             }
         }
 
@@ -1192,10 +1349,8 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
             let Some(stream) = ls.stream.as_mut() else {
                 continue;
             };
-            if !ls
-                .tx
-                .flush(stream, &mut jl.stats, &jl.shared.rec, DRIVER_NODE)
-            {
+            let ack = shared.last_recv.load(Ordering::SeqCst);
+            if !(ls.tx).flush(stream, ack, &mut jl.stats, &jl.shared.rec, DRIVER_NODE) {
                 detach_link(shared, ls);
             }
         }
@@ -1234,7 +1389,7 @@ enum EpMsg {
     /// Encoded body for `to` (framed/sequenced by the endpoint loop).
     Frame {
         to: u32,
-        body: Vec<u8>,
+        body: Vec<Bytes>,
     },
     Shutdown,
 }
@@ -1256,6 +1411,9 @@ pub(crate) struct Endpoint {
     /// counterpart of [`TickStats::count`], kept for the tests only.
     #[cfg(test)]
     wakeups: AtomicU64,
+    /// The node → reactor direction's replay ring, as of the last wake-up.
+    #[cfg(test)]
+    ring: RingGauge,
     shutdown: AtomicBool,
     /// Set by [`Endpoint::linger`]: a dead socket ends the loop instead of
     /// starting a redial.
@@ -1291,6 +1449,8 @@ impl Endpoint {
             waker: Waker::new().expect("endpoint wake pipe"),
             #[cfg(test)]
             wakeups: AtomicU64::new(0),
+            #[cfg(test)]
+            ring: RingGauge::default(),
             shutdown: AtomicBool::new(false),
             lingering: AtomicBool::new(false),
             last_recv: AtomicU64::new(0),
@@ -1481,7 +1641,7 @@ fn endpoint_loop(
         loop {
             match next {
                 Some(EpMsg::Shutdown) => break 'main,
-                Some(EpMsg::Frame { to, body }) => tx.enqueue(to, Bytes::from(body)),
+                Some(EpMsg::Frame { to, body }) => tx.enqueue(to, body, None),
                 None => break,
             }
             next = rx.try_recv().ok();
@@ -1492,24 +1652,27 @@ fn endpoint_loop(
         // closed router all land here at once.)
         let mut alive = true;
         if fds[1].readable() {
-            alive = match s.read(&mut rdbuf) {
+            alive = match dec.read_from(s, &mut rdbuf) {
                 Ok(0) => false,
                 Ok(k) => {
                     stats.bytes_recv += k as u64;
-                    dec.feed(&rdbuf[..k]);
-                    deliver_frames(&ep, &mut dec, &mut stats)
+                    deliver_frames(&ep, &mut dec, &mut tx, &mut stats)
                 }
                 Err(e) => matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
             };
         }
 
-        // --- batched flush: new frames on an idle link, or writable ---
-        if alive && (fds[1].writable() || (!had_backlog && tx.backlog())) {
-            alive = tx.flush(s, &mut stats, &ep.rec, ep.obs_node());
+        // --- flush: writable, or an idle link with something to say ---
+        // (new frames, or an acknowledgement that has come due).
+        if alive && (fds[1].writable() || (!had_backlog && (tx.backlog() || tx.ack_due()))) {
+            let ack = ep.last_recv.load(Ordering::SeqCst);
+            alive = tx.flush(s, ack, &mut stats, &ep.rec, ep.obs_node());
         }
         if !alive {
             detach_endpoint(&ep, &mut stream, &mut tx);
         }
+        #[cfg(test)]
+        ep.ring.publish(&tx.ring);
     }
     stats.emit(&ep.rec, ep.obs_node());
     detach_endpoint(&ep, &mut stream, &mut tx);
@@ -1526,15 +1689,24 @@ fn detach_endpoint(ep: &Endpoint, stream: &mut Option<TcpStream>, tx: &mut SendS
 }
 
 /// Hand every complete frame in `dec` to the node's inbox, dropping replay
-/// duplicates. Returns `false` when the stream is corrupt — the caller
-/// detaches.
-fn deliver_frames(ep: &Endpoint, dec: &mut FrameDecoder, stats: &mut WireStats) -> bool {
+/// duplicates; `tx` takes the acknowledgements they carry. Returns `false`
+/// when the stream is corrupt — the caller detaches.
+fn deliver_frames(
+    ep: &Endpoint,
+    dec: &mut FrameDecoder,
+    tx: &mut SendSide,
+    stats: &mut WireStats,
+) -> bool {
     loop {
         let frame = match dec.next_frame() {
             Ok(Some(frame)) => frame,
             Ok(None) => return true,
             Err(_) => return false,
         };
+        tx.received(&frame);
+        if frame.seq == 0 {
+            continue; // bodiless: its acknowledgement was all of it
+        }
         let prev = ep.last_recv.fetch_max(frame.seq, Ordering::SeqCst);
         if prev >= frame.seq {
             continue; // replay duplicate
@@ -1666,6 +1838,30 @@ mod tests {
         }
     }
 
+    /// A record whose body is three segments — a run, the shared payload,
+    /// a run — so its frame leaves as five parts.
+    fn install_msg(iteration: u64, payload: Vec<u8>) -> Net {
+        let checkpoint = acr_core::Checkpoint::new(iteration, Bytes::from(payload), iteration);
+        assert_eq!(
+            encode_net(&Net::Install {
+                checkpoint: checkpoint.clone()
+            })
+            .len(),
+            3
+        );
+        Net::Install { checkpoint }
+    }
+
+    /// Poll `cond` until it holds (the loops publish their state a
+    /// wake-up after the fact).
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "never happened: {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
     /// Wake-ups the reactor records over `window` of doing nothing.
     fn idle_wakeups(router: &Router, window: Duration) -> u64 {
         let before = router.tick_stats().count();
@@ -1744,8 +1940,10 @@ mod tests {
         router.shutdown();
     }
 
-    /// (c) Backpressure without spinning: 64 MiB pushed at a peer that
-    /// takes 64 KiB every 2 ms. Every byte arrives in order; the reactor
+    /// (c) Backpressure without spinning: 64 MiB, each frame a body of three
+    /// segments, pushed at a peer that takes 64 KiB every 2 ms — so nearly
+    /// every vectored write is partial and resumes mid-segment. Every byte
+    /// arrives in order; the reactor
     /// wakes when the socket has room again — a small multiple of the
     /// peer's reads, not a busy loop on `POLLOUT` — and once the backlog
     /// is gone it stops asking for `POLLOUT` and goes idle.
@@ -1757,7 +1955,7 @@ mod tests {
         let mut peer = raw_link(&router, 0);
         let before = router.tick_stats().count();
         for tag in 0..FRAMES {
-            router.send_net(0, 0, &app_msg(tag, vec![tag as u8; FRAME_BYTES]));
+            router.send_net(0, 0, &install_msg(tag, vec![tag as u8; FRAME_BYTES]));
         }
         let mut dec = FrameDecoder::new();
         let mut buf = vec![0u8; 64 * 1024];
@@ -1771,10 +1969,10 @@ mod tests {
                 got += 1;
                 assert_eq!(frame.seq, got, "frames arrive in sequence");
                 match decode_net(&frame.body).expect("decodes") {
-                    Net::App { msg, .. } => {
-                        assert_eq!(msg.tag, got - 1);
-                        assert_eq!(msg.data.len(), FRAME_BYTES);
-                        assert!(msg.data.iter().all(|&b| b == msg.tag as u8));
+                    Net::Install { checkpoint: c } => {
+                        assert_eq!((c.iteration, c.digest), (got - 1, got - 1));
+                        assert_eq!(c.payload.len(), FRAME_BYTES);
+                        assert!(c.payload.iter().all(|&b| b == c.iteration as u8));
                     }
                     other => panic!("unexpected record {other:?}"),
                 }
@@ -1929,7 +2127,8 @@ mod tests {
 
     /// (f) A socket severed while both loops are parked: the endpoint
     /// redials and nothing is lost or repeated in either direction —
-    /// including a frame larger than `REPLAY_RING_BYTES`, cut mid-write.
+    /// including a frame larger than `REPLAY_RING_BYTES`, its body three
+    /// segments, cut mid-write: it arrives once, intact, in its place.
     #[test]
     fn sever_while_parked_replays_losslessly_even_an_oversized_frame() {
         const BIG: usize = REPLAY_RING_BYTES + (1 << 20);
@@ -1944,23 +2143,23 @@ mod tests {
         router.send_net(0, 0, &app_msg(1, vec![1]));
         ep.send_event(&Event::Pong { node: 0, token: 1 });
         // The big frame takes many writes; sever again in the middle.
-        router.send_net(0, 0, &app_msg(2, vec![0xB5; BIG]));
+        router.send_net(0, 0, &install_msg(2, vec![0xB5; BIG]));
         std::thread::sleep(Duration::from_millis(5));
         router.sever(0, 0);
         router.send_net(0, 0, &app_msg(3, vec![3]));
         ep.send_event(&Event::Pong { node: 0, token: 2 });
 
-        for (tag, len) in [(1u64, 1usize), (2, BIG), (3, 1)] {
+        for tag in [1u64, 2, 3] {
             match inbox
                 .recv_timeout(Duration::from_secs(30))
                 .expect("delivery")
             {
                 Net::App { msg, .. } => {
-                    assert_eq!((msg.tag, msg.data.len()), (tag, len));
-                    assert!(msg
-                        .data
-                        .iter()
-                        .all(|&b| b == if tag == 2 { 0xB5 } else { tag as u8 }));
+                    assert_eq!((msg.tag, &msg.data[..]), (tag, &[tag as u8][..]))
+                }
+                Net::Install { checkpoint: c } => {
+                    assert_eq!((tag, c.iteration, c.payload.len()), (2, 2, BIG));
+                    assert!(c.payload.iter().all(|&b| b == 0xB5));
                 }
                 other => panic!("unexpected delivery {other:?}"),
             }
@@ -1984,82 +2183,102 @@ mod tests {
         router.shutdown();
     }
 
-    /// (g) The replay ring's bounds: written frames evict by bytes and by
-    /// count, oldest first; unwritten frames never do while a socket may
+    /// (g) The replay ring is the unacknowledged window: acknowledged frames
+    /// leave, and only those; unwritten frames never do while a socket may
     /// still carry them; a reconnect's high-water mark drops what the peer
-    /// holds and un-writes the rest; a stale link sheds to the bounds.
+    /// holds and un-writes the rest; `shed` bounds a stale link.
     #[test]
     fn replay_ring_evicts_written_frames_only() {
         let frame = |seq: u64, len: usize| OutFrame {
             to: 0,
             seq,
-            body: Bytes::from(vec![0u8; len]),
+            body: vec![Bytes::from(vec![0u8; len])],
+            len,
+            check: None,
         };
         const MIB: usize = 1 << 20;
         let cap = REPLAY_RING_BYTES / MIB;
 
-        // Unwritten: twice the byte bound stays, in full.
+        // Writing evicts nothing, however much is written: only the peer's
+        // word does.
         let mut ring = ReplayRing::default();
         for seq in 1..=2 * cap as u64 {
             ring.push(frame(seq, MIB));
         }
-        assert_eq!(ring.frames.len(), 2 * cap);
-        // Written: a frame goes once the byte bound has been written
-        // behind it; nothing unwritten goes.
-        ring.mark_written(cap as u64 + 8);
-        assert_eq!(ring.frames.front().map(|f| f.seq), Some(9));
-        assert_eq!(ring.frames.len(), 2 * cap - 8);
         ring.mark_written(2 * cap as u64);
-        assert_eq!(ring.frames.front().map(|f| f.seq), Some(cap as u64 + 1));
-        assert_eq!(ring.written_bytes, REPLAY_RING_BYTES);
+        assert_eq!((ring.frames.len(), ring.written), (2 * cap, 2 * cap));
+        assert_eq!(ring.bytes, 2 * REPLAY_RING_BYTES);
+        // Acknowledged frames leave, oldest first, and nothing newer.
+        ring.acknowledge(8);
+        assert_eq!(ring.frames.front().map(|f| f.seq), Some(9));
+        assert_eq!(
+            (ring.frames.len(), ring.written),
+            (2 * cap - 8, 2 * cap - 8)
+        );
+        ring.acknowledge(8);
+        assert_eq!(ring.frames.len(), 2 * cap - 8, "a repeated ack is a no-op");
+        ring.acknowledge(u64::MAX);
+        assert_eq!((ring.frames.len(), ring.written, ring.bytes), (0, 0, 0));
 
-        // One frame larger than the whole bound survives being written,
-        // until enough newer bytes are written behind it.
+        // An unwritten frame is never acknowledged away: whatever the
+        // header claimed, this socket has not carried it.
         let mut ring = ReplayRing::default();
-        ring.push(frame(1, REPLAY_RING_BYTES + MIB));
-        ring.mark_written(1);
-        assert_eq!(ring.frames.len(), 1);
-        ring.push(frame(2, REPLAY_RING_BYTES));
-        assert_eq!(ring.frames.len(), 2, "an unwritten frame evicts nothing");
-        ring.mark_written(2);
-        assert_eq!(ring.frames.front().map(|f| f.seq), Some(2));
-
-        // The frame-count bound, with bodies too small for the byte bound.
-        let mut ring = ReplayRing::default();
-        for seq in 1..=(REPLAY_RING_FRAMES as u64 + 100) {
+        for seq in 1..=10 {
             ring.push(frame(seq, 8));
         }
-        assert_eq!(ring.frames.len(), REPLAY_RING_FRAMES + 100);
-        ring.mark_written(REPLAY_RING_FRAMES as u64 + 50);
-        assert_eq!(ring.frames.len(), REPLAY_RING_FRAMES + 50);
-        assert_eq!(ring.frames.front().map(|f| f.seq), Some(51));
+        ring.mark_written(4);
+        ring.acknowledge(7);
+        assert_eq!(ring.frames.front().map(|f| f.seq), Some(5));
+        assert_eq!((ring.frames.len(), ring.written), (6, 0));
 
         // Reattach: acknowledged frames go, the rest replays as unwritten.
-        let replay = ring.reattach(REPLAY_RING_FRAMES as u64);
-        assert_eq!(replay.len(), 100);
+        ring.mark_written(8);
+        let replay = ring.reattach(6);
         assert_eq!(
-            replay.front().map(|f| f.seq),
-            Some(REPLAY_RING_FRAMES as u64 + 1)
+            replay.iter().map(|f| f.seq).collect::<Vec<_>>(),
+            [7, 8, 9, 10]
         );
-        assert_eq!((ring.written_frames, ring.written_bytes), (0, 0));
-        assert_eq!(ring.frames.len(), 100);
+        assert_eq!((ring.frames.len(), ring.written, ring.bytes), (4, 0, 32));
+
+        // A bodiless frame acknowledges, and is owed nothing in return.
+        let mut tx = SendSide {
+            attached: true,
+            ..SendSide::default()
+        };
+        tx.enqueue(0, vec![Bytes::from(vec![0u8; MIB])], None);
+        tx.ring.mark_written(1);
+        let bodiless = Frame {
+            to: 0,
+            seq: 0,
+            ack: 1,
+            body: Bytes::new(),
+            check: None,
+        };
+        for _ in 0..4 {
+            tx.received(&bodiless);
+        }
+        assert_eq!((tx.ring.frames.len(), tx.unacked), (0, 0));
+        assert!(!tx.ack_due());
 
         // A link without a socket queues into its ring only (the next
         // socket is fed from there), and keeps everything...
         let mut tx = SendSide::default();
         for _ in 0..2 * cap {
-            tx.enqueue(0, Bytes::from(vec![0u8; MIB]));
+            tx.enqueue(0, vec![Bytes::from(vec![0u8; MIB])], None);
         }
         assert!(
             !tx.backlog(),
             "nothing is queued for a socket that is not there"
         );
         assert_eq!(tx.ring.frames.len(), 2 * cap);
-        // ...until it is reported stale: then the bounds apply to all of
-        // it, newest kept, and a late reconnect replays what is left.
+        // ...until it is reported stale: then the byte bound applies to all
+        // of it, newest kept, and a late reconnect replays what is left.
         tx.ring.shed();
-        assert_eq!(tx.ring.frames.len(), cap);
-        tx.enqueue(0, Bytes::from(vec![0u8; MIB]));
+        assert_eq!(
+            (tx.ring.frames.len(), tx.ring.bytes),
+            (cap, REPLAY_RING_BYTES)
+        );
+        tx.enqueue(0, vec![Bytes::from(vec![0u8; MIB])], None);
         tx.ring.shed();
         assert_eq!(tx.ring.frames.len(), cap);
         assert_eq!(
@@ -2068,7 +2287,190 @@ mod tests {
         );
         tx.reattach(0, Vec::new());
         assert_eq!(tx.outq.len(), cap);
-        assert_eq!(tx.ring.written_frames, 0);
+        assert_eq!(tx.ring.written, 0);
+        // One frame larger than the whole bound survives a shed on its own.
+        let mut ring = ReplayRing::default();
+        ring.push(frame(1, MIB));
+        ring.push(frame(2, REPLAY_RING_BYTES + MIB));
+        ring.shed();
+        assert_eq!(ring.frames.iter().map(|f| f.seq).collect::<Vec<_>>(), [2]);
+        ring.shed();
+        assert_eq!(ring.frames.len(), 1);
+    }
+
+    /// (h) Parts leave in order whatever the socket takes per call: a
+    /// writer that accepts `n` bytes at a time, for every `n`, sees exactly
+    /// the concatenation — partial writes resume mid-part, more parts than
+    /// one `writev` takes go in several, empty parts are never offered.
+    #[test]
+    fn send_buf_resumes_mid_part_at_every_split() {
+        struct Trickle {
+            per_call: usize,
+            got: Vec<u8>,
+        }
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.write_vectored(&[IoSlice::new(buf)])
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+                assert!(bufs.len() <= MAX_IOV);
+                assert!(bufs.iter().all(|b| !b.is_empty()), "an empty part");
+                let all: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+                let k = all.len().min(self.per_call);
+                self.got.extend_from_slice(&all[..k]);
+                Ok(k)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let sizes = [28usize, 0, 18, 300, 1, 0, 45, 8];
+        let parts: Vec<Bytes> = (sizes.iter().cycle().take(3 * MAX_IOV).enumerate())
+            .map(|(i, &n)| Bytes::from(vec![i as u8; n]))
+            .collect();
+        let whole: Vec<u8> = parts.iter().flat_map(|p| p.iter().copied()).collect();
+        for per_call in (1..=64).chain([299, 300, 301, whole.len()]) {
+            let mut out = SendBuf::default();
+            out.set(parts.iter().cloned(), 7);
+            let mut w = Trickle {
+                per_call,
+                got: Vec::new(),
+            };
+            assert!(out.write_to(&mut w).expect("no error"), "drained");
+            assert!(out.is_empty());
+            assert_eq!(w.got, whole, "{per_call} bytes per call");
+        }
+        // A socket that would block leaves the cursor where it stopped.
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(ErrorKind::WouldBlock.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = SendBuf::default();
+        out.set(parts.iter().cloned(), 7);
+        out.advance(30);
+        assert!(!out
+            .write_to(&mut Full)
+            .expect("would block is not an error"));
+        assert_eq!((out.off, out.last_seq), (2, 7));
+    }
+
+    /// (i) Acknowledgements empty the rings: after one Compare /
+    /// CompareResult round trip through the router, neither sender of the
+    /// shipped megabyte — the node's endpoint, the router's link to the
+    /// buddy — holds a frame (the receivers said so with bodiless frames);
+    /// the small frames that flowed back are released by the next thing
+    /// their receivers send, as the round's closing control traffic does.
+    #[test]
+    fn a_round_trip_leaves_the_rings_empty() {
+        const STATE: usize = 1 << 20;
+        let (router, events) = router_with_job(2, Duration::from_secs(600));
+        let (ep0, inbox0) = endpoint(&router, 0);
+        let (ep1, inbox1) = endpoint(&router, 1);
+        let links = &router.job(0).expect("registered").links;
+
+        let payload = Bytes::from(vec![0x5A; STATE]);
+        ep0.send_net(
+            1,
+            &Net::Compare {
+                iteration: 7,
+                detection: acr_core::Detection::Payload(payload.clone()),
+            },
+        );
+        match inbox1
+            .recv_timeout(Duration::from_secs(10))
+            .expect("compare")
+        {
+            Net::Compare {
+                iteration: 7,
+                detection: acr_core::Detection::Payload(got),
+            } => assert_eq!(got, payload),
+            other => panic!("unexpected delivery {other:?}"),
+        }
+        ep1.send_net(
+            0,
+            &Net::CompareResult {
+                iteration: 7,
+                clean: true,
+            },
+        );
+        match inbox0
+            .recv_timeout(Duration::from_secs(10))
+            .expect("verdict")
+        {
+            Net::CompareResult {
+                iteration: 7,
+                clean: true,
+            } => {}
+            other => panic!("unexpected delivery {other:?}"),
+        }
+        eventually("the shipping endpoint's ring is acknowledged empty", || {
+            ep0.ring.frames() == 0
+        });
+        eventually(
+            "the router's ring toward the buddy is acknowledged empty",
+            || links[1].ring.frames() == 0,
+        );
+        // The verdict's two hops are a few bytes each: they wait for the
+        // next frame the other way, which closing a round provides — the
+        // driver's word to each node, then each node's report back.
+        for (node, ep, inbox) in [(0, &ep0, &inbox0), (1, &ep1, &inbox1)] {
+            router.send_net(0, node, &Net::Ctrl(crate::message::Ctrl::RoundComplete));
+            inbox.recv_timeout(Duration::from_secs(10)).expect("ctrl");
+            ep.send_event(&Event::Pong { node, token: 0 });
+            events.recv_timeout(Duration::from_secs(10)).expect("pong");
+        }
+        eventually("everything the router sent is acknowledged", || {
+            links[0].ring.frames() == 0 && links[1].ring.frames() == 0
+        });
+        // Only the two pongs still wait for the router's next word.
+        eventually("each endpoint holds just its pong", || {
+            (ep0.ring.frames(), ep1.ring.frames()) == (1, 1)
+        });
+        assert!(ep0.ring.bytes() + ep1.ring.bytes() < 64);
+        ep0.shutdown();
+        ep1.shutdown();
+        router.shutdown();
+    }
+
+    /// (j) One-way bulk is acknowledged by bodiless frames: 64 MiB pushed
+    /// at an endpoint that never sends a message keeps the sender's ring at
+    /// a frame or two in flight, not 32 MiB, and leaves it empty — and a
+    /// bodiless frame is never answered with one, so both loops go idle
+    /// once the transfer is through.
+    #[test]
+    fn one_way_bulk_is_acknowledged_by_bodiless_frames() {
+        const FRAMES: u64 = 64;
+        const FRAME_BYTES: usize = 1 << 20;
+        let (router, _events) = router_with_job(1, Duration::from_secs(600));
+        let (ep, inbox) = endpoint(&router, 0);
+        let ring = &router.job(0).expect("registered").links[0].ring;
+        let mut peak = 0;
+        for tag in 0..FRAMES {
+            router.send_net(0, 0, &install_msg(tag, vec![tag as u8; FRAME_BYTES]));
+            match inbox.recv_timeout(Duration::from_secs(10)).expect("frame") {
+                Net::Install { checkpoint: c } => assert_eq!(c.iteration, tag),
+                other => panic!("unexpected delivery {other:?}"),
+            }
+            peak = peak.max(ring.bytes());
+        }
+        eventually("the last frame is acknowledged", || ring.frames() == 0);
+        println!("one-way bulk: sender's ring peaked at {peak} bytes");
+        assert!(peak < 4 * FRAME_BYTES, "ring held {peak} bytes");
+        assert_eq!(ep.ring.frames(), 0, "the receiver sent no message");
+        let ep_before = ep.wakeups.load(Ordering::Relaxed);
+        let reactor_wakeups = idle_wakeups(&router, QUIET);
+        let ep_wakeups = ep.wakeups.load(Ordering::Relaxed) - ep_before;
+        assert!(
+            reactor_wakeups <= 5 && ep_wakeups <= 5,
+            "acknowledgements echo: reactor woke {reactor_wakeups}x, endpoint {ep_wakeups}x"
+        );
+        ep.shutdown();
+        router.shutdown();
     }
 
     /// The acceptance criterion for the reactor design: driver-side
@@ -2122,43 +2524,30 @@ mod tests {
         router.shutdown();
     }
 
-    /// A v4 dialer (25-byte hello carrying the codec mask, version 4) is
-    /// refused at the handshake: the reactor reads the hello at today's
-    /// length, fails the version check, and closes the socket — no
-    /// welcome, no link.
+    /// A v5 dialer (the same 24-byte hello, version 5, no `ack` in its
+    /// frame headers) is refused at the handshake: the reactor fails the
+    /// version check and closes the socket — no welcome, no link.
     #[test]
-    fn v4_hello_is_refused_at_the_handshake() {
-        let (event_tx, _event_rx) = unbounded();
-        let router = Router::spawn(None).expect("router binds");
-        router
-            .register_job(
-                0,
-                1,
-                event_tx,
-                Recorder::disabled(),
-                test_welcome(1),
-                Duration::from_secs(600),
-            )
-            .expect("register job");
-        let mut v4 = encode_hello(&Hello {
+    fn v5_hello_is_refused_at_the_handshake() {
+        let (router, _events) = router_with_job(1, Duration::from_secs(600));
+        let mut v5 = encode_hello(&Hello {
             job: 0,
             node: 0,
             last_recv_seq: 0,
         });
-        v4[4..8].copy_from_slice(&4u32.to_le_bytes());
-        v4.push(0b111);
+        v5[4..8].copy_from_slice(&5u32.to_le_bytes());
         assert_eq!(
-            decode_hello(&v4[..HELLO_LEN]),
-            Err(crate::wire::WireError::BadVersion(4))
+            decode_hello(&v5),
+            Err(crate::wire::WireError::BadVersion(5))
         );
         let mut s = TcpStream::connect(router.local_addr()).expect("connect");
-        s.write_all(&v4).expect("hello");
+        s.write_all(&v5).expect("hello");
         let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
         let mut one = [0u8; 1];
         assert_eq!(
             s.read(&mut one).unwrap_or(0),
             0,
-            "a v4 hello must get no welcome"
+            "a v5 hello must get no welcome"
         );
         assert_eq!(router.connected_links(), 0);
         router.shutdown();
@@ -2230,7 +2619,10 @@ mod tests {
         );
 
         // Driver-bound events route to their own job's channel.
-        let ping = crate::wire::encode_event(&Event::Pong { node: 0, token: 7 });
+        let ping = crate::wire::flatten(&crate::wire::encode_event(&Event::Pong {
+            node: 0,
+            token: 7,
+        }));
         a0.write_all(&crate::wire::encode_frame(DRIVER_DEST, 1, &ping))
             .expect("frame");
         let got = rx_a
@@ -2245,7 +2637,7 @@ mod tests {
         // Node-bound frames route within the sender's job namespace:
         // job 2's node 0 sending to node 1 reaches job 2's node 1 only.
         let body = encode_net(&Net::Ctrl(crate::message::Ctrl::Resume { floor: 0 }));
-        b0.write_all(&crate::wire::encode_frame(1, 1, &body))
+        b0.write_all(&crate::wire::encode_frame(1, 1, &body[0]))
             .expect("frame");
 
         router.deregister_job(1);

@@ -2,7 +2,7 @@
 //! Fletcher-64 body trailer, tag-byte codecs for the `message.rs` protocol
 //! enums, and the connect/accept handshake records.
 //!
-//! ## Frame format
+//! ## Frame format (wire version 6)
 //!
 //! Every message crossing a socket travels in one frame (all integers
 //! little-endian):
@@ -12,6 +12,7 @@
 //! len     u32   body length in bytes (≤ MAX_FRAME_BODY)
 //! to      u32   destination node index; DRIVER_DEST for the driver
 //! seq     u64   per-link-direction sequence number, starting at 1
+//! ack     u64   highest seq the sender has received on this link
 //! body    [u8; len]   tag-byte-encoded Net or Event
 //! check   u64   fletcher64(body)
 //! ```
@@ -21,6 +22,19 @@
 //! highest `seq` each side has *received* so the peer can replay exactly the
 //! frames the dead socket swallowed. Receivers drop `seq` values they have
 //! already seen (replayed duplicates).
+//!
+//! `ack` is the same high-water mark, carried on every frame instead of
+//! only at the handshake: the frames at or below it have arrived and been
+//! handed on, so the peer's replay ring lets go of them. It is read when
+//! the frame is assembled for the socket, not when the message was queued,
+//! and like `to` and `seq` it sits outside the checksum (a relayed body
+//! keeps its trailer while its header is rewritten per link).
+//!
+//! A link that receives but has nothing to say sends a *bodiless* frame:
+//! `len 0`, `seq 0`, `to 0`, only the `ack` meaningful. Sequence 0 is never
+//! assigned to a message, so such a frame is not kept for replay, not
+//! deduplicated, not dispatched, and — having no body — never owed an
+//! acknowledgement itself.
 //!
 //! ## Super-frames (batching)
 //!
@@ -32,6 +46,7 @@
 //! magic    u32   0x53524341 ("ACRS")
 //! len      u32   payload length (≤ MAX_FRAME_BODY)
 //! count    u16   number of sub-records inside (≥ 2 on encode, ≥ 1 on decode)
+//! ack      u64   as in a plain frame; every sub-record decodes with it
 //! payload  [u8; len]   concatenated sub-records
 //! check    u64   fletcher64(payload)
 //! ```
@@ -42,13 +57,25 @@
 //! (checkpoint-ship volume is cut by the §4.2 checksum and by delta
 //! checkpoints, both above this layer).
 //!
+//! ## Bodies are lists of shared segments
+//!
 //! The body codec is deliberately hand-rolled (no serde in the dependency
 //! tree): one tag byte per enum variant, fixed little-endian scalars,
-//! `u64`-length-prefixed byte strings.
+//! `u64`-length-prefixed byte strings. What it produces is not one buffer
+//! but a short list of [`Bytes`] *segments* whose concatenation is the
+//! body: small encoded runs, and every shared byte string of
+//! 4 KiB (`SEGMENT_MIN`) or more — a packed checkpoint, a delta window, a
+//! final task state — as a reference to the caller's own allocation. The
+//! checksum streams over the segments and the socket takes them in one
+//! vectored write, so a shipped checkpoint is never copied on its way out.
+//! On the way in, [`FrameDecoder::read_from`] receives a large plain
+//! frame's body into an allocation of its own size, and the body decoders
+//! return those byte strings as slices of it.
 
 use acr_core::{Checkpoint, ChunkTable, ConsensusMsg, Detection, DetectionMethod};
-use acr_pup::fletcher64;
+use acr_pup::{fletcher64, Fletcher64};
 use bytes::Bytes;
+use std::io::Read;
 
 use crate::message::{AppMsg, Ctrl, Event, Net, NodeFault, Scope, TaskId};
 
@@ -66,19 +93,20 @@ pub const WELCOME_MAGIC: u32 = u32::from_le_bytes(*b"ACRW");
 /// which a multi-job reactor uses to route the link into its job's
 /// namespace; version 5 removed the payload codecs (the hello's codec mask,
 /// the welcome's codec byte, the super-frame header's codec and raw-length
-/// fields). Peers of any other version are refused at the handshake.
-pub const WIRE_VERSION: u32 = 5;
+/// fields); version 6 added the `ack` field to both frame headers. Peers of
+/// any other version are refused at the handshake.
+pub const WIRE_VERSION: u32 = 6;
 /// `to` value addressing the driver rather than a node.
 pub const DRIVER_DEST: u32 = u32::MAX;
 /// Upper bound on a frame body; anything larger is a corrupt length field.
 pub const MAX_FRAME_BODY: usize = 256 << 20;
 
-/// Frame header bytes ahead of the body (magic + len + to + seq).
-pub const FRAME_HEADER: usize = 4 + 4 + 4 + 8;
+/// Frame header bytes ahead of the body (magic + len + to + seq + ack).
+pub const FRAME_HEADER: usize = 4 + 4 + 4 + 8 + 8;
 /// Trailer bytes after the body (the Fletcher-64 checksum).
 pub const FRAME_TRAILER: usize = 8;
-/// Super-frame header bytes (magic + len + count).
-pub const SUPER_HEADER: usize = 4 + 4 + 2;
+/// Super-frame header bytes (magic + len + count + ack).
+pub const SUPER_HEADER: usize = 4 + 4 + 2 + 8;
 /// Per-sub-frame overhead inside a super-frame payload (to + seq + len).
 pub const SUPER_RECORD_HEADER: usize = 4 + 8 + 4;
 /// Encoded hello length (fixed): magic, version, job, node, last_recv.
@@ -90,6 +118,20 @@ pub const HELLO_LEN: usize = 4 + 4 + 4 + 4 + 8;
 /// delta-checkpoint enable flag and anchor interval added in wire
 /// version 3.
 pub const WELCOME_LEN: usize = 4 + 4 + 8 + 4 * 4 + 1 + 8 + 8 + 8 + 1 + 4;
+
+/// Shortest shared byte string that becomes a body segment of its own (a
+/// reference to the caller's allocation); anything shorter is copied into
+/// the encoded run around it. Below a page the copy is cheaper than another
+/// entry in the vectored write, and delta windows — one 4 KiB chunk each by
+/// default — are the smallest strings worth sharing.
+const SEGMENT_MIN: usize = 4096;
+
+/// Shortest plain-frame body that [`FrameDecoder`] receives into an
+/// allocation of its own, which then becomes the body, instead of copying
+/// it out of the stream buffer once complete. At one socket read
+/// (`tcp.rs` takes 64 KiB at a time) a smaller body has usually arrived
+/// whole, and copying it out keeps the stream buffer small.
+const OWN_ALLOC_MIN: usize = 64 << 10;
 
 /// A decoding failure. `Truncated` is only returned by the fixed-size
 /// handshake parsers and the body codecs; the incremental [`FrameDecoder`]
@@ -178,15 +220,89 @@ fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
     buf.extend_from_slice(v);
 }
 
-/// Cursor over a received body.
+/// A frame body under construction: the encoded run being written, and the
+/// segments finished so far. The `put_*` writers take `&mut w.run`.
+#[derive(Default)]
+struct BodyWriter {
+    segs: Vec<Bytes>,
+    run: Vec<u8>,
+}
+
+impl BodyWriter {
+    /// A length-prefixed shared byte string: by reference from
+    /// [`SEGMENT_MIN`] bytes up, copied into the run below that.
+    fn shared(&mut self, v: &Bytes) {
+        put_u64(&mut self.run, v.len() as u64);
+        if v.len() < SEGMENT_MIN {
+            self.run.extend_from_slice(v);
+        } else {
+            self.end_run();
+            self.segs.push(v.clone());
+        }
+    }
+
+    fn end_run(&mut self) {
+        if !self.run.is_empty() {
+            self.segs.push(Bytes::from(std::mem::take(&mut self.run)));
+        }
+    }
+
+    fn finish(mut self) -> Vec<Bytes> {
+        self.end_run();
+        self.segs
+    }
+}
+
+/// Total length of a segmented body.
+pub(crate) fn body_len(segs: &[Bytes]) -> usize {
+    segs.iter().map(Bytes::len).sum()
+}
+
+/// The frame checksum of a segmented body: Fletcher-64 streamed over the
+/// segments, equal to [`fletcher64`] of their concatenation.
+pub fn body_check(segs: &[Bytes]) -> u64 {
+    let mut f = Fletcher64::new();
+    for seg in segs {
+        f.update(seg);
+    }
+    f.digest()
+}
+
+/// A segmented body as one contiguous buffer, for the callers that want a
+/// `&[u8]` ([`encode_frame`], [`encode_batch`], the public compare-body
+/// pair). The runtime's own send path never flattens.
+pub(crate) fn flatten(segs: &[Bytes]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(body_len(segs));
+    for seg in segs {
+        buf.extend_from_slice(seg);
+    }
+    buf
+}
+
+/// Cursor over a received record.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The shared buffer `buf` is a view of, when there is one: byte
+    /// strings then come back as slices of it instead of copies.
+    backing: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            backing: None,
+        }
+    }
+    /// Over a received frame body, which [`shared`](Self::shared) slices.
+    fn over(body: &'a Bytes) -> Self {
+        Self {
+            buf: body,
+            pos: 0,
+            backing: Some(body),
+        }
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.buf.len() - self.pos < n {
@@ -218,6 +334,14 @@ impl<'a> Reader<'a> {
         }
         self.take(n)
     }
+    /// A length-prefixed byte string the message keeps as [`Bytes`].
+    fn shared(&mut self) -> Result<Bytes, WireError> {
+        let s = self.bytes()?;
+        Ok(match self.backing {
+            Some(body) => body.slice(self.pos - s.len()..self.pos),
+            None => Bytes::copy_from_slice(s),
+        })
+    }
     fn finish(self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -231,27 +355,58 @@ impl<'a> Reader<'a> {
 // Frame layer
 // ---------------------------------------------------------------------------
 
-/// One decoded frame: destination, link sequence number, opaque body.
+/// One decoded frame: destination, link sequence number, the sender's
+/// acknowledgement, opaque body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Destination node index, or [`DRIVER_DEST`].
     pub to: u32,
-    /// Per-link-direction sequence number (starts at 1).
+    /// Per-link-direction sequence number (starts at 1); 0 on a bodiless
+    /// acknowledgement frame.
     pub seq: u64,
+    /// Highest sequence the sender had received on this link when the
+    /// frame left (a super-frame's sub-records all carry its one value).
+    pub ack: u64,
     /// Tag-byte-encoded message body.
-    pub body: Vec<u8>,
+    pub body: Bytes,
+    /// The body's Fletcher-64 as the wire carried (and the decoder
+    /// verified) it: a plain frame's trailer. `None` for a super-frame's
+    /// sub-record, which only the batch's trailer covered. A relay passes
+    /// it on with the body instead of recomputing it.
+    pub check: Option<u64>,
 }
 
-/// Encode one frame ready for the socket.
-pub fn encode_frame(to: u32, seq: u64, body: &[u8]) -> Vec<u8> {
+/// The fixed-size ends of a plain frame around a body of `len` bytes whose
+/// Fletcher-64 is `check` — the one place the plain layout is written.
+pub(crate) fn frame_ends(
+    to: u32,
+    seq: u64,
+    ack: u64,
+    len: usize,
+    check: u64,
+) -> ([u8; FRAME_HEADER], [u8; FRAME_TRAILER]) {
+    let mut h = [0u8; FRAME_HEADER];
+    h[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+    h[4..8].copy_from_slice(&(len as u32).to_le_bytes());
+    h[8..12].copy_from_slice(&to.to_le_bytes());
+    h[12..20].copy_from_slice(&seq.to_le_bytes());
+    h[20..28].copy_from_slice(&ack.to_le_bytes());
+    (h, check.to_le_bytes())
+}
+
+fn plain_frame(to: u32, seq: u64, ack: u64, body: &[u8]) -> Vec<u8> {
+    let (header, trailer) = frame_ends(to, seq, ack, body.len(), fletcher64(body));
     let mut buf = Vec::with_capacity(FRAME_HEADER + body.len() + FRAME_TRAILER);
-    put_u32(&mut buf, FRAME_MAGIC);
-    put_u32(&mut buf, body.len() as u32);
-    put_u32(&mut buf, to);
-    put_u64(&mut buf, seq);
+    buf.extend_from_slice(&header);
     buf.extend_from_slice(body);
-    put_u64(&mut buf, fletcher64(body));
+    buf.extend_from_slice(&trailer);
     buf
+}
+
+/// Encode one frame, contiguous and ready for the socket, acknowledging
+/// nothing (`ack` 0).
+pub fn encode_frame(to: u32, seq: u64, body: &[u8]) -> Vec<u8> {
+    plain_frame(to, seq, 0, body)
 }
 
 /// The result of encoding one flush via [`encode_batch`].
@@ -266,18 +421,23 @@ pub struct EncodedBatch {
     pub frames: usize,
 }
 
-/// Encode one flush worth of frames for a single socket. A lone frame is a
-/// plain `"ACRF"` frame; two or more coalesce into a super-frame, whose
-/// per-record overhead (16 bytes) undercuts the 28-byte plain
-/// header+trailer — batching never costs bytes. Header and sub-records are
-/// written straight into the output buffer and checksummed in place.
-///
-/// The second parameter is ignored (see [`WireCodec`]).
+/// [`encode_batch_acked`] acknowledging nothing (`ack` 0). The second
+/// parameter is ignored (see [`WireCodec`]).
+pub fn encode_batch(records: &[(u32, u64, &[u8])], _codec: WireCodec) -> EncodedBatch {
+    encode_batch_acked(records, 0)
+}
+
+/// Encode one flush worth of frames for a single socket, contiguous. A lone
+/// frame is a plain `"ACRF"` frame; two or more coalesce into a
+/// super-frame, whose per-record overhead (16 bytes) undercuts the 36-byte
+/// plain header+trailer — batching never costs bytes. Header and
+/// sub-records are written straight into the output buffer and checksummed
+/// in place.
 ///
 /// The caller must keep the batch payload under [`MAX_FRAME_BODY`] and
 /// the frame count under `u16::MAX` (the reactor's flush loop splits
 /// batches long before either bound).
-pub fn encode_batch(records: &[(u32, u64, &[u8])], _codec: WireCodec) -> EncodedBatch {
+pub fn encode_batch_acked(records: &[(u32, u64, &[u8])], ack: u64) -> EncodedBatch {
     assert!(!records.is_empty(), "encode_batch of zero frames");
     assert!(
         records.len() <= u16::MAX as usize,
@@ -285,7 +445,7 @@ pub fn encode_batch(records: &[(u32, u64, &[u8])], _codec: WireCodec) -> Encoded
     );
     if let [(to, seq, body)] = *records {
         return EncodedBatch {
-            bytes: encode_frame(to, seq, body),
+            bytes: plain_frame(to, seq, ack, body),
             raw_payload: body.len(),
             frames: 1,
         };
@@ -302,6 +462,7 @@ pub fn encode_batch(records: &[(u32, u64, &[u8])], _codec: WireCodec) -> Encoded
     put_u32(&mut buf, SUPER_MAGIC);
     put_u32(&mut buf, payload_len as u32);
     buf.extend_from_slice(&(records.len() as u16).to_le_bytes());
+    put_u64(&mut buf, ack);
     for &(to, seq, body) in records {
         put_u32(&mut buf, to);
         put_u64(&mut buf, seq);
@@ -317,17 +478,39 @@ pub fn encode_batch(records: &[(u32, u64, &[u8])], _codec: WireCodec) -> Encoded
     }
 }
 
+/// A plain frame of [`OWN_ALLOC_MIN`] bytes or more whose body is still
+/// arriving: `buf` is the body plus its trailer, filled so far to `got`.
+#[derive(Debug)]
+struct Arriving {
+    to: u32,
+    seq: u64,
+    ack: u64,
+    buf: Vec<u8>,
+    got: usize,
+}
+
 /// Incremental frame decoder for a byte stream delivered in arbitrary
-/// chunks (partial reads, coalesced writes). Feed bytes as they arrive,
-/// then pull complete frames — a super-frame is unpacked transparently,
-/// its sub-frames queued and returned one at a time. Any error is fatal
-/// for the stream: the decoder stays poisoned and the connection should
-/// be dropped (a fresh connection starts a fresh decoder).
+/// chunks (partial reads, coalesced writes). Hand it bytes as they arrive —
+/// [`feed`](Self::feed) a slice, or let it [`read_from`](Self::read_from)
+/// the socket — then pull complete frames: a super-frame is unpacked
+/// transparently, its sub-frames queued and returned one at a time. Any
+/// error is fatal for the stream: the decoder stays poisoned and the
+/// connection should be dropped (a fresh connection starts a fresh
+/// decoder).
+///
+/// A plain frame of 64 KiB (`OWN_ALLOC_MIN`) or more that is met before its
+/// body has fully arrived gets an allocation of exactly its size; the rest
+/// of the body lands there directly and, once the trailer verifies, that
+/// allocation *is* [`Frame::body`]. Every other body — small frames,
+/// super-frame sub-records — is copied out of the stream buffer into a
+/// buffer of its own, so a few bytes of heartbeat never keep a larger
+/// buffer alive. The frames yielded are the same either way.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
     pos: usize,
-    poisoned: bool,
+    arriving: Option<Arriving>,
+    poisoned: Option<WireError>,
     pending: std::collections::VecDeque<Frame>,
 }
 
@@ -338,7 +521,14 @@ impl FrameDecoder {
     }
 
     /// Append received bytes.
-    pub fn feed(&mut self, data: &[u8]) {
+    pub fn feed(&mut self, mut data: &[u8]) {
+        if let Some(a) = &mut self.arriving {
+            let k = data.len().min(a.buf.len() - a.got);
+            a.buf[a.got..a.got + k].copy_from_slice(&data[..k]);
+            a.got += k;
+            data = &data[k..];
+        }
+        self.arrived();
         // Compact lazily: drop consumed prefix once it dominates the buffer.
         if self.pos > 4096 && self.pos * 2 > self.buf.len() {
             self.buf.drain(..self.pos);
@@ -347,8 +537,54 @@ impl FrameDecoder {
         self.buf.extend_from_slice(data);
     }
 
+    /// Take one `read` from `r`, of at most `scratch.len()` bytes: straight
+    /// into the arriving frame's own allocation when there is one, through
+    /// `scratch` into the stream buffer otherwise. Returns what `read` did
+    /// (`Ok(0)` is end of stream).
+    pub fn read_from(&mut self, r: &mut impl Read, scratch: &mut [u8]) -> std::io::Result<usize> {
+        let Some(a) = &mut self.arriving else {
+            let k = r.read(scratch)?;
+            self.feed(&scratch[..k]);
+            return Ok(k);
+        };
+        let end = a.buf.len().min(a.got + scratch.len());
+        let k = r.read(&mut a.buf[a.got..end])?;
+        a.got += k;
+        self.arrived();
+        Ok(k)
+    }
+
+    /// If the arriving frame is complete: verify it in place and queue it.
+    fn arrived(&mut self) {
+        let Some(a) = self.arriving.take_if(|a| a.got == a.buf.len()) else {
+            return;
+        };
+        let Arriving {
+            to,
+            seq,
+            ack,
+            mut buf,
+            ..
+        } = a;
+        let len = buf.len() - FRAME_TRAILER;
+        let found = u64::from_le_bytes(buf[len..].try_into().unwrap());
+        let expected = fletcher64(&buf[..len]);
+        if expected != found {
+            self.poisoned = Some(WireError::Checksum { expected, found });
+            return;
+        }
+        buf.truncate(len);
+        self.pending.push_back(Frame {
+            to,
+            seq,
+            ack,
+            body: Bytes::from(buf),
+            check: Some(found),
+        });
+    }
+
     fn poison<T>(&mut self, e: WireError) -> Result<T, WireError> {
-        self.poisoned = true;
+        self.poisoned = Some(e.clone());
         Err(e)
     }
 
@@ -357,11 +593,11 @@ impl FrameDecoder {
         if let Some(f) = self.pending.pop_front() {
             return Ok(Some(f));
         }
-        if self.poisoned {
-            return Err(WireError::Truncated);
+        if let Some(e) = &self.poisoned {
+            return Err(e.clone());
         }
         let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
+        if self.arriving.is_some() || avail.len() < 4 {
             return Ok(None);
         }
         match u32::from_le_bytes(avail[0..4].try_into().unwrap()) {
@@ -380,20 +616,44 @@ impl FrameDecoder {
         if len > MAX_FRAME_BODY {
             return self.poison(WireError::TooLarge(len));
         }
-        let total = FRAME_HEADER + len + FRAME_TRAILER;
-        if avail.len() < total {
-            return Ok(None);
-        }
         let to = u32::from_le_bytes(avail[8..12].try_into().unwrap());
         let seq = u64::from_le_bytes(avail[12..20].try_into().unwrap());
-        let body = avail[FRAME_HEADER..FRAME_HEADER + len].to_vec();
+        let ack = u64::from_le_bytes(avail[20..28].try_into().unwrap());
+        let total = FRAME_HEADER + len + FRAME_TRAILER;
+        if avail.len() < total {
+            if len >= OWN_ALLOC_MIN {
+                // Everything past the header is this frame's: move it to
+                // the frame's own allocation, where the rest will land.
+                let mut buf = vec![0u8; len + FRAME_TRAILER];
+                let got = avail.len() - FRAME_HEADER;
+                buf[..got].copy_from_slice(&avail[FRAME_HEADER..]);
+                self.arriving = Some(Arriving {
+                    to,
+                    seq,
+                    ack,
+                    buf,
+                    got,
+                });
+                self.buf.clear();
+                self.pos = 0;
+            }
+            return Ok(None);
+        }
+        let body = &avail[FRAME_HEADER..FRAME_HEADER + len];
         let found = u64::from_le_bytes(avail[FRAME_HEADER + len..total].try_into().unwrap());
-        let expected = fletcher64(&body);
+        let expected = fletcher64(body);
         if expected != found {
             return self.poison(WireError::Checksum { expected, found });
         }
+        let body = Bytes::copy_from_slice(body);
         self.pos += total;
-        Ok(Some(Frame { to, seq, body }))
+        Ok(Some(Frame {
+            to,
+            seq,
+            ack,
+            body,
+            check: Some(found),
+        }))
     }
 
     fn next_super(&mut self) -> Result<Option<Frame>, WireError> {
@@ -406,6 +666,7 @@ impl FrameDecoder {
             return self.poison(WireError::TooLarge(len));
         }
         let count = u16::from_le_bytes(avail[8..10].try_into().unwrap()) as usize;
+        let ack = u64::from_le_bytes(avail[10..18].try_into().unwrap());
         let total = SUPER_HEADER + len + FRAME_TRAILER;
         if avail.len() < total {
             return Ok(None);
@@ -422,7 +683,7 @@ impl FrameDecoder {
         if count == 0 {
             return self.poison(WireError::Truncated);
         }
-        match sub_records(payload, count) {
+        match sub_records(payload, count, ack) {
             Ok(frames) => {
                 self.pos += total;
                 self.pending.extend(frames);
@@ -435,7 +696,7 @@ impl FrameDecoder {
 
 /// Unpack a super-frame payload; the `count` sub-records must exactly tile
 /// it.
-fn sub_records(payload: &[u8], count: usize) -> Result<Vec<Frame>, WireError> {
+fn sub_records(payload: &[u8], count: usize, ack: u64) -> Result<Vec<Frame>, WireError> {
     let mut r = Reader::new(payload);
     let mut frames = Vec::with_capacity(count);
     for _ in 0..count {
@@ -445,7 +706,9 @@ fn sub_records(payload: &[u8], count: usize) -> Result<Vec<Frame>, WireError> {
         frames.push(Frame {
             to,
             seq,
-            body: r.take(len)?.to_vec(),
+            ack,
+            body: Bytes::copy_from_slice(r.take(len)?),
+            check: None,
         });
     }
     r.finish()?;
@@ -690,11 +953,12 @@ fn get_chunk_table(r: &mut Reader<'_>) -> Result<ChunkTable, WireError> {
     })
 }
 
-fn put_detection(buf: &mut Vec<u8>, d: &Detection) {
+fn put_detection(w: &mut BodyWriter, d: &Detection) {
+    let buf = &mut w.run;
     match d {
         Detection::Payload(p) => {
             put_u8(buf, 0);
-            put_bytes(buf, p);
+            w.shared(p);
         }
         Detection::Digest(x) => {
             put_u8(buf, 1);
@@ -727,8 +991,8 @@ fn put_detection(buf: &mut Vec<u8>, d: &Detection) {
             put_u32(buf, dirty.len() as u32);
             put_chunk_table(buf, table);
             for (index, window) in dirty {
-                put_u32(buf, *index);
-                put_bytes(buf, window);
+                put_u32(&mut w.run, *index);
+                w.shared(window);
             }
         }
     }
@@ -736,7 +1000,7 @@ fn put_detection(buf: &mut Vec<u8>, d: &Detection) {
 
 fn get_detection(r: &mut Reader<'_>) -> Result<Detection, WireError> {
     Ok(match r.u8()? {
-        0 => Detection::Payload(Bytes::copy_from_slice(r.bytes()?)),
+        0 => Detection::Payload(r.shared()?),
         1 => Detection::Digest(r.u64()?),
         2 => Detection::DigestTable {
             digest: r.u64()?,
@@ -771,7 +1035,7 @@ fn get_detection(r: &mut Reader<'_>) -> Result<Detection, WireError> {
             let mut prev: Option<u32> = None;
             for _ in 0..n {
                 let index = r.u32()?;
-                let window = r.bytes()?;
+                let window = r.shared()?;
                 if (index as usize) >= total_chunks || prev.is_some_and(|p| index <= p) {
                     return Err(WireError::Truncated);
                 }
@@ -780,7 +1044,7 @@ fn get_detection(r: &mut Reader<'_>) -> Result<Detection, WireError> {
                     return Err(WireError::Truncated);
                 }
                 prev = Some(index);
-                dirty.push((index, Bytes::copy_from_slice(window)));
+                dirty.push((index, window));
             }
             Detection::Delta {
                 base_iteration,
@@ -799,9 +1063,10 @@ fn get_detection(r: &mut Reader<'_>) -> Result<Detection, WireError> {
     })
 }
 
-fn put_checkpoint(buf: &mut Vec<u8>, c: &Checkpoint) {
-    put_u64(buf, c.iteration);
-    put_bytes(buf, &c.payload);
+fn put_checkpoint(w: &mut BodyWriter, c: &Checkpoint) {
+    put_u64(&mut w.run, c.iteration);
+    w.shared(&c.payload);
+    let buf = &mut w.run;
     put_u64(buf, c.digest);
     match &c.chunks {
         None => put_u8(buf, 0),
@@ -814,7 +1079,7 @@ fn put_checkpoint(buf: &mut Vec<u8>, c: &Checkpoint) {
 
 fn get_checkpoint(r: &mut Reader<'_>) -> Result<Checkpoint, WireError> {
     let iteration = r.u64()?;
-    let payload = Bytes::copy_from_slice(r.bytes()?);
+    let payload = r.shared()?;
     let digest = r.u64()?;
     Ok(match r.u8()? {
         0 => Checkpoint::new(iteration, payload, digest),
@@ -1001,57 +1266,62 @@ fn get_ctrl(r: &mut Reader<'_>) -> Result<Ctrl, WireError> {
     })
 }
 
-/// Encode a node-bound protocol message into a frame body.
-pub(crate) fn encode_net(msg: &Net) -> Vec<u8> {
-    let mut buf = Vec::new();
+/// Encode a node-bound protocol message into a frame body (its segments).
+pub(crate) fn encode_net(msg: &Net) -> Vec<Bytes> {
+    let mut w = BodyWriter::default();
+    let buf = &mut w.run;
     match msg {
         Net::App {
             to_task,
             epoch,
             msg,
         } => {
-            put_u8(&mut buf, 0);
-            put_usize(&mut buf, *to_task);
-            put_u64(&mut buf, *epoch);
-            put_app_msg(&mut buf, msg);
+            put_u8(buf, 0);
+            put_usize(buf, *to_task);
+            put_u64(buf, *epoch);
+            put_app_msg(buf, msg);
         }
         Net::Consensus { scope, msg } => {
-            put_u8(&mut buf, 1);
-            put_scope(&mut buf, *scope);
-            put_consensus(&mut buf, msg);
+            put_u8(buf, 1);
+            put_scope(buf, *scope);
+            put_consensus(buf, msg);
         }
         Net::Compare {
             iteration,
             detection,
         } => {
-            put_u8(&mut buf, 2);
-            put_u64(&mut buf, *iteration);
-            put_detection(&mut buf, detection);
+            put_u8(buf, 2);
+            put_u64(buf, *iteration);
+            put_detection(&mut w, detection);
         }
         Net::CompareResult { iteration, clean } => {
-            put_u8(&mut buf, 3);
-            put_u64(&mut buf, *iteration);
-            put_u8(&mut buf, *clean as u8);
+            put_u8(buf, 3);
+            put_u64(buf, *iteration);
+            put_u8(buf, *clean as u8);
         }
         Net::Install { checkpoint } => {
-            put_u8(&mut buf, 4);
-            put_checkpoint(&mut buf, checkpoint);
+            put_u8(buf, 4);
+            put_checkpoint(&mut w, checkpoint);
         }
         Net::Heartbeat { from } => {
-            put_u8(&mut buf, 5);
-            put_usize(&mut buf, *from);
+            put_u8(buf, 5);
+            put_usize(buf, *from);
         }
         Net::Ctrl(c) => {
-            put_u8(&mut buf, 6);
-            put_ctrl(&mut buf, c);
+            put_u8(buf, 6);
+            put_ctrl(buf, c);
         }
     }
-    buf
+    w.finish()
 }
 
-/// Decode a frame body into a node-bound protocol message.
-pub(crate) fn decode_net(buf: &[u8]) -> Result<Net, WireError> {
-    let mut r = Reader::new(buf);
+/// Decode a frame body into a node-bound protocol message; its large byte
+/// strings are slices of `body`.
+pub(crate) fn decode_net(body: &Bytes) -> Result<Net, WireError> {
+    net_from(Reader::over(body))
+}
+
+fn net_from(mut r: Reader<'_>) -> Result<Net, WireError> {
     let msg = match r.u8()? {
         0 => Net::App {
             to_task: r.usize()?,
@@ -1091,16 +1361,17 @@ pub(crate) fn decode_net(buf: &[u8]) -> Result<Net, WireError> {
 /// Property tests and diagnostic tooling build and inspect delta records
 /// through this pair without reaching into the crate-private `Net` codec.
 pub fn encode_compare_body(iteration: u64, detection: &Detection) -> Vec<u8> {
-    encode_net(&Net::Compare {
+    flatten(&encode_net(&Net::Compare {
         iteration,
         detection: detection.clone(),
-    })
+    }))
 }
 
 /// Decode a frame body produced by [`encode_compare_body`], applying the
-/// same strict structural validation the transport does.
+/// same strict structural validation the transport does (the record's byte
+/// strings are copied out of `buf`).
 pub fn decode_compare_body(buf: &[u8]) -> Result<(u64, Detection), WireError> {
-    match decode_net(buf)? {
+    match net_from(Reader::new(buf))? {
         Net::Compare {
             iteration,
             detection,
@@ -1116,14 +1387,15 @@ pub fn decode_compare_body(buf: &[u8]) -> Result<(u64, Detection), WireError> {
 // Event codec
 // ---------------------------------------------------------------------------
 
-/// Encode a driver-bound event into a frame body.
-pub(crate) fn encode_event(ev: &Event) -> Vec<u8> {
-    let mut buf = Vec::new();
+/// Encode a driver-bound event into a frame body (its segments).
+pub(crate) fn encode_event(ev: &Event) -> Vec<Bytes> {
+    let mut w = BodyWriter::default();
+    let buf = &mut w.run;
     match ev {
         Event::BuddyDead { reporter, dead } => {
-            put_u8(&mut buf, 0);
-            put_usize(&mut buf, *reporter);
-            put_usize(&mut buf, *dead);
+            put_u8(buf, 0);
+            put_usize(buf, *reporter);
+            put_usize(buf, *dead);
         }
         Event::CheckpointDone {
             node,
@@ -1131,12 +1403,12 @@ pub(crate) fn encode_event(ev: &Event) -> Vec<u8> {
             iteration,
             verified,
         } => {
-            put_u8(&mut buf, 1);
-            put_usize(&mut buf, *node);
-            put_u64(&mut buf, *round);
-            put_u64(&mut buf, *iteration);
+            put_u8(buf, 1);
+            put_usize(buf, *node);
+            put_u64(buf, *round);
+            put_u64(buf, *iteration);
             put_u8(
-                &mut buf,
+                buf,
                 match verified {
                     None => 0,
                     Some(false) => 1,
@@ -1151,63 +1423,63 @@ pub(crate) fn encode_event(ev: &Event) -> Vec<u8> {
             payload_len,
             fields_flagged,
         } => {
-            put_u8(&mut buf, 2);
-            put_usize(&mut buf, *node);
-            put_u64(&mut buf, *iteration);
-            put_u64(&mut buf, diverged.len() as u64);
+            put_u8(buf, 2);
+            put_usize(buf, *node);
+            put_u64(buf, *iteration);
+            put_u64(buf, diverged.len() as u64);
             for range in diverged {
-                put_usize(&mut buf, range.start);
-                put_usize(&mut buf, range.end);
+                put_usize(buf, range.start);
+                put_usize(buf, range.end);
             }
-            put_usize(&mut buf, *payload_len);
-            put_usize(&mut buf, *fields_flagged);
+            put_usize(buf, *payload_len);
+            put_usize(buf, *fields_flagged);
         }
         Event::FaultInjected { node, at, fault } => {
-            put_u8(&mut buf, 3);
-            put_usize(&mut buf, *node);
-            put_f64(&mut buf, *at);
-            put_node_fault(&mut buf, *fault);
+            put_u8(buf, 3);
+            put_usize(buf, *node);
+            put_f64(buf, *at);
+            put_node_fault(buf, *fault);
         }
         Event::RolledBack { node } => {
-            put_u8(&mut buf, 4);
-            put_usize(&mut buf, *node);
+            put_u8(buf, 4);
+            put_usize(buf, *node);
         }
         Event::Installed { node } => {
-            put_u8(&mut buf, 5);
-            put_usize(&mut buf, *node);
+            put_u8(buf, 5);
+            put_usize(buf, *node);
         }
         Event::AllTasksDone { node } => {
-            put_u8(&mut buf, 6);
-            put_usize(&mut buf, *node);
+            put_u8(buf, 6);
+            put_usize(buf, *node);
         }
         Event::Pong { node, token } => {
-            put_u8(&mut buf, 7);
-            put_usize(&mut buf, *node);
-            put_u64(&mut buf, *token);
+            put_u8(buf, 7);
+            put_usize(buf, *node);
+            put_u64(buf, *token);
         }
         Event::FinalState {
             node,
             identity,
             tasks,
         } => {
-            put_u8(&mut buf, 8);
-            put_usize(&mut buf, *node);
+            put_u8(buf, 8);
+            put_usize(buf, *node);
             match identity {
-                None => put_u8(&mut buf, 0),
+                None => put_u8(buf, 0),
                 Some((replica, rank)) => {
-                    put_u8(&mut buf, 1);
-                    put_u8(&mut buf, *replica);
-                    put_usize(&mut buf, *rank);
+                    put_u8(buf, 1);
+                    put_u8(buf, *replica);
+                    put_usize(buf, *rank);
                 }
             }
-            put_u64(&mut buf, tasks.len() as u64);
+            put_u64(buf, tasks.len() as u64);
             for t in tasks {
-                put_bytes(&mut buf, t);
+                w.shared(t);
             }
         }
         Event::TransportStale { node } => {
-            put_u8(&mut buf, 9);
-            put_usize(&mut buf, *node);
+            put_u8(buf, 9);
+            put_usize(buf, *node);
         }
         Event::VerifiedState {
             node,
@@ -1216,20 +1488,21 @@ pub(crate) fn encode_event(ev: &Event) -> Vec<u8> {
             digest,
             payload,
         } => {
-            put_u8(&mut buf, 10);
-            put_usize(&mut buf, *node);
-            put_u64(&mut buf, *round);
-            put_u64(&mut buf, *iteration);
-            put_u64(&mut buf, *digest);
-            put_bytes(&mut buf, payload);
+            put_u8(buf, 10);
+            put_usize(buf, *node);
+            put_u64(buf, *round);
+            put_u64(buf, *iteration);
+            put_u64(buf, *digest);
+            w.shared(payload);
         }
     }
-    buf
+    w.finish()
 }
 
-/// Decode a frame body into a driver-bound event.
-pub(crate) fn decode_event(buf: &[u8]) -> Result<Event, WireError> {
-    let mut r = Reader::new(buf);
+/// Decode a frame body into a driver-bound event; its large byte strings
+/// are slices of `body`.
+pub(crate) fn decode_event(body: &Bytes) -> Result<Event, WireError> {
+    let mut r = Reader::over(body);
     let ev = match r.u8()? {
         0 => Event::BuddyDead {
             reporter: r.usize()?,
@@ -1302,7 +1575,7 @@ pub(crate) fn decode_event(buf: &[u8]) -> Result<Event, WireError> {
             }
             let mut tasks = Vec::with_capacity(n);
             for _ in 0..n {
-                tasks.push(Bytes::copy_from_slice(r.bytes()?));
+                tasks.push(r.shared()?);
             }
             Event::FinalState {
                 node,
@@ -1316,7 +1589,7 @@ pub(crate) fn decode_event(buf: &[u8]) -> Result<Event, WireError> {
             round: r.u64()?,
             iteration: r.u64()?,
             digest: r.u64()?,
-            payload: Bytes::copy_from_slice(r.bytes()?),
+            payload: r.shared()?,
         },
         t => {
             return Err(WireError::BadTag {
@@ -1540,13 +1813,17 @@ mod tests {
         ]
     }
 
+    /// A message's body as it arrives: one contiguous buffer.
+    fn net_body(msg: &Net) -> Bytes {
+        Bytes::from(flatten(&encode_net(msg)))
+    }
+
     /// Debug-format equality stands in for PartialEq (Net/Event carry types
     /// without Eq); the codec round-trip must preserve every field.
     #[test]
     fn net_codec_round_trips_every_variant() {
         for msg in all_nets() {
-            let body = encode_net(&msg);
-            let back = decode_net(&body).expect("decodes");
+            let back = decode_net(&net_body(&msg)).expect("decodes");
             assert_eq!(format!("{msg:?}"), format!("{back:?}"));
         }
     }
@@ -1554,15 +1831,69 @@ mod tests {
     #[test]
     fn event_codec_round_trips_every_variant() {
         for ev in all_events() {
-            let body = encode_event(&ev);
+            let body = Bytes::from(flatten(&encode_event(&ev)));
             let back = decode_event(&body).expect("decodes");
             assert_eq!(format!("{ev:?}"), format!("{back:?}"));
         }
     }
 
+    /// Shared byte strings of `SEGMENT_MIN` bytes or more leave as
+    /// references to the caller's allocation and come back as slices of
+    /// the received body; shorter ones are copied into the run around
+    /// them. Either way the concatenation is the same record.
+    #[test]
+    fn large_byte_strings_are_shared_not_copied() {
+        let inside = |outer: &Bytes, inner: &Bytes| {
+            let (o, i) = (outer.as_ptr() as usize, inner.as_ptr() as usize);
+            o <= i && i + inner.len() <= o + outer.len()
+        };
+        let big = Bytes::from(vec![0xA5u8; SEGMENT_MIN]);
+        let small = Bytes::from(vec![0x5Au8; SEGMENT_MIN - 1]);
+
+        let install = Net::Install {
+            checkpoint: Checkpoint::new(9, big.clone(), 0xabc),
+        };
+        let segs = encode_net(&install);
+        assert_eq!(segs.len(), 3, "run, payload, run");
+        assert_eq!(segs[1].as_ptr(), big.as_ptr(), "the payload is not copied");
+        assert_eq!(body_check(&segs), fletcher64(&flatten(&segs)));
+        let body = net_body(&install);
+        match decode_net(&body).expect("decodes") {
+            Net::Install { checkpoint } => {
+                assert_eq!(checkpoint.payload, big);
+                assert!(inside(&body, &checkpoint.payload), "a slice of the body");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+
+        let compare = |payload: &Bytes| Net::Compare {
+            iteration: 1,
+            detection: Detection::Payload(payload.clone()),
+        };
+        assert_eq!(encode_net(&compare(&big)).len(), 2, "run, payload");
+        assert_eq!(encode_net(&compare(&small)).len(), 1, "one run");
+
+        let finals = Event::FinalState {
+            node: 0,
+            identity: Some((1, 0)),
+            tasks: vec![big.clone(), small.clone(), big.clone()],
+        };
+        let segs = encode_event(&finals);
+        assert_eq!(segs.len(), 4, "run, task, run (with the small task), task");
+        assert_eq!(segs[3].as_ptr(), big.as_ptr());
+        let body = Bytes::from(flatten(&segs));
+        match decode_event(&body).expect("decodes") {
+            Event::FinalState { tasks, .. } => {
+                assert_eq!(tasks, vec![big.clone(), small, big]);
+                assert!(tasks.iter().all(|t| inside(&body, t)));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn frame_round_trips_through_incremental_decoder() {
-        let bodies: Vec<Vec<u8>> = all_nets().iter().map(encode_net).collect();
+        let bodies: Vec<Vec<u8>> = all_nets().iter().map(|m| flatten(&encode_net(m))).collect();
         let mut stream = Vec::new();
         for (i, body) in bodies.iter().enumerate() {
             stream.extend_from_slice(&encode_frame(i as u32, i as u64 + 1, body));
@@ -1640,13 +1971,14 @@ mod tests {
         u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
     }
 
-    /// The v5 handshake records and super-frame header, byte for byte: a
+    /// The v6 handshake records and both frame headers, byte for byte: a
     /// peer written against this layout interoperates, and any reshuffle
     /// must bump [`WIRE_VERSION`].
     #[test]
-    fn v5_handshake_and_super_header_layouts_are_pinned() {
-        assert_eq!(WIRE_VERSION, 5);
-        assert_eq!((HELLO_LEN, WELCOME_LEN, SUPER_HEADER), (24, 62, 10));
+    fn v6_handshake_and_frame_header_layouts_are_pinned() {
+        assert_eq!(WIRE_VERSION, 6);
+        assert_eq!((HELLO_LEN, WELCOME_LEN), (24, 62));
+        assert_eq!((FRAME_HEADER, SUPER_HEADER, FRAME_TRAILER), (28, 18, 8));
 
         let h = encode_hello(&Hello {
             job: 7,
@@ -1654,12 +1986,12 @@ mod tests {
             last_recv_seq: 123,
         });
         assert_eq!(&h[0..4], b"ACRH");
-        assert_eq!((le32(&h, 4), le32(&h, 8), le32(&h, 12)), (5, 7, 5));
+        assert_eq!((le32(&h, 4), le32(&h, 8), le32(&h, 12)), (6, 7, 5));
         assert_eq!(le64(&h, 16), 123);
 
         let w = encode_welcome(&sample_welcome());
         assert_eq!(&w[0..4], b"ACRW");
-        assert_eq!((le32(&w, 4), le64(&w, 8)), (5, 456));
+        assert_eq!((le32(&w, 4), le64(&w, 8)), (6, 456));
         assert_eq!(
             (le32(&w, 16), le32(&w, 20), le32(&w, 24), le32(&w, 28)),
             (4, 1, 2, 10),
@@ -1673,42 +2005,83 @@ mod tests {
         );
         assert_eq!((le32(&w, 57), w[61]), (16, 1), "anchor interval, delta on");
 
-        let s = encode_batch(&[(1, 9, b"ab"), (2, 10, b"c")], WireCodec::None).bytes;
+        // Plain: magic, len, to, seq, ack, body, check — and the segmented
+        // send path's two ends are those same bytes.
+        let p = encode_batch_acked(&[(3, 9, b"body")], 77).bytes;
+        assert_eq!(p.len(), FRAME_HEADER + 4 + FRAME_TRAILER);
+        assert_eq!(&p[0..4], b"ACRF");
+        assert_eq!((le32(&p, 4), le32(&p, 8)), (4, 3), "len, to");
+        assert_eq!((le64(&p, 12), le64(&p, 20)), (9, 77), "seq, ack");
+        assert_eq!(&p[28..32], b"body");
+        assert_eq!(le64(&p, 32), fletcher64(b"body"));
+        let (header, trailer) = frame_ends(3, 9, 77, 4, fletcher64(b"body"));
+        assert_eq!((&p[..28], &p[32..]), (&header[..], &trailer[..]));
+        assert_eq!(encode_frame(3, 9, b"body")[20..28], [0u8; 8], "ack 0");
+
+        // Super: magic, len, count, ack, sub-records, check.
+        let s = encode_batch_acked(&[(1, 9, b"ab"), (2, 10, b"c")], 78).bytes;
         let payload = 2 * SUPER_RECORD_HEADER + 3;
         assert_eq!(s.len(), SUPER_HEADER + payload + FRAME_TRAILER);
         assert_eq!(&s[0..4], b"ACRS");
         assert_eq!(le32(&s, 4) as usize, payload);
         assert_eq!(u16::from_le_bytes([s[8], s[9]]), 2);
-        assert_eq!((le32(&s, 10), le64(&s, 14), le32(&s, 22)), (1, 9, 2));
-        assert_eq!(&s[26..28], b"ab");
+        assert_eq!(le64(&s, 10), 78, "ack");
+        assert_eq!((le32(&s, 18), le64(&s, 22), le32(&s, 30)), (1, 9, 2));
+        assert_eq!(&s[34..36], b"ab");
         assert_eq!(
             le64(&s, SUPER_HEADER + payload),
             fletcher64(&s[SUPER_HEADER..SUPER_HEADER + payload])
         );
     }
 
-    /// A v4 peer is refused, never misparsed: its hello (one codec-mask
-    /// byte longer) fails on the version field whether the reader takes
-    /// the new length or the old one, and so does its welcome.
+    /// The acknowledgement survives every kind of frame: plain, each
+    /// sub-record of a super-frame, and the bodiless frame that carries
+    /// nothing else.
     #[test]
-    fn v4_handshake_records_are_refused_with_a_version_error() {
-        let mut v4_hello = encode_hello(&Hello {
+    fn ack_round_trips_on_plain_super_and_bodiless_frames() {
+        let plain = encode_batch_acked(&[(1, 5, b"plain")], 41).bytes;
+        let batch = encode_batch_acked(&[(2, 6, b"bb"), (3, 7, b"ccc")], 42).bytes;
+        let (header, trailer) = frame_ends(0, 0, 43, 0, body_check(&[]));
+        let stream = [&plain[..], &batch[..], &header[..], &trailer[..]].concat();
+        let got: Vec<(u64, u64, usize, bool)> = decode_all(&stream)
+            .iter()
+            .map(|f| (f.seq, f.ack, f.body.len(), f.check.is_some()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (5, 41, 5, true),
+                (6, 42, 2, false),
+                (7, 42, 3, false),
+                (0, 43, 0, true)
+            ]
+        );
+    }
+
+    /// Older peers are refused, never misparsed. A v5 hello and welcome
+    /// have today's lengths and differ only in the version field; a v4
+    /// hello (one codec-mask byte longer) fails on it whether the reader
+    /// takes the new length or the old one.
+    #[test]
+    fn v5_and_v4_handshake_records_are_refused_with_a_version_error() {
+        let hello = encode_hello(&Hello {
             job: 0,
             node: 1,
             last_recv_seq: 0,
         });
+        let welcome = encode_welcome(&sample_welcome());
+        for old in [5u32, 4] {
+            let (mut h, mut w) = (hello.clone(), welcome.clone());
+            h[4..8].copy_from_slice(&old.to_le_bytes());
+            w[4..8].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(decode_hello(&h), Err(WireError::BadVersion(old)));
+            assert_eq!(decode_welcome(&w), Err(WireError::BadVersion(old)));
+        }
+        let mut v4_hello = hello;
         v4_hello[4..8].copy_from_slice(&4u32.to_le_bytes());
         v4_hello.push(0b111);
         assert_eq!(v4_hello.len(), 25);
-        assert_eq!(
-            decode_hello(&v4_hello[..HELLO_LEN]),
-            Err(WireError::BadVersion(4))
-        );
         assert_eq!(decode_hello(&v4_hello), Err(WireError::BadVersion(4)));
-
-        let mut v4_welcome = encode_welcome(&sample_welcome());
-        v4_welcome[4..8].copy_from_slice(&4u32.to_le_bytes());
-        assert_eq!(decode_welcome(&v4_welcome), Err(WireError::BadVersion(4)));
     }
 
     fn delta_compare(dirty: Vec<(u32, Bytes)>) -> Net {
@@ -1733,7 +2106,7 @@ mod tests {
     /// break the accounting.
     #[test]
     fn delta_compare_body_offsets_are_pinned() {
-        let body = encode_net(&delta_compare(vec![(1, Bytes::from_static(b"abcd"))]));
+        let body = net_body(&delta_compare(vec![(1, Bytes::from_static(b"abcd"))]));
         assert_eq!(body[0], 2, "Net::Compare tag");
         assert_eq!(u64::from_le_bytes(body[1..9].try_into().unwrap()), 42);
         assert_eq!(body[9], 3, "Detection::Delta tag");
@@ -1764,12 +2137,9 @@ mod tests {
         let w4 = Bytes::from_static(b"abcd");
         let w2 = Bytes::from_static(b"xy");
         // Well-formed baselines decode.
-        assert!(decode_net(&encode_net(&delta_compare(vec![]))).is_ok());
-        assert!(decode_net(&encode_net(&delta_compare(vec![
-            (0, w4.clone()),
-            (2, w2.clone())
-        ])))
-        .is_ok());
+        assert!(decode_net(&net_body(&delta_compare(vec![]))).is_ok());
+        let two = delta_compare(vec![(0, w4.clone()), (2, w2.clone())]);
+        assert!(decode_net(&net_body(&two)).is_ok());
         let bad = vec![
             // Out-of-bounds chunk index (3 chunks: 0..=2).
             delta_compare(vec![(3, w2.clone())]),
@@ -1781,13 +2151,15 @@ mod tests {
             delta_compare(vec![(0, w2.clone())]),
         ];
         for msg in bad {
-            let body = encode_net(&msg);
-            assert!(decode_net(&body).is_err(), "{msg:?} must be rejected");
+            assert!(
+                decode_net(&net_body(&msg)).is_err(),
+                "{msg:?} must be rejected"
+            );
         }
         // Truncation anywhere in the record is rejected.
-        let body = encode_net(&delta_compare(vec![(0, w4), (2, w2)]));
+        let body = net_body(&two);
         for cut in 1..body.len() {
-            assert!(decode_net(&body[..cut]).is_err(), "cut at {cut}");
+            assert!(decode_net(&body.slice(..cut)).is_err(), "cut at {cut}");
         }
     }
 
@@ -1803,7 +2175,7 @@ mod tests {
 
     #[test]
     fn batch_of_many_frames_round_trips_and_never_costs_bytes() {
-        let bodies: Vec<Vec<u8>> = all_nets().iter().map(encode_net).collect();
+        let bodies: Vec<Vec<u8>> = all_nets().iter().map(|m| flatten(&encode_net(m))).collect();
         let records: Vec<(u32, u64, &[u8])> = bodies
             .iter()
             .enumerate()
@@ -1822,7 +2194,7 @@ mod tests {
         let frames = decode_all(&batch.bytes);
         assert_eq!(frames.len(), records.len());
         for (f, (to, seq, body)) in frames.iter().zip(&records) {
-            assert_eq!((f.to, f.seq, f.body.as_slice()), (*to, *seq, *body));
+            assert_eq!((f.to, f.seq, &f.body[..]), (*to, *seq, *body));
         }
     }
 

@@ -1,0 +1,179 @@
+//! A copy counter for the TCP ship path: fails when a copy of the shipped
+//! checkpoint comes back, or when the fabric starts holding on to old ones.
+//!
+//! This test binary installs a counting global allocator (in the style of
+//! `acr-obs/tests/noalloc.rs`) and runs a two-replica TCP job whose nodes
+//! carry 1 MiB of state each, `FullCompare` — so every round packs both
+//! replicas and ships one whole checkpoint endpoint → router → endpoint. A
+//! buffer the size of the checkpoint can only come from the allocator in a
+//! large block, so the bytes requested in blocks of 64 KiB or more, per
+//! round, count the copies: two packs and the two hops' receive buffers is
+//! all there should be. And because a sent frame is released by the peer's
+//! acknowledgement, not by 32 MiB of later traffic, what the process holds
+//! must stop growing after the first rounds.
+//!
+//! The task samples the counters each time it is packed (`Dir::Packing`:
+//! once per node per checkpoint round), so round boundaries are observed
+//! from inside the job, not guessed from the clock.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::Duration;
+
+use acr_pup::{Dir, Pup, PupResult, Puper};
+use acr_runtime::{
+    AppMsg, DetectionMethod, ExecMode, Job, JobConfig, Scheme, Task, TaskCtx, TcpConfig,
+    TransportKind,
+};
+
+/// Blocks this large or larger are counted as potential checkpoint copies.
+const BIG: usize = 64 << 10;
+
+/// Bytes requested in blocks of [`BIG`] or more, ever.
+static BIG_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// Bytes currently allocated, and the most that ever was.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct CountingAlloc;
+
+fn took(size: usize) {
+    if size >= BIG {
+        BIG_BYTES.fetch_add(size, Ordering::Relaxed);
+    }
+    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        took(layout.size());
+        System.alloc(layout)
+    }
+
+    // (The default would `alloc` and then write the zeros itself.)
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        took(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        took(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const STATE_WORDS: usize = 128 << 10;
+const STATE_BYTES: usize = STATE_WORDS * 8;
+const ITERS: u64 = 500;
+
+/// `(BIG_BYTES, PEAK)` at each pack, in the order the packs happened.
+static PACKS: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
+
+/// 1 MiB of state, a few words of it rewritten per ~0.5 ms step; both
+/// replicas compute the same thing, so every comparison is clean.
+struct Slab {
+    iter: u64,
+    words: Vec<u64>,
+}
+
+impl Task for Slab {
+    fn try_step(&mut self, _ctx: &mut TaskCtx<'_>) -> bool {
+        if self.done() {
+            return false;
+        }
+        std::thread::sleep(Duration::from_micros(500));
+        for k in 0..8 {
+            let at = (self.iter as usize * 8191 + k * 131) % STATE_WORDS;
+            self.words[at] = self.words[at].wrapping_mul(6364136223846793005) ^ self.iter;
+        }
+        self.iter += 1;
+        true
+    }
+
+    fn on_message(&mut self, _msg: AppMsg, _ctx: &mut TaskCtx<'_>) {}
+
+    fn progress(&self) -> u64 {
+        self.iter
+    }
+
+    fn done(&self) -> bool {
+        self.iter >= ITERS
+    }
+
+    fn pup(&mut self, p: &mut dyn Puper) -> PupResult {
+        if p.dir() == Dir::Packing {
+            let sample = (
+                BIG_BYTES.load(Ordering::Relaxed),
+                PEAK.load(Ordering::Relaxed),
+            );
+            PACKS.lock().expect("no panic holds it").push(sample);
+        }
+        p.pup_u64(&mut self.iter)?;
+        self.words.pup(p)
+    }
+}
+
+#[test]
+fn a_shipped_checkpoint_is_allocated_once_per_process_and_let_go() {
+    let cfg = JobConfig::builder()
+        .ranks(1)
+        .tasks_per_rank(1)
+        .spares(1)
+        .scheme(Scheme::Strong)
+        .detection(DetectionMethod::FullCompare)
+        .checkpoint_interval(Duration::from_millis(20))
+        // Nothing here is about liveness: keep a busy runner from
+        // declaring a node dead mid-measurement.
+        .heartbeat_period(Duration::from_millis(20))
+        .heartbeat_timeout(Duration::from_secs(5))
+        .max_duration(Duration::from_secs(60))
+        .transport(TransportKind::Tcp(TcpConfig::default()))
+        .build()
+        .expect("valid config");
+    let report = Job::new(cfg).mode(ExecMode::Threaded).run(|rank, _| {
+        Box::new(Slab {
+            iter: 0,
+            words: (0..STATE_WORDS as u64).map(|i| i ^ rank as u64).collect(),
+        }) as Box<dyn Task>
+    });
+    assert!(report.completed, "job did not complete: {:?}", report.error);
+    assert!(report.replicas_agree());
+    assert_eq!(report.hard_errors_recovered, 0, "a false death");
+
+    // Two packs per round (one per replica), in round order; the final
+    // states' two packs come last. Round `r` starts at its first pack.
+    let packs = PACKS.lock().expect("no panic holds it").clone();
+    let rounds = report.checkpoints_verified;
+    assert!(rounds >= 8, "only {rounds} rounds: too short to tell");
+    assert!(packs.len() >= 2 * rounds, "{} packs", packs.len());
+    let (from, to) = (2, rounds - 1);
+    let ((big0, peak0), (big1, peak1)) = (packs[2 * from], packs[2 * to]);
+
+    let per_round = (big1 - big0) as f64 / (to - from) as f64 / STATE_BYTES as f64;
+    let grew = (peak1 - peak0) as f64 / STATE_BYTES as f64;
+    println!(
+        "{rounds} rounds: {per_round:.2} x state allocated in large blocks per round; \
+         high-water mark grew {grew:.2} x state from round {from} to round {to}"
+    );
+    // Two packs, the router's receive buffer, the buddy's — and slack.
+    assert!(
+        per_round <= 5.0,
+        "{per_round:.2} x the state size per round in blocks >= 64 KiB: a copy is back"
+    );
+    assert!(
+        grew <= 2.0,
+        "live bytes' high-water mark grew {grew:.2} x the state size after round {from}: \
+         something keeps old checkpoints"
+    );
+}

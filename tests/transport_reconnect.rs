@@ -5,7 +5,7 @@
 //! recovery — the node behind the dead wire is replaced even though its
 //! process never crashed.
 //!
-//! Both tests drive the fault through [`TransportControl`], the test
+//! The tests drive the fault through [`TransportControl`], the test
 //! handle that severs or quarantines a node's router link mid-run.
 
 use std::sync::Mutex;
@@ -419,6 +419,128 @@ fn quarantined_link_is_probed_and_node_replaced() {
         report.metrics
     );
     audit_transport_attribution(&report);
+}
+
+/// 4 MiB of state per node, a few words of it rewritten per ~0.5 ms step:
+/// under `FullCompare` every round ships one 4 MiB frame per buddy pair.
+struct PacedSlab {
+    iter: u64,
+    words: Vec<u64>,
+}
+
+const SLAB_WORDS: usize = (4 << 20) / 8;
+const SLAB_ITERS: u64 = 300;
+
+impl PacedSlab {
+    fn new(rank: usize) -> Self {
+        Self {
+            iter: 0,
+            words: (0..SLAB_WORDS as u64).map(|i| i ^ rank as u64).collect(),
+        }
+    }
+}
+
+impl Task for PacedSlab {
+    fn try_step(&mut self, _ctx: &mut TaskCtx<'_>) -> bool {
+        if self.done() {
+            return false;
+        }
+        std::thread::sleep(Duration::from_micros(500));
+        for k in 0..8 {
+            let at = (self.iter as usize * 8191 + k * 131) % SLAB_WORDS;
+            self.words[at] = self.words[at].wrapping_mul(6364136223846793005) ^ self.iter;
+        }
+        self.iter += 1;
+        true
+    }
+
+    fn on_message(&mut self, _msg: AppMsg, _ctx: &mut TaskCtx<'_>) {}
+
+    fn progress(&self) -> u64 {
+        self.iter
+    }
+
+    fn done(&self) -> bool {
+        self.iter >= SLAB_ITERS
+    }
+
+    fn pup(&mut self, p: &mut dyn Puper) -> PupResult {
+        p.pup_u64(&mut self.iter)?;
+        self.words.pup(p)
+    }
+}
+
+/// Sockets cut while 4 MiB checkpoint frames are crossing them — mid
+/// vectored write on one side, mid receive-into-its-own-allocation on the
+/// other: each frame still arrives once and intact. A torn or repeated
+/// frame would show as a poisoned link that never recovers, a comparison
+/// that finds the replicas apart, or a final state that differs from the
+/// undisturbed run's; a frame lost, as a round that never completes.
+#[test]
+fn socket_kills_mid_checkpoint_ship_lose_nothing() {
+    let _guard = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let run = |control: Option<TransportControl>| {
+        let cfg = JobConfig::builder()
+            .ranks(1)
+            .tasks_per_rank(1)
+            .spares(1)
+            .scheme(Scheme::Strong)
+            .detection(DetectionMethod::FullCompare)
+            .checkpoint_interval(Duration::from_millis(15))
+            .heartbeat_period(Duration::from_millis(20))
+            .heartbeat_timeout(Duration::from_secs(5))
+            .max_duration(Duration::from_secs(60))
+            .transport(TransportKind::Tcp(TcpConfig {
+                control,
+                ..TcpConfig::default()
+            }))
+            .build()
+            .expect("valid slab config");
+        Job::new(cfg)
+            .mode(ExecMode::Threaded)
+            .run(|rank, _| Box::new(PacedSlab::new(rank)) as Box<dyn Task>)
+    };
+    let undisturbed = run(None);
+    assert!(undisturbed.completed && undisturbed.replicas_agree());
+
+    let control = TransportControl::new();
+    let killer = {
+        let control = control.clone();
+        std::thread::spawn(move || {
+            // A ship takes a few milliseconds of every 15 ms round: cuts
+            // 4 ms apart on the two replica nodes land inside several.
+            std::thread::sleep(Duration::from_millis(30));
+            (0..40)
+                .filter(|i| {
+                    std::thread::sleep(Duration::from_millis(4));
+                    control.sever(i % 2)
+                })
+                .count()
+        })
+    };
+    let report = run(Some(control));
+    let severed = killer.join().unwrap();
+    assert!(severed >= 10, "only {severed} cuts found a live link");
+    assert!(
+        report.completed,
+        "job failed: {:?}\n{}",
+        report.error,
+        report.trace.join("\n")
+    );
+    assert_eq!(
+        (report.hard_errors_recovered, report.sdc_rounds_detected),
+        (0, 0),
+        "a cut socket was misread as a dead node or a corrupt checkpoint:\n{}",
+        report.trace.join("\n")
+    );
+    assert!(report.checkpoints_verified >= 4, "rounds kept completing");
+    assert!(connects_for(&report, 0) >= 2 && connects_for(&report, 1) >= 2);
+    assert!(report.replicas_agree());
+    assert_eq!(report.final_states, undisturbed.final_states);
+    assert_eq!(
+        report.final_states[&(0, 0)][0].len(),
+        8 + 8 + 8 * SLAB_WORDS
+    );
 }
 
 /// A task whose only weight is its state: `BALLAST` bytes of xorshift

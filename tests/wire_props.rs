@@ -5,24 +5,47 @@
 //! desynchronizing. The super-frame section covers the batching layer:
 //! however a frame list is split into flushes, the receiver sees the same
 //! frames in the same order, never pays more bytes than plain per-frame
-//! framing, and rejects truncated or structurally corrupt super-frames.
+//! framing, and rejects truncated or structurally corrupt super-frames. The
+//! v6 section covers what wire version 6 added: the acknowledgement in both
+//! headers, the streamed checksum over body segments, and `read_from` —
+//! whose own-allocation path for large frames must yield exactly what
+//! `feed` does, whatever the reads.
 
 use acr::protocol::{Checkpoint, ChunkTable, Detection, DetectionMethod, SdcDetector};
 use acr::pup::{chunk_digests, chunk_span};
 use acr::runtime::wire::{
-    decode_compare_body, encode_batch, encode_compare_body, encode_frame, Frame, FrameDecoder,
-    WireCodec, FRAME_HEADER, FRAME_MAGIC, FRAME_TRAILER, SUPER_HEADER, SUPER_MAGIC,
+    body_check, decode_compare_body, encode_batch, encode_batch_acked, encode_compare_body,
+    encode_frame, Frame, FrameDecoder, WireCodec, WireError, FRAME_HEADER, FRAME_MAGIC,
+    FRAME_TRAILER, SUPER_HEADER, SUPER_MAGIC,
 };
 use bytes::Bytes;
 use proptest::prelude::*;
 
+/// A frame as a lone plain frame decodes: acknowledging nothing, its
+/// trailer kept (`drop_checks` gives the sub-record form).
 fn frame_strategy() -> impl Strategy<Value = Frame> {
     (
         prop::collection::vec(any::<u8>(), 0..200),
         any::<u32>(),
         any::<u64>(),
     )
-        .prop_map(|(body, to, seq)| Frame { to, seq, body })
+        .prop_map(|(body, to, seq)| Frame {
+            to,
+            seq,
+            ack: 0,
+            check: Some(acr::pup::fletcher64(&body)),
+            body: Bytes::from(body),
+        })
+}
+
+/// The same frames as sub-records of a super-frame decode: covered by the
+/// batch's trailer only, so carrying none of their own.
+fn drop_checks(frames: &[Frame]) -> Vec<Frame> {
+    let sub = |f: &Frame| Frame {
+        check: None,
+        ..f.clone()
+    };
+    frames.iter().map(sub).collect()
 }
 
 /// Split `stream` into chunks whose sizes cycle through `cuts` (1-based so
@@ -160,10 +183,7 @@ proptest! {
 // --------------------------------------------------------------------------
 
 fn as_records(frames: &[Frame]) -> Vec<(u32, u64, &[u8])> {
-    frames
-        .iter()
-        .map(|f| (f.to, f.seq, f.body.as_slice()))
-        .collect()
+    frames.iter().map(|f| (f.to, f.seq, &f.body[..])).collect()
 }
 
 /// What the same frames would cost as one plain frame per message — the
@@ -189,6 +209,7 @@ proptest! {
         cuts in prop::collection::vec(0usize..97, 0..12),
     ) {
         let mut stream = Vec::new();
+        let mut expected = Vec::new();
         let (mut i, mut s) = (0, 0);
         while i < frames.len() {
             let take = if splits.is_empty() {
@@ -206,12 +227,14 @@ proptest! {
             );
             prop_assert_eq!(batch.frames, take);
             stream.extend_from_slice(&batch.bytes);
+            // A lone frame travels plain and keeps its own trailer.
+            expected.extend(if take == 1 { chunk.to_vec() } else { drop_checks(chunk) });
             i += take;
             s += 1;
         }
         let mut dec = FrameDecoder::new();
         let decoded = feed_chunked(&mut dec, &stream, &cuts);
-        prop_assert_eq!(decoded, frames);
+        prop_assert_eq!(decoded, expected);
         prop_assert_eq!(dec.next_frame(), Ok(None));
     }
 
@@ -232,7 +255,7 @@ proptest! {
         while let Some(f) = dec.next_frame().expect("completed super-frame must decode") {
             out.push(f);
         }
-        prop_assert_eq!(out, frames);
+        prop_assert_eq!(out, drop_checks(&frames));
     }
 
     /// Any corrupted byte of the payload trips the super-frame's
@@ -268,6 +291,211 @@ proptest! {
         dec.feed(&bytes);
         prop_assert!(dec.next_frame().is_err(), "structural garbage accepted");
         prop_assert!(dec.next_frame().is_err(), "decoder resynced after poison");
+    }
+}
+
+// --------------------------------------------------------------------------
+// Wire version 6: acknowledgements, segmented bodies, `read_from`
+// --------------------------------------------------------------------------
+
+/// A reader that hands out `stream` in reads whose sizes cycle through
+/// `cuts` (never more than the caller's buffer takes).
+struct ChunkedReader<'a> {
+    stream: &'a [u8],
+    cuts: &'a [usize],
+    reads: usize,
+}
+
+impl std::io::Read for ChunkedReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let cut = self.cuts[self.reads % self.cuts.len()].max(1);
+        let k = cut.min(buf.len()).min(self.stream.len());
+        buf[..k].copy_from_slice(&self.stream[..k]);
+        self.stream = &self.stream[k..];
+        self.reads += 1;
+        Ok(k)
+    }
+}
+
+/// Drain `stream` through `read_from` with the given read sizes, pulling
+/// frames into `out` after every read as the transport loops do; stops at
+/// the first error, and a decoder that erred must stay down.
+fn read_all(
+    stream: &[u8],
+    cuts: &[usize],
+    scratch: usize,
+    out: &mut Vec<Frame>,
+) -> Result<(), WireError> {
+    let mut r = ChunkedReader {
+        stream,
+        cuts,
+        reads: 0,
+    };
+    let mut dec = FrameDecoder::new();
+    let mut scratch = vec![0u8; scratch];
+    while dec
+        .read_from(&mut r, &mut scratch)
+        .expect("reads cannot fail")
+        > 0
+    {
+        loop {
+            match dec.next_frame() {
+                Ok(Some(f)) => out.push(f),
+                Ok(None) => break,
+                Err(e) => {
+                    assert!(dec.next_frame().is_err(), "decoder resynced after poison");
+                    return Err(e);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        dec.next_frame(),
+        Ok(None),
+        "the stream ended between frames"
+    );
+    Ok(())
+}
+
+/// Bodies on both sides of the 64 KiB own-allocation threshold, up to
+/// 512 KiB: mostly small, a few large, content a cheap function of a seed.
+fn mixed_bodies() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    let body = (0usize..8, 0usize..(64 << 10), any::<u8>()).prop_map(|(class, n, seed)| {
+        let len = match class {
+            0 => (64 << 10) + n * 7,      // 64 KiB ..= 512 KiB: own allocation
+            1 => (64 << 10) - 1 - n % 64, // just under the threshold
+            2 => 0,
+            _ => n % 300,
+        };
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31) ^ seed)
+            .collect()
+    });
+    prop::collection::vec(body, 1..6)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `read_from` ≡ `feed`: for bodies of 0–512 KiB — large frames taking
+    /// the own-allocation path, small ones and super-frames the copy-out
+    /// path, in any order, a large frame followed by small ones in the same
+    /// read included — every split of the stream into reads yields the
+    /// frames one `feed` of the whole stream does.
+    #[test]
+    fn read_from_yields_what_feed_does_whatever_the_reads(
+        bodies in mixed_bodies(),
+        batch_small in any::<bool>(),
+        cuts in prop::collection::vec(1usize..(96 << 10), 1..8),
+        scratch in (1usize..(80 << 10)),
+        ack in any::<u64>(),
+    ) {
+        let mut stream = Vec::new();
+        let mut i = 0;
+        while i < bodies.len() {
+            // Runs of small bodies optionally coalesce, as a flush would.
+            let small = |b: &Vec<u8>| b.len() < 4096;
+            let mut take = 1;
+            while batch_small && small(&bodies[i]) && i + take < bodies.len()
+                && small(&bodies[i + take])
+            {
+                take += 1;
+            }
+            let records: Vec<(u32, u64, &[u8])> = (i..i + take)
+                .map(|j| (j as u32, j as u64 + 1, &bodies[j][..]))
+                .collect();
+            stream.extend_from_slice(&encode_batch_acked(&records, ack).bytes);
+            i += take;
+        }
+        let mut dec = FrameDecoder::new();
+        let fed = feed_chunked(&mut dec, &stream, &[]);
+        prop_assert_eq!(fed.len(), bodies.len());
+        for (j, f) in fed.iter().enumerate() {
+            prop_assert_eq!((f.to, f.seq, f.ack), (j as u32, j as u64 + 1, ack));
+            prop_assert_eq!(&f.body[..], &bodies[j][..]);
+        }
+        // The drawn reads, then byte-sized and page-sized ones whatever
+        // the strategy drew.
+        for (cuts, scratch) in [(&cuts[..], scratch), (&[4096, 1, 28, 36], 64 << 10)] {
+            let mut read = Vec::new();
+            read_all(&stream, cuts, scratch, &mut read).expect("clean stream");
+            prop_assert_eq!(&read, &fed);
+        }
+    }
+
+    /// A flipped byte anywhere in a large frame's body or trailer poisons
+    /// the decoder before that frame — or anything behind it — is yielded,
+    /// on the own-allocation path as on the copy-out path.
+    #[test]
+    fn flipped_byte_in_a_big_frame_poisons_before_it_is_yielded(
+        len in (64usize << 10)..(192 << 10),
+        pick in any::<u64>(),
+        cuts in prop::collection::vec(1usize..(96 << 10), 1..6),
+    ) {
+        let body: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(13)).collect();
+        let mut stream = encode_frame(1, 1, b"ahead");
+        let big_at = stream.len();
+        stream.extend_from_slice(&encode_frame(2, 2, &body));
+        stream.extend_from_slice(&encode_frame(3, 3, b"behind"));
+        let at = big_at + FRAME_HEADER + (pick as usize) % (len + FRAME_TRAILER);
+        stream[at] ^= 1 << (pick % 8);
+
+        let mut dec = FrameDecoder::new();
+        dec.feed(&stream);
+        prop_assert_eq!(dec.next_frame().map(|f| f.map(|f| f.seq)), Ok(Some(1)));
+        prop_assert!(matches!(dec.next_frame(), Err(WireError::Checksum { .. })));
+
+        let mut yielded = Vec::new();
+        let verdict = read_all(&stream, &cuts, 64 << 10, &mut yielded);
+        prop_assert!(matches!(verdict, Err(WireError::Checksum { .. })), "{verdict:?}");
+        prop_assert_eq!(yielded.iter().map(|f| f.seq).collect::<Vec<_>>(), vec![1]);
+    }
+
+    /// The streamed checksum over any segmentation of a body equals
+    /// `fletcher64` of the concatenation — what lets a frame's trailer be
+    /// computed over shared segments that are never assembled.
+    #[test]
+    fn streamed_checksum_is_segmentation_independent(
+        body in prop::collection::vec(any::<u8>(), 0..5000),
+        cuts in prop::collection::vec(0usize..700, 0..12),
+    ) {
+        let whole = Bytes::from(body.clone());
+        let mut segs = Vec::new();
+        let mut pos = 0;
+        for cut in cuts {
+            let end = (pos + cut).min(whole.len());
+            segs.push(whole.slice(pos..end)); // empty segments included
+            pos = end;
+        }
+        segs.push(whole.slice(pos..));
+        prop_assert_eq!(body_check(&segs), acr::pup::fletcher64(&body));
+    }
+
+    /// The acknowledgement rides every kind of frame — plain, super, and a
+    /// bodiless sequence-0 frame — and comes back unchanged, on every
+    /// sub-record of a batch.
+    #[test]
+    fn ack_survives_plain_super_and_bodiless_frames(
+        frames in prop::collection::vec(frame_strategy(), 2..6),
+        acks in (any::<u64>(), any::<u64>(), any::<u64>()),
+        cuts in prop::collection::vec(0usize..97, 0..12),
+    ) {
+        let lone = as_records(&frames[..1]);
+        let mut stream = encode_batch_acked(&lone, acks.0).bytes;
+        stream.extend_from_slice(&encode_batch_acked(&as_records(&frames), acks.1).bytes);
+        stream.extend_from_slice(&encode_batch_acked(&[(0, 0, &[])], acks.2).bytes);
+        let mut dec = FrameDecoder::new();
+        let got = feed_chunked(&mut dec, &stream, &cuts);
+        let mut expected = vec![Frame { ack: acks.0, ..frames[0].clone() }];
+        expected.extend(drop_checks(&frames).into_iter().map(|f| Frame { ack: acks.1, ..f }));
+        expected.push(Frame {
+            to: 0,
+            seq: 0,
+            ack: acks.2,
+            body: Bytes::new(),
+            check: Some(body_check(&[])),
+        });
+        prop_assert_eq!(got, expected);
     }
 }
 
