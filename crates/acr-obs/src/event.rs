@@ -268,13 +268,10 @@ pub enum EventKind {
         /// `Net::Install`) sent on this link.
         ship_raw_bytes: u64,
         /// Wire bytes spent on that ship traffic: the bodies plus their
-        /// share of each flush's framing.
+        /// frames' headers and trailers.
         ship_wire_bytes: u64,
-        /// Flushes that coalesced ≥ 2 frames.
+        /// Writes assembled from ≥ 2 frames.
         batch_flushes: u64,
-        /// What `bytes_sent` would have been as one plain frame per
-        /// message — the unbatched baseline batching is measured against.
-        plain_bytes: u64,
         /// Full-payload bytes the link's delta compare records stood in
         /// for (what a full ship would have cost).
         delta_raw_bytes: u64,
@@ -283,15 +280,15 @@ pub enum EventKind {
         /// Dirty chunk windows carried across all delta records.
         chunks_dirty: u64,
     },
-    /// (TCP transport) one batched flush that coalesced ≥ 2 frames into a
-    /// super-frame. Lone plain frames emit nothing, so event volume stays
-    /// bounded by send-side coalescing opportunities.
+    /// (TCP transport) one write assembled from ≥ 2 frames. Lone frames
+    /// emit nothing, so event volume stays bounded by send-side coalescing
+    /// opportunities.
     BatchFlush {
-        /// Frames coalesced into this super-frame.
+        /// Frames assembled into this write.
         frames: u64,
-        /// Super-frame payload bytes (sub-record headers + bodies).
+        /// Their body bytes.
         raw_bytes: u64,
-        /// Bytes that went on the wire (header + payload + trailer).
+        /// Bytes that went on the wire (bodies + headers + trailers).
         wire_bytes: u64,
     },
     /// The driver appended a record to its durable event log (or wrote a
@@ -467,7 +464,6 @@ impl EventKind {
                 ship_raw_bytes,
                 ship_wire_bytes,
                 batch_flushes,
-                plain_bytes,
                 delta_raw_bytes,
                 delta_shipped_bytes,
                 chunks_dirty,
@@ -479,7 +475,6 @@ impl EventKind {
                 push_raw(out, "ship_raw_bytes", ship_raw_bytes);
                 push_raw(out, "ship_wire_bytes", ship_wire_bytes);
                 push_raw(out, "batch_flushes", batch_flushes);
-                push_raw(out, "plain_bytes", plain_bytes);
                 push_raw(out, "delta_raw_bytes", delta_raw_bytes);
                 push_raw(out, "delta_shipped_bytes", delta_shipped_bytes);
                 push_raw(out, "chunks_dirty", chunks_dirty);
@@ -604,11 +599,11 @@ impl EventKind {
                 frames_recv: f.num("frames_recv")?,
                 bytes_recv: f.num("bytes_recv")?,
                 // Batching fields default to zero so logs written before
-                // the batching layer still parse.
+                // the batching layer still parse (and a later log's
+                // `plain_bytes` key, dropped with wire v7, is ignored).
                 ship_raw_bytes: f.num("ship_raw_bytes").unwrap_or(0),
                 ship_wire_bytes: f.num("ship_wire_bytes").unwrap_or(0),
                 batch_flushes: f.num("batch_flushes").unwrap_or(0),
-                plain_bytes: f.num("plain_bytes").unwrap_or(0),
                 // Delta fields likewise default for pre-delta logs.
                 delta_raw_bytes: f.num("delta_raw_bytes").unwrap_or(0),
                 delta_shipped_bytes: f.num("delta_shipped_bytes").unwrap_or(0),
@@ -807,7 +802,6 @@ mod tests {
             ship_raw_bytes: 51200,
             ship_wire_bytes: 20480,
             batch_flushes: 97,
-            plain_bytes: 91022,
             delta_raw_bytes: 40960,
             delta_shipped_bytes: 8192,
             chunks_dirty: 13,

@@ -57,13 +57,10 @@ pub struct Breakdown {
     /// all links' `WireBytes` totals.
     pub wire_ship_raw_bytes: u64,
     /// Wire bytes spent on that ship traffic: the bodies plus their
-    /// share of frame and super-frame overhead.
+    /// frames' headers and trailers.
     pub wire_ship_wire_bytes: u64,
-    /// Send-side flushes that coalesced ≥ 2 frames.
+    /// Send-side writes assembled from ≥ 2 frames.
     pub wire_batch_flushes: u64,
-    /// What the sent traffic would have cost unbatched (one plain frame
-    /// per message) — the baseline for the batching non-regression gate.
-    pub wire_plain_bytes: u64,
     /// Full-payload bytes the delta compare records stood in for (what
     /// those compares would have shipped without incremental checkpoints).
     pub wire_delta_raw_bytes: u64,
@@ -140,33 +137,7 @@ impl Breakdown {
                 EventKind::CompareShip { wire_bytes, .. } => b.compare_wire_bytes += wire_bytes,
                 EventKind::TransportConnect { .. } => b.transport_connects += 1,
                 EventKind::TransportRetry { .. } => b.transport_retries += 1,
-                EventKind::WireBytes {
-                    frames_sent,
-                    bytes_sent,
-                    frames_recv,
-                    bytes_recv,
-                    ship_raw_bytes,
-                    ship_wire_bytes,
-                    batch_flushes,
-                    plain_bytes,
-                    delta_raw_bytes,
-                    delta_shipped_bytes,
-                    chunks_dirty,
-                    ..
-                } => {
-                    b.wire_frames += frames_sent + frames_recv;
-                    b.wire_bytes += bytes_sent + bytes_recv;
-                    // Ship/batching totals come from the per-link lifetime
-                    // summaries only; per-flush `BatchFlush` events would
-                    // double-count them.
-                    b.wire_ship_raw_bytes += ship_raw_bytes;
-                    b.wire_ship_wire_bytes += ship_wire_bytes;
-                    b.wire_batch_flushes += batch_flushes;
-                    b.wire_plain_bytes += plain_bytes;
-                    b.wire_delta_raw_bytes += delta_raw_bytes;
-                    b.wire_delta_shipped_bytes += delta_shipped_bytes;
-                    b.wire_chunks_dirty += chunks_dirty;
-                }
+                kind @ EventKind::WireBytes { .. } => b.fold_wire(kind),
                 EventKind::StoreAppend { bytes, .. } => {
                     b.store_appends += 1;
                     b.store_bytes += bytes;
@@ -189,33 +160,38 @@ impl Breakdown {
         // teardown, after `JobEnd`; keep folding those (and only those)
         // without letting teardown timestamps stretch the phase totals.
         for ev in iter {
-            if let EventKind::WireBytes {
-                frames_sent,
-                bytes_sent,
-                frames_recv,
-                bytes_recv,
-                ship_raw_bytes,
-                ship_wire_bytes,
-                batch_flushes,
-                plain_bytes,
-                delta_raw_bytes,
-                delta_shipped_bytes,
-                chunks_dirty,
-                ..
-            } = &ev.kind
-            {
-                b.wire_frames += frames_sent + frames_recv;
-                b.wire_bytes += bytes_sent + bytes_recv;
-                b.wire_ship_raw_bytes += ship_raw_bytes;
-                b.wire_ship_wire_bytes += ship_wire_bytes;
-                b.wire_batch_flushes += batch_flushes;
-                b.wire_plain_bytes += plain_bytes;
-                b.wire_delta_raw_bytes += delta_raw_bytes;
-                b.wire_delta_shipped_bytes += delta_shipped_bytes;
-                b.wire_chunks_dirty += chunks_dirty;
-            }
+            b.fold_wire(&ev.kind);
         }
         b
+    }
+
+    /// Add one link's lifetime [`EventKind::WireBytes`] summary (any other
+    /// kind is ignored). Ship and batching totals come from these
+    /// summaries only; per-flush `BatchFlush` events would double-count
+    /// them.
+    fn fold_wire(&mut self, kind: &EventKind) {
+        if let EventKind::WireBytes {
+            frames_sent,
+            bytes_sent,
+            frames_recv,
+            bytes_recv,
+            ship_raw_bytes,
+            ship_wire_bytes,
+            batch_flushes,
+            delta_raw_bytes,
+            delta_shipped_bytes,
+            chunks_dirty,
+        } = kind
+        {
+            self.wire_frames += frames_sent + frames_recv;
+            self.wire_bytes += bytes_sent + bytes_recv;
+            self.wire_ship_raw_bytes += ship_raw_bytes;
+            self.wire_ship_wire_bytes += ship_wire_bytes;
+            self.wire_batch_flushes += batch_flushes;
+            self.wire_delta_raw_bytes += delta_raw_bytes;
+            self.wire_delta_shipped_bytes += delta_shipped_bytes;
+            self.wire_chunks_dirty += chunks_dirty;
+        }
     }
 
     /// Fraction of the run not spent on forward progress (the paper's
@@ -270,7 +246,6 @@ impl Breakdown {
         push_raw(&mut out, "wire_ship_raw_bytes", self.wire_ship_raw_bytes);
         push_raw(&mut out, "wire_ship_wire_bytes", self.wire_ship_wire_bytes);
         push_raw(&mut out, "wire_batch_flushes", self.wire_batch_flushes);
-        push_raw(&mut out, "wire_plain_bytes", self.wire_plain_bytes);
         push_raw(&mut out, "wire_delta_raw_bytes", self.wire_delta_raw_bytes);
         push_raw(
             &mut out,
@@ -314,7 +289,6 @@ impl Breakdown {
             wire_ship_raw_bytes: f.num("wire_ship_raw_bytes").unwrap_or(0),
             wire_ship_wire_bytes: f.num("wire_ship_wire_bytes").unwrap_or(0),
             wire_batch_flushes: f.num("wire_batch_flushes").unwrap_or(0),
-            wire_plain_bytes: f.num("wire_plain_bytes").unwrap_or(0),
             wire_delta_raw_bytes: f.num("wire_delta_raw_bytes").unwrap_or(0),
             wire_delta_shipped_bytes: f.num("wire_delta_shipped_bytes").unwrap_or(0),
             wire_chunks_dirty: f.num("wire_chunks_dirty").unwrap_or(0),
@@ -512,7 +486,6 @@ mod tests {
             wire_ship_raw_bytes: 51200,
             wire_ship_wire_bytes: 20480,
             wire_batch_flushes: 97,
-            wire_plain_bytes: 91022,
             wire_delta_raw_bytes: 40960,
             wire_delta_shipped_bytes: 10240,
             wire_chunks_dirty: 21,
@@ -522,6 +495,14 @@ mod tests {
         };
         let parsed = Breakdown::from_json(&b.to_json()).unwrap();
         assert_eq!(parsed, b);
+        // A baseline written before wire v7 carries one more key; it is
+        // ignored.
+        let old = (b.to_json()).replace(
+            "\"wire_frames\"",
+            "\"wire_plain_bytes\":91022,\"wire_frames\"",
+        );
+        assert!(old.contains("wire_plain_bytes"));
+        assert_eq!(Breakdown::from_json(&old).unwrap(), b);
         assert!((b.delta_savings_fraction() - 0.75).abs() < 1e-12);
     }
 
@@ -603,7 +584,6 @@ mod tests {
                     ship_raw_bytes: 3000,
                     ship_wire_bytes: 1200,
                     batch_flushes: 12,
-                    plain_bytes: 5600,
                     delta_raw_bytes: 2000,
                     delta_shipped_bytes: 500,
                     chunks_dirty: 4,
@@ -619,7 +599,6 @@ mod tests {
         assert_eq!(b.wire_ship_raw_bytes, 3000);
         assert_eq!(b.wire_ship_wire_bytes, 1200);
         assert_eq!(b.wire_batch_flushes, 12);
-        assert_eq!(b.wire_plain_bytes, 5600);
         assert_eq!(b.wire_delta_raw_bytes, 2000);
         assert_eq!(b.wire_delta_shipped_bytes, 500);
         assert_eq!(b.wire_chunks_dirty, 4);

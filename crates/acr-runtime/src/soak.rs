@@ -167,9 +167,8 @@ impl SoakLink {
             node: self.node as usize,
             token: self.next_seq,
         }));
-        let pong = [(DRIVER_DEST, self.next_seq, &body[..])];
-        self.out
-            .extend_from_slice(&wire::encode_batch_acked(&pong, self.last_recv).bytes);
+        let pong = wire::encode_frame_acked(DRIVER_DEST, self.next_seq, self.last_recv, &body);
+        self.out.extend_from_slice(&pong);
         self.next_seq += 1;
     }
 

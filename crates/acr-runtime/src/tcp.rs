@@ -37,18 +37,20 @@
 //! that would block parks the rest in a per-link buffer and the link asks
 //! poll for `POLLOUT` until it drains.
 //!
-//! Nothing is assembled that is already in memory. A message's body is a
-//! short list of shared segments (see [`wire`](crate::wire)); a lone frame
-//! leaves as `[header, segments…, trailer]` in one vectored write, a
-//! partial write resuming mid-segment, so a packed checkpoint goes from the
-//! node's pack buffer to the socket without a copy and the replay ring
-//! holds that same allocation. Only when two or more small single-segment
-//! frames wait together are they copied, into one
-//! [`wire::encode_batch_acked`](encode_batch_acked) super-frame. Inbound, a
-//! large frame is received straight into the allocation that becomes its
-//! body, and the reactor relays that body — and the trailer it was
-//! verified against — to the destination link as it is, so the
-//! destination's check covers the relay's memory as well as both wires.
+//! Nothing large is assembled that is already in memory. A message's body
+//! is a short list of shared segments (see [`wire`](crate::wire)), and a
+//! flush ([`SendSide::flush`]) turns the head of a link's queue into one
+//! vectored write of frames back to back: headers, trailers and body
+//! segments under 4 KiB are copied into a contiguous buffer, every larger
+//! segment goes in as a part of its own, by reference, and a partial write
+//! resumes mid-part. A burst of consensus chatter is therefore one small
+//! buffer and one system call, and a packed checkpoint goes from the
+//! node's pack buffer to the socket without a copy while the replay ring
+//! holds that same allocation. Inbound, a large frame is received straight
+//! into the allocation that becomes its body, and the reactor relays every
+//! body — with the trailer it was verified against — to the destination
+//! link as it is, so the destination's check covers the relay's memory as
+//! well as both wires.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
@@ -68,9 +70,9 @@ use crate::message::{Event, Net, NodeIndex};
 use crate::poller::{self, PollFd, Waker, POLLIN, POLLOUT};
 use crate::wire::{
     body_check, body_len, decode_event, decode_hello, decode_net, decode_welcome,
-    encode_batch_acked, encode_hello, encode_net, encode_welcome, frame_ends, Frame, FrameDecoder,
-    Hello, Welcome, WelcomeCfg, DRIVER_DEST, FRAME_HEADER, FRAME_TRAILER, HELLO_LEN,
-    SUPER_RECORD_HEADER, WELCOME_LEN,
+    encode_frame_acked, encode_hello, encode_net, encode_welcome, frame_ends, Frame, FrameDecoder,
+    Hello, Welcome, WelcomeCfg, DRIVER_DEST, FRAME_HEADER, FRAME_TRAILER, HELLO_LEN, SEGMENT_MIN,
+    WELCOME_LEN,
 };
 
 /// Body bytes a *stale* link's replay ring is shed to (see
@@ -85,9 +87,9 @@ const REPLAY_RING_BYTES: usize = 32 << 20;
 /// always crosses it, a round of consensus chatter never does.
 const ACK_AFTER_BYTES: usize = 256 << 10;
 
-/// Most parts handed to one vectored write (header, trailer and the few
-/// segments of a checkpoint record fit; a delta record with more dirty
-/// windows than this takes another write).
+/// Most parts handed to one vectored write (a flush of small frames around
+/// the few segments of a checkpoint record fits; a delta record with more
+/// dirty windows than this takes another write).
 const MAX_IOV: usize = 16;
 
 /// How long backoff sleeps are sliced (bounds shutdown latency), and the
@@ -97,12 +99,12 @@ const POLL_TICK: Duration = Duration::from_millis(5);
 /// A dialer that sends no (or a partial) hello is cut off after this.
 const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(1);
 
-/// Cap on the raw payload coalesced into one super-frame per flush step
-/// (several super-frames may still leave in one flush).
-const BATCH_MAX_RAW: usize = 256 * 1024;
-
-/// Cap on frames per super-frame (well under the u16 wire bound).
-const BATCH_MAX_FRAMES: usize = 1024;
+/// Body bytes after which a flush stops taking frames off the queue and
+/// writes what it has assembled (the rest follows in the same flush if the
+/// socket keeps up). It bounds the buffer a burst of small frames is copied
+/// into, and how long a written frame waits to be marked as such; a single
+/// larger frame still leaves whole.
+const FLUSH_BYTES: u64 = 256 * 1024;
 
 /// Bytes taken from one link per wake-up: one `read` into a buffer this
 /// size. Level-triggered poll reports the link again while more is
@@ -149,10 +151,14 @@ impl SendBuf {
     }
     fn set(&mut self, parts: impl IntoIterator<Item = Bytes>, last_seq: u64) {
         self.parts.clear();
-        self.parts
-            .extend(parts.into_iter().filter(|p| !p.is_empty()));
+        parts.into_iter().for_each(|p| self.push(p));
         self.off = 0;
         self.last_seq = last_seq;
+    }
+    fn push(&mut self, part: Bytes) {
+        if !part.is_empty() {
+            self.parts.push_back(part);
+        }
     }
     fn is_empty(&self) -> bool {
         self.parts.is_empty()
@@ -296,10 +302,8 @@ impl RingGauge {
 }
 
 /// Wire traffic counters for one side of the fabric, reported as a
-/// [`EventKind::WireBytes`] event at shutdown. `plain_bytes` is the
-/// unbatched-equivalent cost (one plain frame per message) the batching
-/// layer is measured against; `ship_*` isolate checkpoint-ship traffic
-/// (`Net::Compare` / `Net::Install` bodies).
+/// [`EventKind::WireBytes`] event at shutdown. `ship_*` isolate
+/// checkpoint-ship traffic (`Net::Compare` / `Net::Install` bodies).
 #[derive(Default)]
 struct WireStats {
     frames_sent: u64,
@@ -308,8 +312,8 @@ struct WireStats {
     bytes_recv: u64,
     ship_raw_bytes: u64,
     ship_wire_bytes: u64,
+    /// Writes assembled from two or more frames.
     batch_flushes: u64,
-    plain_bytes: u64,
     /// Full-payload bytes each delta compare record stood in for (the
     /// denominator of the delta-savings ratio).
     delta_raw_bytes: u64,
@@ -321,45 +325,39 @@ struct WireStats {
 
 impl WireStats {
     fn emit(&self, rec: &Recorder, node: u32) {
-        let (frames_sent, bytes_sent) = (self.frames_sent, self.bytes_sent);
-        let (frames_recv, bytes_recv) = (self.frames_recv, self.bytes_recv);
-        let (ship_raw_bytes, ship_wire_bytes) = (self.ship_raw_bytes, self.ship_wire_bytes);
-        let (batch_flushes, plain_bytes) = (self.batch_flushes, self.plain_bytes);
-        let (delta_raw_bytes, delta_shipped_bytes) =
-            (self.delta_raw_bytes, self.delta_shipped_bytes);
-        let chunks_dirty = self.chunks_dirty;
         rec.emit_with(node, || EventKind::WireBytes {
-            frames_sent,
-            bytes_sent,
-            frames_recv,
-            bytes_recv,
-            ship_raw_bytes,
-            ship_wire_bytes,
-            batch_flushes,
-            plain_bytes,
-            delta_raw_bytes,
-            delta_shipped_bytes,
-            chunks_dirty,
+            frames_sent: self.frames_sent,
+            bytes_sent: self.bytes_sent,
+            frames_recv: self.frames_recv,
+            bytes_recv: self.bytes_recv,
+            ship_raw_bytes: self.ship_raw_bytes,
+            ship_wire_bytes: self.ship_wire_bytes,
+            batch_flushes: self.batch_flushes,
+            delta_raw_bytes: self.delta_raw_bytes,
+            delta_shipped_bytes: self.delta_shipped_bytes,
+            chunks_dirty: self.chunks_dirty,
         });
     }
 
-    /// Count one frame about to leave; returns its body length if it is
-    /// checkpoint-ship traffic, by body tag (`Net::Compare` = 2,
-    /// `Net::Install` = 4; driver-bound event bodies share the tag space, so
-    /// only node-bound frames are classified). Field offsets inside a delta
-    /// `Net::Compare` body are fixed (pinned by
+    /// Count one frame about to leave, and classify it: checkpoint-ship
+    /// traffic is told by body tag (`Net::Compare` = 2, `Net::Install` = 4;
+    /// driver-bound event bodies share the tag space, so only node-bound
+    /// frames are classified). Field offsets inside a delta `Net::Compare`
+    /// body are fixed (pinned by
     /// `wire::tests::delta_compare_body_offsets_are_pinned`) and all fall
     /// inside the body's first segment, so the delta columns come from a
     /// cheap peek instead of a full decode.
-    fn sending(&mut self, f: &OutFrame) -> u64 {
+    fn sending(&mut self, f: &OutFrame) {
         let len = f.len as u64;
+        let wire = (FRAME_HEADER + FRAME_TRAILER) as u64 + len;
         self.frames_sent += 1;
-        self.plain_bytes += (FRAME_HEADER + FRAME_TRAILER) as u64 + len;
+        self.bytes_sent += wire;
         let head = f.body.first().map_or(&[][..], |seg| &seg[..]);
         if f.to == DRIVER_DEST || !matches!(head.first(), Some(&2) | Some(&4)) {
-            return 0;
+            return;
         }
         self.ship_raw_bytes += len;
+        self.ship_wire_bytes += wire;
         if head.len() >= 38 && head[0] == 2 && head[9] == 3 {
             let payload_len = u64::from_le_bytes(head[18..26].try_into().unwrap());
             let dirty = u32::from_le_bytes(head[34..38].try_into().unwrap());
@@ -367,7 +365,6 @@ impl WireStats {
             self.delta_shipped_bytes += len;
             self.chunks_dirty += dirty as u64;
         }
-        len
     }
 }
 
@@ -443,29 +440,25 @@ impl SendSide {
     }
 
     /// Write as much parked + queued data as the socket takes without
-    /// blocking: drain what is already assembled, then repeatedly take the
-    /// head of the queue — a lone frame as `[header, segments…, trailer]`
-    /// with nothing copied, a run of small single-segment frames coalesced
-    /// into one super-frame — and keep writing. Whatever is assembled here
-    /// carries `ack`, the highest sequence received on this link; when the
-    /// queue is empty and an acknowledgement is [due](Self::ack_due), a
-    /// bodiless frame carries it. Returns `false` on a fatal socket error —
-    /// the caller detaches.
+    /// blocking: drain what is already assembled, then repeatedly assemble
+    /// the head of the queue — up to [`FLUSH_BYTES`] of bodies — into one
+    /// vectored write and keep writing. The frames' headers, trailers and
+    /// segments under [`SEGMENT_MIN`] are copied into a contiguous run; a
+    /// larger segment ends the run and follows it as a part of its own, so
+    /// a shipped checkpoint is never copied and a burst of small frames is
+    /// one buffer. Every frame assembled here carries `ack`, the highest
+    /// sequence received on this link; when the queue is empty and an
+    /// acknowledgement is [due](Self::ack_due), a bodiless frame carries
+    /// it. Returns `false` on a fatal socket error — the caller detaches.
     fn flush(
         &mut self,
-        stream: &mut TcpStream,
+        stream: &mut impl Write,
         ack: u64,
         stats: &mut WireStats,
         rec: &Recorder,
         obs_node: u32,
     ) -> bool {
         let (out, outq) = (&mut self.out, &mut self.outq);
-        // A plain frame's two ends as parts (one small allocation for both).
-        let ends = |to: u32, seq: u64, len: usize, check: u64| {
-            let (header, trailer) = frame_ends(to, seq, ack, len, check);
-            let both = Bytes::from([&header[..], &trailer[..]].concat());
-            [both.slice(..FRAME_HEADER), both.slice(FRAME_HEADER..)]
-        };
         loop {
             match out.write_to(stream) {
                 Ok(true) => {}
@@ -474,66 +467,47 @@ impl SendSide {
             }
             self.ring.mark_written(out.last_seq);
             out.clear();
-            let Some(head) = outq.front() else {
-                if self.unacked < ACK_AFTER_BYTES {
-                    return true;
-                }
-                self.unacked = 0;
-                stats.bytes_sent += (FRAME_HEADER + FRAME_TRAILER) as u64;
-                out.set(ends(0, 0, 0, body_check(&[])), 0);
-                continue;
-            };
+            if outq.is_empty() && self.unacked < ACK_AFTER_BYTES {
+                return true;
+            }
             self.unacked = 0;
-            // Coalesce the queue head into one flush unit. A body of
-            // several segments travels alone: it is large, and a batch
-            // would have to copy it.
-            let mut take = 1;
-            let mut raw = SUPER_RECORD_HEADER + head.len;
-            while head.body.len() <= 1 && take < outq.len().min(BATCH_MAX_FRAMES) {
-                let sz = SUPER_RECORD_HEADER + outq[take].len;
-                if outq[take].body.len() > 1 || raw + sz > BATCH_MAX_RAW {
+            let mut run = Vec::new();
+            let (mut frames, mut raw) = (0u64, 0u64);
+            while raw < FLUSH_BYTES {
+                let Some(f) = outq.pop_front() else {
                     break;
-                }
-                raw += sz;
-                take += 1;
-            }
-            let ship_raw: u64 = outq.iter().take(take).map(|f| stats.sending(f)).sum();
-            let last_seq = outq[take - 1].seq;
-            let (wire, raw_total) = if take == 1 {
-                let f = outq.pop_front().expect("the head was just looked at");
+                };
+                stats.sending(&f);
                 let check = f.check.unwrap_or_else(|| body_check(&f.body));
-                let [header, trailer] = ends(f.to, f.seq, f.len, check);
-                out.set(
-                    [header].into_iter().chain(f.body).chain([trailer]),
-                    last_seq,
-                );
-                (FRAME_HEADER + f.len + FRAME_TRAILER, f.len)
-            } else {
-                let records: Vec<(u32, u64, &[u8])> = outq
-                    .iter()
-                    .take(take)
-                    .map(|f| (f.to, f.seq, f.body.first().map_or(&[][..], |seg| &seg[..])))
-                    .collect();
-                let batch = encode_batch_acked(&records, ack);
-                let sizes = (batch.bytes.len(), batch.raw_payload);
-                outq.drain(..take);
-                out.set([Bytes::from(batch.bytes)], last_seq);
-                sizes
-            };
-            let (wire, raw_total) = (wire as u64, raw_total as u64);
-            stats.bytes_sent += wire;
-            if ship_raw > 0 {
-                // Apportion the flush's wire cost (bodies plus framing) to
-                // ship traffic by its share of the payload.
-                stats.ship_wire_bytes += (wire * ship_raw) / raw_total.max(1);
+                let (header, trailer) = frame_ends(f.to, f.seq, ack, f.len, check);
+                run.reserve(FRAME_HEADER + f.len.min(SEGMENT_MIN) + FRAME_TRAILER);
+                run.extend_from_slice(&header);
+                for seg in f.body {
+                    if seg.len() < SEGMENT_MIN {
+                        run.extend_from_slice(&seg);
+                    } else {
+                        out.push(Bytes::from(std::mem::take(&mut run)));
+                        out.push(seg);
+                    }
+                }
+                run.extend_from_slice(&trailer);
+                out.last_seq = f.seq;
+                frames += 1;
+                raw += f.len as u64;
             }
-            if take >= 2 {
+            if frames == 0 {
+                // Nothing was queued: the acknowledgement that is due goes
+                // in a bodiless frame.
+                run = encode_frame_acked(0, 0, ack, &[]);
+                stats.bytes_sent += run.len() as u64;
+            }
+            out.push(Bytes::from(run));
+            if frames >= 2 {
                 stats.batch_flushes += 1;
-                let frames = take as u64;
                 rec.emit_with(obs_node, || EventKind::BatchFlush {
                     frames,
-                    raw_bytes: raw_total,
-                    wire_bytes: wire,
+                    raw_bytes: raw,
+                    wire_bytes: raw + frames * (FRAME_HEADER + FRAME_TRAILER) as u64,
                 });
             }
         }
@@ -1336,7 +1310,7 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
             } else if let Some(ls) = jl.links.get_mut(frame.to as usize) {
                 // Relayed as verified: the same allocation, the same trailer.
                 let at = (job, frame.to as usize);
-                ls.enqueue(at, vec![frame.body], frame.check, &mut to_flush);
+                ls.enqueue(at, vec![frame.body], Some(frame.check), &mut to_flush);
             }
         }
 
@@ -1852,6 +1826,38 @@ mod tests {
         Net::Install { checkpoint }
     }
 
+    /// A socket stand-in that takes at most `per_call` bytes a call and
+    /// records what it was offered.
+    #[derive(Default)]
+    struct Sink {
+        per_call: usize,
+        calls: usize,
+        parts: Vec<(*const u8, usize)>,
+        got: Vec<u8>,
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            assert!(bufs.len() <= MAX_IOV);
+            assert!(bufs.iter().all(|b| !b.is_empty()), "an empty part");
+            self.calls += 1;
+            let mut k = 0;
+            for b in bufs {
+                self.parts.push((b.as_ptr(), b.len()));
+                let n = b.len().min(self.per_call - k);
+                self.got.extend_from_slice(&b[..n]);
+                k += n;
+            }
+            Ok(k)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     /// Poll `cond` until it holds (the loops publish their state a
     /// wake-up after the fact).
     fn eventually(what: &str, cond: impl Fn() -> bool) {
@@ -2252,7 +2258,7 @@ mod tests {
             seq: 0,
             ack: 1,
             body: Bytes::new(),
-            check: None,
+            check: body_check(&[]),
         };
         for _ in 0..4 {
             tx.received(&bodiless);
@@ -2304,26 +2310,6 @@ mod tests {
     /// one `writev` takes go in several, empty parts are never offered.
     #[test]
     fn send_buf_resumes_mid_part_at_every_split() {
-        struct Trickle {
-            per_call: usize,
-            got: Vec<u8>,
-        }
-        impl Write for Trickle {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.write_vectored(&[IoSlice::new(buf)])
-            }
-            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
-                assert!(bufs.len() <= MAX_IOV);
-                assert!(bufs.iter().all(|b| !b.is_empty()), "an empty part");
-                let all: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
-                let k = all.len().min(self.per_call);
-                self.got.extend_from_slice(&all[..k]);
-                Ok(k)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
         let sizes = [28usize, 0, 18, 300, 1, 0, 45, 8];
         let parts: Vec<Bytes> = (sizes.iter().cycle().take(3 * MAX_IOV).enumerate())
             .map(|(i, &n)| Bytes::from(vec![i as u8; n]))
@@ -2332,9 +2318,9 @@ mod tests {
         for per_call in (1..=64).chain([299, 300, 301, whole.len()]) {
             let mut out = SendBuf::default();
             out.set(parts.iter().cloned(), 7);
-            let mut w = Trickle {
+            let mut w = Sink {
                 per_call,
-                got: Vec::new(),
+                ..Sink::default()
             };
             assert!(out.write_to(&mut w).expect("no error"), "drained");
             assert!(out.is_empty());
@@ -2357,6 +2343,62 @@ mod tests {
             .write_to(&mut Full)
             .expect("would block is not an error"));
         assert_eq!((out.off, out.last_seq), (2, 7));
+    }
+
+    /// A flush is one vectored write of frames back to back: 64 small
+    /// frames queued ahead of a checkpoint-sized one (three segments) are
+    /// assembled into three parts — the small frames with the big one's
+    /// header and first run, its payload by reference, its last run and
+    /// trailer — and leave in one call. They arrive in order, every frame
+    /// with a trailer of its own that verifies, and the payload the socket
+    /// was offered is the allocation that was enqueued.
+    #[test]
+    fn a_flush_is_one_vectored_write_of_frames_and_copies_no_large_segment() {
+        const SMALL: u64 = 64;
+        const STATE: usize = 1 << 20;
+        let mut tx = SendSide {
+            attached: true,
+            ..SendSide::default()
+        };
+        for tag in 0..SMALL {
+            tx.enqueue(1, encode_net(&app_msg(tag, vec![tag as u8; 24])), None);
+        }
+        let payload = Bytes::from(vec![0xC7; STATE]);
+        let checkpoint = acr_core::Checkpoint::new(9, payload.clone(), 9);
+        tx.enqueue(1, encode_net(&Net::Install { checkpoint }), None);
+
+        let mut w = Sink {
+            per_call: usize::MAX,
+            ..Sink::default()
+        };
+        let mut stats = WireStats::default();
+        assert!(tx.flush(&mut w, 17, &mut stats, &Recorder::disabled(), 0));
+        assert!(!tx.backlog());
+        assert_eq!(tx.ring.written, SMALL as usize + 1, "all marked written");
+        assert_eq!(w.parts.len(), 3, "run, payload, run");
+        assert!(w.calls <= w.parts.len().div_ceil(MAX_IOV));
+        assert_eq!(w.parts[1], (payload.as_ptr(), STATE), "by reference");
+        assert_eq!(
+            (stats.frames_sent, stats.batch_flushes, stats.bytes_sent),
+            (SMALL + 1, 1, w.got.len() as u64)
+        );
+
+        let mut dec = FrameDecoder::new();
+        dec.feed(&w.got);
+        for seq in 1..=SMALL + 1 {
+            let f = dec.next_frame().expect("clean stream").expect("a frame");
+            assert_eq!((f.to, f.seq, f.ack), (1, seq, 17));
+            assert_eq!(f.check, acr_pup::fletcher64(&f.body), "its own trailer");
+            match decode_net(&f.body).expect("decodes") {
+                Net::App { msg, .. } => assert_eq!(msg.tag, seq - 1),
+                Net::Install { checkpoint: c } => {
+                    assert_eq!((seq, c.iteration), (SMALL + 1, 9));
+                    assert_eq!(c.payload, payload);
+                }
+                other => panic!("unexpected record {other:?}"),
+            }
+        }
+        assert_eq!(dec.next_frame(), Ok(None));
     }
 
     /// (i) Acknowledgements empty the rings: after one Compare /
@@ -2524,32 +2566,35 @@ mod tests {
         router.shutdown();
     }
 
-    /// A v5 dialer (the same 24-byte hello, version 5, no `ack` in its
-    /// frame headers) is refused at the handshake: the reactor fails the
-    /// version check and closes the socket — no welcome, no link.
+    /// An older dialer — v6 (the same 24-byte hello, but it would batch
+    /// into `"ACRS"` super-frames) or v5 (no `ack` in its frame headers) —
+    /// is refused at the handshake: the reactor fails the version check
+    /// and closes the socket — no welcome, no link.
     #[test]
     fn v5_hello_is_refused_at_the_handshake() {
         let (router, _events) = router_with_job(1, Duration::from_secs(600));
-        let mut v5 = encode_hello(&Hello {
-            job: 0,
-            node: 0,
-            last_recv_seq: 0,
-        });
-        v5[4..8].copy_from_slice(&5u32.to_le_bytes());
-        assert_eq!(
-            decode_hello(&v5),
-            Err(crate::wire::WireError::BadVersion(5))
-        );
-        let mut s = TcpStream::connect(router.local_addr()).expect("connect");
-        s.write_all(&v5).expect("hello");
-        let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
-        let mut one = [0u8; 1];
-        assert_eq!(
-            s.read(&mut one).unwrap_or(0),
-            0,
-            "a v5 hello must get no welcome"
-        );
-        assert_eq!(router.connected_links(), 0);
+        for old in [6u32, 5] {
+            let mut hello = encode_hello(&Hello {
+                job: 0,
+                node: 0,
+                last_recv_seq: 0,
+            });
+            hello[4..8].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                decode_hello(&hello),
+                Err(crate::wire::WireError::BadVersion(old))
+            );
+            let mut s = TcpStream::connect(router.local_addr()).expect("connect");
+            s.write_all(&hello).expect("hello");
+            let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
+            let mut one = [0u8; 1];
+            assert_eq!(
+                s.read(&mut one).unwrap_or(0),
+                0,
+                "a v{old} hello must get no welcome"
+            );
+            assert_eq!(router.connected_links(), 0);
+        }
         router.shutdown();
     }
 

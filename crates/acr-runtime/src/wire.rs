@@ -2,9 +2,10 @@
 //! Fletcher-64 body trailer, tag-byte codecs for the `message.rs` protocol
 //! enums, and the connect/accept handshake records.
 //!
-//! ## Frame format (wire version 6)
+//! ## Frame format (wire version 7)
 //!
-//! Every message crossing a socket travels in one frame (all integers
+//! Every message crossing a socket travels in one frame, and a frame is the
+//! only thing a socket carries after the handshake (all integers
 //! little-endian):
 //!
 //! ```text
@@ -36,24 +37,11 @@
 //! deduplicated, not dispatched, and — having no body — never owed an
 //! acknowledgement itself.
 //!
-//! ## Super-frames (batching)
-//!
-//! Two or more frames headed for the same socket in one flush are coalesced
-//! into one *super-frame*, so the flush costs one syscall and one checksum
-//! instead of one per frame; a lone frame always travels as a plain frame.
-//!
-//! ```text
-//! magic    u32   0x53524341 ("ACRS")
-//! len      u32   payload length (≤ MAX_FRAME_BODY)
-//! count    u16   number of sub-records inside (≥ 2 on encode, ≥ 1 on decode)
-//! ack      u64   as in a plain frame; every sub-record decodes with it
-//! payload  [u8; len]   concatenated sub-records
-//! check    u64   fletcher64(payload)
-//! ```
-//!
-//! Each sub-record is `to u32 · seq u64 · len u32 · body`: the same triple a
-//! plain frame carries, so batching is invisible above the decoder. The
-//! payload is stored verbatim — there is no byte compression on the wire
+//! Frames headed for the same socket in one flush leave back to back in one
+//! vectored write (`tcp.rs` assembles them); on the wire that is nothing
+//! but a run of frames, each with its own trailer, so the decoder — and a
+//! relay, which passes body and trailer on as they came — knows one layout.
+//! A body is stored verbatim — there is no byte compression on the wire
 //! (checkpoint-ship volume is cut by the §4.2 checksum and by delta
 //! checkpoints, both above this layer).
 //!
@@ -81,8 +69,6 @@ use crate::message::{AppMsg, Ctrl, Event, Net, NodeFault, Scope, TaskId};
 
 /// Frame magic: `"ACRF"` little-endian.
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"ACRF");
-/// Super-frame (batched) magic: `"ACRS"`.
-pub const SUPER_MAGIC: u32 = u32::from_le_bytes(*b"ACRS");
 /// Handshake (client hello) magic: `"ACRH"`.
 pub const HELLO_MAGIC: u32 = u32::from_le_bytes(*b"ACRH");
 /// Handshake (server welcome) magic: `"ACRW"`.
@@ -93,9 +79,11 @@ pub const WELCOME_MAGIC: u32 = u32::from_le_bytes(*b"ACRW");
 /// which a multi-job reactor uses to route the link into its job's
 /// namespace; version 5 removed the payload codecs (the hello's codec mask,
 /// the welcome's codec byte, the super-frame header's codec and raw-length
-/// fields); version 6 added the `ack` field to both frame headers. Peers of
-/// any other version are refused at the handshake.
-pub const WIRE_VERSION: u32 = 6;
+/// fields); version 6 added the `ack` field to the frame headers; version 7
+/// removed the `"ACRS"` super-frame, leaving the plain frame as the only
+/// thing on a socket. Peers of any other version are refused at the
+/// handshake.
+pub const WIRE_VERSION: u32 = 7;
 /// `to` value addressing the driver rather than a node.
 pub const DRIVER_DEST: u32 = u32::MAX;
 /// Upper bound on a frame body; anything larger is a corrupt length field.
@@ -105,10 +93,6 @@ pub const MAX_FRAME_BODY: usize = 256 << 20;
 pub const FRAME_HEADER: usize = 4 + 4 + 4 + 8 + 8;
 /// Trailer bytes after the body (the Fletcher-64 checksum).
 pub const FRAME_TRAILER: usize = 8;
-/// Super-frame header bytes (magic + len + count + ack).
-pub const SUPER_HEADER: usize = 4 + 4 + 2 + 8;
-/// Per-sub-frame overhead inside a super-frame payload (to + seq + len).
-pub const SUPER_RECORD_HEADER: usize = 4 + 8 + 4;
 /// Encoded hello length (fixed): magic, version, job, node, last_recv.
 /// The job id (added in wire version 4) scopes the link: node indices are
 /// per-job namespaces, so a service reactor hosting several jobs routes a
@@ -123,10 +107,11 @@ pub const WELCOME_LEN: usize = 4 + 4 + 8 + 4 * 4 + 1 + 8 + 8 + 8 + 1 + 4;
 /// reference to the caller's allocation); anything shorter is copied into
 /// the encoded run around it. Below a page the copy is cheaper than another
 /// entry in the vectored write, and delta windows — one 4 KiB chunk each by
-/// default — are the smallest strings worth sharing.
-const SEGMENT_MIN: usize = 4096;
+/// default — are the smallest strings worth sharing. A flush draws the same
+/// line: segments below it are copied into the buffer it assembles.
+pub(crate) const SEGMENT_MIN: usize = 4096;
 
-/// Shortest plain-frame body that [`FrameDecoder`] receives into an
+/// Shortest frame body that [`FrameDecoder`] receives into an
 /// allocation of its own, which then becomes the body, instead of copying
 /// it out of the stream buffer once complete. At one socket read
 /// (`tcp.rs` takes 64 KiB at a time) a smaller body has usually arrived
@@ -365,19 +350,18 @@ pub struct Frame {
     /// acknowledgement frame.
     pub seq: u64,
     /// Highest sequence the sender had received on this link when the
-    /// frame left (a super-frame's sub-records all carry its one value).
+    /// frame left.
     pub ack: u64,
     /// Tag-byte-encoded message body.
     pub body: Bytes,
-    /// The body's Fletcher-64 as the wire carried (and the decoder
-    /// verified) it: a plain frame's trailer. `None` for a super-frame's
-    /// sub-record, which only the batch's trailer covered. A relay passes
-    /// it on with the body instead of recomputing it.
-    pub check: Option<u64>,
+    /// The body's Fletcher-64 as the trailer carried (and the decoder
+    /// verified) it. A relay passes it on with the body instead of
+    /// recomputing it.
+    pub check: u64,
 }
 
-/// The fixed-size ends of a plain frame around a body of `len` bytes whose
-/// Fletcher-64 is `check` — the one place the plain layout is written.
+/// The fixed-size ends of a frame around a body of `len` bytes whose
+/// Fletcher-64 is `check` — the one place the layout is written.
 pub(crate) fn frame_ends(
     to: u32,
     seq: u64,
@@ -394,91 +378,47 @@ pub(crate) fn frame_ends(
     (h, check.to_le_bytes())
 }
 
-fn plain_frame(to: u32, seq: u64, ack: u64, body: &[u8]) -> Vec<u8> {
+/// Append one frame to `buf`.
+fn put_frame(buf: &mut Vec<u8>, to: u32, seq: u64, ack: u64, body: &[u8]) {
     let (header, trailer) = frame_ends(to, seq, ack, body.len(), fletcher64(body));
-    let mut buf = Vec::with_capacity(FRAME_HEADER + body.len() + FRAME_TRAILER);
+    buf.reserve(FRAME_HEADER + body.len() + FRAME_TRAILER);
     buf.extend_from_slice(&header);
     buf.extend_from_slice(body);
     buf.extend_from_slice(&trailer);
-    buf
 }
 
 /// Encode one frame, contiguous and ready for the socket, acknowledging
-/// nothing (`ack` 0).
-pub fn encode_frame(to: u32, seq: u64, body: &[u8]) -> Vec<u8> {
-    plain_frame(to, seq, 0, body)
+/// everything up to `ack`.
+pub fn encode_frame_acked(to: u32, seq: u64, ack: u64, body: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_frame(&mut buf, to, seq, ack, body);
+    buf
 }
 
-/// The result of encoding one flush via [`encode_batch`].
+/// [`encode_frame_acked`] acknowledging nothing (`ack` 0).
+pub fn encode_frame(to: u32, seq: u64, body: &[u8]) -> Vec<u8> {
+    encode_frame_acked(to, seq, 0, body)
+}
+
+/// What [`encode_batch`] returns.
 #[derive(Debug, Clone)]
 pub struct EncodedBatch {
-    /// Exactly what goes on the socket: one plain frame or one super-frame.
+    /// Exactly what goes on the socket: the records' frames, back to back.
     pub bytes: Vec<u8>,
-    /// Concatenated sub-record length (the super-frame payload). For a lone
-    /// plain frame this is the body length.
-    pub raw_payload: usize,
-    /// Number of frames coalesced into this flush.
-    pub frames: usize,
 }
 
-/// [`encode_batch_acked`] acknowledging nothing (`ack` 0). The second
-/// parameter is ignored (see [`WireCodec`]).
+/// The `(to, seq, body)` records as one contiguous run of frames, each
+/// acknowledging nothing — what a flush of them puts on the socket. The
+/// second parameter is ignored (see [`WireCodec`]).
 pub fn encode_batch(records: &[(u32, u64, &[u8])], _codec: WireCodec) -> EncodedBatch {
-    encode_batch_acked(records, 0)
-}
-
-/// Encode one flush worth of frames for a single socket, contiguous. A lone
-/// frame is a plain `"ACRF"` frame; two or more coalesce into a
-/// super-frame, whose per-record overhead (16 bytes) undercuts the 36-byte
-/// plain header+trailer — batching never costs bytes. Header and
-/// sub-records are written straight into the output buffer and checksummed
-/// in place.
-///
-/// The caller must keep the batch payload under [`MAX_FRAME_BODY`] and
-/// the frame count under `u16::MAX` (the reactor's flush loop splits
-/// batches long before either bound).
-pub fn encode_batch_acked(records: &[(u32, u64, &[u8])], ack: u64) -> EncodedBatch {
-    assert!(!records.is_empty(), "encode_batch of zero frames");
-    assert!(
-        records.len() <= u16::MAX as usize,
-        "batch frame count overflow"
-    );
-    if let [(to, seq, body)] = *records {
-        return EncodedBatch {
-            bytes: plain_frame(to, seq, ack, body),
-            raw_payload: body.len(),
-            frames: 1,
-        };
-    }
-    let payload_len: usize = records
-        .iter()
-        .map(|(_, _, b)| SUPER_RECORD_HEADER + b.len())
-        .sum();
-    assert!(
-        payload_len <= MAX_FRAME_BODY,
-        "batch payload exceeds frame cap"
-    );
-    let mut buf = Vec::with_capacity(SUPER_HEADER + payload_len + FRAME_TRAILER);
-    put_u32(&mut buf, SUPER_MAGIC);
-    put_u32(&mut buf, payload_len as u32);
-    buf.extend_from_slice(&(records.len() as u16).to_le_bytes());
-    put_u64(&mut buf, ack);
+    let mut bytes = Vec::new();
     for &(to, seq, body) in records {
-        put_u32(&mut buf, to);
-        put_u64(&mut buf, seq);
-        put_u32(&mut buf, body.len() as u32);
-        buf.extend_from_slice(body);
+        put_frame(&mut bytes, to, seq, 0, body);
     }
-    let check = fletcher64(&buf[SUPER_HEADER..]);
-    put_u64(&mut buf, check);
-    EncodedBatch {
-        bytes: buf,
-        raw_payload: payload_len,
-        frames: records.len(),
-    }
+    EncodedBatch { bytes }
 }
 
-/// A plain frame of [`OWN_ALLOC_MIN`] bytes or more whose body is still
+/// A frame of [`OWN_ALLOC_MIN`] bytes or more whose body is still
 /// arriving: `buf` is the body plus its trailer, filled so far to `got`.
 #[derive(Debug)]
 struct Arriving {
@@ -492,26 +432,25 @@ struct Arriving {
 /// Incremental frame decoder for a byte stream delivered in arbitrary
 /// chunks (partial reads, coalesced writes). Hand it bytes as they arrive —
 /// [`feed`](Self::feed) a slice, or let it [`read_from`](Self::read_from)
-/// the socket — then pull complete frames: a super-frame is unpacked
-/// transparently, its sub-frames queued and returned one at a time. Any
-/// error is fatal for the stream: the decoder stays poisoned and the
-/// connection should be dropped (a fresh connection starts a fresh
-/// decoder).
+/// the socket — then pull complete frames one at a time. Any error is fatal
+/// for the stream: the decoder stays poisoned and the connection should be
+/// dropped (a fresh connection starts a fresh decoder).
 ///
-/// A plain frame of 64 KiB (`OWN_ALLOC_MIN`) or more that is met before its
+/// A frame of 64 KiB (`OWN_ALLOC_MIN`) or more that is met before its
 /// body has fully arrived gets an allocation of exactly its size; the rest
 /// of the body lands there directly and, once the trailer verifies, that
-/// allocation *is* [`Frame::body`]. Every other body — small frames,
-/// super-frame sub-records — is copied out of the stream buffer into a
-/// buffer of its own, so a few bytes of heartbeat never keep a larger
-/// buffer alive. The frames yielded are the same either way.
+/// allocation *is* [`Frame::body`]. Every smaller body is copied out of the
+/// stream buffer into a buffer of its own, so a few bytes of heartbeat
+/// never keep a larger buffer alive. The frames yielded are the same either
+/// way.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
     pos: usize,
     arriving: Option<Arriving>,
+    /// The arriving frame, complete and verified, until it is pulled.
+    arrived: Option<Frame>,
     poisoned: Option<WireError>,
-    pending: std::collections::VecDeque<Frame>,
 }
 
 impl FrameDecoder {
@@ -528,7 +467,7 @@ impl FrameDecoder {
             a.got += k;
             data = &data[k..];
         }
-        self.arrived();
+        self.finish_arriving();
         // Compact lazily: drop consumed prefix once it dominates the buffer.
         if self.pos > 4096 && self.pos * 2 > self.buf.len() {
             self.buf.drain(..self.pos);
@@ -550,36 +489,30 @@ impl FrameDecoder {
         let end = a.buf.len().min(a.got + scratch.len());
         let k = r.read(&mut a.buf[a.got..end])?;
         a.got += k;
-        self.arrived();
+        self.finish_arriving();
         Ok(k)
     }
 
-    /// If the arriving frame is complete: verify it in place and queue it.
-    fn arrived(&mut self) {
-        let Some(a) = self.arriving.take_if(|a| a.got == a.buf.len()) else {
+    /// If the arriving frame is complete: verify it in place and hold it
+    /// for the next [`next_frame`](Self::next_frame).
+    fn finish_arriving(&mut self) {
+        let Some(mut a) = self.arriving.take_if(|a| a.got == a.buf.len()) else {
             return;
         };
-        let Arriving {
-            to,
-            seq,
-            ack,
-            mut buf,
-            ..
-        } = a;
-        let len = buf.len() - FRAME_TRAILER;
-        let found = u64::from_le_bytes(buf[len..].try_into().unwrap());
-        let expected = fletcher64(&buf[..len]);
+        let len = a.buf.len() - FRAME_TRAILER;
+        let found = u64::from_le_bytes(a.buf[len..].try_into().unwrap());
+        let expected = fletcher64(&a.buf[..len]);
         if expected != found {
             self.poisoned = Some(WireError::Checksum { expected, found });
             return;
         }
-        buf.truncate(len);
-        self.pending.push_back(Frame {
-            to,
-            seq,
-            ack,
-            body: Bytes::from(buf),
-            check: Some(found),
+        a.buf.truncate(len);
+        self.arrived = Some(Frame {
+            to: a.to,
+            seq: a.seq,
+            ack: a.ack,
+            body: Bytes::from(a.buf),
+            check: found,
         });
     }
 
@@ -590,7 +523,7 @@ impl FrameDecoder {
 
     /// Next complete frame, `Ok(None)` if more bytes are needed.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        if let Some(f) = self.pending.pop_front() {
+        if let Some(f) = self.arrived.take() {
             return Ok(Some(f));
         }
         if let Some(e) = &self.poisoned {
@@ -600,15 +533,10 @@ impl FrameDecoder {
         if self.arriving.is_some() || avail.len() < 4 {
             return Ok(None);
         }
-        match u32::from_le_bytes(avail[0..4].try_into().unwrap()) {
-            FRAME_MAGIC => self.next_plain(),
-            SUPER_MAGIC => self.next_super(),
-            magic => self.poison(WireError::BadMagic(magic)),
+        let magic = u32::from_le_bytes(avail[0..4].try_into().unwrap());
+        if magic != FRAME_MAGIC {
+            return self.poison(WireError::BadMagic(magic));
         }
-    }
-
-    fn next_plain(&mut self) -> Result<Option<Frame>, WireError> {
-        let avail = &self.buf[self.pos..];
         if avail.len() < FRAME_HEADER {
             return Ok(None);
         }
@@ -652,67 +580,9 @@ impl FrameDecoder {
             seq,
             ack,
             body,
-            check: Some(found),
+            check: found,
         }))
     }
-
-    fn next_super(&mut self) -> Result<Option<Frame>, WireError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < SUPER_HEADER {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[4..8].try_into().unwrap()) as usize;
-        if len > MAX_FRAME_BODY {
-            return self.poison(WireError::TooLarge(len));
-        }
-        let count = u16::from_le_bytes(avail[8..10].try_into().unwrap()) as usize;
-        let ack = u64::from_le_bytes(avail[10..18].try_into().unwrap());
-        let total = SUPER_HEADER + len + FRAME_TRAILER;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let payload = &avail[SUPER_HEADER..SUPER_HEADER + len];
-        let found = u64::from_le_bytes(avail[SUPER_HEADER + len..total].try_into().unwrap());
-        let expected = fletcher64(payload);
-        if expected != found {
-            return self.poison(WireError::Checksum { expected, found });
-        }
-        // An empty batch is never emitted; a zero count means corruption
-        // the checksum happened to miss structurally (the header is not
-        // under the checksum).
-        if count == 0 {
-            return self.poison(WireError::Truncated);
-        }
-        match sub_records(payload, count, ack) {
-            Ok(frames) => {
-                self.pos += total;
-                self.pending.extend(frames);
-                Ok(self.pending.pop_front())
-            }
-            Err(e) => self.poison(e),
-        }
-    }
-}
-
-/// Unpack a super-frame payload; the `count` sub-records must exactly tile
-/// it.
-fn sub_records(payload: &[u8], count: usize, ack: u64) -> Result<Vec<Frame>, WireError> {
-    let mut r = Reader::new(payload);
-    let mut frames = Vec::with_capacity(count);
-    for _ in 0..count {
-        let to = r.u32()?;
-        let seq = r.u64()?;
-        let len = r.u32()? as usize;
-        frames.push(Frame {
-            to,
-            seq,
-            ack,
-            body: Bytes::copy_from_slice(r.take(len)?),
-            check: None,
-        });
-    }
-    r.finish()?;
-    Ok(frames)
 }
 
 // ---------------------------------------------------------------------------
@@ -1971,14 +1841,14 @@ mod tests {
         u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
     }
 
-    /// The v6 handshake records and both frame headers, byte for byte: a
+    /// The v7 handshake records and the frame layout, byte for byte: a
     /// peer written against this layout interoperates, and any reshuffle
     /// must bump [`WIRE_VERSION`].
     #[test]
-    fn v6_handshake_and_frame_header_layouts_are_pinned() {
-        assert_eq!(WIRE_VERSION, 6);
+    fn v7_handshake_and_frame_layouts_are_pinned() {
+        assert_eq!(WIRE_VERSION, 7);
         assert_eq!((HELLO_LEN, WELCOME_LEN), (24, 62));
-        assert_eq!((FRAME_HEADER, SUPER_HEADER, FRAME_TRAILER), (28, 18, 8));
+        assert_eq!((FRAME_HEADER, FRAME_TRAILER), (28, 8));
 
         let h = encode_hello(&Hello {
             job: 7,
@@ -1986,12 +1856,12 @@ mod tests {
             last_recv_seq: 123,
         });
         assert_eq!(&h[0..4], b"ACRH");
-        assert_eq!((le32(&h, 4), le32(&h, 8), le32(&h, 12)), (6, 7, 5));
+        assert_eq!((le32(&h, 4), le32(&h, 8), le32(&h, 12)), (7, 7, 5));
         assert_eq!(le64(&h, 16), 123);
 
         let w = encode_welcome(&sample_welcome());
         assert_eq!(&w[0..4], b"ACRW");
-        assert_eq!((le32(&w, 4), le64(&w, 8)), (6, 456));
+        assert_eq!((le32(&w, 4), le64(&w, 8)), (7, 456));
         assert_eq!(
             (le32(&w, 16), le32(&w, 20), le32(&w, 24), le32(&w, 28)),
             (4, 1, 2, 10),
@@ -2005,9 +1875,9 @@ mod tests {
         );
         assert_eq!((le32(&w, 57), w[61]), (16, 1), "anchor interval, delta on");
 
-        // Plain: magic, len, to, seq, ack, body, check — and the segmented
-        // send path's two ends are those same bytes.
-        let p = encode_batch_acked(&[(3, 9, b"body")], 77).bytes;
+        // magic, len, to, seq, ack, body, check — and the segmented send
+        // path's two ends are those same bytes.
+        let p = encode_frame_acked(3, 9, 77, b"body");
         assert_eq!(p.len(), FRAME_HEADER + 4 + FRAME_TRAILER);
         assert_eq!(&p[0..4], b"ACRF");
         assert_eq!((le32(&p, 4), le32(&p, 8)), (4, 3), "len, to");
@@ -2018,59 +1888,56 @@ mod tests {
         assert_eq!((&p[..28], &p[32..]), (&header[..], &trailer[..]));
         assert_eq!(encode_frame(3, 9, b"body")[20..28], [0u8; 8], "ack 0");
 
-        // Super: magic, len, count, ack, sub-records, check.
-        let s = encode_batch_acked(&[(1, 9, b"ab"), (2, 10, b"c")], 78).bytes;
-        let payload = 2 * SUPER_RECORD_HEADER + 3;
-        assert_eq!(s.len(), SUPER_HEADER + payload + FRAME_TRAILER);
-        assert_eq!(&s[0..4], b"ACRS");
-        assert_eq!(le32(&s, 4) as usize, payload);
-        assert_eq!(u16::from_le_bytes([s[8], s[9]]), 2);
-        assert_eq!(le64(&s, 10), 78, "ack");
-        assert_eq!((le32(&s, 18), le64(&s, 22), le32(&s, 30)), (1, 9, 2));
-        assert_eq!(&s[34..36], b"ab");
+        // Several records are that layout repeated, nothing around it.
+        let recs: Vec<(u32, u64, &[u8])> = vec![(1, 9, b"ab"), (2, 10, b"c")];
+        let run = encode_batch(&recs, WireCodec::None).bytes;
         assert_eq!(
-            le64(&s, SUPER_HEADER + payload),
-            fletcher64(&s[SUPER_HEADER..SUPER_HEADER + payload])
+            run,
+            [encode_frame(1, 9, b"ab"), encode_frame(2, 10, b"c")].concat()
         );
     }
 
-    /// The acknowledgement survives every kind of frame: plain, each
-    /// sub-record of a super-frame, and the bodiless frame that carries
-    /// nothing else.
+    /// The acknowledgement survives every frame of a run, each with its own
+    /// trailer, and the bodiless frame that carries nothing else.
     #[test]
-    fn ack_round_trips_on_plain_super_and_bodiless_frames() {
-        let plain = encode_batch_acked(&[(1, 5, b"plain")], 41).bytes;
-        let batch = encode_batch_acked(&[(2, 6, b"bb"), (3, 7, b"ccc")], 42).bytes;
+    fn ack_round_trips_on_a_run_of_frames_and_a_bodiless_one() {
         let (header, trailer) = frame_ends(0, 0, 43, 0, body_check(&[]));
-        let stream = [&plain[..], &batch[..], &header[..], &trailer[..]].concat();
-        let got: Vec<(u64, u64, usize, bool)> = decode_all(&stream)
+        let stream = [
+            &encode_frame_acked(1, 5, 41, b"plain")[..],
+            &encode_frame_acked(2, 6, 42, b"bb"),
+            &encode_frame_acked(3, 7, 42, b"ccc"),
+            &header,
+            &trailer,
+        ]
+        .concat();
+        let got: Vec<(u64, u64, usize, u64)> = decode_all(&stream)
             .iter()
-            .map(|f| (f.seq, f.ack, f.body.len(), f.check.is_some()))
+            .map(|f| (f.seq, f.ack, f.body.len(), f.check))
             .collect();
         assert_eq!(
             got,
             vec![
-                (5, 41, 5, true),
-                (6, 42, 2, false),
-                (7, 42, 3, false),
-                (0, 43, 0, true)
+                (5, 41, 5, fletcher64(b"plain")),
+                (6, 42, 2, fletcher64(b"bb")),
+                (7, 42, 3, fletcher64(b"ccc")),
+                (0, 43, 0, fletcher64(b""))
             ]
         );
     }
 
-    /// Older peers are refused, never misparsed. A v5 hello and welcome
-    /// have today's lengths and differ only in the version field; a v4
-    /// hello (one codec-mask byte longer) fails on it whether the reader
+    /// Older peers are refused, never misparsed. A v6 or v5 hello and
+    /// welcome have today's lengths and differ only in the version field; a
+    /// v4 hello (one codec-mask byte longer) fails on it whether the reader
     /// takes the new length or the old one.
     #[test]
-    fn v5_and_v4_handshake_records_are_refused_with_a_version_error() {
+    fn v6_v5_and_v4_handshake_records_are_refused_with_a_version_error() {
         let hello = encode_hello(&Hello {
             job: 0,
             node: 1,
             last_recv_seq: 0,
         });
         let welcome = encode_welcome(&sample_welcome());
-        for old in [5u32, 4] {
+        for old in [6u32, 5, 4] {
             let (mut h, mut w) = (hello.clone(), welcome.clone());
             h[4..8].copy_from_slice(&old.to_le_bytes());
             w[4..8].copy_from_slice(&old.to_le_bytes());
@@ -2173,111 +2040,27 @@ mod tests {
         out
     }
 
+    /// What a v6 peer batched with: the `"ACRS"` super-frame magic is not a
+    /// frame, wherever in the stream it shows up, and the decoder stays
+    /// down after it.
     #[test]
-    fn batch_of_many_frames_round_trips_and_never_costs_bytes() {
-        let bodies: Vec<Vec<u8>> = all_nets().iter().map(|m| flatten(&encode_net(m))).collect();
-        let records: Vec<(u32, u64, &[u8])> = bodies
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (i as u32, i as u64 + 1, b.as_slice()))
-            .collect();
-        let batch = encode_batch(&records, WireCodec::None);
-        let plain: usize = bodies
-            .iter()
-            .map(|b| FRAME_HEADER + b.len() + FRAME_TRAILER)
-            .sum();
-        assert!(
-            batch.bytes.len() <= plain,
-            "batch {} > plain {plain}",
-            batch.bytes.len()
-        );
-        let frames = decode_all(&batch.bytes);
-        assert_eq!(frames.len(), records.len());
-        for (f, (to, seq, body)) in frames.iter().zip(&records) {
-            assert_eq!((f.to, f.seq, &f.body[..]), (*to, *seq, *body));
-        }
-    }
-
-    #[test]
-    fn two_frame_batch_beats_two_plain_frames() {
-        // The smallest possible batch must already undercut plain framing —
-        // the "batching must not regress" gate holds by construction.
-        let records: Vec<(u32, u64, &[u8])> = vec![(1, 1, b"x"), (2, 2, b"y")];
-        let batch = encode_batch(&records, WireCodec::None);
-        let plain = 2 * (FRAME_HEADER + 1 + FRAME_TRAILER);
-        assert!(batch.bytes.len() < plain);
-        assert_eq!(decode_all(&batch.bytes).len(), 2);
-    }
-
-    #[test]
-    fn lone_record_is_always_a_plain_frame() {
-        // Even an all-zero body: nothing on this path looks at content.
-        let body = vec![0u8; 4096];
-        let batch = encode_batch(&[(3, 7, body.as_slice())], WireCodec::None);
-        assert_eq!(batch.bytes, encode_frame(3, 7, &body));
-        assert_eq!((batch.frames, batch.raw_payload), (1, body.len()));
-        assert_eq!(decode_all(&batch.bytes)[0].body, body);
-    }
-
-    #[test]
-    fn corrupt_super_frames_poison_the_decoder() {
-        let records: Vec<(u32, u64, &[u8])> = vec![(1, 1, &[0u8; 300]), (2, 2, &[0u8; 300])];
-        let good = encode_batch(&records, WireCodec::None).bytes;
-        let decode = |bytes: &[u8]| {
+    fn a_super_frame_magic_is_bad_magic_and_poisons_the_decoder() {
+        let acrs = u32::from_le_bytes(*b"ACRS");
+        // A v6 super-frame header (magic, len, count, ack) over two records.
+        let mut v6 = b"ACRS".to_vec();
+        v6.extend_from_slice(&35u32.to_le_bytes());
+        v6.extend_from_slice(&2u16.to_le_bytes());
+        v6.extend_from_slice(&[0u8; 8 + 35 + 8]);
+        for ahead in [vec![], encode_frame(1, 1, b"ahead")] {
             let mut dec = FrameDecoder::new();
-            dec.feed(bytes);
-            let first = dec.next_frame();
-            assert!(
-                first.is_ok() || dec.next_frame().is_err(),
-                "decoder must stay poisoned"
-            );
-            first
-        };
-
-        // Flipped payload bit → checksum failure.
-        let mut bad = good.clone();
-        bad[SUPER_HEADER + 2] ^= 0x10;
-        assert!(matches!(decode(&bad), Err(WireError::Checksum { .. })));
-
-        // Lying count (the header is not checksummed) → strict tiling check.
-        for lie in [1u8, 3] {
-            let mut bad = good.clone();
-            bad[8] = lie;
-            assert_eq!(decode(&bad), Err(WireError::Truncated), "count {lie}");
-        }
-
-        // Zero count.
-        let mut bad = good.clone();
-        bad[8] = 0;
-        assert_eq!(decode(&bad), Err(WireError::Truncated));
-
-        // Shortened length: the checksum no longer covers what it was
-        // computed over.
-        let mut bad = good;
-        bad[4] = bad[4].wrapping_sub(1);
-        assert!(matches!(decode(&bad), Err(WireError::Checksum { .. })));
-    }
-
-    #[test]
-    fn mixed_plain_and_super_frames_share_one_stream() {
-        let a = encode_frame(1, 1, b"plain");
-        let recs: Vec<(u32, u64, &[u8])> = vec![(2, 2, b"bb"), (3, 3, b"ccc")];
-        let b = encode_batch(&recs, WireCodec::None).bytes;
-        let c = encode_frame(4, 4, b"tail");
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&a);
-        stream.extend_from_slice(&b);
-        stream.extend_from_slice(&c);
-        // Byte-at-a-time: partial super-frames must decode as Ok(None).
-        let mut dec = FrameDecoder::new();
-        let mut out = Vec::new();
-        for byte in &stream {
-            dec.feed(std::slice::from_ref(byte));
-            while let Some(f) = dec.next_frame().expect("clean stream") {
-                out.push(f);
+            dec.feed(&ahead);
+            dec.feed(&v6);
+            if !ahead.is_empty() {
+                assert_eq!(dec.next_frame().map(|f| f.map(|f| f.seq)), Ok(Some(1)));
             }
+            assert_eq!(dec.next_frame(), Err(WireError::BadMagic(acrs)));
+            dec.feed(&encode_frame(2, 2, b"behind"));
+            assert_eq!(dec.next_frame(), Err(WireError::BadMagic(acrs)));
         }
-        let got: Vec<(u32, u64)> = out.iter().map(|f| (f.to, f.seq)).collect();
-        assert_eq!(got, vec![(1, 1), (2, 2), (3, 3), (4, 4)]);
     }
 }

@@ -21,8 +21,8 @@
 //! so the gate catches protocol-behavior regressions, not machine noise.
 //!
 //! A `jacobi_wire_batch` scenario runs the Jacobi halo workload over the
-//! threaded TCP backend and gates the wire columns: super-frame batching
-//! must never cost more bytes than plain per-message framing.
+//! threaded TCP backend: it must complete, record checkpoint-ship traffic
+//! in the wire columns and leave a JSONL event log.
 //!
 //! A `jacobi_wire_delta{,_off}` pair runs a slowly-mutating drift-field
 //! workload with incremental delta checkpoints on and off: delta records
@@ -312,7 +312,7 @@ fn run_http_scraped() -> (JobReport, u64, bool) {
 /// Threaded-TCP wire scenario: the Jacobi halo workload over real sockets
 /// with `FullCompare` detection, so every comparison round ships whole
 /// checkpoint payloads to the buddy alongside the halo and protocol
-/// chatter the super-frame batching coalesces.
+/// chatter a flush coalesces into one write.
 fn run_wire() -> JobReport {
     const RANKS: usize = 2;
     let cfg = JobConfig::builder()
@@ -328,8 +328,13 @@ fn run_wire() -> JobReport {
         .transport(TransportKind::Tcp(TcpConfig::default()))
         .build()
         .expect("valid wire config");
-    Job::new(cfg)
-        .run(|rank, _| Box::new(JacobiHaloTask::new(rank, RANKS, 16, 16, 16, 300)) as Box<dyn Task>)
+    // Long enough for several 50 ms checkpoint intervals on a fast machine
+    // (300 iterations finished inside the first one about one run in four,
+    // and the ship-traffic check below then had nothing to see).
+    const ITERS: u64 = 2000;
+    Job::new(cfg).run(|rank, _| {
+        Box::new(JacobiHaloTask::new(rank, RANKS, 16, 16, 16, ITERS)) as Box<dyn Task>
+    })
 }
 
 /// Delta-checkpoint wire scenario: the drift-field workload over real
@@ -366,7 +371,6 @@ fn run_wire_delta(delta: bool) -> JobReport {
 #[derive(Default)]
 struct WireTotals {
     sent: u64,
-    plain: u64,
     ship_raw: u64,
     ship_wire: u64,
     delta_raw: u64,
@@ -378,7 +382,6 @@ fn wire_totals(report: &JobReport) -> WireTotals {
     for e in &report.events {
         if let EventKind::WireBytes {
             bytes_sent,
-            plain_bytes,
             ship_raw_bytes,
             ship_wire_bytes,
             delta_raw_bytes,
@@ -387,7 +390,6 @@ fn wire_totals(report: &JobReport) -> WireTotals {
         } = &e.kind
         {
             w.sent += bytes_sent;
-            w.plain += plain_bytes;
             w.ship_raw += ship_raw_bytes;
             w.ship_wire += ship_wire_bytes;
             w.delta_raw += delta_raw_bytes;
@@ -700,11 +702,10 @@ fn main() -> ExitCode {
         rows.push((name.to_string(), b));
     }
 
-    // Wire-batching scenario: the same report, but over the threaded TCP
-    // backend. Wall-clock phase timings are machine noise, so those columns
-    // are zeroed (the baseline phase gate skips zero rows); the wire
-    // columns carry the signal and are gated by a within-run invariant
-    // that holds on any machine.
+    // Wire scenario: the same report, but over the threaded TCP backend.
+    // Wall-clock phase timings are machine noise, so those columns are
+    // zeroed (the baseline phase gate skips zero rows); the wire columns
+    // carry the signal.
     {
         let name = "jacobi_wire_batch";
         let report = run_wire();
@@ -720,15 +721,6 @@ fn main() -> ExitCode {
             eprintln!("FAIL {name}: no checkpoint-ship traffic recorded");
             failed = true;
         }
-        // Batching non-regression: coalesced super-frames must never cost
-        // more than one plain frame per message would have.
-        if w.sent > w.plain {
-            eprintln!(
-                "FAIL {name}: batching inflated the wire ({} sent > {} plain)",
-                w.sent, w.plain
-            );
-            failed = true;
-        }
         let jsonl = sinks::to_jsonl(&report.events);
         let log_path = out_dir.join(format!("overhead_{name}.jsonl"));
         if let Err(e) = std::fs::write(&log_path, &jsonl) {
@@ -736,12 +728,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
         println!(
-            "{name}: ship {} -> {} bytes ({:.1}% of raw), sent {} vs {} plain -> {}",
+            "{name}: ship {} -> {} bytes ({:.1}% of raw), sent {} -> {}",
             w.ship_raw,
             w.ship_wire,
             100.0 * w.ship_wire as f64 / w.ship_raw.max(1) as f64,
             w.sent,
-            w.plain,
             log_path.display(),
         );
         let mut b = Breakdown::from_events(&report.events);

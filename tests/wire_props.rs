@@ -2,27 +2,30 @@
 //! (`acr::runtime::wire`): any sequence of frames survives the stream —
 //! whole, byte by byte, or in arbitrary short reads — and the decoder
 //! rejects garbage prefixes and corrupted bodies instead of
-//! desynchronizing. The super-frame section covers the batching layer:
-//! however a frame list is split into flushes, the receiver sees the same
-//! frames in the same order, never pays more bytes than plain per-frame
-//! framing, and rejects truncated or structurally corrupt super-frames. The
-//! v6 section covers what wire version 6 added: the acknowledgement in both
-//! headers, the streamed checksum over body segments, and `read_from` —
-//! whose own-allocation path for large frames must yield exactly what
-//! `feed` does, whatever the reads.
+//! desynchronizing. The flush section covers what one write of several
+//! frames puts on a socket: however a frame list is split into flushes, the
+//! receiver sees the same frames in the same order, each with its own
+//! trailer; a truncated run is incomplete, not an error; a corrupt byte
+//! anywhere poisons the stream. (Its test names say "super-frame": before
+//! wire version 7 a flush of several frames travelled as one, and these
+//! are the properties that format's tests checked, kept under the names the
+//! suite's history knows.) The v6 section covers what wire version 6 added:
+//! the acknowledgement in the header, the streamed checksum over body
+//! segments, and `read_from` — whose own-allocation path for large frames
+//! must yield exactly what `feed` does, whatever the reads.
 
 use acr::protocol::{Checkpoint, ChunkTable, Detection, DetectionMethod, SdcDetector};
 use acr::pup::{chunk_digests, chunk_span};
 use acr::runtime::wire::{
-    body_check, decode_compare_body, encode_batch, encode_batch_acked, encode_compare_body,
-    encode_frame, Frame, FrameDecoder, WireCodec, WireError, FRAME_HEADER, FRAME_MAGIC,
-    FRAME_TRAILER, SUPER_HEADER, SUPER_MAGIC,
+    body_check, decode_compare_body, encode_batch, encode_compare_body, encode_frame,
+    encode_frame_acked, Frame, FrameDecoder, WireCodec, WireError, FRAME_HEADER, FRAME_MAGIC,
+    FRAME_TRAILER,
 };
 use bytes::Bytes;
 use proptest::prelude::*;
 
-/// A frame as a lone plain frame decodes: acknowledging nothing, its
-/// trailer kept (`drop_checks` gives the sub-record form).
+/// A frame as `encode_frame` of it decodes: acknowledging nothing, its
+/// trailer kept.
 fn frame_strategy() -> impl Strategy<Value = Frame> {
     (
         prop::collection::vec(any::<u8>(), 0..200),
@@ -33,19 +36,9 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
             to,
             seq,
             ack: 0,
-            check: Some(acr::pup::fletcher64(&body)),
+            check: acr::pup::fletcher64(&body),
             body: Bytes::from(body),
         })
-}
-
-/// The same frames as sub-records of a super-frame decode: covered by the
-/// batch's trailer only, so carrying none of their own.
-fn drop_checks(frames: &[Frame]) -> Vec<Frame> {
-    let sub = |f: &Frame| Frame {
-        check: None,
-        ..f.clone()
-    };
-    frames.iter().map(sub).collect()
 }
 
 /// Split `stream` into chunks whose sizes cycle through `cuts` (1-based so
@@ -179,29 +172,20 @@ proptest! {
 }
 
 // --------------------------------------------------------------------------
-// Super-frame batching
+// Flushes: several frames in one write
 // --------------------------------------------------------------------------
 
 fn as_records(frames: &[Frame]) -> Vec<(u32, u64, &[u8])> {
     frames.iter().map(|f| (f.to, f.seq, &f.body[..])).collect()
 }
 
-/// What the same frames would cost as one plain frame per message — the
-/// bound batching must never exceed.
-fn plain_cost(frames: &[Frame]) -> usize {
-    frames
-        .iter()
-        .map(|f| FRAME_HEADER + f.body.len() + FRAME_TRAILER)
-        .sum()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Split/merge round-trip: however the sender partitions a frame list
-    /// into flushes, the receiver reassembles the exact frame sequence from
-    /// arbitrary partial reads — and no flush ever costs more than plain
-    /// per-frame framing.
+    /// into flushes, the stream is the same bytes, and the receiver
+    /// reassembles the exact frame sequence — every frame with its own
+    /// trailer — from arbitrary partial reads.
     #[test]
     fn super_frames_roundtrip_whatever_the_split(
         frames in prop::collection::vec(frame_strategy(), 1..20),
@@ -209,7 +193,6 @@ proptest! {
         cuts in prop::collection::vec(0usize..97, 0..12),
     ) {
         let mut stream = Vec::new();
-        let mut expected = Vec::new();
         let (mut i, mut s) = (0, 0);
         while i < frames.len() {
             let take = if splits.is_empty() {
@@ -218,78 +201,66 @@ proptest! {
                 splits[s % splits.len()]
             }
             .min(frames.len() - i);
-            let chunk = &frames[i..i + take];
-            let batch = encode_batch(&as_records(chunk), WireCodec::None);
-            prop_assert!(
-                batch.bytes.len() <= plain_cost(chunk),
-                "batch of {} frames cost {} bytes, plain framing {}",
-                take, batch.bytes.len(), plain_cost(chunk)
-            );
-            prop_assert_eq!(batch.frames, take);
-            stream.extend_from_slice(&batch.bytes);
-            // A lone frame travels plain and keeps its own trailer.
-            expected.extend(if take == 1 { chunk.to_vec() } else { drop_checks(chunk) });
+            let flush = encode_batch(&as_records(&frames[i..i + take]), WireCodec::None);
+            stream.extend_from_slice(&flush.bytes);
             i += take;
             s += 1;
         }
+        prop_assert_eq!(&stream, &encode_batch(&as_records(&frames), WireCodec::None).bytes);
         let mut dec = FrameDecoder::new();
         let decoded = feed_chunked(&mut dec, &stream, &cuts);
-        prop_assert_eq!(decoded, expected);
+        prop_assert_eq!(decoded, frames);
         prop_assert_eq!(dec.next_frame(), Ok(None));
     }
 
-    /// A truncated super-frame is an incomplete read, not an error; the
-    /// remainder completes it.
+    /// A flush cut anywhere is an incomplete read, not an error: some of
+    /// its leading frames decode, then the decoder waits, and the remainder
+    /// completes the rest.
     #[test]
     fn truncated_super_frame_is_incomplete_not_an_error(
         frames in prop::collection::vec(frame_strategy(), 2..6),
         cut_seed in any::<u64>(),
     ) {
-        let batch = encode_batch(&as_records(&frames), WireCodec::None);
-        let keep = 1 + (cut_seed as usize) % (batch.bytes.len() - 1);
+        let flush = encode_batch(&as_records(&frames), WireCodec::None).bytes;
+        let keep = 1 + (cut_seed as usize) % (flush.len() - 1);
         let mut dec = FrameDecoder::new();
-        dec.feed(&batch.bytes[..keep]);
-        prop_assert_eq!(dec.next_frame(), Ok(None));
-        dec.feed(&batch.bytes[keep..]);
+        dec.feed(&flush[..keep]);
         let mut out = Vec::new();
-        while let Some(f) = dec.next_frame().expect("completed super-frame must decode") {
+        while let Some(f) = dec.next_frame().expect("a cut flush is not an error") {
             out.push(f);
         }
-        prop_assert_eq!(out, drop_checks(&frames));
+        prop_assert!(out.len() < frames.len(), "the last byte is still missing");
+        dec.feed(&flush[keep..]);
+        while let Some(f) = dec.next_frame().expect("completed flush must decode") {
+            out.push(f);
+        }
+        prop_assert_eq!(out, frames);
     }
 
-    /// Any corrupted byte of the payload trips the super-frame's
-    /// Fletcher-64 trailer, and the poisoned decoder stays down.
+    /// Any corrupted body or trailer byte of any frame in a flush trips
+    /// that frame's Fletcher-64: the frames ahead of it decode, nothing at
+    /// or behind it does, and the poisoned decoder stays down.
     #[test]
     fn corrupted_super_frame_payload_fails_checksum(
         frames in prop::collection::vec(frame_strategy(), 2..6),
         pick in any::<u64>(),
     ) {
-        let batch = encode_batch(&as_records(&frames), WireCodec::None);
-        let mut bytes = batch.bytes;
-        let payload = bytes.len() - SUPER_HEADER - FRAME_TRAILER;
-        let at = SUPER_HEADER + (pick as usize) % payload;
-        bytes[at] ^= 1 << (pick % 8);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bytes);
-        prop_assert!(dec.next_frame().is_err(), "corrupted payload decoded");
-        prop_assert!(dec.next_frame().is_err(), "decoder resynced after poison");
-    }
-
-    /// Structural garbage the checksum cannot see (the trailer covers only
-    /// the payload): a zero sub-frame count must poison the stream, never
-    /// fabricate frames.
-    #[test]
-    fn zero_count_super_frame_header_is_rejected(
-        frames in prop::collection::vec(frame_strategy(), 2..4),
-    ) {
         let mut bytes = encode_batch(&as_records(&frames), WireCodec::None).bytes;
-        prop_assert_eq!(&bytes[0..4], &SUPER_MAGIC.to_le_bytes());
-        bytes[8] = 0;
-        bytes[9] = 0;
+        // Some byte under some frame's checksum (body or trailer).
+        let wire_len = |f: &Frame| FRAME_HEADER + f.body.len() + FRAME_TRAILER;
+        let victim = (pick as usize) % frames.len();
+        let at = frames[..victim].iter().map(wire_len).sum::<usize>() + FRAME_HEADER;
+        let nth = (pick >> 8) as usize % (wire_len(&frames[victim]) - FRAME_HEADER);
+        bytes[at + nth] ^= 1 << (pick % 8);
         let mut dec = FrameDecoder::new();
         dec.feed(&bytes);
-        prop_assert!(dec.next_frame().is_err(), "structural garbage accepted");
+        for f in &frames[..victim] {
+            prop_assert_eq!(dec.next_frame(), Ok(Some(f.clone())));
+        }
+        prop_assert!(
+            matches!(dec.next_frame(), Err(WireError::Checksum { .. })),
+            "corrupted frame decoded"
+        );
         prop_assert!(dec.next_frame().is_err(), "decoder resynced after poison");
     }
 }
@@ -378,34 +349,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `read_from` ≡ `feed`: for bodies of 0–512 KiB — large frames taking
-    /// the own-allocation path, small ones and super-frames the copy-out
-    /// path, in any order, a large frame followed by small ones in the same
-    /// read included — every split of the stream into reads yields the
-    /// frames one `feed` of the whole stream does.
+    /// the own-allocation path, small ones the copy-out path, in any order,
+    /// a large frame followed by small ones in the same read included —
+    /// every split of the stream into reads yields the frames one `feed` of
+    /// the whole stream does.
     #[test]
     fn read_from_yields_what_feed_does_whatever_the_reads(
         bodies in mixed_bodies(),
-        batch_small in any::<bool>(),
         cuts in prop::collection::vec(1usize..(96 << 10), 1..8),
         scratch in (1usize..(80 << 10)),
         ack in any::<u64>(),
     ) {
         let mut stream = Vec::new();
-        let mut i = 0;
-        while i < bodies.len() {
-            // Runs of small bodies optionally coalesce, as a flush would.
-            let small = |b: &Vec<u8>| b.len() < 4096;
-            let mut take = 1;
-            while batch_small && small(&bodies[i]) && i + take < bodies.len()
-                && small(&bodies[i + take])
-            {
-                take += 1;
-            }
-            let records: Vec<(u32, u64, &[u8])> = (i..i + take)
-                .map(|j| (j as u32, j as u64 + 1, &bodies[j][..]))
-                .collect();
-            stream.extend_from_slice(&encode_batch_acked(&records, ack).bytes);
-            i += take;
+        for (j, body) in bodies.iter().enumerate() {
+            stream.extend_from_slice(&encode_frame_acked(j as u32, j as u64 + 1, ack, body));
         }
         let mut dec = FrameDecoder::new();
         let fed = feed_chunked(&mut dec, &stream, &[]);
@@ -471,29 +428,31 @@ proptest! {
         prop_assert_eq!(body_check(&segs), acr::pup::fletcher64(&body));
     }
 
-    /// The acknowledgement rides every kind of frame — plain, super, and a
-    /// bodiless sequence-0 frame — and comes back unchanged, on every
-    /// sub-record of a batch.
+    /// The acknowledgement rides every frame — a lone one, each frame of a
+    /// flush assembled under one value, and a bodiless sequence-0 frame —
+    /// and comes back unchanged.
     #[test]
     fn ack_survives_plain_super_and_bodiless_frames(
         frames in prop::collection::vec(frame_strategy(), 2..6),
         acks in (any::<u64>(), any::<u64>(), any::<u64>()),
         cuts in prop::collection::vec(0usize..97, 0..12),
     ) {
-        let lone = as_records(&frames[..1]);
-        let mut stream = encode_batch_acked(&lone, acks.0).bytes;
-        stream.extend_from_slice(&encode_batch_acked(&as_records(&frames), acks.1).bytes);
-        stream.extend_from_slice(&encode_batch_acked(&[(0, 0, &[])], acks.2).bytes);
+        let acked = |f: &Frame, ack| encode_frame_acked(f.to, f.seq, ack, &f.body);
+        let mut stream = acked(&frames[0], acks.0);
+        for f in &frames {
+            stream.extend_from_slice(&acked(f, acks.1));
+        }
+        stream.extend_from_slice(&encode_frame_acked(0, 0, acks.2, &[]));
         let mut dec = FrameDecoder::new();
         let got = feed_chunked(&mut dec, &stream, &cuts);
         let mut expected = vec![Frame { ack: acks.0, ..frames[0].clone() }];
-        expected.extend(drop_checks(&frames).into_iter().map(|f| Frame { ack: acks.1, ..f }));
+        expected.extend(frames.iter().map(|f| Frame { ack: acks.1, ..f.clone() }));
         expected.push(Frame {
             to: 0,
             seq: 0,
             ack: acks.2,
             body: Bytes::new(),
-            check: Some(body_check(&[])),
+            check: body_check(&[]),
         });
         prop_assert_eq!(got, expected);
     }
