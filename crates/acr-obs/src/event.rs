@@ -292,10 +292,11 @@ pub enum EventKind {
         wire_bytes: u64,
     },
     /// The driver appended a record to its durable event log (or wrote a
-    /// checkpoint slot), followed by an fsync.
+    /// checkpoint slot), followed by an fsync — unless
+    /// [`EventKind::store_fsyncs`] says otherwise.
     StoreAppend {
-        /// Record kind label (`admit`, `trigger`, `dead`, `promote`,
-        /// `buddy`, `commit`, `closed`, `slot`).
+        /// Record kind label (`admit`, `round`, `trigger`, `dead`,
+        /// `promote`, `commit`, `closed`, `slot`).
         kind: String,
         /// Bytes this durable write put on disk (framing included).
         bytes: u64,
@@ -317,6 +318,17 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// fsyncs the durable store issued for this event: one per
+    /// [`EventKind::StoreAppend`], except the `round` record, which is
+    /// written without one of its own and becomes durable with the next
+    /// record's (a log from before that rule reads one per round short).
+    pub fn store_fsyncs(&self) -> u64 {
+        match self {
+            EventKind::StoreAppend { kind, .. } if kind != "round" => 1,
+            _ => 0,
+        }
+    }
+
     /// Stable wire name of this event type (the JSON `ev` field).
     pub fn name(&self) -> &'static str {
         match self {

@@ -369,6 +369,9 @@ fn metric_help(name: &str) -> &'static str {
         "acr_send_to_closed_inbox_total" => "Messages dropped on a closed node inbox.",
         "acr_store_appends_total" => "Records appended to the durable driver store.",
         "acr_store_bytes_total" => "Bytes appended to the durable driver store.",
+        "acr_store_captures_abandoned_total" => {
+            "Verified epochs whose durable capture was dropped before its commit."
+        }
         "acr_store_fsyncs_total" => "fsync calls issued by the durable driver store.",
         "acr_transport_connects_total" => "Transport connections established.",
         "acr_transport_probes_total" => "Transport-level liveness probes sent.",

@@ -73,7 +73,7 @@ pub struct Breakdown {
     pub store_appends: u64,
     /// Bytes those durable writes put on disk, framing included.
     pub store_bytes: u64,
-    /// fsyncs the store issued (one per durable write).
+    /// fsyncs the store issued ([`EventKind::store_fsyncs`] per write).
     pub store_fsyncs: u64,
 }
 
@@ -138,10 +138,10 @@ impl Breakdown {
                 EventKind::TransportConnect { .. } => b.transport_connects += 1,
                 EventKind::TransportRetry { .. } => b.transport_retries += 1,
                 kind @ EventKind::WireBytes { .. } => b.fold_wire(kind),
-                EventKind::StoreAppend { bytes, .. } => {
+                kind @ EventKind::StoreAppend { bytes, .. } => {
                     b.store_appends += 1;
                     b.store_bytes += bytes;
-                    b.store_fsyncs += 1;
+                    b.store_fsyncs += kind.store_fsyncs();
                 }
                 EventKind::RoundStart { .. } => b.rounds += 1,
                 EventKind::RoundVerdict { clean: true, .. } => b.verified_rounds += 1,
@@ -605,7 +605,8 @@ mod tests {
         assert!((b.delta_savings_fraction() - 0.75).abs() < 1e-12);
     }
 
-    /// Durable-store events fold into the journal-volume columns.
+    /// Durable-store events fold into the journal-volume columns; the
+    /// `round` record counts its bytes but no fsync.
     #[test]
     fn store_events_are_attributed() {
         let events = vec![
@@ -620,6 +621,15 @@ mod tests {
             ),
             ev(
                 1,
+                0.4,
+                DRIVER_NODE,
+                EventKind::StoreAppend {
+                    kind: "round".into(),
+                    bytes: 25,
+                },
+            ),
+            ev(
+                2,
                 0.5,
                 DRIVER_NODE,
                 EventKind::StoreAppend {
@@ -627,11 +637,11 @@ mod tests {
                     bytes: 4096,
                 },
             ),
-            ev(2, 1.0, DRIVER_NODE, EventKind::JobEnd { completed: true }),
+            ev(3, 1.0, DRIVER_NODE, EventKind::JobEnd { completed: true }),
         ];
         let b = Breakdown::from_events(&events);
-        assert_eq!(b.store_appends, 2);
-        assert_eq!(b.store_bytes, 4216);
+        assert_eq!(b.store_appends, 3);
+        assert_eq!(b.store_bytes, 4241);
         assert_eq!(b.store_fsyncs, 2);
     }
 }

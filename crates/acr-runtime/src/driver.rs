@@ -27,7 +27,7 @@ use std::time::Duration;
 use acr_core::{Checkpoint, DetectionMethod, RecoveryPlanner, ReplicaLayout, Scheme};
 use acr_fault::{FaultAction, FaultScript, ScriptedFault, Trigger};
 use acr_obs::{debug_trace, EventKind, ObsConfig, RecordedEvent, Recorder, RunPhase, DRIVER_NODE};
-use acr_store::{RecoveryReport, SlotData, SlotEntry};
+use acr_store::{RecoveryReport, SlotEntryRef};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use parking_lot::RwLock;
@@ -561,16 +561,19 @@ enum Phase {
         pending: HashSet<NodeIndex>,
     },
     Recovery(Recovery),
-    /// A verified round is being captured into the durable store: every
-    /// active node was asked to report its verified state, and the epoch
-    /// commits to a slot once all reports are in. Only entered when
-    /// persistence is configured.
-    Persist {
-        round: u64,
-        iteration: u64,
-        pending: HashSet<NodeIndex>,
-        states: BTreeMap<(u8, usize), (u64, u64, Bytes)>,
-    },
+}
+
+/// A verified epoch on its way to disk. The round it belongs to is already
+/// released — the application runs while this is pending — so what it
+/// collects must be the line the verdict was about: every active node's
+/// answer, each at the round's iteration.
+#[derive(Debug)]
+struct Capture {
+    /// The epoch's commit record, taken at the verdict: its clock and
+    /// counters are those of the instant the committed state describes.
+    commit: CommitRecord,
+    pending: HashSet<NodeIndex>,
+    states: BTreeMap<(u8, usize), Bytes>,
 }
 
 #[derive(Debug)]
@@ -734,6 +737,11 @@ struct Driver {
     clock: Clock,
     round_counter: u64,
     phase: Phase,
+    /// The verified epoch being written to the durable store, if any.
+    /// While it is pending scripted faults hold fire, no round opens and
+    /// the job does not end, so the journal orders every later decision
+    /// after this epoch's commit; a death abandons it.
+    capture: Option<Capture>,
     verified_exists: bool,
     weak_parked: bool,
     /// `(replica, rank)` of the most recent crash recovery (identifies the
@@ -921,6 +929,7 @@ where
             clock,
             round_counter: 0,
             phase: Phase::Running,
+            capture: None,
             verified_exists: false,
             weak_parked: false,
             last_recovery_identity: None,
@@ -1130,17 +1139,19 @@ impl Driver {
         self.rec.emit(DRIVER_NODE, EventKind::PhaseEnter { phase });
     }
 
-    /// Stamp the run's end marker. Emitted where `duration` is recorded —
-    /// before teardown — so the overhead breakdown's total matches the
-    /// reported duration; teardown events land after it and are ignored by
-    /// the fold.
-    fn emit_job_end(&self) {
-        self.rec.emit(
-            DRIVER_NODE,
-            EventKind::JobEnd {
-                completed: self.report.completed,
-            },
-        );
+    /// The job is over. Journal the close first: it is the journal's last
+    /// decision, durable on the job's clock like every other, and a closed
+    /// journal refuses to resume — the job either completed or failed in a
+    /// way a resume cannot mend (e.g. out of spares). Then record
+    /// `duration` and stamp the end marker together, before teardown, so
+    /// the overhead breakdown's total matches the reported duration and
+    /// counts every store write; teardown events land after the marker and
+    /// are ignored by the fold.
+    fn end_job(&mut self) {
+        let completed = self.report.completed;
+        self.journal(&DriverRecord::JobClosed { completed });
+        self.report.duration = self.now();
+        self.rec.emit(DRIVER_NODE, EventKind::JobEnd { completed });
     }
 
     /// Close out the flight recorder into the report: the merged event log
@@ -1293,17 +1304,22 @@ impl Driver {
     }
 
     /// Fire every driver-side trigger that is due. Failures don't wait for
-    /// a convenient phase — they fire whenever their trigger says.
+    /// a convenient phase — they fire whenever their trigger says, with one
+    /// exception: while an epoch capture is pending they hold, so no
+    /// `TriggerFired` lands between a round's opening and its commit after
+    /// the verdict. A driver kill is not the driver's to postpone; it ends
+    /// the capture with everything else, and disk keeps the epoch before.
     fn fire_due_triggers(&mut self) {
         let now = self.now();
         let ckpts = self.report.checkpoints_verified as u32;
+        let holding = self.capture.is_some();
         let mut due = Vec::new();
         self.triggers.retain(|t| {
             let ready = match t.when {
                 Trigger::At(at) => now >= at,
                 Trigger::AfterCheckpoints(c) => ckpts >= c,
                 Trigger::AtIteration(_) => unreachable!("compiled to node-local triggers"),
-            };
+            } && (!holding || t.action == FaultAction::KillDriver);
             if ready {
                 due.push((t.seq, t.action));
             }
@@ -1381,12 +1397,7 @@ impl Driver {
             self.tlog("error: max_duration exceeded".into());
             return LoopCtl::Done;
         }
-        // A kill firing mid-persist would journal a TriggerFired between
-        // the round's records and its commit, muddying the capture
-        // boundary; hold fire until the epoch commits or is abandoned.
-        if !matches!(self.phase, Phase::Persist { .. }) {
-            self.fire_due_triggers();
-        }
+        self.fire_due_triggers();
         if self.killed {
             return LoopCtl::Done;
         }
@@ -1399,6 +1410,11 @@ impl Driver {
             }
             if self.needs_global_restart {
                 self.global_restart();
+                return LoopCtl::Continue;
+            }
+            if self.capture.is_some() {
+                // `JobClosed` and the next `RoundOpened` follow this
+                // epoch's commit in the journal, never precede it.
                 return LoopCtl::Continue;
             }
             let everyone_done = self
@@ -1462,9 +1478,7 @@ impl Driver {
             self.finalize_obs();
             return;
         }
-        self.report.duration = self.now();
-        self.emit_job_end();
-        self.close_journal();
+        self.end_job();
 
         let total = workers.len();
         for n in 0..total {
@@ -1580,16 +1594,11 @@ impl Driver {
                                 self.report.verified_round_starts.push(started);
                                 self.verified_exists = true;
                                 self.tlog(format!("round {round} verified iter={iteration}"));
-                                if self.store.is_some() {
-                                    // Capture the verified epoch durably
-                                    // before releasing the round.
-                                    self.begin_persist(round, iteration);
-                                } else {
-                                    for n in self.active_nodes() {
-                                        self.send(n, Ctrl::RoundComplete);
-                                    }
-                                    self.back_to_running();
+                                for n in self.active_nodes() {
+                                    self.send(n, Ctrl::RoundComplete);
                                 }
+                                self.back_to_running();
+                                self.begin_capture(round, iteration);
                             }
                         }
                     }
@@ -1641,27 +1650,26 @@ impl Driver {
                 node,
                 round,
                 iteration,
-                digest,
                 payload,
+                ..
             } => {
                 let located = self.layout.read().locate(node);
-                let mut ready = false;
-                if let Phase::Persist {
-                    round: r,
-                    pending,
-                    states,
-                    ..
-                } = &mut self.phase
-                {
-                    if *r == round {
-                        pending.remove(&node);
-                        if let Some((replica, rank)) = located {
-                            states.insert((replica, rank), (iteration, digest, payload));
-                        }
-                        ready = pending.is_empty();
-                    }
+                let Some(c) = self.capture.as_mut().filter(|c| c.commit.round == round) else {
+                    return; // an abandoned capture's answer
+                };
+                if iteration != c.commit.iteration {
+                    // Not the line the verdict was about: never commit it.
+                    let want = c.commit.iteration;
+                    self.abandon_capture(&format!(
+                        "node {node} answered at iteration {iteration}, not {want}"
+                    ));
+                    return;
                 }
-                if ready {
+                c.pending.remove(&node);
+                if let Some(identity) = located {
+                    c.states.insert(identity, payload);
+                }
+                if c.pending.is_empty() {
                     self.commit_epoch();
                 }
             }
@@ -1677,11 +1685,12 @@ impl Driver {
     /// The backstop failure detector. Buddy heartbeats (§6.1) cannot cover
     /// every death: when both members of a buddy pair crash close together,
     /// neither lives to report the other, and any round they participate in
-    /// waits on them forever. Whenever a waiting phase sees no node events
-    /// for 2·heartbeat_timeout, the driver pings every active node; nodes
-    /// that stay silent for another heartbeat_timeout are declared dead.
+    /// waits on them forever. Whenever a waiting phase (or a pending epoch
+    /// capture) sees no node events for 2·heartbeat_timeout, the driver
+    /// pings every active node; nodes that stay silent for another
+    /// heartbeat_timeout are declared dead.
     fn poll_probe(&mut self) {
-        if matches!(self.phase, Phase::Running) {
+        if matches!(self.phase, Phase::Running) && self.capture.is_none() {
             self.probe = None;
             return;
         }
@@ -1796,89 +1805,77 @@ impl Driver {
         self.next_ckpt = self.now() + self.cfg.checkpoint_interval.as_secs_f64();
     }
 
-    /// A round verified clean with persistence on: collect every active
-    /// node's verified state before releasing the round, so the epoch can
-    /// commit to a slot as one consistent line.
-    fn begin_persist(&mut self, round: u64, iteration: u64) {
-        self.last_event = self.now();
-        self.tlog(format!("round {round} persisting"));
+    /// A round verified clean and is released. With persistence on, ask
+    /// every active node for the checkpoint it has just promoted — the
+    /// `ReportVerified` queues behind the `RoundComplete` — so the epoch
+    /// reaches disk while the application runs.
+    fn begin_capture(&mut self, round: u64, iteration: u64) {
+        if self.store.is_none() {
+            return;
+        }
         let nodes = self.active_nodes();
         for &n in &nodes {
             self.send(n, Ctrl::ReportVerified { round });
         }
-        self.phase = Phase::Persist {
-            round,
-            iteration,
+        self.capture = Some(Capture {
+            commit: CommitRecord {
+                round,
+                slot: self.next_slot,
+                t: self.now(),
+                iteration,
+                round_counter: self.round_counter,
+                checkpoints_verified: self.report.checkpoints_verified as u64,
+                sdc_rounds_detected: self.report.sdc_rounds_detected as u64,
+                rollbacks: self.report.rollbacks as u64,
+                hard_errors_recovered: self.report.hard_errors_recovered as u64,
+                unverified_recoveries: self.report.unverified_recoveries as u64,
+                restarts_from_beginning: self.report.restarts_from_beginning as u64,
+                verified_round_starts: self.report.verified_round_starts.clone(),
+                unverified_recoveries_at: self.report.unverified_recoveries_at.clone(),
+                sdc_injected_at: self.report.sdc_injected_at.clone(),
+                crashes_injected_at: self.report.crashes_injected_at.clone(),
+            },
             pending: nodes.into_iter().collect(),
             states: BTreeMap::new(),
-        };
+        });
     }
 
-    /// All verified-state reports are in: write the epoch to the next slot,
-    /// journal the commit, and release the round. After the journal append
-    /// returns, this epoch is what a resume restores.
+    /// All verified-state reports are in: write the epoch to its slot and
+    /// fsync it, then journal the commit and fsync that. After the journal
+    /// append returns, this epoch is what a resume restores.
     fn commit_epoch(&mut self) {
-        let Phase::Persist {
-            round,
-            iteration,
-            states,
-            ..
-        } = std::mem::replace(&mut self.phase, Phase::Running)
-        else {
-            unreachable!("commit_epoch outside Persist");
+        let Some(Capture { commit, states, .. }) = self.capture.take() else {
+            return;
         };
-        let slot = self.next_slot;
-        let data = SlotData {
-            epoch: round,
-            entries: states
-                .iter()
-                .map(|(&(replica, rank), (it, _digest, payload))| SlotEntry {
-                    replica,
-                    rank: rank as u64,
-                    iteration: *it,
-                    payload: payload.to_vec(),
-                })
-                .collect(),
+        let Some(store) = &mut self.store else {
+            return;
         };
-        if let Some(store) = &mut self.store {
-            if let Err(e) = store.write_slot(slot, &data) {
-                self.report.error = Some(format!("checkpoint slot write failed: {e}"));
-                return;
-            }
+        let entries: Vec<SlotEntryRef<'_>> = states
+            .iter()
+            .map(|(&(replica, rank), payload)| SlotEntryRef {
+                replica,
+                rank: rank as u64,
+                iteration: commit.iteration,
+                payload,
+            })
+            .collect();
+        let (round, slot) = (commit.round, commit.slot);
+        if let Err(e) = store.write_slot(slot, round, &entries) {
+            self.report.error = Some(format!("checkpoint slot write failed: {e}"));
+            return;
         }
         self.next_slot = 1 - slot;
-        let commit = CommitRecord {
-            round,
-            slot,
-            t: self.now(),
-            iteration,
-            round_counter: self.round_counter,
-            checkpoints_verified: self.report.checkpoints_verified as u64,
-            sdc_rounds_detected: self.report.sdc_rounds_detected as u64,
-            rollbacks: self.report.rollbacks as u64,
-            hard_errors_recovered: self.report.hard_errors_recovered as u64,
-            unverified_recoveries: self.report.unverified_recoveries as u64,
-            restarts_from_beginning: self.report.restarts_from_beginning as u64,
-            verified_round_starts: self.report.verified_round_starts.clone(),
-            unverified_recoveries_at: self.report.unverified_recoveries_at.clone(),
-            sdc_injected_at: self.report.sdc_injected_at.clone(),
-            crashes_injected_at: self.report.crashes_injected_at.clone(),
-        };
         self.journal(&DriverRecord::EpochCommit(commit));
         self.tlog(format!("epoch {round} committed to slot {slot}"));
-        for n in self.active_nodes() {
-            self.send(n, Ctrl::RoundComplete);
-        }
-        self.back_to_running();
     }
 
-    /// Append the journal's terminal record. A closed journal refuses to
-    /// resume — the job either completed or failed in a way a resume
-    /// cannot mend (e.g. out of spares).
-    fn close_journal(&mut self) {
-        if self.store.is_some() {
-            let completed = self.report.completed;
-            self.journal(&DriverRecord::JobClosed { completed });
+    /// Drop a pending capture: disk keeps the previous epoch, and the next
+    /// clean round captures afresh.
+    fn abandon_capture(&mut self, why: &str) {
+        if let Some(c) = self.capture.take() {
+            self.tlog(format!("epoch {} capture abandoned: {why}", c.commit.round));
+            self.rec
+                .inc_counter("acr_store_captures_abandoned_total", 1);
         }
     }
 
@@ -2067,6 +2064,9 @@ impl Driver {
         self.done_nodes.remove(&dead);
         self.tlog(format!("node {dead} declared dead"));
         self.journal(&DriverRecord::NodeDead { node: dead as u64 });
+        // Its answer may never come, and the recovery that follows moves
+        // every node's rollback target.
+        self.abandon_capture("a node died");
         match &self.phase {
             Phase::Running => self.start_recovery(dead),
             Phase::GlobalRound { .. } => {
@@ -2079,21 +2079,6 @@ impl Driver {
                     }
                 }
                 self.phase = Phase::Running;
-                self.start_recovery(dead);
-            }
-            Phase::Persist { .. } => {
-                // The round already verified clean; only its durable
-                // capture is incomplete. Abandon the capture (the store
-                // keeps the previous epoch), release the round, and
-                // recover — exactly what would happen had the death landed
-                // a moment after the commit.
-                self.tlog("epoch persist abandoned by death".into());
-                for n in self.active_nodes() {
-                    if n != dead {
-                        self.send(n, Ctrl::RoundComplete);
-                    }
-                }
-                self.back_to_running();
                 self.start_recovery(dead);
             }
             Phase::AwaitRollback { .. } => {
@@ -2455,9 +2440,7 @@ impl Driver {
     }
 
     fn shutdown_threaded(&mut self, handles: Vec<std::thread::JoinHandle<()>>) -> JobReport {
-        self.report.duration = self.now();
-        self.emit_job_end();
-        self.close_journal();
+        self.end_job();
         let total = self.total;
         for n in 0..total {
             self.send(n, Ctrl::Shutdown);

@@ -134,10 +134,10 @@ pub(crate) enum Ctrl {
     Ping { token: u64 },
     /// Finish: reply with final state and exit the scheduler loop.
     Shutdown,
-    /// (Persistence only) the global round `round` just got a clean verdict:
-    /// reply [`Event::VerifiedState`] with the packed task payloads the node
-    /// is about to promote, so the driver can write them to the on-disk
-    /// checkpoint slot before releasing the round.
+    /// (Persistence only) the global round `round` got a clean verdict and
+    /// is released: reply [`Event::VerifiedState`] with the checkpoint the
+    /// preceding [`Ctrl::RoundComplete`] promoted, so the driver can write
+    /// it to the on-disk checkpoint slot while the application runs.
     ReportVerified { round: u64 },
     /// (Resume replay only) stop responding to anything, silently. Same
     /// terminal behavior as `InjectCrash`, but without a `FaultInjected`
@@ -202,7 +202,7 @@ pub(crate) enum Event {
         tasks: Vec<Bytes>,
     },
     /// Answer to [`Ctrl::ReportVerified`]: the packed checkpoint payload this
-    /// node is promoting for round `round`, captured at `iteration`. The
+    /// node promoted for round `round`, captured at `iteration`. The
     /// payload/digest pair is exactly what [`Ctrl`]'s `Install` path accepts,
     /// so a resumed driver can seed nodes with it verbatim.
     VerifiedState {

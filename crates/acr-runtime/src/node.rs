@@ -1015,15 +1015,17 @@ impl NodeWorker {
                 return true;
             }
             Ctrl::ReportVerified { round } => {
-                // The driver holds the round open (Phase::Persist) until every
-                // active node answers, so the tentative checkpoint — promoted
-                // only on the RoundComplete that follows — is still in place.
-                // The rollback target covers the pathological reorder where a
-                // promotion slipped in first.
+                // The driver released the round before asking: the
+                // RoundComplete ahead of this in the inbox has promoted the
+                // round's checkpoint, and the rollback target is immutable
+                // shared bytes, so whatever the tasks have computed since
+                // cannot reach the answer. The tentative checkpoint covers
+                // a node whose promotion has not happened; the driver
+                // checks the iteration either way and commits no mixed line.
                 let ckpt = self
                     .store
-                    .tentative()
-                    .or_else(|| self.store.rollback_target());
+                    .rollback_target()
+                    .or_else(|| self.store.tentative());
                 if let Some(t) = ckpt {
                     self.port.send_event(Event::VerifiedState {
                         node: self.cfg.index,

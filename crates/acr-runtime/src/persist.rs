@@ -10,6 +10,14 @@
 //! the rollback), replays the pre-commit layout history, and re-arms only
 //! the scripted faults whose effects are not already part of committed
 //! history.
+//!
+//! Durability contract: a record that decides something is fsynced before
+//! the decision takes effect; `RoundOpened` marks a position and is made
+//! durable by the next record's fsync ([`DriverStore::append`]). An
+//! epoch's slot is fsynced before its `EpochCommit` is appended, and both
+//! happen *after* the round is released — the commit trails the verdict by
+//! one capture, during which the driver journals nothing else, and a
+//! resume restores the last epoch whose commit made it to disk.
 
 use std::collections::{BTreeMap, HashSet};
 use std::io;
@@ -18,7 +26,7 @@ use std::sync::Arc;
 
 use acr_fault::{FaultAction, FaultScript};
 use acr_obs::{EventKind, Recorder, DRIVER_NODE};
-use acr_store::{scan_log, EventLog, RecoveryReport, SlotData, SlotStore};
+use acr_store::{scan_log, EventLog, RecoveryReport, SlotData, SlotEntryRef, SlotStore};
 use bytes::Bytes;
 
 /// File name of the driver journal inside a persist dir.
@@ -31,7 +39,7 @@ pub(crate) const NO_NODE: u64 = u64::MAX;
 
 /// Everything the driver journals. One record per durable decision; the
 /// on-wire form is a tag byte plus little-endian fields, small enough that
-/// the per-record fsync dominates the append cost.
+/// the fsync dominates the append cost.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum DriverRecord {
     /// The job was admitted with this configuration and fault script.
@@ -103,7 +111,8 @@ pub(crate) struct CommitRecord {
     pub round: u64,
     /// Slot (0/1) the payloads were written to; commits alternate.
     pub slot: u8,
-    /// Job clock at commit time — the resumed clock starts here.
+    /// Job clock at the round's verdict, the instant the committed state
+    /// (and every counter below) describes — the resumed clock starts here.
     pub t: f64,
     /// Application iteration of the committed checkpoints.
     pub iteration: u64,
@@ -351,9 +360,10 @@ impl Rd<'_> {
 }
 
 /// The driver's durable store: the append-only journal plus the two
-/// checkpoint slots, with every durable write mirrored into the flight
-/// recorder (`store_append` events, `acr_store_*` counters) so the
-/// journaling overhead is measurable from any [`crate::JobReport`].
+/// checkpoint slots, with every write mirrored into the flight recorder
+/// (`store_append` events, `acr_store_*` counters; fsyncs counted as
+/// issued) so the journaling overhead is measurable from any
+/// [`crate::JobReport`].
 pub(crate) struct DriverStore {
     log: EventLog,
     slots: SlotStore,
@@ -389,28 +399,47 @@ impl DriverStore {
         Ok(store)
     }
 
-    /// Append one journal record (synchronous, fsynced).
+    /// Append one journal record: synchronous, and fsynced before it
+    /// returns — except `RoundOpened`. A round's opening decides nothing
+    /// by itself; it marks a position, and only has to sit *before* the
+    /// records read against it (its round's `EpochCommit`, a
+    /// `TriggerFired`, `NodeDead` or `SparePromoted` after it). Each of
+    /// those is fsynced, and an fsync covers the file up to itself, so the
+    /// opening is durable by the time anything depends on it; lost with
+    /// nothing after it, it is a round that never counted.
     pub(crate) fn append(&mut self, r: &DriverRecord) -> io::Result<()> {
-        let bytes = self.log.append(&r.encode())?;
-        self.note(r.kind(), bytes);
+        let synced = !matches!(r, DriverRecord::RoundOpened { .. });
+        let payload = r.encode();
+        let bytes = if synced {
+            self.log.append(&payload)?
+        } else {
+            self.log.append_unsynced(&payload)?
+        };
+        self.note(r.kind(), bytes, synced);
         Ok(())
     }
 
-    /// Write one checkpoint slot (synchronous, fsynced).
-    pub(crate) fn write_slot(&mut self, slot: u8, data: &SlotData) -> io::Result<()> {
-        let bytes = self.slots.write(slot, data)?;
-        self.note("slot", bytes);
+    /// Write one epoch's checkpoints to a slot (synchronous, fsynced).
+    pub(crate) fn write_slot(
+        &mut self,
+        slot: u8,
+        epoch: u64,
+        entries: &[SlotEntryRef<'_>],
+    ) -> io::Result<()> {
+        let bytes = self.slots.write_entries(slot, epoch, entries)?;
+        self.note("slot", bytes, true);
         Ok(())
     }
 
-    fn note(&self, kind: &'static str, bytes: u64) {
+    fn note(&self, kind: &'static str, bytes: u64, synced: bool) {
         self.rec.emit_with(DRIVER_NODE, || EventKind::StoreAppend {
             kind: kind.to_string(),
             bytes,
         });
         self.rec.inc_counter("acr_store_appends_total", 1);
         self.rec.inc_counter("acr_store_bytes_total", bytes);
-        self.rec.inc_counter("acr_store_fsyncs_total", 1);
+        self.rec
+            .inc_counter("acr_store_fsyncs_total", synced as u64);
     }
 }
 
@@ -725,7 +754,6 @@ impl ResumePlan {
 mod tests {
     use super::*;
     use acr_obs::ObsConfig;
-    use acr_store::SlotEntry;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir =
@@ -778,20 +806,18 @@ mod tests {
         }
     }
 
-    fn slot_data(epoch: u64, iteration: u64) -> SlotData {
-        SlotData {
-            epoch,
-            entries: (0..2u8)
-                .flat_map(|replica| {
-                    (0..2u64).map(move |rank| SlotEntry {
-                        replica,
-                        rank,
-                        iteration,
-                        payload: vec![replica ^ rank as u8; 16],
-                    })
-                })
-                .collect(),
-        }
+    /// Write a 2×2 epoch of 16-byte payloads at `iteration` to `slot`.
+    fn write_slot(store: &mut DriverStore, slot: u8, epoch: u64, iteration: u64) {
+        let payloads: Vec<[u8; 16]> = (0..4u8).map(|n| [(n >> 1) ^ (n & 1); 16]).collect();
+        let entries: Vec<SlotEntryRef<'_>> = (0..4u8)
+            .map(|n| SlotEntryRef {
+                replica: n >> 1,
+                rank: (n & 1) as u64,
+                iteration,
+                payload: &payloads[n as usize],
+            })
+            .collect();
+        store.write_slot(slot, epoch, &entries).unwrap();
     }
 
     #[test]
@@ -841,9 +867,7 @@ mod tests {
         store.append(&DriverRecord::JobAdmitted(admit(""))).unwrap();
         for (round, slot) in [(3u64, 0u8), (5, 1)] {
             store.append(&DriverRecord::RoundOpened { round }).unwrap();
-            store
-                .write_slot(slot, &slot_data(round, round * 20))
-                .unwrap();
+            write_slot(&mut store, slot, round, round * 20);
             store
                 .append(&DriverRecord::EpochCommit(commit(round, slot, round * 20)))
                 .unwrap();
@@ -865,9 +889,7 @@ mod tests {
         store.append(&DriverRecord::JobAdmitted(admit(""))).unwrap();
         for (round, slot) in [(3u64, 0u8), (5, 1)] {
             store.append(&DriverRecord::RoundOpened { round }).unwrap();
-            store
-                .write_slot(slot, &slot_data(round, round * 20))
-                .unwrap();
+            write_slot(&mut store, slot, round, round * 20);
             store
                 .append(&DriverRecord::EpochCommit(commit(round, slot, round * 20)))
                 .unwrap();
@@ -964,7 +986,7 @@ mod tests {
                 node: NO_NODE,
             })
             .unwrap();
-        store.write_slot(0, &slot_data(2, 40)).unwrap();
+        write_slot(&mut store, 0, 2, 40);
         store
             .append(&DriverRecord::EpochCommit(commit(2, 0, 40)))
             .unwrap();
@@ -1005,7 +1027,7 @@ mod tests {
         store
             .append(&DriverRecord::RoundOpened { round: 1 })
             .unwrap();
-        store.write_slot(0, &slot_data(1, 20)).unwrap();
+        write_slot(&mut store, 0, 1, 20);
         store
             .append(&DriverRecord::EpochCommit(commit(1, 0, 20)))
             .unwrap();
@@ -1067,7 +1089,7 @@ mod tests {
         store
             .append(&DriverRecord::RoundOpened { round: 1 })
             .unwrap();
-        store.write_slot(0, &slot_data(1, 20)).unwrap();
+        write_slot(&mut store, 0, 1, 20);
         store
             .append(&DriverRecord::EpochCommit(commit(1, 0, 20)))
             .unwrap();

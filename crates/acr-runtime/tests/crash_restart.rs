@@ -8,11 +8,12 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use acr_obs::{Breakdown, EventKind, RunPhase};
 use acr_pup::{Pup, PupResult, Puper};
 use acr_runtime::campaign::{run_campaign, CampaignConfig, CaseOutcome};
 use acr_runtime::{
-    AppMsg, DetectionMethod, ExecMode, FaultAction, FaultScript, Job, JobConfig, JobReport, Scheme,
-    Task, TaskCtx, TaskId, Trigger,
+    fold_store, AppMsg, DetectionMethod, ExecMode, FaultAction, FaultScript, Job, JobConfig,
+    JobReport, Scheme, Task, TaskCtx, TaskId, Trigger,
 };
 use bytes::Bytes;
 
@@ -209,6 +210,273 @@ fn c01_kill_after_commit_resumes_from_primary_to_identical_outcome() {
     );
     // The machine-readable report also landed next to the store.
     assert!(dir.join("recovery_report.json").is_file());
+}
+
+/// The journal-order contract of a persisted run, read off its flight
+/// recorder (store writes are recorded in the order they were issued): no
+/// slot or commit write inside a round, and every clean verdict is
+/// followed by exactly its slot and its commit before the journal sees
+/// another round open or the job close. A death in between drops the
+/// capture. Returns the number of committed epochs.
+fn assert_commits_trail_verdicts(r: &JobReport) -> usize {
+    let (mut in_round, mut commits) = (false, 0);
+    let mut owed: Vec<&str> = Vec::new();
+    for e in &r.events {
+        match &e.kind {
+            EventKind::PhaseEnter { phase } => in_round = *phase == RunPhase::Round,
+            EventKind::RoundVerdict { clean: true, .. } => {
+                assert!(owed.is_empty(), "verdict at {} with {owed:?} owed", e.t);
+                owed = vec!["commit", "slot"];
+            }
+            EventKind::NodeDead { .. } => owed.clear(),
+            EventKind::StoreAppend { kind, .. } => match kind.as_str() {
+                "slot" | "commit" => {
+                    assert!(!in_round, "{kind} written at {} with the round held", e.t);
+                    assert_eq!(owed.pop(), Some(kind.as_str()), "stray {kind} at {}", e.t);
+                    commits += usize::from(kind == "commit");
+                }
+                "round" | "closed" => assert!(
+                    owed.is_empty(),
+                    "`{kind}` journaled at {} ahead of the commit it should follow",
+                    e.t
+                ),
+                _ => {}
+            },
+            _ => {}
+        }
+    }
+    assert!(owed.is_empty(), "run ended with {owed:?} owed");
+    commits
+}
+
+/// Value of counter `name` in a report's metrics exposition (0 if absent).
+fn counter(r: &JobReport, name: &str) -> u64 {
+    r.metrics
+        .lines()
+        .find(|l| l.starts_with(name))
+        .and_then(|l| l.rsplit(' ').next()?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// Job-clock time of round `round`'s verdict.
+fn verdict_time(r: &JobReport, round: u64) -> f64 {
+    r.events
+        .iter()
+        .find(|e| matches!(e.kind, EventKind::RoundVerdict { round: n, .. } if n == round))
+        .map(|e| e.t)
+        .expect("round reached a verdict")
+}
+
+/// A clean epoch costs two fsyncs — the slot's and the commit's — and the
+/// application waits for neither: both are issued after the round is
+/// released, and the round's opening record rides the next fsync.
+#[test]
+fn a_clean_epoch_is_two_fsyncs_both_behind_the_verdict() {
+    let dir = tmp("fsyncs");
+    let r = run_persisted(Scheme::Strong, &FaultScript::new(), &dir);
+    assert!(r.completed, "{:?}", r.error);
+    let epochs = assert_commits_trail_verdicts(&r);
+    assert!(epochs >= 2);
+    assert_eq!(epochs, r.checkpoints_verified);
+    // Admission and close, then round + slot + commit per epoch, of which
+    // the round record is the one write without an fsync of its own.
+    let b = Breakdown::from_events(&r.events);
+    assert_eq!(b.store_appends as usize, 2 + 3 * epochs);
+    assert_eq!(b.store_fsyncs as usize, 2 + 2 * epochs);
+    assert_eq!(counter(&r, "acr_store_fsyncs_total"), b.store_fsyncs);
+    assert_eq!(counter(&r, "acr_store_appends_total"), b.store_appends);
+    assert_eq!(counter(&r, "acr_store_captures_abandoned_total"), 0);
+    // What reached the slots is the line each verdict was about, not
+    // whatever the tasks had computed by the time it was written.
+    let slots = acr_store::SlotStore::new(&dir);
+    for epoch in [epochs - 1, epochs] {
+        let data = slots.read(((epoch - 1) % 2) as u8).expect("slot reads");
+        assert_eq!(data.epoch as usize, epoch);
+        let line = format!("round {epoch} verified iter={}", data.entries[0].iteration);
+        assert!(r.trace.iter().any(|l| l.ends_with(&line)), "no `{line}`");
+        assert!(data
+            .entries
+            .iter()
+            .all(|e| e.iteration == data.entries[0].iteration));
+    }
+}
+
+/// C-01 inside the capture window: the kill lands after round 2 is
+/// released and before its `EpochCommit` is journaled. Disk keeps epoch 1,
+/// the store folds to an abandoned round 2, and the resumed run finishes
+/// bit-identical to the uninterrupted one.
+#[test]
+fn c01_kill_inside_the_capture_window_resumes_from_the_previous_epoch() {
+    let base_dir = tmp("c01w_base");
+    let baseline = run_persisted(Scheme::Strong, &FaultScript::new(), &base_dir);
+    assert!(baseline.completed, "baseline: {:?}", baseline.error);
+
+    let dir = tmp("c01w");
+    // The policy pass that follows round 2's verdict runs at the verdict's
+    // own clock reading, with the capture pending.
+    let killed = run_persisted(
+        Scheme::Strong,
+        &kill_script(verdict_time(&baseline, 2)),
+        &dir,
+    );
+    assert_killed(&killed);
+    assert_eq!(
+        killed.checkpoints_verified, 2,
+        "round 2 verified, then the kill"
+    );
+    assert_eq!(commits_journaled(&killed), 1);
+    let model = fold_store(&dir).expect("fold the killed store");
+    assert_eq!(model.committed_round(), Some(1));
+    assert_eq!(model.abandoned_round(), Some(2));
+
+    let resumed = Job::resume(&dir).run(factory);
+    assert!(
+        resumed.completed,
+        "resume failed: {:?}\n{}",
+        resumed.error,
+        resumed.trace.join("\n")
+    );
+    let rec = resumed.recovery.as_ref().expect("resume carries a report");
+    assert_eq!((rec.source.as_str(), rec.epoch), ("primary", 1));
+    assert_eq!(
+        outcome_tuple(&resumed),
+        outcome_tuple(&baseline),
+        "resumed outcome differs from the uninterrupted run\nresumed:\n{}",
+        resumed.trace.join("\n")
+    );
+}
+
+/// `EpochCommit` records a run journaled.
+fn commits_journaled(r: &JobReport) -> usize {
+    r.events
+        .iter()
+        .filter(|e| matches!(&e.kind, EventKind::StoreAppend { kind, .. } if kind == "commit"))
+        .count()
+}
+
+/// A crash that lands in the capture window: the victim goes silent one
+/// quantum before round 2's verdict, so its `VerifiedState` never comes.
+/// The capture stays pending until the death is declared, is abandoned
+/// there (disk keeps epoch 1), and recovery proceeds; a driver kill right
+/// after leaves a store that folds to epoch 1 with round 2 abandoned and
+/// resumes to the same outcome as the run nobody killed.
+#[test]
+fn crash_inside_the_capture_window_abandons_the_epoch_and_recovers() {
+    let base_dir = tmp("window_crash_base");
+    let baseline = run_persisted(Scheme::Strong, &FaultScript::new(), &base_dir);
+    let ExecMode::Virtual { quantum } = ExecMode::virtual_default() else {
+        unreachable!()
+    };
+    let mut script = FaultScript::new();
+    script.push(
+        Trigger::At(verdict_time(&baseline, 2) - quantum.as_secs_f64()),
+        FaultAction::Crash {
+            replica: 1,
+            rank: 0,
+        },
+    );
+    let crash_dir = tmp("window_crash");
+    let crashed = run_persisted(Scheme::Strong, &script, &crash_dir);
+    assert!(crashed.completed, "{:?}", crashed.error);
+    let trace = crashed.trace.join("\n");
+    assert!(
+        trace.contains("epoch 2 capture abandoned"),
+        "the crash missed the window:\n{trace}"
+    );
+    assert!(!trace.contains("epoch 2 committed"), "{trace}");
+    assert_eq!(counter(&crashed, "acr_store_captures_abandoned_total"), 1);
+    assert_eq!(crashed.hard_errors_recovered, 1);
+    assert!(crashed.replicas_agree());
+    assert_eq!(crashed.final_states, baseline.final_states);
+    assert_commits_trail_verdicts(&crashed);
+
+    // The same run with the driver killed just after the death.
+    let dead_at = crashed
+        .events
+        .iter()
+        .find(|e| matches!(e.kind, EventKind::NodeDead { .. }))
+        .map(|e| e.t)
+        .expect("the death was declared");
+    script.push(
+        Trigger::At(dead_at + 2.0 * quantum.as_secs_f64()),
+        FaultAction::KillDriver,
+    );
+    let dir = tmp("window_crash_kill");
+    assert_killed(&run_persisted(Scheme::Strong, &script, &dir));
+    let model = fold_store(&dir).expect("fold the killed store");
+    assert_eq!(model.committed_round(), Some(1));
+    assert_eq!(model.abandoned_round(), Some(2));
+    let resumed = Job::resume(&dir).run(factory);
+    assert!(
+        resumed.completed,
+        "resume failed: {:?}\n{}",
+        resumed.error,
+        resumed.trace.join("\n")
+    );
+    assert_eq!(resumed.recovery.as_ref().map(|r| r.epoch), Some(1));
+    assert_eq!(outcome_tuple(&resumed), outcome_tuple(&crashed));
+}
+
+/// Nothing overtakes a pending commit in the journal: with a checkpoint
+/// interval shorter than a capture the next `RoundOpened` waits for it,
+/// and so does `JobClosed` when the tasks are done before it lands — a
+/// replica that a crash rolled back catches up *inside* the last round,
+/// so that round's verdict already finds every task finished. A scripted
+/// fault that falls due in the window holds fire the same way.
+#[test]
+fn the_next_round_and_the_job_close_wait_for_the_commit() {
+    let mut eager = cfg(Scheme::Strong);
+    eager.checkpoint_interval = Duration::ZERO;
+    let dir = tmp("eager_rounds");
+    eager.persist_dir = Some(dir);
+    let r = Job::new(eager)
+        .mode(ExecMode::virtual_default())
+        .run(factory);
+    assert!(r.completed, "{:?}", r.error);
+    assert_eq!(assert_commits_trail_verdicts(&r), r.checkpoints_verified);
+
+    let mut script = FaultScript::new();
+    script.push(
+        Trigger::AtIteration(2 * ITERS / 3),
+        FaultAction::Crash {
+            replica: 1,
+            rank: 0,
+        },
+    );
+    let r = run_persisted(Scheme::Strong, &script, &tmp("done_in_round"));
+    assert!(r.completed, "{:?}", r.error);
+    let last = format!("verified iter={ITERS}");
+    assert!(
+        r.trace.iter().any(|l| l.ends_with(&last)),
+        "no round ended on the final iteration:\n{}",
+        r.trace.join("\n")
+    );
+    assert_eq!(assert_commits_trail_verdicts(&r), r.checkpoints_verified);
+
+    let baseline = run_persisted(Scheme::Strong, &FaultScript::new(), &tmp("hold_base"));
+    let mut script = FaultScript::new();
+    script.push(
+        Trigger::At(verdict_time(&baseline, 2)),
+        FaultAction::Crash {
+            replica: 0,
+            rank: 1,
+        },
+    );
+    let r = run_persisted(Scheme::Strong, &script, &tmp("hold_fire"));
+    assert!(r.completed, "{:?}", r.error);
+    let journal: Vec<&str> = r
+        .events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::StoreAppend { kind, .. } => Some(kind.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        journal[..9],
+        ["admit", "round", "slot", "commit", "round", "slot", "commit", "trigger", "dead"],
+        "the crash fired ahead of epoch 2's commit"
+    );
 }
 
 /// C-02: a torn tail append (power loss mid-write) must be skipped by the

@@ -8,12 +8,14 @@
 //! record := "ACRE" len:u32le payload:[u8; len] fletcher64(payload):u64le
 //! ```
 //!
-//! The writer appends and fsyncs; it never seeks backwards, so a crash at
-//! any byte offset leaves a fully intact prefix followed by at most one
-//! torn record. The reader makes the weaker assumption that *anything* may
-//! follow the intact prefix — torn tails, zero-fill, bit flips from a bad
-//! disk — and scans byte-by-byte for the next record magic whenever
-//! validation fails, counting what it skipped.
+//! The writer appends and fsyncs ([`EventLog::append`]; its one sibling,
+//! [`EventLog::append_unsynced`], leaves the fsync to the next `append`);
+//! it never seeks backwards, so a crash at any byte offset leaves a fully
+//! intact prefix followed by at most one torn record. The reader makes
+//! the weaker assumption that *anything* may follow the intact prefix —
+//! torn tails, zero-fill, bit flips from a bad disk — and scans
+//! byte-by-byte for the next record magic whenever validation fails,
+//! counting what it skipped.
 
 use acr_pup::fletcher64;
 use std::fs::{File, OpenOptions};
@@ -33,7 +35,9 @@ pub const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
 ///
 /// Appends are synchronous: every [`EventLog::append`] writes the framed
 /// record and fsyncs before returning, so the on-disk state after a hard
-/// kill is exactly the sequence of `append` calls that returned.
+/// kill holds every record whose `append` returned, in order. Records
+/// from [`EventLog::append_unsynced`] after the last such `append` may be
+/// missing, from the first lost byte onwards.
 #[derive(Debug)]
 pub struct EventLog {
     file: File,
@@ -65,8 +69,22 @@ impl EventLog {
     }
 
     /// Append one record (framing + payload + trailer), fsync, and return
-    /// the number of bytes written.
+    /// the number of bytes written. Whatever [`EventLog::append_unsynced`]
+    /// wrote before it is durable when this returns.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
+        let written = self.append_unsynced(payload)?;
+        self.file.sync_data()?;
+        self.syncs += 1;
+        Ok(written)
+    }
+
+    /// Append one record without an fsync of its own and return the number
+    /// of bytes written. The record sits in file order like any other and
+    /// becomes durable with the next [`EventLog::append`], whose fsync
+    /// covers every byte written before it; a crash before that may lose
+    /// it, whole or in part. For a record that only has to *precede* what
+    /// follows it, never to outlive a crash by itself.
+    pub fn append_unsynced(&mut self, payload: &[u8]) -> io::Result<u64> {
         assert!(
             payload.len() as u64 <= MAX_RECORD_LEN as u64,
             "record payload exceeds MAX_RECORD_LEN"
@@ -77,10 +95,8 @@ impl EventLog {
         frame.extend_from_slice(payload);
         frame.extend_from_slice(&fletcher64(payload).to_le_bytes());
         self.file.write_all(&frame)?;
-        self.file.sync_data()?;
         self.appends += 1;
         self.bytes += frame.len() as u64;
-        self.syncs += 1;
         Ok(frame.len() as u64)
     }
 
@@ -360,10 +376,20 @@ mod tests {
         log.append(&[0u8; 300]).unwrap();
         assert_eq!(log.appends(), 3);
         assert_eq!(log.syncs(), 4, "one per append plus the header");
+        let bytes = log.bytes_written();
+        assert_eq!(log.append_unsynced(b"order-only").unwrap(), 4 + 4 + 10 + 8);
+        assert_eq!(log.appends(), 4);
+        assert_eq!(log.bytes_written(), bytes + 26);
+        assert_eq!(log.syncs(), 4, "the unsynced sibling issues no fsync");
         let scan = scan_log(&path).unwrap();
         assert_eq!(
             scan.records,
-            vec![b"alpha".to_vec(), Vec::new(), vec![0u8; 300]]
+            vec![
+                b"alpha".to_vec(),
+                Vec::new(),
+                vec![0u8; 300],
+                b"order-only".to_vec()
+            ]
         );
         assert_eq!(scan.skipped_bytes, 0);
         assert!(!scan.missing_magic);

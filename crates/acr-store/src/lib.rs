@@ -39,4 +39,4 @@ mod slots;
 pub use eventlog::{scan_bytes, scan_log, EventLog, LogScan, LogTailer, MAX_RECORD_LEN};
 pub use jobs::{job_store_dir, list_job_stores, sanitize_job_name, JobStoreEntry, JOBS_DIR};
 pub use report::RecoveryReport;
-pub use slots::{SlotData, SlotEntry, SlotError, SlotStore};
+pub use slots::{SlotData, SlotEntry, SlotEntryRef, SlotError, SlotStore};

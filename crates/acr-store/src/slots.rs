@@ -16,14 +16,16 @@
 //! recorded here — the event log's epoch-commit records carry the slot id,
 //! and the log is the source of truth ("events = what happened").
 
-use acr_pup::fletcher64;
+use acr_pup::{fletcher64, Fletcher64};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::path::{Path, PathBuf};
 
 const SLOT_MAGIC: &[u8; 8] = b"ACRSLOT1";
 /// Sanity cap on one entry's payload (mirrors the log's record cap).
 const MAX_ENTRY_LEN: u64 = 256 * 1024 * 1024;
+/// Bytes of one entry's header: replica, rank, iteration, payload length.
+const ENTRY_HEADER: usize = 1 + 8 + 8 + 8;
 
 /// One node's checkpoint inside a slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,6 +38,20 @@ pub struct SlotEntry {
     pub iteration: u64,
     /// Opaque packed checkpoint payload.
     pub payload: Vec<u8>,
+}
+
+/// One node's checkpoint as [`SlotStore::write_entries`] takes it: a
+/// [`SlotEntry`] whose payload stays where the caller holds it.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotEntryRef<'a> {
+    /// Replica the node belongs to.
+    pub replica: u8,
+    /// Rank within the replica.
+    pub rank: u64,
+    /// Iteration the checkpoint captures.
+    pub iteration: u64,
+    /// Opaque packed checkpoint payload.
+    pub payload: &'a [u8],
 }
 
 /// A full slot image: one epoch's checkpoints for every active node.
@@ -95,31 +111,80 @@ impl SlotStore {
         })
     }
 
-    /// Serialize `data` into slot `slot`, fsync, and return bytes written.
-    /// The write goes straight to the final path: tearing it mid-write is
-    /// exactly the failure mode the *other* slot exists to absorb.
+    /// Serialize `data` into slot `slot`, fsync, and return bytes written:
+    /// [`SlotStore::write_entries`] over the owned entries.
     pub fn write(&self, slot: u8, data: &SlotData) -> io::Result<u64> {
+        let entries: Vec<SlotEntryRef<'_>> = data
+            .entries
+            .iter()
+            .map(|e| SlotEntryRef {
+                replica: e.replica,
+                rank: e.rank,
+                iteration: e.iteration,
+                payload: &e.payload,
+            })
+            .collect();
+        self.write_entries(slot, data.epoch, &entries)
+    }
+
+    /// Stream one epoch into slot `slot`, fsync, and return bytes written.
+    /// Payloads are checksummed and handed to the file where they lie —
+    /// the magic, the counts and every entry header go into one small
+    /// buffer, and a vectored write interleaves its pieces with the
+    /// payload slices — so a checkpoint is never copied on its way to
+    /// disk. The write goes straight to the final path: tearing it
+    /// mid-write is exactly the failure mode the *other* slot exists to
+    /// absorb.
+    pub fn write_entries(
+        &self,
+        slot: u8,
+        epoch: u64,
+        entries: &[SlotEntryRef<'_>],
+    ) -> io::Result<u64> {
         std::fs::create_dir_all(&self.dir)?;
-        let mut body = Vec::new();
-        body.extend_from_slice(&data.epoch.to_le_bytes());
-        body.extend_from_slice(&(data.entries.len() as u64).to_le_bytes());
-        for e in &data.entries {
-            body.push(e.replica);
-            body.extend_from_slice(&e.rank.to_le_bytes());
-            body.extend_from_slice(&e.iteration.to_le_bytes());
-            body.extend_from_slice(&(e.payload.len() as u64).to_le_bytes());
-            body.extend_from_slice(&e.payload);
+        const PRELUDE: usize = SLOT_MAGIC.len() + 8 + 8;
+        let mut heads = Vec::with_capacity(PRELUDE + ENTRY_HEADER * entries.len());
+        heads.extend_from_slice(SLOT_MAGIC);
+        heads.extend_from_slice(&epoch.to_le_bytes());
+        heads.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+        for e in entries {
+            heads.push(e.replica);
+            heads.extend_from_slice(&e.rank.to_le_bytes());
+            heads.extend_from_slice(&e.iteration.to_le_bytes());
+            heads.extend_from_slice(&(e.payload.len() as u64).to_le_bytes());
         }
+        // The file, in order: the prelude, then header and payload per
+        // entry, then the trailer.
+        let (prelude, headers) = heads.split_at(PRELUDE);
+        let mut parts: Vec<&[u8]> = Vec::with_capacity(2 * entries.len() + 2);
+        parts.push(prelude);
+        for (header, e) in headers.chunks_exact(ENTRY_HEADER).zip(entries) {
+            parts.push(header);
+            parts.push(e.payload);
+        }
+        let mut sum = Fletcher64::new();
+        sum.update(&prelude[SLOT_MAGIC.len()..]);
+        parts[1..].iter().for_each(|p| sum.update(p));
+        let trailer = sum.digest().to_le_bytes();
+        parts.push(&trailer);
+
         let mut file = OpenOptions::new()
             .write(true)
             .create(true)
             .truncate(true)
             .open(self.slot_path(slot))?;
-        file.write_all(SLOT_MAGIC)?;
-        file.write_all(&body)?;
-        file.write_all(&fletcher64(&body).to_le_bytes())?;
+        let mut iov: Vec<IoSlice<'_>> = parts.iter().map(|p| IoSlice::new(p)).collect();
+        let mut left = &mut iov[..];
+        while !left.is_empty() {
+            match file.write_vectored(left) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut left, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         file.sync_data()?;
-        Ok((SLOT_MAGIC.len() + body.len() + 8) as u64)
+        Ok(parts.iter().map(|p| p.len() as u64).sum())
     }
 
     /// Read and validate slot `slot`.
@@ -217,6 +282,64 @@ mod tests {
         s.write(1, &sample(4)).unwrap();
         assert_eq!(s.read(0).unwrap(), sample(3));
         assert_eq!(s.read(1).unwrap(), sample(4));
+    }
+
+    /// The slot image as it was built before the streaming writer: the
+    /// whole body copied into one buffer, checksummed in one pass.
+    fn reference_image(data: &SlotData) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.extend_from_slice(&data.epoch.to_le_bytes());
+        body.extend_from_slice(&(data.entries.len() as u64).to_le_bytes());
+        for e in &data.entries {
+            body.push(e.replica);
+            body.extend_from_slice(&e.rank.to_le_bytes());
+            body.extend_from_slice(&e.iteration.to_le_bytes());
+            body.extend_from_slice(&(e.payload.len() as u64).to_le_bytes());
+            body.extend_from_slice(&e.payload);
+        }
+        let mut image = SLOT_MAGIC.to_vec();
+        image.extend_from_slice(&body);
+        image.extend_from_slice(&fletcher64(&body).to_le_bytes());
+        image
+    }
+
+    #[test]
+    fn streamed_slot_is_byte_identical_to_the_copied_image() {
+        let s = store("format");
+        // Odd payload lengths, so header pieces and payloads meet off any
+        // word boundary of the running checksum; and the empty epoch.
+        let mut data = sample(9);
+        data.entries.push(SlotEntry {
+            replica: 1,
+            rank: 3,
+            iteration: 41,
+            payload: (0..=250u8).cycle().take(70_001).collect(),
+        });
+        data.entries.push(SlotEntry {
+            replica: 0,
+            rank: 2,
+            iteration: 40,
+            payload: vec![0xEE; 3],
+        });
+        for data in [data, SlotData::default()] {
+            let want = reference_image(&data);
+            assert_eq!(s.write(0, &data).unwrap(), want.len() as u64);
+            assert_eq!(std::fs::read(s.slot_path(0)).unwrap(), want);
+            let borrowed: Vec<SlotEntryRef<'_>> = data
+                .entries
+                .iter()
+                .map(|e| SlotEntryRef {
+                    replica: e.replica,
+                    rank: e.rank,
+                    iteration: e.iteration,
+                    payload: &e.payload,
+                })
+                .collect();
+            let n = s.write_entries(1, data.epoch, &borrowed).unwrap();
+            assert_eq!(n, want.len() as u64);
+            assert_eq!(std::fs::read(s.slot_path(1)).unwrap(), want);
+            assert_eq!(s.read(1).unwrap(), data);
+        }
     }
 
     #[test]
