@@ -10,12 +10,13 @@
 //! be covered by its 8-byte digest alone.
 //!
 //! γ and β are *measured*, not assumed: [`GammaBetaEstimator`] folds
-//! checksum-rate samples (from the fused pack+digest pass) and
-//! transfer-rate samples (from compare round trips) into exponential
-//! moving averages. An estimate that has not seen a transfer sample for
-//! several rounds is **stale** — recovery, reconnects, and spare
-//! promotions all interrupt the sampling — and the safe fallback for a
-//! stale estimate is the unconditional full ship.
+//! checksum-rate samples and transfer-rate samples into exponential moving
+//! averages. `acr-runtime`'s `calibrate::measure` feeds it from its probe
+//! runs and records the verdict in the calibration artifact. The node
+//! runtime consults no estimator per round: its delta checkpoints cover
+//! clean chunks by digest whenever the payload structure allows, because a
+//! β read from each round's compare round trip made the choice feed itself
+//! (a delta round ships a tenth of the bytes in about the same time).
 
 /// What to do with one chunk of the checkpoint when talking to the buddy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,10 +64,10 @@ const EWMA_ALPHA: f64 = 0.3;
 
 /// Exponential-moving-average estimator of γ and β.
 ///
-/// Feed it `observe_gamma` from each fused pack (bytes digested, seconds
-/// spent) and `observe_beta` from each compare round trip (bytes shipped,
-/// seconds until the verdict); call [`GammaBetaEstimator::mark_round`]
-/// once per checkpoint round so staleness ages. [`GammaBetaEstimator::
+/// Feed it `observe_gamma` with checksum timings (bytes digested, seconds
+/// spent) and `observe_beta` with compare timings (bytes shipped, seconds
+/// until the verdict); call [`GammaBetaEstimator::mark_round`] once per
+/// sampled checkpoint round so staleness ages. [`GammaBetaEstimator::
 /// estimate`] yields `None` until both rates have at least one sample, or
 /// again once β goes `STALE_AFTER_ROUNDS` rounds unsampled — the caller
 /// must treat `None` as "full ship".

@@ -13,18 +13,15 @@
 //! ranges, and the expensive field-level [`crate::Checker`] walk can be
 //! restricted to just those windows instead of the whole checkpoint.
 //!
-//! Three producers cooperate:
+//! Two producers cooperate:
 //!
 //! * [`ChunkDigester`] — the splitting engine: feed it payload bytes at a
-//!   known global offset and it emits per-chunk [`ChunkPiece`] states.
+//!   known global offset and it emits per-chunk [`ChunkPiece`] states,
+//!   which [`assemble_chunks`] merges into the table.
 //! * [`DigestingPacker`] — a [`Puper`] that packs into a growable buffer
-//!   and digests in the same pass (the single-producer path).
-//! * [`SlicePacker`] — a [`Puper`] that packs into a caller-provided
-//!   `&mut [u8]` at a known global offset, optionally digesting as it goes
-//!   (the parallel path: workers write disjoint sub-slices of one payload
-//!   allocation, then their pieces are [`assemble_chunks`]-merged in order).
+//!   and digests in the same pass (the runtime's checkpoint packer).
 
-use crate::error::{PupError, PupResult};
+use crate::error::PupResult;
 use crate::fletcher::Fletcher64;
 use crate::puper::{Dir, Puper};
 
@@ -35,7 +32,7 @@ use crate::puper::{Dir, Puper};
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
 
 /// The in-progress Fletcher state of one chunk's bytes (or a contiguous
-/// piece of them, when a chunk spans two workers' segments).
+/// piece of them, when a chunk spans two separately digested segments).
 #[derive(Debug, Clone)]
 pub struct ChunkPiece {
     /// Index of the chunk this piece belongs to (`offset / chunk_size`).
@@ -47,8 +44,8 @@ pub struct ChunkPiece {
 /// Splits a byte stream at chunk boundaries, producing one [`ChunkPiece`]
 /// per chunk touched.
 ///
-/// Constructed at a global payload offset so parallel workers, each packing
-/// a different segment of the same payload, agree on where chunks fall.
+/// Constructed at a global payload offset so digesters over different
+/// segments of the same payload agree on where chunks fall.
 #[derive(Debug)]
 pub struct ChunkDigester {
     chunk_size: usize,
@@ -63,7 +60,7 @@ impl ChunkDigester {
     ///
     /// `chunk_size` must be a positive multiple of 4 (see
     /// [`DEFAULT_CHUNK_SIZE`]); `global_offset` must be a multiple of 4 so
-    /// this worker's pieces stay mergeable with its predecessors'.
+    /// this segment's pieces stay mergeable with its predecessors'.
     pub fn new(chunk_size: usize, global_offset: usize) -> Self {
         assert!(
             chunk_size > 0 && chunk_size.is_multiple_of(4),
@@ -161,11 +158,11 @@ pub struct ChunkedDigest {
 }
 
 /// Merge an ordered sequence of [`ChunkPiece`]s — e.g. the concatenation of
-/// every worker's [`SlicePacker::finish`] output, in payload order — into
-/// the chunk digest table and whole-payload digest.
+/// every segment's [`ChunkDigester::finish`] output, in payload order —
+/// into the chunk digest table and whole-payload digest.
 ///
 /// Pieces of the same chunk must be adjacent and in offset order; chunk
-/// indices must be contiguous from 0 (the natural result of workers
+/// indices must be contiguous from 0 (the natural result of segments
 /// covering a payload left to right).
 pub fn assemble_chunks(
     chunk_size: usize,
@@ -306,7 +303,9 @@ macro_rules! fused_puper_impl {
 }
 
 /// A [`Puper`] that packs into a growable buffer and digests the bytes in
-/// the same pass — the checkpoint pipeline's single-producer fast path.
+/// the same pass — the checkpoint pipeline's packer. Pair it with
+/// [`crate::Sizer`] and [`DigestingPacker::with_capacity`] for one
+/// exactly-sized allocation.
 ///
 /// Equivalent to running [`crate::Packer`] and then [`crate::fletcher64`]
 /// over the result, but the payload crosses the memory bus once instead of
@@ -396,105 +395,6 @@ impl Puper for DigestingPacker {
     fused_puper_impl!();
 }
 
-/// A [`Puper`] that packs into a caller-provided slice — the unit of work
-/// of the parallel checkpoint pipeline.
-///
-/// The runtime sizes every task, allocates one payload buffer, splits it
-/// into disjoint `&mut [u8]` segments, and hands each worker thread a
-/// `SlicePacker` over its segment. With [`SlicePacker::digesting`] the
-/// worker also computes the segment's chunk-piece Fletcher states in the
-/// same pass; [`assemble_chunks`] then merges all workers' pieces into the
-/// payload's chunk table and total digest without re-reading any payload
-/// byte.
-#[derive(Debug)]
-pub struct SlicePacker<'a> {
-    buf: &'a mut [u8],
-    pos: usize,
-    digester: Option<ChunkDigester>,
-}
-
-impl<'a> SlicePacker<'a> {
-    /// Pack into `buf` without digesting.
-    pub fn new(buf: &'a mut [u8]) -> Self {
-        Self {
-            buf,
-            pos: 0,
-            digester: None,
-        }
-    }
-
-    /// Pack into `buf` and digest in the same pass. `global_offset` is
-    /// where `buf` starts within the whole payload (multiple of 4, so the
-    /// produced pieces merge cleanly with the preceding segment's).
-    pub fn digesting(buf: &'a mut [u8], chunk_size: usize, global_offset: usize) -> Self {
-        Self {
-            buf,
-            pos: 0,
-            digester: Some(ChunkDigester::new(chunk_size, global_offset)),
-        }
-    }
-
-    /// Bytes written so far.
-    pub fn written(&self) -> usize {
-        self.pos
-    }
-
-    /// Zero-fill the remainder of the segment (alignment padding between
-    /// tasks), keeping the digest in sync with the buffer contents.
-    pub fn pad_to_end(&mut self) {
-        let rest = &mut self.buf[self.pos..];
-        rest.fill(0);
-        if let Some(d) = &mut self.digester {
-            d.feed(rest);
-        }
-        self.pos = self.buf.len();
-    }
-
-    /// Finish: bytes written plus this segment's chunk pieces (empty when
-    /// constructed with [`SlicePacker::new`]).
-    pub fn finish(self) -> (usize, Vec<ChunkPiece>) {
-        (
-            self.pos,
-            self.digester.map(ChunkDigester::finish).unwrap_or_default(),
-        )
-    }
-
-    #[inline]
-    fn put(&mut self, bytes: &[u8]) -> PupResult {
-        let remaining = self.buf.len() - self.pos;
-        if remaining < bytes.len() {
-            // The segment was sized by `Sizer`; overrunning it means the
-            // object's `pup` is direction-dependent (a structural bug).
-            return Err(PupError::BufferUnderrun {
-                needed: bytes.len(),
-                remaining,
-                at: self.pos,
-            });
-        }
-        let dst = &mut self.buf[self.pos..self.pos + bytes.len()];
-        match &mut self.digester {
-            // One register pass: copy and digest together (see
-            // [`ChunkDigester::feed_copy`]).
-            Some(d) => d.feed_copy(bytes, dst),
-            None => dst.copy_from_slice(bytes),
-        }
-        self.pos += bytes.len();
-        Ok(())
-    }
-}
-
-impl Puper for SlicePacker<'_> {
-    fn dir(&self) -> Dir {
-        Dir::Packing
-    }
-
-    fn offset(&self) -> usize {
-        self.pos
-    }
-
-    fused_puper_impl!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,57 +467,6 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         assert_eq!(diff, vec![2], "exactly the chunk holding the flipped byte");
-    }
-
-    #[test]
-    fn slice_packers_reproduce_single_producer_result() {
-        // Three "tasks" packed into disjoint segments of one buffer, each
-        // segment 8-byte aligned, exactly like the runtime's parallel path.
-        let mut tasks = [grid(9_000), grid(21_000), grid(5_000)];
-        let sizes: Vec<usize> = tasks
-            .iter_mut()
-            .map(|t| {
-                let mut s = crate::Sizer::new();
-                t.pup(&mut s).unwrap();
-                s.bytes().div_ceil(8) * 8
-            })
-            .collect();
-        let total: usize = sizes.iter().sum();
-        let mut buf = vec![0u8; total];
-
-        let mut pieces = Vec::new();
-        let mut rest = buf.as_mut_slice();
-        let mut offset = 0usize;
-        for (task, &size) in tasks.iter_mut().zip(&sizes) {
-            let (seg, tail) = rest.split_at_mut(size);
-            rest = tail;
-            let mut sp = SlicePacker::digesting(seg, DEFAULT_CHUNK_SIZE, offset);
-            task.pup(&mut sp).unwrap();
-            sp.pad_to_end();
-            let (written, mut segment_pieces) = sp.finish();
-            assert_eq!(written, size);
-            pieces.append(&mut segment_pieces);
-            offset += size;
-        }
-        let assembled = assemble_chunks(DEFAULT_CHUNK_SIZE, pieces);
-
-        assert_eq!(assembled, chunk_digests(&buf, DEFAULT_CHUNK_SIZE));
-        assert_eq!(assembled.digest, fletcher64(&buf));
-    }
-
-    #[test]
-    fn slice_packer_overrun_is_structural() {
-        let mut buf = [0u8; 4];
-        let mut sp = SlicePacker::new(&mut buf);
-        let err = sp.pup_u64(&mut { 1u64 }).unwrap_err();
-        assert!(matches!(
-            err,
-            PupError::BufferUnderrun {
-                needed: 8,
-                remaining: 4,
-                ..
-            }
-        ));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! * [`Sizer`] — compute the exact packed size without writing anything.
 //! * [`Packer`] — serialize the state into a byte buffer (a checkpoint).
-//! * [`DigestingPacker`] / [`SlicePacker`] — the fused checkpoint pipeline:
+//! * [`DigestingPacker`] — the fused checkpoint pipeline:
 //!   pack and Fletcher-digest in one pass, emitting a per-chunk digest table
 //!   that localizes SDC divergence to 64 KiB windows.
 //! * [`Unpacker`] — restore the state from a checkpoint (restart).
@@ -73,7 +73,7 @@ pub use api::{
 pub use checker::{CheckFailure, CheckReport, Checker};
 pub use chunked::{
     assemble_chunks, chunk_digests, record_pack, ChunkDigester, ChunkPiece, ChunkedDigest,
-    DigestingPacker, SlicePacker, DEFAULT_CHUNK_SIZE,
+    DigestingPacker, DEFAULT_CHUNK_SIZE,
 };
 pub use delta::{apply_delta, chunk_span, diff_tables, extract_delta, DeltaPlan};
 pub use error::{PupError, PupResult};

@@ -192,12 +192,12 @@ proptest! {
         prop_assert!(unpack(&bytes[..cut], &mut out).is_err());
     }
 
-    /// The parallel pack pipeline's mergeability invariant: split a payload
-    /// into arbitrary 4-byte-aligned segments (as `pack_tasks_parallel`
-    /// hands segments to workers), digest each with its own offset-aware
-    /// [`ChunkDigester`], and the concatenated pieces must assemble into
-    /// exactly the single-pass whole-payload table and Fletcher-64 digest —
-    /// regardless of where the cuts fall relative to chunk boundaries.
+    /// The chunk pipeline's mergeability invariant: split a payload into
+    /// arbitrary 4-byte-aligned segments, digest each with its own
+    /// offset-aware [`ChunkDigester`], and the concatenated pieces must
+    /// assemble into exactly the single-pass whole-payload table and
+    /// Fletcher-64 digest — regardless of where the cuts fall relative to
+    /// chunk boundaries.
     #[test]
     fn parallel_segment_pieces_merge_to_single_pass_digest(
         data in prop::collection::vec(any::<u8>(), 0..4096),

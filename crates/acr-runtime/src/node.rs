@@ -6,14 +6,13 @@ use std::time::Duration;
 
 use acr_core::{
     Checkpoint, CheckpointStore, ChunkTable, ConsensusAction, ConsensusEngine, ConsensusMsg,
-    ConsensusObserver, Detection, DetectionMethod, GammaBetaEstimator, HeartbeatMonitor,
-    ReplicaLayout, SdcDetector,
+    ConsensusObserver, Detection, DetectionMethod, HeartbeatMonitor, ReplicaLayout, SdcDetector,
 };
 use acr_fault::SdcInjector;
 use acr_obs::{debug_trace, EventKind, ObsScope, Recorder};
 use acr_pup::{
-    apply_delta, assemble_chunks, chunk_span, diff_tables, fletcher64, record_pack, Checker,
-    ChunkPiece, ChunkedDigest, Packer, Puper, Sizer, SlicePacker, Unpacker,
+    apply_delta, chunk_span, diff_tables, fletcher64, record_pack, Checker, ChunkedDigest,
+    DigestingPacker, Packer, PupResult, Puper, Sizer, Unpacker,
 };
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
@@ -27,9 +26,8 @@ use crate::task::{Task, TaskCtx};
 use crate::transport::Port;
 
 /// Every task's packed bytes start at a multiple of this (trailing zero
-/// padding rounds each task segment up). Word-aligned segment boundaries are
-/// what let per-segment Fletcher states merge into exact chunk and payload
-/// digests, so tasks can be packed concurrently.
+/// padding rounds each task segment up). The layout is part of the
+/// checkpoint format: payloads, digests and chunk tables depend on it.
 const SEGMENT_ALIGN: usize = 8;
 
 /// Zero padding needed after `offset` to reach the next segment boundary.
@@ -37,96 +35,29 @@ fn padding_after(offset: usize) -> usize {
     (SEGMENT_ALIGN - offset % SEGMENT_ALIGN) % SEGMENT_ALIGN
 }
 
-/// Worker threads to pack `tasks` task segments with.
-fn pack_workers(tasks: usize) -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(tasks)
-}
-
-/// Pack one task into its padded segment, digesting in the same pass.
-fn pack_segment(
-    task: &mut dyn Task,
-    segment: &mut [u8],
-    chunk_size: usize,
-    offset: usize,
-) -> Vec<ChunkPiece> {
-    let mut p = SlicePacker::digesting(segment, chunk_size, offset);
-    task.pup(&mut p).expect("packing task state cannot fail");
-    p.pad_to_end();
-    let (written, pieces) = p.finish();
-    debug_assert_eq!(written, segment.len(), "pad_to_end fills the segment");
-    pieces
-}
-
-/// One unit of the parallel pack: task index, the task, its segment's
-/// global payload offset, and the segment itself.
-type PackJob<'a> = (usize, &'a mut Box<dyn Task>, usize, &'a mut [u8]);
-
-/// Pack every task into one payload — each task in its own 8-byte-aligned,
-/// zero-padded segment — computing the per-chunk Fletcher table in the same
-/// memory pass. With `workers > 1` the segments are packed concurrently on
-/// scoped threads; the result is bit-identical regardless of worker count
-/// (segment layout is fixed up front, and per-segment digest states merge
-/// exactly).
-fn pack_tasks_parallel(
-    tasks: &mut [Box<dyn Task>],
-    chunk_size: usize,
-    workers: usize,
-) -> (Vec<u8>, ChunkedDigest) {
-    let sizes: Vec<usize> = tasks
-        .iter_mut()
-        .map(|task| {
-            let mut s = Sizer::new();
-            task.pup(&mut s).expect("sizing task state cannot fail");
-            s.bytes().div_ceil(SEGMENT_ALIGN) * SEGMENT_ALIGN
-        })
-        .collect();
-    let total: usize = sizes.iter().sum();
-    let mut buf = vec![0u8; total];
-
-    // Carve the buffer into disjoint per-task segments at known offsets.
-    let mut jobs: Vec<PackJob> = Vec::with_capacity(sizes.len());
-    let mut rest = buf.as_mut_slice();
-    let mut offset = 0;
-    for (t, (task, &size)) in tasks.iter_mut().zip(&sizes).enumerate() {
-        let (segment, tail) = rest.split_at_mut(size);
-        jobs.push((t, task, offset, segment));
-        offset += size;
-        rest = tail;
+/// Run `p` over every task in payload order, each task followed by the zero
+/// padding that ends its segment. Sizing, packing, unpacking and the
+/// field-level check all walk the payload through this one function.
+fn pup_segments(tasks: &mut [Box<dyn Task>], p: &mut dyn Puper) -> PupResult {
+    for task in tasks {
+        task.pup(p)?;
+        let mut pad = [0u8; SEGMENT_ALIGN];
+        let n = padding_after(p.offset());
+        p.pup_u8_slice(&mut pad[..n])?;
     }
+    Ok(())
+}
 
-    let mut pieces: Vec<(usize, Vec<ChunkPiece>)> = if workers <= 1 {
-        jobs.into_iter()
-            .map(|(t, task, off, seg)| (t, pack_segment(task.as_mut(), seg, chunk_size, off)))
-            .collect()
-    } else {
-        let mut buckets: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, job) in jobs.into_iter().enumerate() {
-            buckets[i % workers].push(job);
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|bucket| {
-                    s.spawn(move || {
-                        bucket
-                            .into_iter()
-                            .map(|(t, task, off, seg)| {
-                                (t, pack_segment(task.as_mut(), seg, chunk_size, off))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("pack worker panicked"))
-                .collect()
-        })
-    };
-    pieces.sort_by_key(|&(t, _)| t);
-    let digest = assemble_chunks(chunk_size, pieces.into_iter().flat_map(|(_, p)| p));
+/// Pack every task into one exactly-sized payload, computing the per-chunk
+/// Fletcher table in the same memory pass, on the calling thread — the one
+/// that steps the tasks.
+fn pack_tasks(tasks: &mut [Box<dyn Task>], chunk_size: usize) -> (Vec<u8>, ChunkedDigest) {
+    let mut sizer = Sizer::new();
+    pup_segments(tasks, &mut sizer).expect("sizing task state cannot fail");
+    let mut p = DigestingPacker::with_capacity(sizer.bytes(), chunk_size);
+    pup_segments(tasks, &mut p).expect("packing task state cannot fail");
+    let (buf, digest) = p.finish();
+    debug_assert_eq!(buf.len(), sizer.bytes(), "the sizer measured the payload");
     (buf, digest)
 }
 
@@ -143,8 +74,8 @@ pub(crate) struct NodeConfig {
     pub chunk_size: usize,
     pub heartbeat_period: Duration,
     pub heartbeat_timeout: Duration,
-    /// Ship only dirty chunk windows on the buddy-compare path (the §4.2
-    /// decision applied per chunk), with periodic full-payload anchors.
+    /// Ship only dirty chunk windows on the buddy-compare path, clean
+    /// chunks covered by their digests, with periodic full-payload anchors.
     pub delta_checkpoints: bool,
     /// Compares between full-payload anchors when deltas are on.
     pub delta_anchor_interval: u32,
@@ -153,11 +84,6 @@ pub(crate) struct NodeConfig {
     /// arrive as `Ctrl::LayoutChanged` and must be applied locally.
     pub private_layout: bool,
 }
-
-/// γ-sample floor: the virtual clock legitimately measures zero seconds for
-/// an in-pump pack; flooring the sample keeps the estimator deterministically
-/// fed (and a pack too fast to time is exactly when checksumming wins).
-const MIN_GAMMA_SECS: f64 = 1e-9;
 
 /// Sender-side record of the last comparison this node shipped — the base
 /// the buddy is expected to hold when the next delta record arrives.
@@ -168,20 +94,16 @@ struct PrevShip {
 }
 
 /// Incremental-checkpoint state. The sender half (previous chunk table,
-/// anchor cadence, γ/β estimator) is live on replica 0; the receiver half
-/// (retained base payload) on replica 1. Every protocol disruption clears
-/// the whole thing — correctness never depends on this state, only wire
-/// savings do: a delta record always carries the full digest and chunk
-/// table, so a buddy without the base still reaches the same verdict.
+/// anchor cadence) is live on replica 0; the receiver half (retained base
+/// payload) on replica 1. Every protocol disruption clears the whole thing —
+/// correctness never depends on this state, only wire savings do: a delta
+/// record always carries the full digest and chunk table, so a buddy
+/// without the base still reaches the same verdict.
 #[derive(Default)]
 struct DeltaState {
     prev: Option<PrevShip>,
     /// Compares since the last full-payload ship.
     rounds_since_anchor: u32,
-    estimator: GammaBetaEstimator,
-    /// `(iteration, sent_at, wire_bytes)` of the in-flight compare ship,
-    /// closed into a β sample by its `CompareResult`.
-    ship_in_flight: Option<(u64, f64, usize)>,
     /// Receiver side: the buddy payload from the last compare processed,
     /// keyed by its iteration — what the next delta overlays onto.
     base: Option<(u64, Bytes)>,
@@ -395,26 +317,9 @@ impl NodeWorker {
         self.dispatch_consensus(scope, actions);
     }
 
-    /// Fused checkpoint pipeline: pack all tasks and compute the chunked
-    /// Fletcher table in one memory pass, parallelized across worker threads
-    /// when the node hosts several tasks.
-    fn pack_tasks(&mut self) -> (Bytes, ChunkedDigest) {
-        let workers = pack_workers(self.tasks.len());
-        let (buf, digest) = pack_tasks_parallel(&mut self.tasks, self.cfg.chunk_size, workers);
-        (Bytes::from(buf), digest)
-    }
-
     fn unpack_tasks(&mut self, payload: &[u8]) {
         let mut u = Unpacker::new(payload);
-        for task in &mut self.tasks {
-            task.pup(&mut u)
-                .expect("checkpoint payload matches task set");
-            // Consume the segment's zero padding (see SEGMENT_ALIGN).
-            let mut pad = [0u8; SEGMENT_ALIGN];
-            let n = padding_after(u.offset());
-            u.pup_u8_slice(&mut pad[..n])
-                .expect("checkpoint includes segment padding");
-        }
+        pup_segments(&mut self.tasks, &mut u).expect("checkpoint payload matches task set");
         u.finish().expect("checkpoint fully consumed");
         self.done_reported = false;
     }
@@ -447,11 +352,8 @@ impl NodeWorker {
     fn take_checkpoint(&mut self, scope: Scope, round: u64, iteration: u64) {
         self.drain_app_messages();
         let pack_started = std::time::Instant::now();
-        let pack_clock_started = self.now();
-        let (payload, chunked) = self.pack_tasks();
-        // γ is measured on the job clock (deterministically zero under the
-        // virtual executor, floored below) so ship decisions replay exactly.
-        let pack_clock_secs = self.now() - pack_clock_started;
+        let (payload, chunked) = pack_tasks(&mut self.tasks, self.cfg.chunk_size);
+        let payload = Bytes::from(payload);
         // Deterministic pack facts go into the event log; the wall-clock
         // latency goes only into the histogram (it would break virtual-mode
         // log determinism).
@@ -485,23 +387,13 @@ impl NodeWorker {
                     // remote checkpoint is sent to replica 2 only for SDC
                     // detection purposes"). With delta checkpoints on, this
                     // may thin to the dirty chunk windows only.
-                    let detection = self.plan_compare_ship(
-                        iteration,
-                        &payload,
-                        &chunked,
-                        &table,
-                        pack_clock_secs,
-                    );
+                    let detection = self.plan_compare_ship(iteration, &payload, &chunked, &table);
                     self.detector.record_ship(
                         &detection,
                         &self.rec,
                         self.cfg.index as u32,
                         iteration,
                     );
-                    if self.delta_enabled() {
-                        self.delta.ship_in_flight =
-                            Some((iteration, self.now(), detection.wire_bytes()));
-                    }
                     self.awaiting_verdict = Some((round, iteration));
                     self.send(
                         buddy,
@@ -548,26 +440,20 @@ impl NodeWorker {
 
     /// Decide what the replica-0 node ships for comparison this round: the
     /// detector's full message, or — when deltas are enabled, the anchor is
-    /// not due, the previous round's table is available, and a fresh γ/β
-    /// estimate says checksumming clean chunks beats shipping them — an
-    /// incremental record carrying only the dirty chunk windows.
+    /// not due and the previous round's table is available — an incremental
+    /// record carrying only the dirty chunk windows.
     fn plan_compare_ship(
         &mut self,
         iteration: u64,
         payload: &Bytes,
         chunked: &ChunkedDigest,
         table: &ChunkTable,
-        pack_secs: f64,
     ) -> Detection {
         if !self.delta_enabled() {
             return self
                 .detector
                 .outgoing(self.store.tentative().expect("just stored"));
         }
-        self.delta
-            .estimator
-            .observe_gamma(payload.len(), pack_secs.max(MIN_GAMMA_SECS));
-        self.delta.estimator.mark_round();
         let detection = self.build_delta(payload, chunked, table);
         let anchored = !matches!(detection, Detection::Delta { .. });
         // This round's table is what the next round diffs against, and its
@@ -586,7 +472,8 @@ impl NodeWorker {
     }
 
     /// The delta record for this round, or the full payload when any
-    /// eligibility condition fails (§4.2 fallbacks are always full ships).
+    /// eligibility condition fails. Every condition is structural — the
+    /// same on every run of the same job, whatever the clock reads.
     fn build_delta(
         &self,
         payload: &Bytes,
@@ -602,12 +489,6 @@ impl NodeWorker {
         }
         if prev.payload_len != payload.len() {
             return full(); // repacked size changed: base is incompatible
-        }
-        // Per-chunk §4.2 rule: covering clean chunks by digest only pays
-        // when γ < β/4; a stale or unsampled estimate full-ships.
-        match self.delta.estimator.estimate() {
-            Some(est) if est.checksum_wins() => {}
-            _ => return full(),
         }
         let Some(plan) = diff_tables(&prev.chunk_digests, chunked, payload.len()) else {
             return full();
@@ -845,15 +726,8 @@ impl NodeWorker {
         windows: &[std::ops::Range<usize>],
     ) -> usize {
         let mut c = Checker::new(reference).with_windows(windows.iter().cloned());
-        for task in &mut self.tasks {
-            if task.pup(&mut c).is_err() {
-                return 0;
-            }
-            let mut pad = [0u8; SEGMENT_ALIGN];
-            let n = padding_after(c.offset());
-            if c.pup_u8_slice(&mut pad[..n]).is_err() {
-                return 0;
-            }
+        if pup_segments(&mut self.tasks, &mut c).is_err() {
+            return 0;
         }
         c.finish().map_or(0, |report| report.mismatch_count)
     }
@@ -1371,16 +1245,6 @@ impl NodeWorker {
                 }
             }
             Net::CompareResult { iteration, clean } => {
-                // β sample: bytes shipped for this compare, seconds until
-                // the verdict came back (deterministic under the virtual
-                // clock — pumps advance it between send and receipt).
-                if let Some((it, sent_at, bytes)) = self.delta.ship_in_flight {
-                    if it == iteration {
-                        self.delta.ship_in_flight = None;
-                        let rtt = self.now() - sent_at;
-                        self.delta.estimator.observe_beta(bytes, rtt);
-                    }
-                }
                 if let Some((round, it)) = self.awaiting_verdict {
                     if it == iteration {
                         self.awaiting_verdict = None;
@@ -1562,54 +1426,43 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pack_is_worker_count_invariant_and_digest_exact() {
+    fn pack_is_the_padded_segment_layout_and_digest_exact() {
         const CHUNK: usize = 64;
-        let (reference_buf, reference_digest) = pack_tasks_parallel(&mut blobs(5), CHUNK, 1);
-        assert_eq!(reference_digest.digest, fletcher64(&reference_buf));
-        let two_pass = chunk_digests(&reference_buf, CHUNK);
-        assert_eq!(reference_digest.chunk_digests, two_pass.chunk_digests);
-        assert_eq!(
-            reference_buf.len() % SEGMENT_ALIGN,
-            0,
-            "payload is segment-padded"
-        );
+        let (buf, digest) = pack_tasks(&mut blobs(5), CHUNK);
 
-        for workers in [2, 3, 7] {
-            let (buf, digest) = pack_tasks_parallel(&mut blobs(5), CHUNK, workers);
-            assert_eq!(buf, reference_buf, "{workers} workers changed the payload");
-            assert_eq!(
-                digest, reference_digest,
-                "{workers} workers changed the digests"
-            );
+        // The checkpoint format, built independently: each task's plain
+        // packed bytes, zero-padded to the next 8-byte boundary, in order.
+        let mut layout = Vec::new();
+        for task in blobs(5).iter_mut() {
+            let mut p = Packer::new();
+            task.pup(&mut p).expect("pack");
+            layout.extend(p.finish());
+            layout.resize(layout.len().div_ceil(SEGMENT_ALIGN) * SEGMENT_ALIGN, 0);
         }
+        assert_eq!(buf, layout, "segment layout changed");
+        assert_eq!(digest.digest, fletcher64(&buf));
+        assert_eq!(digest, chunk_digests(&buf, CHUNK), "fused table is exact");
     }
 
     #[test]
     fn padded_payload_round_trips_through_unpack() {
-        let mut tasks = blobs(4);
-        let (buf, _) = pack_tasks_parallel(&mut tasks, 64, 2);
+        let (buf, _) = pack_tasks(&mut blobs(4), 64);
 
-        // Mirror NodeWorker::unpack_tasks: one Unpacker over the whole
-        // payload, consuming each task's zero padding after its fields.
-        let mut restored = blobs(4);
-        for t in restored.iter_mut() {
-            // Wipe to prove the bytes restore the state.
-            let blob = unsafe { &mut *(t.as_mut() as *mut dyn Task as *mut Blob) };
-            blob.iter = 999;
-            blob.data.clear();
-            blob.tail.clear();
-        }
+        // Fresh wiped tasks: only the bytes can restore the state.
+        let mut restored: Vec<Box<dyn Task>> = (0..4)
+            .map(|_| {
+                Box::new(Blob {
+                    iter: 999,
+                    data: Vec::new(),
+                    tail: Vec::new(),
+                }) as Box<dyn Task>
+            })
+            .collect();
         let mut u = Unpacker::new(&buf);
-        for task in restored.iter_mut() {
-            task.pup(&mut u).expect("payload matches task set");
-            let mut pad = [0u8; SEGMENT_ALIGN];
-            let n = padding_after(u.offset());
-            u.pup_u8_slice(&mut pad[..n]).expect("padding present");
-            assert_eq!(pad[..n], [0u8; SEGMENT_ALIGN][..n], "padding is zero");
-        }
+        pup_segments(&mut restored, &mut u).expect("payload matches task set");
         u.finish().expect("payload fully consumed");
 
-        let (again, _) = pack_tasks_parallel(&mut restored, 64, 1);
+        let (again, _) = pack_tasks(&mut restored, 64);
         assert_eq!(again, buf, "restored tasks repack identically");
     }
 }

@@ -484,3 +484,85 @@ fn multiple_tasks_per_rank() {
     assert_eq!(report.final_states.len(), 6);
     assert!(report.final_states.values().all(|t| t.len() == 2));
 }
+
+/// A checkpoint packs each task on the thread that steps it: a node hosting
+/// two tasks spawns no helper thread for the pack.
+#[test]
+fn a_pack_runs_on_the_thread_that_steps_the_task() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::thread::ThreadId;
+
+    let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut cfg = ring_cfg(Scheme::Strong, DetectionMethod::FullCompare);
+    cfg.tasks_per_rank = 2;
+    cfg.ranks = 2;
+    cfg.checkpoint_interval = Duration::from_millis(20);
+
+    #[derive(Default)]
+    struct Packs {
+        on_stepper: AtomicUsize,
+        elsewhere: AtomicUsize,
+    }
+    struct ThreadProbe {
+        iter: u64,
+        state: Vec<f64>,
+        stepped_on: Option<ThreadId>,
+        packs: Arc<Packs>,
+    }
+    impl Task for ThreadProbe {
+        fn try_step(&mut self, _ctx: &mut TaskCtx<'_>) -> bool {
+            if self.done() {
+                return false;
+            }
+            self.stepped_on = Some(std::thread::current().id());
+            std::thread::sleep(Duration::from_micros(200));
+            self.state[self.iter as usize % 64] += 1.0;
+            self.iter += 1;
+            true
+        }
+        fn on_message(&mut self, _m: AppMsg, _c: &mut TaskCtx<'_>) {}
+        fn progress(&self) -> u64 {
+            self.iter
+        }
+        fn done(&self) -> bool {
+            self.iter >= 300
+        }
+        fn pup(&mut self, p: &mut dyn Puper) -> PupResult {
+            if p.dir() == acr_pup::Dir::Packing && self.stepped_on.is_some() {
+                let count = if self.stepped_on == Some(std::thread::current().id()) {
+                    &self.packs.on_stepper
+                } else {
+                    &self.packs.elsewhere
+                };
+                count.fetch_add(1, Ordering::Relaxed);
+            }
+            p.pup_u64(&mut self.iter)?;
+            self.state.pup(p)
+        }
+    }
+
+    let packs = Arc::new(Packs::default());
+    let report = Job::new(cfg).run({
+        let packs = Arc::clone(&packs);
+        move |_, _| {
+            Box::new(ThreadProbe {
+                iter: 0,
+                state: vec![0.0; 64],
+                stepped_on: None,
+                packs: Arc::clone(&packs),
+            })
+        }
+    });
+    assert!(report.completed, "error: {:?}", report.error);
+    assert!(report.checkpoints_verified >= 1, "{report:?}");
+    assert!(
+        packs.on_stepper.load(Ordering::Relaxed) > 0,
+        "no pack of a stepped task was seen"
+    );
+    assert_eq!(
+        packs.elsewhere.load(Ordering::Relaxed),
+        0,
+        "a task was packed on a thread other than the one stepping it"
+    );
+}

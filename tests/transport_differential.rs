@@ -238,6 +238,7 @@ fn tcp_and_in_process_backends_agree_on_protocol_outcomes() {
 /// float field of which one 64-float window mutates per iteration, the
 /// window advancing only every 32 iterations. Chunked at 256 bytes, most
 /// chunks are clean between rounds — the shape delta records engage on.
+/// `step_delay` paces wall-clock runs exactly as in [`Ring`].
 struct DriftRing {
     rank: usize,
     iter: u64,
@@ -245,13 +246,14 @@ struct DriftRing {
     field: Vec<f64>,
     checksum: f64,
     total_iters: u64,
+    step_delay: Duration,
 }
 
 const DRIFT_LEN: usize = 4096;
 const DRIFT_WINDOW: usize = 64;
 
 impl DriftRing {
-    fn new(rank: usize, total_iters: u64) -> Self {
+    fn new(rank: usize, total_iters: u64, step_delay: Duration) -> Self {
         Self {
             rank,
             iter: 0,
@@ -261,6 +263,7 @@ impl DriftRing {
                 .collect(),
             checksum: 0.0,
             total_iters,
+            step_delay,
         }
     }
 }
@@ -275,6 +278,9 @@ impl Task for DriftRing {
         }
         if self.iter > 0 {
             self.tokens -= 1;
+        }
+        if !self.step_delay.is_zero() {
+            std::thread::sleep(self.step_delay);
         }
         let start = ((self.iter / 32) as usize * DRIFT_WINDOW) % DRIFT_LEN;
         for k in 0..DRIFT_WINDOW {
@@ -313,8 +319,10 @@ impl Task for DriftRing {
     }
 }
 
-fn run_delta(scheme: Scheme, script: &FaultScript, delta: bool) -> JobReport {
-    let cfg = JobConfig::builder()
+const ANCHOR_INTERVAL: u32 = 4;
+
+fn delta_cfg(scheme: Scheme, delta: bool, transport: TransportKind) -> JobConfig {
+    JobConfig::builder()
         .ranks(RANKS)
         .tasks_per_rank(1)
         .spares(SPARES)
@@ -322,29 +330,38 @@ fn run_delta(scheme: Scheme, script: &FaultScript, delta: bool) -> JobReport {
         .detection(DetectionMethod::FullCompare)
         .chunk_size(256)
         .delta_checkpoints(delta)
-        .delta_anchor_interval(4)
+        .delta_anchor_interval(ANCHOR_INTERVAL)
         .checkpoint_interval(Duration::from_millis(10))
         .heartbeat_period(Duration::from_millis(5))
         .heartbeat_timeout(Duration::from_millis(300))
         .max_duration(Duration::from_secs(30))
+        .transport(transport)
         .build()
-        .expect("valid delta differential config");
-    Job::new(cfg)
+        .expect("valid delta differential config")
+}
+
+fn run_delta(scheme: Scheme, script: &FaultScript, delta: bool) -> JobReport {
+    Job::new(delta_cfg(scheme, delta, TransportKind::InProcess))
         .with_faults(script.clone())
         .mode(ExecMode::virtual_default())
-        .run(|rank, _| Box::new(DriftRing::new(rank, ITERS)) as Box<dyn Task>)
+        .run(|rank, _| Box::new(DriftRing::new(rank, ITERS, Duration::ZERO)) as Box<dyn Task>)
 }
 
 fn delta_ships(r: &JobReport) -> usize {
-    r.events
-        .iter()
-        .filter(|e| {
-            matches!(
-                &e.kind,
-                acr::obs::EventKind::CompareShip { method, .. } if method == "full-compare-delta"
-            )
-        })
-        .count()
+    ships_per_node(r).values().map(|&(_, deltas)| deltas).sum()
+}
+
+/// Per shipping node: `(compare ships, of which delta records)`.
+fn ships_per_node(r: &JobReport) -> std::collections::BTreeMap<u32, (usize, usize)> {
+    let mut ships = std::collections::BTreeMap::new();
+    for e in &r.events {
+        if let acr::obs::EventKind::CompareShip { method, .. } = &e.kind {
+            let (all, delta) = ships.entry(e.node).or_insert((0, 0));
+            *all += 1;
+            *delta += usize::from(method == "full-compare-delta");
+        }
+    }
+    ships
 }
 
 /// Buddy-side digest compares skipped because the chunk was clean in the
@@ -407,4 +424,39 @@ fn delta_checkpoints_do_not_change_protocol_outcomes() {
         skipped > 0,
         "clean-chunk compare skip never engaged across the sweep"
     );
+}
+
+/// Delta records engage on every round that is eligible by structure, over
+/// threaded TCP on the wall clock: in a fault-free run each shipping node
+/// full-ships its first round and every `ANCHOR_INTERVAL`-th after it, and
+/// sends a delta record on every other round — whatever the clock measured
+/// while packing or shipping.
+#[test]
+fn threaded_tcp_delta_ships_every_structurally_eligible_round() {
+    let _guard = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = delta_cfg(
+        Scheme::Strong,
+        true,
+        TransportKind::Tcp(TcpConfig::default()),
+    );
+    let report = Job::new(cfg).run(|rank, _| {
+        Box::new(DriftRing::new(rank, 5 * ITERS, Duration::from_micros(200))) as Box<dyn Task>
+    });
+    assert!(report.completed, "error: {:?}", report.error);
+    assert!(report.replicas_agree());
+    assert_eq!(report.sdc_rounds_detected, 0);
+    assert_eq!(report.rollbacks, 0);
+    assert_eq!(report.hard_errors_recovered, 0);
+    let ships = ships_per_node(&report);
+    println!("(compare rounds, delta ships) per shipping node: {ships:?}");
+    assert_eq!(ships.len(), RANKS, "one shipping node per rank: {ships:?}");
+    for (node, &(rounds, deltas)) in &ships {
+        assert!(rounds >= 2, "node {node}: only {rounds} compare rounds");
+        let anchors = rounds.div_ceil(ANCHOR_INTERVAL as usize);
+        assert_eq!(
+            deltas,
+            rounds - anchors,
+            "node {node}: {deltas} delta ships in {rounds} clean rounds"
+        );
+    }
 }
