@@ -41,5 +41,5 @@ pub use consensus::{
 pub use detector::{Detection, DetectionMethod, Divergence, SdcDetector};
 pub use heartbeat::HeartbeatMonitor;
 pub use layout::{LayoutError, NodeSlot, ReplicaLayout};
-pub use policy::{chunk_ship_decision, ChunkShip, GammaBetaEstimator, RateEstimate};
+pub use policy::{GammaBetaEstimator, RateEstimate};
 pub use recovery::{RecoveryAction, RecoveryPlan, RecoveryPlanner, Scheme};

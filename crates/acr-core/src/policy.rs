@@ -1,13 +1,9 @@
-//! The §4.2 ship-vs-checksum decision, generalized per chunk.
+//! The §4.2 ship-vs-checksum cost rates.
 //!
 //! The paper compares two ways of checking a checkpoint against the buddy:
 //! ship the payload (network time `β·n`) or ship a Fletcher checksum and
 //! compare digests (extra compute `4γ·n`); the checksum wins iff
-//! `γ < β/4`. With per-chunk digest tables the rule applies chunk by
-//! chunk: a chunk whose digest already differs from the previous round
-//! *must* ship its bytes (the buddy needs them to reconstruct), while a
-//! clean chunk may either ship anyway (when checksumming doesn't pay) or
-//! be covered by its 8-byte digest alone.
+//! `γ < β/4`.
 //!
 //! γ and β are *measured*, not assumed: [`GammaBetaEstimator`] folds
 //! checksum-rate samples and transfer-rate samples into exponential moving
@@ -17,15 +13,6 @@
 //! clean chunks by digest whenever the payload structure allows, because a
 //! β read from each round's compare round trip made the choice feed itself
 //! (a delta round ships a tenth of the bytes in about the same time).
-
-/// What to do with one chunk of the checkpoint when talking to the buddy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkShip {
-    /// Ship the chunk's bytes.
-    Bytes,
-    /// Ship only the chunk's 8-byte digest and let the buddy compare.
-    DigestCompare,
-}
 
 /// Measured cost rates, both in seconds per byte.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,19 +28,6 @@ impl RateEstimate {
     /// iff `γ < β/4`.
     pub fn checksum_wins(&self) -> bool {
         self.gamma < self.beta / 4.0
-    }
-}
-
-/// Per-chunk §4.2 decision: a dirty chunk always ships its bytes (the
-/// buddy cannot reconstruct without them); a clean chunk ships only when
-/// checksum-comparing would cost more than transfer (`γ ≥ β/4`). With
-/// uniform rates across chunks this degenerates to the paper's global
-/// rule: either every clean chunk is digest-compared or none is.
-pub fn chunk_ship_decision(dirty: bool, est: &RateEstimate) -> ChunkShip {
-    if dirty || !est.checksum_wins() {
-        ChunkShip::Bytes
-    } else {
-        ChunkShip::DigestCompare
     }
 }
 
@@ -114,12 +88,6 @@ impl GammaBetaEstimator {
         self.rounds_since_beta = self.rounds_since_beta.saturating_add(1);
     }
 
-    /// Forget everything (recovery, reconnect, buddy change): the next
-    /// rounds full-ship until fresh samples arrive.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-
     /// The current estimate, or `None` when unsampled or stale.
     pub fn estimate(&self) -> Option<RateEstimate> {
         if self.rounds_since_beta > STALE_AFTER_ROUNDS {
@@ -151,27 +119,6 @@ mod tests {
             !lose.checksum_wins(),
             "γ = β/4 exactly: shipping ties, ship"
         );
-    }
-
-    #[test]
-    fn dirty_chunks_always_ship() {
-        let est = RateEstimate {
-            gamma: 1e-12,
-            beta: 1.0,
-        };
-        assert_eq!(chunk_ship_decision(true, &est), ChunkShip::Bytes);
-        assert_eq!(chunk_ship_decision(false, &est), ChunkShip::DigestCompare);
-    }
-
-    #[test]
-    fn slow_checksum_degenerates_to_full_ship() {
-        // γ ≥ β/4: even clean chunks ship — the global §4.2 rule.
-        let est = RateEstimate {
-            gamma: 1.0,
-            beta: 1.0,
-        };
-        assert_eq!(chunk_ship_decision(false, &est), ChunkShip::Bytes);
-        assert_eq!(chunk_ship_decision(true, &est), ChunkShip::Bytes);
     }
 
     #[test]
@@ -220,8 +167,5 @@ mod tests {
         // A new β sample revives it.
         e.observe_beta(1000, 0.1);
         assert!(e.estimate().is_some());
-        // Reset forgets everything.
-        e.reset();
-        assert!(e.estimate().is_none());
     }
 }

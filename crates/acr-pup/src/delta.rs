@@ -37,11 +37,6 @@ pub struct DeltaPlan {
 }
 
 impl DeltaPlan {
-    /// Number of dirty chunks.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
-    }
-
     /// Fraction of chunks that changed (0 for an empty table).
     pub fn dirty_fraction(&self) -> f64 {
         if self.total_chunks == 0 {

@@ -64,18 +64,15 @@ pub struct JobConfig {
     pub heartbeat_period: Duration,
     /// Silence after which a buddy is declared dead (§6.1).
     pub heartbeat_timeout: Duration,
-    /// Ship incremental delta checkpoints on the buddy-compare path:
-    /// between full-checkpoint anchors, only chunks whose digests changed
-    /// since the previous round travel, and clean chunks are covered by
-    /// their digest table. Only effective with
+    /// Ship incremental delta checkpoints on the buddy-compare path: once
+    /// the buddy acknowledges holding the previous round's payload, only
+    /// chunks whose digests changed since then travel, and clean chunks
+    /// are covered by their digest table. Only effective with
     /// [`DetectionMethod::FullCompare`] (the checksum methods already ship
     /// a few bytes per round); correctness never depends on it — any base
-    /// mismatch falls back to a full ship.
+    /// mismatch falls back to a digest-table compare, and the buddy's
+    /// "no base" answer makes the next ship full.
     pub delta_checkpoints: bool,
-    /// Rounds between full-checkpoint anchors when `delta_checkpoints` is
-    /// on: every K-th compare ships the whole payload so a corrupted or
-    /// lost base can never persist. Must be ≥ 1 when deltas are enabled.
-    pub delta_anchor_interval: u32,
     /// Job-clock safety limit; exceeding it fails the job. Wall seconds in
     /// threaded mode, virtual seconds under [`ExecMode::Virtual`].
     pub max_duration: Duration,
@@ -120,7 +117,6 @@ impl Default for JobConfig {
             heartbeat_period: Duration::from_millis(10),
             heartbeat_timeout: Duration::from_millis(80),
             delta_checkpoints: false,
-            delta_anchor_interval: 16,
             max_duration: Duration::from_secs(60),
             obs: ObsConfig::default(),
             transport: TransportKind::InProcess,
@@ -155,9 +151,6 @@ impl JobConfig {
             return Err(ConfigError::BadChunkSize {
                 got: self.chunk_size,
             });
-        }
-        if self.delta_checkpoints && self.delta_anchor_interval == 0 {
-            return Err(ConfigError::BadDeltaAnchor);
         }
         if self.heartbeat_period.is_zero() || self.heartbeat_timeout <= self.heartbeat_period {
             return Err(ConfigError::BadHeartbeat {
@@ -212,10 +205,6 @@ pub enum ConfigError {
         /// Underlying layout error.
         reason: String,
     },
-    /// `delta_anchor_interval` must be ≥ 1 when `delta_checkpoints` is
-    /// enabled — an interval of 0 would never ship a full anchor and a
-    /// lost base could stall delta shipping forever.
-    BadDeltaAnchor,
     /// The TCP transport needs wall-clock threads;
     /// [`ExecMode::Virtual`] runs are in-process by construction.
     TcpRequiresThreaded,
@@ -244,12 +233,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "cannot lay out {total} nodes with {spares} spares as two replicas: {reason}"
             ),
-            ConfigError::BadDeltaAnchor => {
-                write!(
-                    f,
-                    "delta_anchor_interval must be >= 1 when delta_checkpoints is enabled"
-                )
-            }
             ConfigError::TcpRequiresThreaded => {
                 write!(f, "the TCP transport requires ExecMode::Threaded")
             }
@@ -342,13 +325,6 @@ impl JobConfigBuilder {
     /// Enable incremental delta checkpoints on the buddy-compare path.
     pub fn delta_checkpoints(mut self, on: bool) -> Self {
         self.cfg.delta_checkpoints = on;
-        self
-    }
-
-    /// Rounds between full-checkpoint anchors under delta shipping (must
-    /// end up ≥ 1 when deltas are enabled).
-    pub fn delta_anchor_interval(mut self, rounds: u32) -> Self {
-        self.cfg.delta_anchor_interval = rounds;
         self
     }
 
@@ -899,7 +875,6 @@ where
                 heartbeat_period: cfg.heartbeat_period,
                 heartbeat_timeout: cfg.heartbeat_timeout,
                 delta_checkpoints: cfg.delta_checkpoints,
-                delta_anchor_interval: cfg.delta_anchor_interval,
                 private_layout: false,
             };
             let identity = layout.read().locate(index);
@@ -1047,7 +1022,6 @@ where
         heartbeat_period: Duration::from_secs_f64(a.heartbeat_period),
         heartbeat_timeout: Duration::from_secs_f64(a.heartbeat_timeout),
         delta_checkpoints: a.delta_checkpoints,
-        delta_anchor_interval: a.delta_anchor_interval,
         max_duration: Duration::from_secs_f64(a.max_duration),
         obs: ObsConfig::default(),
         transport: TransportKind::InProcess,
@@ -1080,7 +1054,6 @@ fn admit_record(cfg: &JobConfig, script: &FaultScript, mode: ExecMode) -> AdmitR
         heartbeat_timeout: cfg.heartbeat_timeout.as_secs_f64(),
         max_duration: cfg.max_duration.as_secs_f64(),
         delta_checkpoints: cfg.delta_checkpoints,
-        delta_anchor_interval: cfg.delta_anchor_interval,
         virtual_quantum: match mode {
             ExecMode::Virtual { quantum } => Some(quantum.as_secs_f64()),
             ExecMode::Threaded => None,

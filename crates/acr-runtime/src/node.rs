@@ -75,10 +75,8 @@ pub(crate) struct NodeConfig {
     pub heartbeat_period: Duration,
     pub heartbeat_timeout: Duration,
     /// Ship only dirty chunk windows on the buddy-compare path, clean
-    /// chunks covered by their digests, with periodic full-payload anchors.
+    /// chunks covered by their digests, while the buddy holds the base.
     pub delta_checkpoints: bool,
-    /// Compares between full-payload anchors when deltas are on.
-    pub delta_anchor_interval: u32,
     /// This node keeps its own copy of the replica layout (remote node
     /// hosts over TCP) rather than sharing the driver's: spare promotions
     /// arrive as `Ctrl::LayoutChanged` and must be applied locally.
@@ -93,17 +91,16 @@ struct PrevShip {
     chunk_digests: Vec<u64>,
 }
 
-/// Incremental-checkpoint state. The sender half (previous chunk table,
-/// anchor cadence) is live on replica 0; the receiver half (retained base
-/// payload) on replica 1. Every protocol disruption clears the whole thing —
-/// correctness never depends on this state, only wire savings do: a delta
-/// record always carries the full digest and chunk table, so a buddy
-/// without the base still reaches the same verdict.
+/// Incremental-checkpoint state. The sender half (previous chunk table) is
+/// live on replica 0; the receiver half (retained base payload) on
+/// replica 1. Every protocol disruption clears the whole thing, and the
+/// sender drops its half whenever the buddy's `CompareResult` says it holds
+/// no base — correctness never depends on this state, only wire savings do:
+/// a delta record always carries the full digest and chunk table, so a
+/// buddy without the base still reaches the same verdict.
 #[derive(Default)]
 struct DeltaState {
     prev: Option<PrevShip>,
-    /// Compares since the last full-payload ship.
-    rounds_since_anchor: u32,
     /// Receiver side: the buddy payload from the last compare processed,
     /// keyed by its iteration — what the next delta overlays onto.
     base: Option<(u64, Bytes)>,
@@ -432,16 +429,16 @@ impl NodeWorker {
 
     /// Forget all incremental-checkpoint continuity. Every disruption that
     /// can desynchronize the sender's idea of the buddy's base from what the
-    /// buddy actually holds lands here; the next compare full-ships (a fresh
-    /// anchor) and the chain restarts.
+    /// buddy actually holds lands here; the next compare full-ships and the
+    /// chain restarts.
     fn reset_delta_state(&mut self) {
         self.delta = DeltaState::default();
     }
 
     /// Decide what the replica-0 node ships for comparison this round: the
-    /// detector's full message, or — when deltas are enabled, the anchor is
-    /// not due and the previous round's table is available — an incremental
-    /// record carrying only the dirty chunk windows.
+    /// detector's full message, or — when deltas are enabled and the
+    /// previous round's table is available — an incremental record carrying
+    /// only the dirty chunk windows.
     fn plan_compare_ship(
         &mut self,
         iteration: u64,
@@ -455,7 +452,6 @@ impl NodeWorker {
                 .outgoing(self.store.tentative().expect("just stored"));
         }
         let detection = self.build_delta(payload, chunked, table);
-        let anchored = !matches!(detection, Detection::Delta { .. });
         // This round's table is what the next round diffs against, and its
         // payload is the base the buddy will retain after comparing.
         self.delta.prev = Some(PrevShip {
@@ -463,11 +459,6 @@ impl NodeWorker {
             payload_len: payload.len(),
             chunk_digests: table.digests.clone(),
         });
-        self.delta.rounds_since_anchor = if anchored {
-            0
-        } else {
-            self.delta.rounds_since_anchor + 1
-        };
         detection
     }
 
@@ -482,11 +473,8 @@ impl NodeWorker {
     ) -> Detection {
         let full = || Detection::Payload(payload.clone());
         let Some(prev) = &self.delta.prev else {
-            return full(); // first compare of a chain: anchor
+            return full(); // first compare of a chain, or the buddy holds no base
         };
-        if self.delta.rounds_since_anchor + 1 >= self.cfg.delta_anchor_interval {
-            return full(); // periodic anchor bounds fallback chains
-        }
         if prev.payload_len != payload.len() {
             return full(); // repacked size changed: base is incompatible
         }
@@ -560,7 +548,7 @@ impl NodeWorker {
             Detection::Payload(p) => {
                 self.delta.base = Some((iteration, p.clone()));
                 // A full ship round, once verified, is a fresh transitivity
-                // anchor: remember our own chunk digests at this iteration.
+                // base: remember our own chunk digests at this iteration.
                 self.delta.local_base = self
                     .tentative_chunks()
                     .map(|(_, digests)| (iteration, digests));
@@ -613,7 +601,7 @@ impl NodeWorker {
     ) -> Option<Vec<usize>> {
         let (lb_iter, lb_digests) = self.delta.local_base.as_ref()?;
         if *lb_iter != base_iteration {
-            return None; // our anchor is from a different round than the delta's
+            return None; // our own base is from a different round than the delta's
         }
         let (cur_chunk_size, cur_digests) = self.tentative_chunks()?;
         if cur_chunk_size != table.chunk_size
@@ -697,7 +685,14 @@ impl NodeWorker {
             }
         }
         let buddy = self.buddy.expect("active node has a buddy");
-        self.send(buddy, Net::CompareResult { iteration, clean });
+        self.send(
+            buddy,
+            Net::CompareResult {
+                iteration,
+                clean,
+                base_held: self.delta.base.is_some(),
+            },
+        );
         self.awaiting_verdict = None;
         if !clean {
             self.port.send_event(Event::SdcDetected {
@@ -1244,7 +1239,15 @@ impl NodeWorker {
                     self.try_compare(round);
                 }
             }
-            Net::CompareResult { iteration, clean } => {
+            Net::CompareResult {
+                iteration,
+                clean,
+                base_held,
+            } => {
+                if !base_held {
+                    // The next delta would have nothing to overlay onto.
+                    self.delta.prev = None;
+                }
                 if let Some((round, it)) = self.awaiting_verdict {
                     if it == iteration {
                         self.awaiting_verdict = None;
@@ -1464,5 +1467,103 @@ mod tests {
 
         let (again, _) = pack_tasks(&mut restored, 64);
         assert_eq!(again, buf, "restored tasks repack identically");
+    }
+
+    /// Everything a pair of nodes sends, for the test to deliver by hand.
+    #[derive(Default)]
+    struct Mailbox(parking_lot::Mutex<Vec<(NodeIndex, Net)>>);
+
+    impl Port for Mailbox {
+        fn send(&self, to: NodeIndex, msg: Net) {
+            self.0.lock().push((to, msg));
+        }
+        fn send_event(&self, _ev: Event) {}
+    }
+
+    /// 4 KiB of state in 64-byte chunks; only the first chunk (which holds
+    /// `iter`) changes from one iteration to the next.
+    fn blob_at(iter: u64) -> Box<dyn Task> {
+        let data = vec![0.5; 512];
+        Box::new(Blob {
+            iter,
+            data,
+            tail: Vec::new(),
+        })
+    }
+
+    /// A buddy that lost its base mid-chain still reaches a verdict and says
+    /// it holds no base; the sender's next ship is the full payload, and the
+    /// round after it is a delta again: a lost base heals in one round.
+    #[test]
+    fn a_buddy_without_its_base_gets_one_full_ship_then_deltas_again() {
+        // Node 0 (replica 0) and its buddy node 1 (replica 1), one rank.
+        let layout = Arc::new(RwLock::new(ReplicaLayout::new(2, 0).expect("one rank")));
+        let mail = Arc::new(Mailbox::default());
+        let mut pair = [0, 1].map(|index| {
+            let cfg = NodeConfig {
+                index,
+                ranks: 1,
+                tasks_per_rank: 1,
+                detection: DetectionMethod::FullCompare,
+                chunk_size: 64,
+                heartbeat_period: Duration::from_millis(10),
+                heartbeat_timeout: Duration::from_secs(1),
+                delta_checkpoints: true,
+                private_layout: false,
+            };
+            let identity = layout.read().locate(index);
+            let port = Arc::clone(&mail) as Arc<dyn Port>;
+            let (_, inbox) = crossbeam::channel::unbounded();
+            let factory: Arc<TaskFactory> = Arc::new(|_, _| blob_at(0));
+            let (clock, rec) = (Clock::simulated(), Recorder::disabled());
+            NodeWorker::new(
+                cfg,
+                identity,
+                Arc::clone(&layout),
+                port,
+                inbox,
+                factory,
+                clock,
+                rec,
+            )
+        });
+        // One clean global round per iteration: both nodes checkpoint, the
+        // compare and then its verdict are delivered, the round completes.
+        let mut log = String::new();
+        for iteration in 1..=5 {
+            if iteration == 3 {
+                pair[1].delta.base = None; // lost between rounds 2 and 3
+            }
+            for w in pair.iter_mut() {
+                w.tasks = vec![blob_at(iteration)];
+                w.take_checkpoint(Scope::Global, iteration, iteration);
+            }
+            for _ in 0..2 {
+                let sent = std::mem::take(&mut *mail.0.lock());
+                for (to, msg) in sent {
+                    log += match &msg {
+                        Net::Compare { detection, .. } => match detection {
+                            Detection::Payload(_) => "full ",
+                            _ => "delta ",
+                        },
+                        Net::CompareResult { clean: false, .. } => "SDC; ",
+                        Net::CompareResult {
+                            base_held: true, ..
+                        } => "held; ",
+                        Net::CompareResult { .. } => "no base; ",
+                        _ => "",
+                    };
+                    pair[to].handle_net(msg);
+                }
+            }
+            for w in pair.iter_mut() {
+                w.handle_ctrl(Ctrl::RoundComplete);
+            }
+        }
+        // Round 3's verdict comes from the delta record's digest table.
+        assert_eq!(
+            log,
+            "full held; delta held; delta no base; full held; delta held; "
+        );
     }
 }

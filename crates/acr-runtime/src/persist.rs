@@ -95,7 +95,6 @@ pub(crate) struct AdmitRecord {
     pub heartbeat_timeout: f64,
     pub max_duration: f64,
     pub delta_checkpoints: bool,
-    pub delta_anchor_interval: u32,
     /// Virtual-mode quantum in seconds; `None` means the job ran threaded,
     /// which a resume refuses (its timing cannot be reproduced).
     pub virtual_quantum: Option<f64>,
@@ -161,7 +160,9 @@ impl DriverRecord {
                 put_f64(&mut b, a.heartbeat_timeout);
                 put_f64(&mut b, a.max_duration);
                 b.push(a.delta_checkpoints as u8);
-                b.extend_from_slice(&a.delta_anchor_interval.to_le_bytes());
+                // Reserved (once `delta_anchor_interval`): written as 0 and
+                // skipped on read, so journals keep one byte layout.
+                b.extend_from_slice(&0u32.to_le_bytes());
                 match a.virtual_quantum {
                     None => b.push(0),
                     Some(q) => {
@@ -237,8 +238,11 @@ impl DriverRecord {
                 heartbeat_timeout: r.f64()?,
                 max_duration: r.f64()?,
                 delta_checkpoints: r.u8()? != 0,
-                delta_anchor_interval: r.u32()?,
-                virtual_quantum: if r.u8()? != 0 { Some(r.f64()?) } else { None },
+                // The reserved u32 precedes the quantum's tag.
+                virtual_quantum: match (r.u32()?, r.u8()?) {
+                    (_reserved, 0) => None,
+                    _ => Some(r.f64()?),
+                },
                 script: r.str()?,
             }),
             1 => DriverRecord::RoundOpened { round: r.u64()? },
@@ -780,7 +784,6 @@ mod tests {
             heartbeat_timeout: 0.04,
             max_duration: 30.0,
             delta_checkpoints: false,
-            delta_anchor_interval: 16,
             virtual_quantum: Some(0.001),
             script: script.to_string(),
         }

@@ -284,7 +284,6 @@ fn soak_welcome(total: usize) -> WelcomeCfg {
         heartbeat_period_ns: Duration::from_millis(10).as_nanos() as u64,
         heartbeat_timeout_ns: Duration::from_secs(600).as_nanos() as u64,
         delta_checkpoints: false,
-        delta_anchor_interval: 0,
     }
 }
 

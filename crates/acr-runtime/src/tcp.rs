@@ -1736,7 +1736,6 @@ mod tests {
             heartbeat_period_ns: 1_000_000_000,
             heartbeat_timeout_ns: 10_000_000_000,
             delta_checkpoints: false,
-            delta_anchor_interval: 16,
         }
     }
 
@@ -2428,6 +2427,7 @@ mod tests {
             &Net::CompareResult {
                 iteration: 7,
                 clean: true,
+                base_held: true,
             },
         );
         match inbox0
@@ -2437,6 +2437,7 @@ mod tests {
             Net::CompareResult {
                 iteration: 7,
                 clean: true,
+                base_held: true,
             } => {}
             other => panic!("unexpected delivery {other:?}"),
         }

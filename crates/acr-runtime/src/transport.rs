@@ -444,7 +444,6 @@ fn welcome_cfg(cfg: &JobConfig, total: usize) -> WelcomeCfg {
         heartbeat_period_ns: cfg.heartbeat_period.as_nanos() as u64,
         heartbeat_timeout_ns: cfg.heartbeat_timeout.as_nanos() as u64,
         delta_checkpoints: cfg.delta_checkpoints,
-        delta_anchor_interval: cfg.delta_anchor_interval,
     }
 }
 
@@ -515,7 +514,6 @@ pub fn run_node_host_for_job(
             heartbeat_period: Duration::from_nanos(welcome.heartbeat_period_ns),
             heartbeat_timeout: Duration::from_nanos(welcome.heartbeat_timeout_ns),
             delta_checkpoints: welcome.delta_checkpoints,
-            delta_anchor_interval: welcome.delta_anchor_interval,
             private_layout: true,
         };
         let port: Arc<dyn Port> = Arc::new(TcpNodePort {

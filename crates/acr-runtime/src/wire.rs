@@ -2,7 +2,7 @@
 //! Fletcher-64 body trailer, tag-byte codecs for the `message.rs` protocol
 //! enums, and the connect/accept handshake records.
 //!
-//! ## Frame format (wire version 7)
+//! ## Frame format (wire version 8)
 //!
 //! Every message crossing a socket travels in one frame, and a frame is the
 //! only thing a socket carries after the handshake (all integers
@@ -81,9 +81,10 @@ pub const WELCOME_MAGIC: u32 = u32::from_le_bytes(*b"ACRW");
 /// the welcome's codec byte, the super-frame header's codec and raw-length
 /// fields); version 6 added the `ack` field to the frame headers; version 7
 /// removed the `"ACRS"` super-frame, leaving the plain frame as the only
-/// thing on a socket. Peers of any other version are refused at the
-/// handshake.
-pub const WIRE_VERSION: u32 = 7;
+/// thing on a socket; version 8 removed the welcome's delta anchor interval
+/// and added `CompareResult`'s `base_held` byte. Peers of any other version
+/// are refused at the handshake.
+pub const WIRE_VERSION: u32 = 8;
 /// `to` value addressing the driver rather than a node.
 pub const DRIVER_DEST: u32 = u32::MAX;
 /// Upper bound on a frame body; anything larger is a corrupt length field.
@@ -98,10 +99,9 @@ pub const FRAME_TRAILER: usize = 8;
 /// per-job namespaces, so a service reactor hosting several jobs routes a
 /// frame's `to` within the job its link handshook into.
 pub const HELLO_LEN: usize = 4 + 4 + 4 + 4 + 8;
-/// Encoded welcome length (fixed). The `+ 1 + 4` pair is the
-/// delta-checkpoint enable flag and anchor interval added in wire
-/// version 3.
-pub const WELCOME_LEN: usize = 4 + 4 + 8 + 4 * 4 + 1 + 8 + 8 + 8 + 1 + 4;
+/// Encoded welcome length (fixed). The final byte is the delta-checkpoint
+/// enable flag.
+pub const WELCOME_LEN: usize = 4 + 4 + 8 + 4 * 4 + 1 + 8 + 8 + 8 + 1;
 
 /// Shortest shared byte string that becomes a body segment of its own (a
 /// reference to the caller's allocation); anything shorter is copied into
@@ -644,7 +644,6 @@ pub(crate) struct WelcomeCfg {
     pub heartbeat_period_ns: u64,
     pub heartbeat_timeout_ns: u64,
     pub delta_checkpoints: bool,
-    pub delta_anchor_interval: u32,
 }
 
 /// Server welcome: the router's highest received sequence from this node
@@ -690,7 +689,6 @@ pub(crate) fn encode_welcome(w: &Welcome) -> Vec<u8> {
     put_u64(&mut buf, w.cfg.chunk_size);
     put_u64(&mut buf, w.cfg.heartbeat_period_ns);
     put_u64(&mut buf, w.cfg.heartbeat_timeout_ns);
-    put_u32(&mut buf, w.cfg.delta_anchor_interval);
     put_u8(&mut buf, w.cfg.delta_checkpoints as u8);
     debug_assert_eq!(buf.len(), WELCOME_LEN);
     buf
@@ -716,7 +714,6 @@ pub(crate) fn decode_welcome(buf: &[u8]) -> Result<Welcome, WireError> {
         chunk_size: r.u64()?,
         heartbeat_period_ns: r.u64()?,
         heartbeat_timeout_ns: r.u64()?,
-        delta_anchor_interval: r.u32()?,
         delta_checkpoints: r.u8()? != 0,
     };
     r.finish()?;
@@ -1164,10 +1161,15 @@ pub(crate) fn encode_net(msg: &Net) -> Vec<Bytes> {
             put_u64(buf, *iteration);
             put_detection(&mut w, detection);
         }
-        Net::CompareResult { iteration, clean } => {
+        Net::CompareResult {
+            iteration,
+            clean,
+            base_held,
+        } => {
             put_u8(buf, 3);
             put_u64(buf, *iteration);
             put_u8(buf, *clean as u8);
+            put_u8(buf, *base_held as u8);
         }
         Net::Install { checkpoint } => {
             put_u8(buf, 4);
@@ -1209,6 +1211,7 @@ fn net_from(mut r: Reader<'_>) -> Result<Net, WireError> {
         3 => Net::CompareResult {
             iteration: r.u64()?,
             clean: r.u8()? != 0,
+            base_held: r.u8()? != 0,
         },
         4 => Net::Install {
             checkpoint: get_checkpoint(&mut r)?,
@@ -1560,10 +1563,12 @@ mod tests {
             Net::CompareResult {
                 iteration: 40,
                 clean: true,
+                base_held: true,
             },
             Net::CompareResult {
                 iteration: 41,
                 clean: false,
+                base_held: false,
             },
             Net::Install {
                 checkpoint: Checkpoint::new(9, Bytes::from_static(b"state"), 0xabc),
@@ -1812,7 +1817,6 @@ mod tests {
                 heartbeat_period_ns: 5_000_000,
                 heartbeat_timeout_ns: 40_000_000,
                 delta_checkpoints: true,
-                delta_anchor_interval: 16,
             },
         }
     }
@@ -1841,13 +1845,13 @@ mod tests {
         u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
     }
 
-    /// The v7 handshake records and the frame layout, byte for byte: a
-    /// peer written against this layout interoperates, and any reshuffle
-    /// must bump [`WIRE_VERSION`].
+    /// The v8 handshake records, the frame layout and the compare verdict,
+    /// byte for byte: a peer written against this layout interoperates,
+    /// and any reshuffle must bump [`WIRE_VERSION`].
     #[test]
-    fn v7_handshake_and_frame_layouts_are_pinned() {
-        assert_eq!(WIRE_VERSION, 7);
-        assert_eq!((HELLO_LEN, WELCOME_LEN), (24, 62));
+    fn v8_handshake_and_frame_layouts_are_pinned() {
+        assert_eq!(WIRE_VERSION, 8);
+        assert_eq!((HELLO_LEN, WELCOME_LEN), (24, 58));
         assert_eq!((FRAME_HEADER, FRAME_TRAILER), (28, 8));
 
         let h = encode_hello(&Hello {
@@ -1856,12 +1860,12 @@ mod tests {
             last_recv_seq: 123,
         });
         assert_eq!(&h[0..4], b"ACRH");
-        assert_eq!((le32(&h, 4), le32(&h, 8), le32(&h, 12)), (7, 7, 5));
+        assert_eq!((le32(&h, 4), le32(&h, 8), le32(&h, 12)), (8, 7, 5));
         assert_eq!(le64(&h, 16), 123);
 
         let w = encode_welcome(&sample_welcome());
         assert_eq!(&w[0..4], b"ACRW");
-        assert_eq!((le32(&w, 4), le64(&w, 8)), (7, 456));
+        assert_eq!((le32(&w, 4), le64(&w, 8)), (8, 456));
         assert_eq!(
             (le32(&w, 16), le32(&w, 20), le32(&w, 24), le32(&w, 28)),
             (4, 1, 2, 10),
@@ -1873,7 +1877,16 @@ mod tests {
             (2048, 5_000_000, 40_000_000),
             "chunk_size, heartbeat period, heartbeat timeout"
         );
-        assert_eq!((le32(&w, 57), w[61]), (16, 1), "anchor interval, delta on");
+        assert_eq!(w[57], 1, "delta on");
+
+        // Tag, iteration, verdict, then whether the buddy holds the base.
+        let v = flatten(&encode_net(&Net::CompareResult {
+            iteration: 40,
+            clean: true,
+            base_held: false,
+        }));
+        assert_eq!((v.len(), v[0], le64(&v, 1)), (11, 3, 40));
+        assert_eq!((v[9], v[10]), (1, 0), "clean, no base held");
 
         // magic, len, to, seq, ack, body, check — and the segmented send
         // path's two ends are those same bytes.
@@ -1925,19 +1938,19 @@ mod tests {
         );
     }
 
-    /// Older peers are refused, never misparsed. A v6 or v5 hello and
-    /// welcome have today's lengths and differ only in the version field; a
-    /// v4 hello (one codec-mask byte longer) fails on it whether the reader
-    /// takes the new length or the old one.
+    /// Older peers are refused, never misparsed: the version field is read
+    /// before anything else, so a v7–v5 hello or welcome (v7's welcome is
+    /// four bytes longer, with the anchor interval) and a v4 hello (one
+    /// codec-mask byte longer) fail on it whatever their length.
     #[test]
-    fn v6_v5_and_v4_handshake_records_are_refused_with_a_version_error() {
+    fn v7_to_v4_handshake_records_are_refused_with_a_version_error() {
         let hello = encode_hello(&Hello {
             job: 0,
             node: 1,
             last_recv_seq: 0,
         });
         let welcome = encode_welcome(&sample_welcome());
-        for old in [6u32, 5, 4] {
+        for old in [7u32, 6, 5, 4] {
             let (mut h, mut w) = (hello.clone(), welcome.clone());
             h[4..8].copy_from_slice(&old.to_le_bytes());
             w[4..8].copy_from_slice(&old.to_le_bytes());

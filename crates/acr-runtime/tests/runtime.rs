@@ -11,7 +11,9 @@ use std::time::Duration;
 static JOB_SERIAL: Mutex<()> = Mutex::new(());
 
 use acr_pup::{Pup, PupResult, Puper};
-use acr_runtime::{AppMsg, DetectionMethod, Fault, Job, JobConfig, Scheme, Task, TaskCtx, TaskId};
+use acr_runtime::{
+    AppMsg, DetectionMethod, Fault, FaultScript, Job, JobConfig, Scheme, Task, TaskCtx, TaskId,
+};
 
 /// A token-ring workload: rank `r`'s iteration `i` computes on its local
 /// state, then sends a token to rank `r+1`; iteration `i ≥ 1` cannot start
@@ -349,58 +351,44 @@ fn crash_before_first_checkpoint_restarts_from_beginning() {
     assert!(report.replicas_agree());
 }
 
+/// An SDC and a later crash in one run, placed by checkpoint count so the
+/// order holds at any step speed: the flip lands right after the first
+/// verified round, the next round detects it and rolls back, and the crash
+/// fires only once a second round has verified.
 #[test]
 fn sdc_then_crash_both_handled_in_one_run() {
     let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let faults = vec![
-        (
-            Duration::from_millis(200),
-            Fault::Sdc {
-                replica: 0,
-                rank: 2,
-                seed: 5,
-            },
-        ),
-        (
-            Duration::from_millis(600),
-            Fault::Crash {
-                replica: 1,
-                rank: 2,
-            },
-        ),
-    ];
-    let report = Job::new(ring_cfg(Scheme::Strong, DetectionMethod::FullCompare))
-        .with_timed_faults(faults)
-        .run(ring_factory);
+    let script = FaultScript::parse(
+        "sdc ckpts=1 replica=0 rank=2 seed=5\n\
+         crash ckpts=2 replica=1 rank=2",
+    )
+    .expect("valid script");
+    let mut cfg = ring_cfg(Scheme::Strong, DetectionMethod::FullCompare);
+    cfg.checkpoint_interval = Duration::from_millis(20);
+    let report = Job::new(cfg).with_faults(script).run(ring_factory);
     assert!(report.completed, "error: {:?}", report.error);
     assert!(report.sdc_rounds_detected >= 1, "{report:?}");
     assert_eq!(report.hard_errors_recovered, 1);
     assert!(report.replicas_agree());
 }
 
+/// Two crashes placed by application progress on one replica, whose ring
+/// keeps its ranks within a few iterations of each other: rank 3 cannot
+/// reach iteration 400 before rank 1 has crashed at 200 and been replaced,
+/// whatever the step speed.
 #[test]
 fn two_crashes_consume_two_spares() {
     let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut cfg = ring_cfg(Scheme::Strong, DetectionMethod::FullCompare);
     cfg.max_duration = Duration::from_secs(60);
-    let faults = vec![
-        (
-            Duration::from_millis(300),
-            Fault::Crash {
-                replica: 0,
-                rank: 1,
-            },
-        ),
-        (
-            Duration::from_millis(900),
-            Fault::Crash {
-                replica: 1,
-                rank: 3,
-            },
-        ),
-    ];
-    let report = Job::new(cfg).with_timed_faults(faults).run(ring_factory);
+    let script = FaultScript::parse(
+        "crash iter=200 replica=0 rank=1\n\
+         crash iter=400 replica=0 rank=3",
+    )
+    .expect("valid script");
+    let report = Job::new(cfg).with_faults(script).run(ring_factory);
     assert!(report.completed, "error: {:?}", report.error);
+    assert_eq!(report.crashes_injected_at.len(), 2);
     assert_eq!(report.hard_errors_recovered, 2);
     assert!(report.replicas_agree());
 }

@@ -319,8 +319,6 @@ impl Task for DriftRing {
     }
 }
 
-const ANCHOR_INTERVAL: u32 = 4;
-
 fn delta_cfg(scheme: Scheme, delta: bool, transport: TransportKind) -> JobConfig {
     JobConfig::builder()
         .ranks(RANKS)
@@ -330,7 +328,6 @@ fn delta_cfg(scheme: Scheme, delta: bool, transport: TransportKind) -> JobConfig
         .detection(DetectionMethod::FullCompare)
         .chunk_size(256)
         .delta_checkpoints(delta)
-        .delta_anchor_interval(ANCHOR_INTERVAL)
         .checkpoint_interval(Duration::from_millis(10))
         .heartbeat_period(Duration::from_millis(5))
         .heartbeat_timeout(Duration::from_millis(300))
@@ -427,10 +424,10 @@ fn delta_checkpoints_do_not_change_protocol_outcomes() {
 }
 
 /// Delta records engage on every round that is eligible by structure, over
-/// threaded TCP on the wall clock: in a fault-free run each shipping node
-/// full-ships its first round and every `ANCHOR_INTERVAL`-th after it, and
-/// sends a delta record on every other round — whatever the clock measured
-/// while packing or shipping.
+/// threaded TCP on the wall clock: in a fault-free run the buddy always
+/// holds its base, so each shipping node full-ships its first round only
+/// and sends a delta record on every round after it — whatever the clock
+/// measured while packing or shipping.
 #[test]
 fn threaded_tcp_delta_ships_every_structurally_eligible_round() {
     let _guard = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -452,10 +449,9 @@ fn threaded_tcp_delta_ships_every_structurally_eligible_round() {
     assert_eq!(ships.len(), RANKS, "one shipping node per rank: {ships:?}");
     for (node, &(rounds, deltas)) in &ships {
         assert!(rounds >= 2, "node {node}: only {rounds} compare rounds");
-        let anchors = rounds.div_ceil(ANCHOR_INTERVAL as usize);
         assert_eq!(
             deltas,
-            rounds - anchors,
+            rounds - 1,
             "node {node}: {deltas} delta ships in {rounds} clean rounds"
         );
     }

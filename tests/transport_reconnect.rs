@@ -296,7 +296,6 @@ fn socket_kill_mid_delta_chain_recovers_cleanly() {
         .detection(DetectionMethod::FullCompare)
         .chunk_size(256)
         .delta_checkpoints(true)
-        .delta_anchor_interval(8)
         .checkpoint_interval(Duration::from_millis(15))
         .heartbeat_period(Duration::from_millis(10))
         .heartbeat_timeout(Duration::from_secs(1))
