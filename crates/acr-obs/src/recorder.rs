@@ -376,7 +376,11 @@ fn metric_help(name: &str) -> &'static str {
         "acr_transport_connects_total" => "Transport connections established.",
         "acr_transport_probes_total" => "Transport-level liveness probes sent.",
         "acr_transport_retries_total" => "Transport connect/send retries.",
-        "acr_transport_stale_total" => "Stale transport frames discarded after reconnect.",
+        "acr_transport_stale_total" => "Router links reported detached past the stale window.",
+        "acr_buddy_link_attaches_total" => "Direct buddy links attached by the dialing endpoint.",
+        "acr_buddy_link_fallbacks_total" => {
+            "Buddy links detached past the stale window whose traffic moved to the router."
+        }
         "acr_obs_events_dropped_total" => {
             "Events discarded to ring-buffer wraparound (scrape more often or grow ring_capacity)."
         }

@@ -2445,9 +2445,9 @@ impl Driver {
                     self.record_final_state(ev);
                 }
                 // A live node's FinalState can take longer than one idle gap
-                // to cross the TCP ship path (megabytes of task state through
-                // two hops); the gap ends the drain only once every node
-                // still owed is one the driver has given up on.
+                // to cross the TCP fabric (megabytes of task state to the
+                // router); the gap ends the drain only once every node still
+                // owed is one the driver has given up on.
                 Err(RecvTimeoutError::Timeout) => {
                     let given_up = |n: &NodeIndex| {
                         self.dead_nodes.contains(n) || self.transport_suspects.contains_key(n)

@@ -184,6 +184,7 @@ pub fn run_reactor_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
                 job,
                 node: node as u32,
                 last_recv_seq: 0,
+                listen_port: 0,
             }))
             .map_err(|e| format!("hello (job {job} node {node}): {e}"))?;
             sock.set_read_timeout(Some(Duration::from_secs(30)))

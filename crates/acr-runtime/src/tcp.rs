@@ -1,10 +1,16 @@
 //! The TCP fabric: a driver-side [`Router`] — a **single-threaded
 //! nonblocking reactor** multiplexing every node link — and a node-side
 //! [`Endpoint`] (one thread: dialer with capped-exponential reconnect,
-//! polled reads, batched writes), exchanging [`wire`](crate::wire)
-//! frames over localhost in a star topology — every node↔node message
-//! routes through the driver's reactor, mirroring how the in-process
-//! backend already centralizes channel construction in the driver.
+//! polled reads, batched writes), exchanging [`wire`](crate::wire) frames.
+//! Topology: a star for control, plus one data link per buddy pair. Every
+//! node's link to the router carries the control plane and membership —
+//! consensus, heartbeats, application messages, events, `Install` — while
+//! the round's comparison traffic (`Compare`, `CompareResult`) goes
+//! straight from a node's endpoint to its buddy's (§2.1 sends the remote
+//! checkpoint *to the buddy*). The buddy link is dialed by the node that
+//! ships the first compare record, to the address the router's address
+//! book gives for the buddy, and re-pointed when the driver names a new
+//! buddy; a job that never ships never opens one.
 //!
 //! Reliability model: the protocol has no message-level timeouts (a lost
 //! consensus contribution would wedge a round forever), so the wire layer
@@ -16,12 +22,15 @@
 //! frame after [`ACK_AFTER_BYTES`] — so the ring is the unacknowledged
 //! window and nothing more. The connect/accept handshake exchanges the
 //! same high-water mark, and the reattaching side replays everything
-//! newer. Receivers drop duplicates by sequence.
+//! newer. Receivers drop duplicates by sequence. A buddy link works the
+//! same way, the dialing endpoint in the router's place.
 //! A socket drop therefore looks, to the protocol, like a brief stall —
 //! which is exactly what distinguishes it from node death: the reactor's
 //! stale-link timer reports a link detached too long, and the *driver's
 //! liveness probe* (not the transport) decides whether the node behind it
-//! is dead.
+//! is dead. A buddy link detached that long is not reported: the router
+//! carries that pair's comparison traffic until the link attaches again,
+//! so buddies that can reach the driver but not each other still finish.
 //!
 //! Threading: the reactor is O(1) threads regardless of link count, and
 //! both it and the endpoint loop are *readiness-driven*: every socket (and
@@ -33,7 +42,9 @@
 //! idle fabric makes no system calls. Per wake-up the reactor drains its
 //! commands, accepts and progresses handshakes, takes one bounded read
 //! from each link poll reported readable, dispatches the frames, and
-//! flushes the links that took frames or were reported writable. A write
+//! flushes the links that took frames or were reported writable. An
+//! endpoint serves its router link, its listener and its buddy link the
+//! same way, but reads a readable link until it would block. A write
 //! that would block parks the rest in a per-link buffer and the link asks
 //! poll for `POLLOUT` until it drains.
 //!
@@ -46,18 +57,20 @@
 //! resumes mid-part. A burst of consensus chatter is therefore one small
 //! buffer and one system call, and a packed checkpoint goes from the
 //! node's pack buffer to the socket without a copy while the replay ring
-//! holds that same allocation. Inbound, a large frame is received straight
-//! into the allocation that becomes its body, and the reactor relays every
-//! body — with the trailer it was verified against — to the destination
-//! link as it is, so the destination's check covers the relay's memory as
-//! well as both wires.
+//! holds that same allocation; its trailer's checksum is one pass over the
+//! body before the first byte leaves. Inbound, a large frame is received
+//! straight into the allocation that becomes its body, checksummed as it
+//! lands: one pass per end. The reactor relays the bodies it routes from
+//! node to node — with the trailer each was verified against — to the
+//! destination link as they are, so the destination's check covers the
+//! relay's memory as well as both wires.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -66,13 +79,13 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::message::{Event, Net, NodeIndex};
+use crate::message::{Ctrl, Event, Net, NodeIndex};
 use crate::poller::{self, PollFd, Waker, POLLIN, POLLOUT};
 use crate::wire::{
-    body_check, body_len, decode_event, decode_hello, decode_net, decode_welcome,
-    encode_frame_acked, encode_hello, encode_net, encode_welcome, frame_ends, Frame, FrameDecoder,
-    Hello, Welcome, WelcomeCfg, DRIVER_DEST, FRAME_HEADER, FRAME_TRAILER, HELLO_LEN, SEGMENT_MIN,
-    WELCOME_LEN,
+    body_check, body_len, decode_address_book, decode_event, decode_hello, decode_net,
+    decode_welcome, encode_address_book, encode_event, encode_frame_acked, encode_hello,
+    encode_net, encode_welcome, frame_ends, Frame, FrameDecoder, Hello, Welcome, WelcomeCfg,
+    DRIVER_DEST, ENDPOINT_DEST, FRAME_HEADER, FRAME_TRAILER, HELLO_LEN, SEGMENT_MIN, WELCOME_LEN,
 };
 
 /// Body bytes a *stale* link's replay ring is shed to (see
@@ -96,8 +109,21 @@ const MAX_IOV: usize = 16;
 /// pause of the two error paths that must not spin.
 const POLL_TICK: Duration = Duration::from_millis(5);
 
-/// A dialer that sends no (or a partial) hello is cut off after this.
+/// A dialer that sends no (or a partial) hello is cut off after this, and
+/// so is a buddy-link dial that gets no (or a partial) welcome.
 const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(1);
+
+/// How long an endpoint's `connect` to its buddy may block its loop, whose
+/// heartbeats, consensus and events wait behind it (and never longer than
+/// the stale window). A buddy's endpoint on the same network accepts well
+/// within it; one that cannot be reached, or only slowly, is redialed with
+/// backoff until its link falls back to the router.
+const BUDDY_CONNECT_TIMEOUT: Duration = Duration::from_millis(10);
+
+/// Largest redial backoff of a buddy link whose traffic has fallen back to
+/// the router: a buddy that cannot be reached costs a failed `connect` at
+/// most this often, and a link that can attach again still does.
+const ROUTED_REDIAL_MAX: Duration = Duration::from_secs(1);
 
 /// Body bytes after which a flush stops taking frames off the queue and
 /// writes what it has assembled (the rest follows in the same flush if the
@@ -106,10 +132,13 @@ const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(1);
 /// larger frame still leaves whole.
 const FLUSH_BYTES: u64 = 256 * 1024;
 
-/// Bytes taken from one link per wake-up: one `read` into a buffer this
-/// size. Level-triggered poll reports the link again while more is
+/// Bytes taken per read. The reactor takes one such read from a link per
+/// wake-up: level-triggered poll reports the link again while more is
 /// waiting, so a bulk sender shares every wake-up with the other links'
-/// small consensus frames instead of being drained to the end first.
+/// small consensus frames instead of being drained to the end first. An
+/// endpoint reads a readable link until the socket would block, this much
+/// at a time, and a frame arriving into its own allocation is checksummed
+/// read by read, while what just landed is still in cache.
 const READ_BUDGET: usize = 64 * 1024;
 
 // ---------------------------------------------------------------------------
@@ -530,6 +559,223 @@ fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) {
     }
 }
 
+/// One link's own state, the same on every link of the fabric — a
+/// reactor link, an endpoint's router link, a buddy link: the socket, the
+/// decoder of what arrives on it, the send side, and since when it has
+/// been without a socket.
+struct Link {
+    stream: Option<TcpStream>,
+    dec: FrameDecoder,
+    tx: SendSide,
+    /// When the link lost its socket, or was opened without one; `None`
+    /// while attached (and a reactor link's before its first attach).
+    /// Drives the stale timers.
+    detached_since: Option<Instant>,
+}
+
+impl Link {
+    fn new(detached_since: Option<Instant>) -> Link {
+        Link {
+            stream: None,
+            dec: FrameDecoder::new(),
+            tx: SendSide::default(),
+            detached_since,
+        }
+    }
+
+    /// A handshaken `stream` takes over from any half-dead predecessor,
+    /// with a clone in `conn` for severing it from other threads:
+    /// `greeting` leaves first, then everything the peer — which holds up
+    /// to `peer_last_recv` — has not acknowledged.
+    fn attach(
+        &mut self,
+        stream: TcpStream,
+        conn: &Mutex<Option<TcpStream>>,
+        peer_last_recv: u64,
+        greeting: Vec<u8>,
+    ) {
+        *conn.lock() = stream.try_clone().ok();
+        if let Some(old) = self.stream.replace(stream) {
+            let _ = old.shutdown(Shutdown::Both);
+        }
+        self.dec = FrameDecoder::new();
+        self.tx.reattach(peer_last_recv, greeting);
+        self.detached_since = None;
+    }
+
+    /// Close the socket; what was queued for it stays in the ring.
+    fn detach(&mut self, conn: &Mutex<Option<TcpStream>>) {
+        if let Some(s) = self.stream.take() {
+            let _ = s.shutdown(Shutdown::Both);
+        }
+        *conn.lock() = None;
+        self.dec = FrameDecoder::new();
+        self.tx.detach();
+        self.detached_since.get_or_insert_with(Instant::now);
+    }
+
+    /// The link has been without a socket for `after` as of `now`; while
+    /// it has not yet, that deadline is folded into `next`.
+    fn stale(&self, now: Instant, after: Duration, next: &mut Option<Instant>) -> bool {
+        let Some(at) = self.detached_since.map(|since| since + after) else {
+            return false;
+        };
+        if now < at {
+            earliest(next, at);
+        }
+        now >= at
+    }
+
+    /// The socket's poll entry: `POLLOUT` too while a backlog waits (the
+    /// last flush stopped at a write that would block, or a replay was
+    /// just queued).
+    fn pollfd(&self) -> Option<PollFd> {
+        let events = if self.tx.backlog() {
+            POLLIN | POLLOUT
+        } else {
+            POLLIN
+        };
+        self.stream.as_ref().map(|s| PollFd::new(s, events))
+    }
+
+    /// Whether an endpoint's link owes a flush: poll reported it writable,
+    /// or it parked with nothing waiting and now has something to say —
+    /// new frames, or an acknowledgement that came due.
+    fn owes_flush(&self, writable: bool, had_backlog: bool) -> bool {
+        writable || (!had_backlog && (self.tx.backlog() || self.tx.ack_due()))
+    }
+
+    /// Read the socket poll reported readable: one read of at most
+    /// `scratch.len()` bytes, or — with `drain` — reads until it would
+    /// block. What each frame acknowledges goes to the send side, then the
+    /// frame to `deliver`, which answers `false` for a frame that must end
+    /// the link. Returns whether the link is still alive (end of stream, a
+    /// read error or a corrupt stream end it too).
+    fn read(
+        &mut self,
+        scratch: &mut [u8],
+        drain: bool,
+        bytes_recv: &mut u64,
+        mut deliver: impl FnMut(Frame) -> bool,
+    ) -> bool {
+        let Some(stream) = self.stream.as_mut() else {
+            return true;
+        };
+        loop {
+            match self.dec.read_from(stream, scratch) {
+                Ok(0) => return false,
+                Ok(k) => *bytes_recv += k as u64,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return e.kind() == ErrorKind::WouldBlock,
+            }
+            loop {
+                match self.dec.next_frame() {
+                    Ok(Some(frame)) => {
+                        self.tx.received(&frame);
+                        if !deliver(frame) {
+                            return false;
+                        }
+                    }
+                    Ok(None) => break,
+                    Err(_) => return false,
+                }
+            }
+            if !drain {
+                return true;
+            }
+        }
+    }
+
+    /// Flush the send side into the socket, if there is one (see
+    /// [`SendSide::flush`]); `false` on a fatal socket error.
+    fn flush(&mut self, ack: u64, stats: &mut WireStats, rec: &Recorder, obs_node: u32) -> bool {
+        match self.stream.as_mut() {
+            Some(s) => self.tx.flush(s, ack, stats, rec, obs_node),
+            None => true,
+        }
+    }
+
+    /// Queue `body`, addressed to `to`, for the reactor link at `at`. A
+    /// link whose queue was empty needs a flush this wake-up and is noted
+    /// in `to_flush`; one that already holds a backlog is waiting for poll
+    /// to report it writable, and one without a socket keeps the frame in
+    /// its ring only, for the next socket.
+    fn enqueue(
+        &mut self,
+        at: (u32, usize),
+        to: u32,
+        body: Vec<Bytes>,
+        check: Option<u64>,
+        to_flush: &mut Vec<(u32, usize)>,
+    ) {
+        if self.stream.is_some() && !self.tx.backlog() {
+            to_flush.push(at);
+        }
+        self.tx.enqueue(to, body, check);
+    }
+}
+
+/// A freshly-accepted socket still reading its hello. Which job (and
+/// link) it belongs to is unknown until the hello decodes.
+struct PendingHello {
+    stream: TcpStream,
+    buf: [u8; HELLO_LEN],
+    got: usize,
+    since: Instant,
+    /// Poll reported it readable (or it was accepted this wake-up).
+    ready: bool,
+}
+
+impl PendingHello {
+    /// Take what has arrived of the hello: `None` while it is incomplete,
+    /// `Some(None)` for garbage or a closed socket, `Some(Some(hello))`
+    /// once it is whole.
+    fn progress(&mut self) -> Option<Option<Hello>> {
+        loop {
+            match self.stream.read(&mut self.buf[self.got..]) {
+                Ok(0) => return Some(None),
+                Ok(k) => {
+                    self.got += k;
+                    if self.got == HELLO_LEN {
+                        return Some(decode_hello(&self.buf).ok());
+                    }
+                }
+                // Still reading; the owner enforces the deadline.
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return None,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return Some(None),
+            }
+        }
+    }
+}
+
+/// Accept every connection waiting on `listener` into `pending`.
+fn accept_into(listener: &TcpListener, pending: &mut Vec<PendingHello>) {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                let _ = stream.set_nonblocking(true);
+                let _ = stream.set_nodelay(true);
+                pending.push(PendingHello {
+                    stream,
+                    buf: [0u8; HELLO_LEN],
+                    got: 0,
+                    since: Instant::now(),
+                    // The hello usually rides in with the connect.
+                    ready: true,
+                });
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(_) => {
+                // Out of descriptors, most likely. The listener stays
+                // readable, so pause rather than spin on it.
+                std::thread::sleep(POLL_TICK);
+                break;
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Router (driver side): the reactor
 // ---------------------------------------------------------------------------
@@ -628,59 +874,12 @@ struct LinkShared {
     stale_reported: AtomicBool,
     /// A clone of the attached socket, for severing from other threads.
     conn: Mutex<Option<TcpStream>>,
+    /// Where the node accepts its buddy's link: the address the router
+    /// sees it at, with the port its hello announced.
+    listen: Mutex<Option<SocketAddr>>,
     /// The reactor → node direction's replay ring, as of the last wake-up.
     #[cfg(test)]
     ring: RingGauge,
-}
-
-/// Reactor-local per-link state machine.
-struct LinkState {
-    stream: Option<TcpStream>,
-    dec: FrameDecoder,
-    tx: SendSide,
-    /// When the link lost its socket; `None` before the first attach and
-    /// while attached. Drives the stale timer.
-    detached_since: Option<Instant>,
-}
-
-impl LinkState {
-    fn new() -> Self {
-        Self {
-            stream: None,
-            dec: FrameDecoder::new(),
-            tx: SendSide::default(),
-            detached_since: None,
-        }
-    }
-
-    /// Queue `body` for the node behind this link. A link whose queue was
-    /// empty needs a flush this wake-up and is noted in `to_flush`; one
-    /// that already holds a backlog is waiting for poll to report it
-    /// writable, and one without a socket keeps the frame in its ring
-    /// only, for the next socket.
-    fn enqueue(
-        &mut self,
-        at: (u32, usize),
-        body: Vec<Bytes>,
-        check: Option<u64>,
-        to_flush: &mut Vec<(u32, usize)>,
-    ) {
-        if self.stream.is_some() && !self.tx.backlog() {
-            to_flush.push(at);
-        }
-        self.tx.enqueue(at.1 as u32, body, check);
-    }
-}
-
-/// A freshly-accepted socket still reading its hello. Which job (and
-/// link) it belongs to is unknown until the hello decodes.
-struct PendingHello {
-    stream: TcpStream,
-    buf: [u8; HELLO_LEN],
-    got: usize,
-    since: Instant,
-    /// Poll reported it readable (or it was accepted this wake-up).
-    ready: bool,
 }
 
 enum Cmd {
@@ -690,6 +889,10 @@ enum Cmd {
         job: u32,
         to: usize,
         body: Vec<Bytes>,
+    },
+    /// Send every link of `job` the job's address book.
+    AddressBook {
+        job: u32,
     },
     /// Detach `job`'s links, emit its wire stats, and drop its reactor
     /// state; `done` acknowledges so the caller can drain the job's
@@ -713,6 +916,10 @@ struct JobShared {
     /// and the shutdown wire-stats report all land here, so a service
     /// job's transport telemetry stays in its own report.
     rec: Arc<Recorder>,
+    /// Notified whenever one of the job's links attaches, for
+    /// [`Router::wait_all_connected`].
+    attach_lock: std::sync::Mutex<()>,
+    attached: Condvar,
 }
 
 /// The reactor: **one** nonblocking driver-side transport thread serving
@@ -791,6 +998,7 @@ impl Router {
                 last_recv: AtomicU64::new(0),
                 stale_reported: AtomicBool::new(false),
                 conn: Mutex::new(None),
+                listen: Mutex::new(None),
                 #[cfg(test)]
                 ring: RingGauge::default(),
             })
@@ -801,6 +1009,8 @@ impl Router {
             welcome_cfg,
             stale_after,
             rec,
+            attach_lock: std::sync::Mutex::new(()),
+            attached: Condvar::new(),
         });
         let mut jobs = self.jobs.write();
         if jobs.contains_key(&job) {
@@ -902,12 +1112,14 @@ impl Router {
         true
     }
 
-    /// Wait until every one of `job`'s links has a handshaken socket.
+    /// Wait until every one of `job`'s links has a handshaken socket; the
+    /// reactor wakes the wait as each link attaches.
     pub(crate) fn wait_all_connected(&self, job: u32, timeout: Duration) -> Result<(), String> {
         let Some(shared) = self.job(job) else {
             return Err(format!("job {job} is not registered with the reactor"));
         };
         let deadline = Instant::now() + timeout;
+        let mut guard = lock(&shared.attach_lock);
         loop {
             let missing: Vec<usize> = shared
                 .links
@@ -924,8 +1136,16 @@ impl Router {
                     "transport: nodes {missing:?} did not connect within {timeout:?}"
                 ));
             }
-            std::thread::sleep(Duration::from_millis(5));
+            let left = deadline.saturating_duration_since(Instant::now());
+            guard = (shared.attached.wait_timeout(guard, left))
+                .map_or_else(|e| e.into_inner().0, |(g, _)| g);
         }
+    }
+
+    /// Send every node of `job` the job's address book: where each node's
+    /// endpoint accepts its buddy's link, as announced in its hello.
+    pub(crate) fn publish_address_book(&self, job: u32) {
+        self.post(Cmd::AddressBook { job });
     }
 
     /// Handshaken links right now, across every registered job.
@@ -969,13 +1189,13 @@ impl Router {
 /// send or accepted hello for the job.
 struct JobLinks {
     shared: Arc<JobShared>,
-    links: Vec<LinkState>,
+    links: Vec<Link>,
     stats: WireStats,
 }
 
 impl JobLinks {
     fn new(shared: Arc<JobShared>) -> JobLinks {
-        let links = (0..shared.links.len()).map(|_| LinkState::new()).collect();
+        let links = (0..shared.links.len()).map(|_| Link::new(None)).collect();
         JobLinks {
             shared,
             links,
@@ -984,30 +1204,17 @@ impl JobLinks {
     }
 }
 
-/// Detach one link's socket (reactor side): close it, clear the shared
-/// connection handle, and reset the link's transient decode/send state.
-fn detach_link(shared: &LinkShared, ls: &mut LinkState) {
-    if let Some(s) = ls.stream.take() {
-        let _ = s.shutdown(Shutdown::Both);
-    }
-    *shared.conn.lock() = None;
+/// Detach one reactor link's socket and say so to other threads.
+fn detach_link(shared: &LinkShared, ls: &mut Link) {
+    ls.detach(&shared.conn);
     shared.connected.store(false, Ordering::SeqCst);
-    ls.detached_since = Some(Instant::now());
-    ls.tx.detach();
-    ls.dec = FrameDecoder::new();
 }
 
 /// Tear one job's reactor state down: close its sockets and emit its wire
 /// stats into the job's own recorder.
 fn teardown_job(jl: &mut JobLinks) {
-    for (node, ls) in jl.links.iter_mut().enumerate() {
-        if let Some(s) = ls.stream.take() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-        *jl.shared.links[node].conn.lock() = None;
-        jl.shared.links[node]
-            .connected
-            .store(false, Ordering::SeqCst);
+    for (shared, ls) in jl.shared.links.iter().zip(&mut jl.links) {
+        detach_link(shared, ls);
     }
     jl.stats.emit(&jl.shared.rec, DRIVER_NODE);
 }
@@ -1059,26 +1266,19 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
             for (node, (shared, ls)) in links.enumerate() {
                 #[cfg(test)]
                 shared.ring.publish(&ls.tx.ring);
-                if let Some(stream) = &ls.stream {
-                    let events = if ls.tx.backlog() {
-                        POLLIN | POLLOUT
-                    } else {
-                        POLLIN
-                    };
-                    fds.push(PollFd::new(stream, events));
+                if let Some(fd) = ls.pollfd() {
+                    fds.push(fd);
                     polled_links.push((job, node));
-                } else if let Some(since) = ls.detached_since {
+                } else if shared.stale_reported.load(Ordering::SeqCst) {
+                    ls.tx.ring.shed();
+                } else if ls.stale(now, jl.shared.stale_after, &mut next_timer) {
                     // Detached too long: tell the driver, once per outage,
                     // and from then on hold no more for the node than an
                     // attached link would (see `ReplayRing::shed`).
-                    if shared.stale_reported.load(Ordering::SeqCst) {
-                        ls.tx.ring.shed();
-                    } else if due(since + jl.shared.stale_after) {
-                        shared.stale_reported.store(true, Ordering::SeqCst);
-                        jl.shared.rec.inc_counter("acr_transport_stale_total", 1);
-                        let _ = jl.shared.event_tx.send(Event::TransportStale { node });
-                        ls.tx.ring.shed();
-                    }
+                    shared.stale_reported.store(true, Ordering::SeqCst);
+                    jl.shared.rec.inc_counter("acr_transport_stale_total", 1);
+                    let _ = jl.shared.event_tx.send(Event::TransportStale { node });
+                    ls.tx.ring.shed();
                 }
             }
         }
@@ -1113,7 +1313,18 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                         }
                     }
                     if let Some(ls) = jobs.get_mut(&job).and_then(|jl| jl.links.get_mut(to)) {
-                        ls.enqueue((job, to), body, None, &mut to_flush);
+                        ls.enqueue((job, to), to as u32, body, None, &mut to_flush);
+                    }
+                }
+                Some(Cmd::AddressBook { job }) => {
+                    if let Some(jl) = jobs.get_mut(&job) {
+                        let book: Vec<_> =
+                            jl.shared.links.iter().map(|l| *l.listen.lock()).collect();
+                        let body = encode_address_book(&book);
+                        for (node, ls) in jl.links.iter_mut().enumerate() {
+                            let at = (job, node);
+                            ls.enqueue(at, ENDPOINT_DEST, body.clone(), None, &mut to_flush);
+                        }
                     }
                 }
                 Some(Cmd::Deregister { job, done }) => {
@@ -1139,28 +1350,8 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
             p.ready = fd.readable();
         }
         let link_fds = &fds[2 + pending.len()..];
-        while fds[1].readable() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    pending.push(PendingHello {
-                        stream,
-                        buf: [0u8; HELLO_LEN],
-                        got: 0,
-                        since: Instant::now(),
-                        // The hello usually rides in with the connect.
-                        ready: true,
-                    });
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => {
-                    // Out of descriptors, most likely. The listener stays
-                    // readable, so pause rather than spin on it.
-                    std::thread::sleep(POLL_TICK);
-                    break;
-                }
-            }
+        if fds[1].readable() {
+            accept_into(&listener, &mut pending);
         }
 
         // --- 5. progress the handshakes that have bytes ---------------
@@ -1171,22 +1362,7 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                 i += 1;
                 continue;
             }
-            let verdict = loop {
-                match p.stream.read(&mut p.buf[p.got..]) {
-                    Ok(0) => break Some(None),
-                    Ok(k) => {
-                        p.got += k;
-                        if p.got == HELLO_LEN {
-                            break Some(decode_hello(&p.buf).ok());
-                        }
-                    }
-                    // Still reading; step 1 enforces the deadline.
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break None,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => break Some(None),
-                }
-            };
-            match verdict {
+            match p.progress() {
                 None => i += 1,
                 Some(None) => {
                     // Garbage or EOF: drop the socket.
@@ -1215,27 +1391,22 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                         let _ = p.stream.shutdown(Shutdown::Both);
                         continue;
                     }
-                    let ls = &mut jl.links[node];
-                    // Replace any half-dead predecessor socket.
-                    if let Some(old) = ls.stream.take() {
-                        let _ = old.shutdown(Shutdown::Both);
-                    }
-                    ls.dec = FrameDecoder::new();
+                    *shared.listen.lock() = (hello.listen_port != 0)
+                        .then(|| p.stream.peer_addr().ok())
+                        .flatten()
+                        .map(|peer| SocketAddr::new(peer.ip(), hello.listen_port));
                     // The welcome, then everything the dead socket
                     // swallowed: the ring above the peer's high-water mark.
-                    ls.tx.reattach(
-                        hello.last_recv_seq,
-                        encode_welcome(&Welcome {
-                            last_recv_seq: shared.last_recv.load(Ordering::SeqCst),
-                            cfg: jl.shared.welcome_cfg,
-                        }),
-                    );
+                    let welcome = encode_welcome(&Welcome {
+                        last_recv_seq: shared.last_recv.load(Ordering::SeqCst),
+                        cfg: jl.shared.welcome_cfg,
+                    });
+                    (jl.links[node]).attach(p.stream, &shared.conn, hello.last_recv_seq, welcome);
                     to_flush.push((hello.job, node));
-                    *shared.conn.lock() = p.stream.try_clone().ok();
-                    ls.stream = Some(p.stream);
                     shared.connected.store(true, Ordering::SeqCst);
                     shared.stale_reported.store(false, Ordering::SeqCst);
-                    ls.detached_since = None;
+                    let _attach = lock(&jl.shared.attach_lock);
+                    jl.shared.attached.notify_all();
                 }
             }
         }
@@ -1257,24 +1428,11 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                 continue; // deregistered in step 3
             };
             let (shared, ls) = (&jl.shared.links[node], &mut jl.links[node]);
-            let Some(stream) = ls.stream.as_mut() else {
-                continue;
-            };
-            let dead = match ls.dec.read_from(stream, &mut rdbuf) {
-                Ok(0) => true,
-                Ok(k) => {
-                    jl.stats.bytes_recv += k as u64;
-                    loop {
-                        match ls.dec.next_frame() {
-                            Ok(Some(frame)) => inbound.push((job, node, frame)),
-                            Ok(None) => break false,
-                            Err(_) => break true,
-                        }
-                    }
-                }
-                Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
-            };
-            if dead {
+            let alive = ls.read(&mut rdbuf, false, &mut jl.stats.bytes_recv, |f| {
+                inbound.push((job, node, f));
+                true
+            });
+            if !alive {
                 detach_link(shared, ls);
             }
         }
@@ -1287,7 +1445,6 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                 continue;
             };
             let (shared, rx) = (&jl.shared.links[from], &mut jl.links[from]);
-            rx.tx.received(&frame);
             if frame.seq == 0 {
                 continue; // bodiless: its acknowledgement was all of it
             }
@@ -1310,7 +1467,8 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
             } else if let Some(ls) = jl.links.get_mut(frame.to as usize) {
                 // Relayed as verified: the same allocation, the same trailer.
                 let at = (job, frame.to as usize);
-                ls.enqueue(at, vec![frame.body], Some(frame.check), &mut to_flush);
+                let body = vec![frame.body];
+                ls.enqueue(at, frame.to, body, Some(frame.check), &mut to_flush);
             }
         }
 
@@ -1320,11 +1478,8 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                 continue;
             };
             let (shared, ls) = (&jl.shared.links[node], &mut jl.links[node]);
-            let Some(stream) = ls.stream.as_mut() else {
-                continue;
-            };
             let ack = shared.last_recv.load(Ordering::SeqCst);
-            if !(ls.tx).flush(stream, ack, &mut jl.stats, &jl.shared.rec, DRIVER_NODE) {
+            if !ls.flush(ack, &mut jl.stats, &jl.shared.rec, DRIVER_NODE) {
                 detach_link(shared, ls);
             }
         }
@@ -1360,18 +1515,28 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
 // ---------------------------------------------------------------------------
 
 enum EpMsg {
-    /// Encoded body for `to` (framed/sequenced by the endpoint loop).
+    /// Encoded body for `to`, through the router (framed/sequenced by the
+    /// endpoint loop).
     Frame {
         to: u32,
         body: Vec<Bytes>,
+    },
+    /// Encoded comparison record for the buddy `to`, over the buddy link.
+    /// With no link to `to`, `open` (a `Compare`) opens one; anything else
+    /// goes through the router.
+    Buddy {
+        to: u32,
+        body: Vec<Bytes>,
+        open: bool,
     },
     Shutdown,
 }
 
 /// A node's side of the fabric: **one** thread that dials the router
-/// (reconnecting with capped exponential backoff), then parks in `poll`
-/// on its socket and its wake descriptor, reading inbound frames and
-/// flushing queued ones in batches as either becomes ready — the
+/// (reconnecting with capped exponential backoff), accepts or dials the
+/// direct link to its buddy's endpoint, then parks in `poll` on its
+/// sockets, its listener and its wake descriptor, reading inbound frames
+/// and flushing queued ones in batches as each becomes ready — the
 /// node-side mirror of the reactor's per-link state machine.
 pub(crate) struct Endpoint {
     /// Job namespace this endpoint's hello routes its link into.
@@ -1381,6 +1546,11 @@ pub(crate) struct Endpoint {
     /// Ends the loop's `poll`; every message goes through
     /// [`Endpoint::post`], which pokes it.
     waker: Waker,
+    /// First and largest redial backoff, for both links.
+    redial: (Duration, Duration),
+    /// How long a buddy link this endpoint dialed may stay detached before
+    /// it reports its peer to the driver.
+    stale_after: Duration,
     /// Times the attached loop woke from `poll` — the endpoint's
     /// counterpart of [`TickStats::count`], kept for the tests only.
     #[cfg(test)]
@@ -1388,32 +1558,42 @@ pub(crate) struct Endpoint {
     /// The node → reactor direction's replay ring, as of the last wake-up.
     #[cfg(test)]
     ring: RingGauge,
+    /// The buddy link's outbound replay ring, as of the last wake-up.
+    #[cfg(test)]
+    buddy_ring: RingGauge,
     shutdown: AtomicBool,
     /// Set by [`Endpoint::linger`]: a dead socket ends the loop instead of
     /// starting a redial.
     lingering: AtomicBool,
+    /// Set by [`Endpoint::quarantine`]: no buddy link is dialed or accepted.
+    quarantined: AtomicBool,
     /// Highest frame sequence received from the router (dedup; sent in
     /// the hello so the router replays what a dropped socket swallowed).
     last_recv: AtomicU64,
-    /// A clone of the live socket, for shutdown/sever.
+    /// A clone of the live router socket, for shutdown/sever.
     conn: Mutex<Option<TcpStream>>,
+    /// A clone of the buddy link's live socket, for sever/quarantine.
+    buddy_conn: Mutex<Option<TcpStream>>,
     /// The node's inbox sender; set to `None` at shutdown so a worker
     /// blocked on `inbox.recv()` sees `Disconnected` and exits.
     inbox_tx: Mutex<Option<Sender<Net>>>,
-    welcome: Mutex<Option<WelcomeCfg>>,
+    welcome: std::sync::Mutex<Option<WelcomeCfg>>,
+    /// Notified when the welcome arrives and at shutdown.
+    welcomed: Condvar,
     rec: Arc<Recorder>,
     thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Endpoint {
+    /// Start `node`'s endpoint for `job`, dialing the router at `addr`, with
+    /// `tcp`'s reconnect backoff and stale window.
     pub(crate) fn spawn(
         job: u32,
         node: usize,
         addr: SocketAddr,
         inbox: Sender<Net>,
         rec: Arc<Recorder>,
-        reconnect_initial: Duration,
-        reconnect_max: Duration,
+        tcp: &crate::transport::TcpConfig,
     ) -> Arc<Endpoint> {
         let (tx, rx) = unbounded();
         let ep = Arc::new(Endpoint {
@@ -1421,23 +1601,30 @@ impl Endpoint {
             node,
             tx,
             waker: Waker::new().expect("endpoint wake pipe"),
+            redial: (tcp.reconnect_initial, tcp.reconnect_max),
+            stale_after: tcp.stale_after,
             #[cfg(test)]
             wakeups: AtomicU64::new(0),
             #[cfg(test)]
             ring: RingGauge::default(),
+            #[cfg(test)]
+            buddy_ring: RingGauge::default(),
             shutdown: AtomicBool::new(false),
             lingering: AtomicBool::new(false),
+            quarantined: AtomicBool::new(false),
             last_recv: AtomicU64::new(0),
             conn: Mutex::new(None),
+            buddy_conn: Mutex::new(None),
             inbox_tx: Mutex::new(Some(inbox)),
-            welcome: Mutex::new(None),
+            welcome: std::sync::Mutex::new(None),
+            welcomed: Condvar::new(),
             rec,
             thread: Mutex::new(None),
         });
         let e = Arc::clone(&ep);
         let h = std::thread::Builder::new()
             .name(format!("acr-ep-{node}"))
-            .spawn(move || endpoint_loop(e, addr, rx, reconnect_initial, reconnect_max))
+            .spawn(move || endpoint_loop(e, addr, rx))
             .expect("spawn endpoint");
         *ep.thread.lock() = Some(h);
         ep
@@ -1459,27 +1646,53 @@ impl Endpoint {
         });
     }
 
+    /// Frame and queue a comparison record (`Compare`, `CompareResult`)
+    /// for the buddy `to`, over the direct buddy link; a `Compare` opens
+    /// the link if there is none to `to` yet.
+    pub(crate) fn send_to_buddy(&self, to: NodeIndex, msg: &Net) {
+        self.post(EpMsg::Buddy {
+            to: to as u32,
+            body: encode_net(msg),
+            open: matches!(msg, Net::Compare { .. }),
+        });
+    }
+
     /// Frame and queue a node→driver event.
     pub(crate) fn send_event(&self, ev: &Event) {
         self.post(EpMsg::Frame {
             to: DRIVER_DEST,
-            body: crate::wire::encode_event(ev),
+            body: encode_event(ev),
         });
     }
 
-    /// Block until the welcome handshake delivers the job shape (polled;
-    /// the first connect normally lands within a few milliseconds).
+    /// Block until the welcome handshake delivers the job shape; the loop
+    /// wakes the wait as the welcome lands.
     pub(crate) fn wait_welcome(&self, timeout: Duration) -> Option<WelcomeCfg> {
         let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(w) = *self.welcome.lock() {
-                return Some(w);
-            }
-            if Instant::now() >= deadline || self.is_shutdown() {
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(2));
+        let mut welcome = lock(&self.welcome);
+        while welcome.is_none() && !self.is_shutdown() && Instant::now() < deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            welcome = (self.welcomed.wait_timeout(welcome, left))
+                .map_or_else(|e| e.into_inner().0, |(g, _)| g);
         }
+        *welcome
+    }
+
+    /// Kill the buddy link's current socket (test hook). The dialing side
+    /// redials; replay makes the drop lossless.
+    pub(crate) fn sever_buddy_link(&self) -> bool {
+        let taken = self.buddy_conn.lock().take();
+        taken.is_some_and(|s| s.shutdown(Shutdown::Both).is_ok())
+    }
+
+    /// Sever the buddy link and neither dial nor accept another (test
+    /// hook: a node host its buddies cannot reach; with the router
+    /// refusing the node too, the node is unreachable on every path —
+    /// transport-level death).
+    pub(crate) fn quarantine(&self) {
+        self.quarantined.store(true, Ordering::SeqCst);
+        self.sever_buddy_link();
+        self.waker.wake();
     }
 
     /// Graceful close for a node host whose worker has exited: keep the
@@ -1498,7 +1711,7 @@ impl Endpoint {
         self.shutdown();
     }
 
-    /// Stop the endpoint thread, close the socket, and drop the inbox
+    /// Stop the endpoint thread, close the sockets, and drop the inbox
     /// sender (unblocking a worker waiting on it).
     pub(crate) fn shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
@@ -1507,6 +1720,10 @@ impl Endpoint {
         self.post(EpMsg::Shutdown);
         if let Some(s) = self.conn.lock().take() {
             let _ = s.shutdown(Shutdown::Both);
+        }
+        {
+            let _welcome = lock(&self.welcome);
+            self.welcomed.notify_all();
         }
         if let Some(h) = self.thread.lock().take() {
             let _ = h.join();
@@ -1518,55 +1735,213 @@ impl Endpoint {
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    fn is_quarantined(&self) -> bool {
+        self.quarantined.load(Ordering::SeqCst)
+    }
+
     fn obs_node(&self) -> u32 {
         self.node as u32
     }
+
+    /// Hand a decoded message to the node's inbox. A worker that is gone
+    /// (job tearing down) swallows it: count it like the in-process
+    /// backend does.
+    fn deliver(&self, msg: Net) {
+        let delivered = (self.inbox_tx.lock().as_ref()).is_some_and(|tx| tx.send(msg).is_ok());
+        if !delivered {
+            self.rec.inc_counter("acr_send_to_closed_inbox_total", 1);
+        }
+    }
 }
 
-/// The endpoint's single-thread loop: dial (with backoff and
-/// `TransportRetry`/`TransportConnect` events), replay the ring tail,
-/// then park in `poll` on the socket and the wake descriptor — draining
-/// commands, taking one bounded read, flushing in batches — until the
-/// socket or the endpoint dies.
-fn endpoint_loop(
-    ep: Arc<Endpoint>,
-    addr: SocketAddr,
-    rx: Receiver<EpMsg>,
-    reconnect_initial: Duration,
-    reconnect_max: Duration,
-) {
-    let mut tx = SendSide::default();
-    let mut dec = FrameDecoder::new();
-    let mut stream: Option<TcpStream> = None;
-    let mut backoff = reconnect_initial;
+/// An endpoint's direct link to its buddy's endpoint. The node that ships
+/// the first compare record dials it, to the address in the router's
+/// address book, and redials it after a drop; the other side accepts it.
+/// Sequencing, replay and acknowledgement work as on the router link.
+struct BuddyLink {
+    peer: u32,
+    /// This side dialed the link; only the dialer redials.
+    dialer: bool,
+    link: Link,
+    /// A dialed socket waiting for its whole welcome: the bytes so far,
+    /// and when the hello went out.
+    greeting: Option<(TcpStream, [u8; WELCOME_LEN], usize, Instant)>,
+    /// Highest sequence received from the peer (dedup, acknowledgements,
+    /// and the dialer's hello).
+    last_recv: u64,
+    /// The link has been without a socket for the stale window: its
+    /// traffic takes the router until it attaches again.
+    routed: bool,
+    backoff: Duration,
+    next_dial: Instant,
+}
+
+impl BuddyLink {
+    fn new(peer: u32, dialer: bool, backoff: Duration) -> BuddyLink {
+        let now = Instant::now();
+        BuddyLink {
+            peer,
+            dialer,
+            link: Link::new(Some(now)),
+            greeting: None,
+            last_recv: 0,
+            routed: false,
+            backoff,
+            next_dial: now,
+        }
+    }
+
+    /// Close the socket, dialed or attached; what was queued for it stays
+    /// in the ring, and a dialer tries again after its backoff, which
+    /// doubles up to `max` — or [`ROUTED_REDIAL_MAX`] once the router
+    /// carries the link's traffic. (A link being dropped is detached
+    /// first, to close its socket.)
+    fn detach(&mut self, ep: &Endpoint, max: Duration) {
+        if let Some((s, ..)) = self.greeting.take() {
+            let _ = s.shutdown(Shutdown::Both);
+        }
+        self.link.detach(&ep.buddy_conn);
+        self.next_dial = Instant::now() + self.backoff;
+        let cap = if self.routed { ROUTED_REDIAL_MAX } else { max };
+        self.backoff = (self.backoff * 2).min(cap);
+    }
+
+    /// A handshaken socket attached: the link carries its own traffic again.
+    fn attached(&mut self, ep: &Endpoint) {
+        self.routed = false;
+        self.backoff = ep.redial.0;
+    }
+
+    /// Dial the peer at `addr` and send the hello; the welcome is read as
+    /// it arrives ([`read_greeting`](Self::read_greeting)).
+    fn dial(&mut self, ep: &Endpoint, addr: SocketAddr) -> std::io::Result<()> {
+        let mut s = TcpStream::connect_timeout(&addr, BUDDY_CONNECT_TIMEOUT.min(ep.stale_after))?;
+        let _ = s.set_nodelay(true);
+        s.write_all(&encode_hello(&Hello {
+            job: ep.job,
+            node: ep.node as u32,
+            last_recv_seq: self.last_recv,
+            listen_port: 0,
+        }))?;
+        s.set_nonblocking(true)?;
+        self.greeting = Some((s, [0; WELCOME_LEN], 0, Instant::now()));
+        Ok(())
+    }
+
+    /// Read what has arrived of a dialed link's welcome; once it is whole
+    /// the link attaches and replays what the peer has not acknowledged.
+    /// Returns `false` when the link must be dropped (refused, closed,
+    /// garbage).
+    fn read_greeting(&mut self, ep: &Endpoint) -> bool {
+        let Some((s, buf, got, _)) = self.greeting.as_mut() else {
+            return true;
+        };
+        while *got < WELCOME_LEN {
+            match s.read(&mut buf[*got..]) {
+                Ok(0) => return false,
+                Ok(k) => *got += k,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+        let Ok(welcome) = decode_welcome(buf) else {
+            return false;
+        };
+        let (s, ..) = self.greeting.take().expect("read above");
+        (self.link).attach(s, &ep.buddy_conn, welcome.last_recv_seq, Vec::new());
+        self.attached(ep);
+        ep.rec.inc_counter("acr_buddy_link_attaches_total", 1);
+        true
+    }
+
+    /// Attach an accepted socket whose hello came from the peer: the
+    /// welcome leaves first, then everything the peer has not acknowledged.
+    fn accept(&mut self, ep: &Endpoint, stream: TcpStream, hello: &Hello, cfg: WelcomeCfg) {
+        let welcome = encode_welcome(&Welcome {
+            last_recv_seq: self.last_recv,
+            cfg,
+        });
+        (self.link).attach(stream, &ep.buddy_conn, hello.last_recv_seq, welcome);
+        self.attached(ep);
+    }
+
+    /// Read the attached link until it would block, handing each frame to
+    /// the node; a replayed duplicate is dropped. Returns whether the link
+    /// is still alive.
+    fn read(&mut self, ep: &Endpoint, scratch: &mut [u8], stats: &mut WireStats) -> bool {
+        let last_recv = &mut self.last_recv;
+        (self.link).read(scratch, true, &mut stats.bytes_recv, |frame| {
+            if frame.seq == 0 || frame.seq <= *last_recv {
+                return true; // bodiless, or a replay duplicate
+            }
+            *last_recv = frame.seq;
+            stats.frames_recv += 1;
+            let Ok(msg) = decode_net(&frame.body) else {
+                return false;
+            };
+            ep.deliver(msg);
+            true
+        })
+    }
+}
+
+/// Lock a mutex a waiter shares with a [`Condvar`]; a panic elsewhere does
+/// not poison the flag or welcome it guards.
+fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// `at` is a deadline of interest: fold it into the earliest one so far.
+fn earliest(next: &mut Option<Instant>, at: Instant) {
+    *next = Some(next.map_or(at, |t| t.min(at)));
+}
+
+/// The endpoint's single-thread loop: dial the router (with backoff and
+/// `TransportRetry`/`TransportConnect` events), replay the ring tail, then
+/// park in `poll` on the router socket, the buddy listener and link, and
+/// the wake descriptor — draining commands, reading each readable link
+/// until it would block, flushing in batches — until the router socket or
+/// the endpoint dies.
+fn endpoint_loop(ep: Arc<Endpoint>, addr: SocketAddr, rx: Receiver<EpMsg>) {
+    let (initial, max) = ep.redial;
+    let mut link = Link::new(None);
+    let mut backoff = initial;
     let mut attempt: u32 = 0;
     let mut stats = WireStats::default();
     let mut rdbuf = vec![0u8; READ_BUDGET];
+    let mut fds: Vec<PollFd> = Vec::new();
+    // The buddy side: where buddies dial in, the hellos still arriving,
+    // the link itself, the job's address book, and the buddy the driver
+    // last named (until it names one, any node of the job may dial in).
+    let mut listener: Option<TcpListener> = None;
+    let mut pending: Vec<PendingHello> = Vec::new();
+    let mut buddy: Option<BuddyLink> = None;
+    let mut book: Vec<Option<SocketAddr>> = Vec::new();
+    let mut expected: Option<u32> = None;
 
     'main: while !ep.is_shutdown() {
         // --- dial until attached --------------------------------------
-        let Some(s) = stream.as_mut() else {
+        if link.stream.is_none() {
             if ep.lingering.load(Ordering::SeqCst) {
                 break;
             }
             attempt += 1;
-            match dial(&ep, addr) {
+            match dial(&ep, addr, &mut listener) {
                 Ok((s, welcome)) => {
                     let _ = s.set_nonblocking(true);
-                    dec = FrameDecoder::new();
                     // Replay is driven by the router's view of what it
                     // received; everything newer went down with the old
                     // socket.
-                    tx.reattach(welcome.last_recv_seq, Vec::new());
-                    *ep.conn.lock() = s.try_clone().ok();
-                    *ep.welcome.lock() = Some(welcome.cfg);
-                    stream = Some(s);
+                    link.attach(s, &ep.conn, welcome.last_recv_seq, Vec::new());
+                    *lock(&ep.welcome) = Some(welcome.cfg);
+                    ep.welcomed.notify_all();
                     let a = attempt;
                     ep.rec.inc_counter("acr_transport_connects_total", 1);
                     let node = ep.obs_node();
                     ep.rec
                         .emit_with(node, || EventKind::TransportConnect { attempt: a });
-                    backoff = reconnect_initial;
+                    backoff = initial;
                     attempt = 0;
                 }
                 Err(_) => {
@@ -1586,26 +1961,97 @@ fn endpoint_loop(
                         }
                         std::thread::sleep(POLL_TICK.min(delay));
                     }
-                    backoff = (backoff * 2).min(reconnect_max);
+                    backoff = (backoff * 2).min(max);
                 }
             }
             continue;
-        };
+        }
 
-        // --- park until the socket or a command needs the loop --------
+        // --- buddy-side timers, and the poll set ----------------------
+        // A due timer fires here; one that is not bounds the wait.
+        let now = Instant::now();
+        let mut next_timer: Option<Instant> = None;
+        pending.retain(|p| {
+            // A dialer that never finishes its hello is cut off.
+            let cut = now >= p.since + HANDSHAKE_DEADLINE;
+            if cut {
+                let _ = p.stream.shutdown(Shutdown::Both);
+            } else {
+                earliest(&mut next_timer, p.since + HANDSHAKE_DEADLINE);
+            }
+            !cut
+        });
+        // A buddy link without a socket for the stale window — the buddy's
+        // host cannot be reached directly, or the peer gave the link up —
+        // falls back to the router until it attaches again: what it has
+        // not had acknowledged moves onto the router link, in order, and
+        // so does every comparison record for the peer from then on, while
+        // the dialer keeps redialing (at most once a second). Both sides
+        // keep the link's sequence state, so a reattach picks up where the
+        // link left off. A record the buddy took off the dead socket
+        // without acknowledging it arrives twice, which the node ignores:
+        // compare records are matched by iteration. A buddy that is gone
+        // is the router's to report, like any other node.
+        if let Some(l) = buddy.as_mut().filter(|l| !l.routed) {
+            if l.link.stale(now, ep.stale_after, &mut next_timer) {
+                l.routed = true;
+                for f in std::mem::take(&mut l.link.tx.ring).frames {
+                    link.tx.enqueue(f.to, f.body, None);
+                }
+                ep.rec.inc_counter("acr_buddy_link_fallbacks_total", 1);
+            }
+        }
+        if let Some(l) = buddy.as_mut().filter(|l| l.dialer) {
+            if l.greeting
+                .as_ref()
+                .is_some_and(|g| now >= g.3 + HANDSHAKE_DEADLINE)
+            {
+                l.detach(&ep, max);
+            }
+            let idle = l.link.stream.is_none() && l.greeting.is_none() && !ep.is_quarantined();
+            if idle && now >= l.next_dial {
+                let dialed = book.get(l.peer as usize).copied().flatten();
+                if dialed.is_none_or(|at| l.dial(&ep, at).is_err()) {
+                    l.detach(&ep, max);
+                }
+            }
+            if let Some(g) = &l.greeting {
+                earliest(&mut next_timer, g.3 + HANDSHAKE_DEADLINE);
+            } else if l.link.stream.is_none() && !ep.is_quarantined() {
+                earliest(&mut next_timer, l.next_dial);
+            }
+        }
+        let had_backlog = link.tx.backlog();
+        let buddy_had_backlog = buddy.as_ref().is_some_and(|l| l.link.tx.backlog());
+        fds.clear();
+        fds.push(ep.waker.pollfd());
+        fds.push(link.pollfd().expect("attached above"));
+        let buddy_fd = buddy.as_ref().and_then(|l| match &l.greeting {
+            Some((s, ..)) => Some(PollFd::new(s, POLLIN)),
+            None => l.link.pollfd(),
+        });
+        let buddy_fd = buddy_fd.map(|fd| {
+            fds.push(fd);
+            fds.len() - 1
+        });
+        let listener_fd = listener.as_ref().map(|l| {
+            fds.push(PollFd::new(l, POLLIN));
+            fds.len() - 1
+        });
+        let pending_fd = fds.len();
+        fds.extend(pending.iter().map(|p| PollFd::new(&p.stream, POLLIN)));
+
+        // --- park until a socket, a command or a timer ----------------
         // `POLLOUT` only while a backlog waits (the last flush stopped at
         // a write that would block, or a replay was just queued). Flag
         // first, channel second (see `Waker`).
-        let had_backlog = tx.backlog();
-        let events = if had_backlog {
-            POLLIN | POLLOUT
-        } else {
-            POLLIN
-        };
-        let mut fds = [ep.waker.pollfd(), PollFd::new(&*s, events)];
         ep.waker.park();
         let mut next = rx.try_recv().ok();
-        let timeout = next.is_some().then_some(Duration::ZERO);
+        let timeout = match (&next, next_timer) {
+            (Some(_), _) => Some(Duration::ZERO),
+            (None, Some(at)) => Some(at.saturating_duration_since(Instant::now())),
+            (None, None) => None,
+        };
         wait_ready(&mut fds, timeout);
         ep.waker.unpark(fds[0].readable());
         #[cfg(test)]
@@ -1615,100 +2061,189 @@ fn endpoint_loop(
         loop {
             match next {
                 Some(EpMsg::Shutdown) => break 'main,
-                Some(EpMsg::Frame { to, body }) => tx.enqueue(to, body, None),
+                Some(EpMsg::Frame { to, body }) => link.tx.enqueue(to, body, None),
+                Some(EpMsg::Buddy { to, body, open }) => {
+                    match buddy.as_mut().filter(|l| l.peer == to) {
+                        Some(l) if !l.routed => l.link.tx.enqueue(to, body, None),
+                        None if open
+                            && !ep.is_quarantined()
+                            && book.get(to as usize).is_some_and(Option::is_some) =>
+                        {
+                            // Open (or re-point) the link; the top of the next
+                            // pass dials it.
+                            if let Some(mut old) = buddy.take() {
+                                old.detach(&ep, max);
+                            }
+                            let mut l = BuddyLink::new(to, true, initial);
+                            l.link.tx.enqueue(to, body, None);
+                            buddy = Some(l);
+                        }
+                        // No link to `to` that can carry it, and none to open:
+                        // the router carries it like any other message.
+                        _ => link.tx.enqueue(to, body, None),
+                    }
+                }
                 None => break,
             }
             next = rx.try_recv().ok();
         }
 
-        // --- one bounded read, if poll reported the socket ------------
+        // --- the router link: read until it would block ---------------
         // (A hang-up or error polls readable: shutdown, sever and a
         // closed router all land here at once.)
         let mut alive = true;
         if fds[1].readable() {
-            alive = match dec.read_from(s, &mut rdbuf) {
-                Ok(0) => false,
-                Ok(k) => {
-                    stats.bytes_recv += k as u64;
-                    deliver_frames(&ep, &mut dec, &mut tx, &mut stats)
+            alive = link.read(&mut rdbuf, true, &mut stats.bytes_recv, |frame| {
+                if frame.seq == 0
+                    || ep.last_recv.fetch_max(frame.seq, Ordering::SeqCst) >= frame.seq
+                {
+                    return true; // bodiless, or a replay duplicate
                 }
-                Err(e) => matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
+                stats.frames_recv += 1;
+                if frame.to == ENDPOINT_DEST {
+                    return decode_address_book(&frame.body).map(|b| book = b).is_ok();
+                }
+                let Ok(msg) = decode_net(&frame.body) else {
+                    return false;
+                };
+                // The driver names a new buddy: the link re-points, and
+                // only that buddy may dial in from now on.
+                if let Net::Ctrl(
+                    Ctrl::BuddyChanged { buddy: named } | Ctrl::AssumeIdentity { buddy: named, .. },
+                ) = &msg
+                {
+                    expected = Some(*named as u32);
+                    if let Some(mut old) = buddy.take_if(|l| l.peer != *named as u32) {
+                        old.detach(&ep, max);
+                    }
+                }
+                ep.deliver(msg);
+                true
+            });
+        }
+
+        // --- buddies dialing in ---------------------------------------
+        for (p, fd) in pending.iter_mut().zip(&fds[pending_fd..]) {
+            p.ready = fd.readable();
+        }
+        if listener_fd.is_some_and(|i| fds[i].readable()) {
+            if let Some(l) = &listener {
+                accept_into(l, &mut pending);
+            }
+        }
+        let mut i = 0;
+        while i < pending.len() {
+            if !std::mem::take(&mut pending[i].ready) {
+                i += 1;
+                continue;
+            }
+            let Some(verdict) = pending[i].progress() else {
+                i += 1;
+                continue;
             };
+            let p = pending.swap_remove(i);
+            let cfg = *lock(&ep.welcome);
+            // Only the job's nodes, only the buddy the driver named (if it
+            // has), and never over a link this side dialed.
+            let admit = |h: &Hello| {
+                h.job == ep.job
+                    && h.node != ep.node as u32
+                    && !ep.is_quarantined()
+                    && expected.is_none_or(|b| b == h.node)
+                    && !buddy.as_ref().is_some_and(|l| l.peer == h.node && l.dialer)
+            };
+            match (verdict, cfg) {
+                (Some(hello), Some(cfg)) if admit(&hello) => {
+                    let l = match buddy.take() {
+                        Some(l) if l.peer == hello.node => l,
+                        old => {
+                            if let Some(mut old) = old {
+                                old.detach(&ep, max);
+                            }
+                            BuddyLink::new(hello.node, false, initial)
+                        }
+                    };
+                    let l = buddy.insert(l);
+                    l.accept(&ep, p.stream, &hello, cfg);
+                }
+                _ => {
+                    let _ = p.stream.shutdown(Shutdown::Both);
+                }
+            }
+        }
+
+        // --- the buddy link: the welcome, or frames until it would block
+        if let (Some(l), Some(i)) = (buddy.as_mut(), buddy_fd) {
+            if fds[i].readable() {
+                let ok = if l.greeting.is_some() {
+                    l.read_greeting(&ep)
+                } else {
+                    l.read(&ep, &mut rdbuf, &mut stats)
+                };
+                if !ok {
+                    l.detach(&ep, max);
+                }
+            }
         }
 
         // --- flush: writable, or an idle link with something to say ---
         // (new frames, or an acknowledgement that has come due).
-        if alive && (fds[1].writable() || (!had_backlog && (tx.backlog() || tx.ack_due()))) {
+        if alive && link.owes_flush(fds[1].writable(), had_backlog) {
             let ack = ep.last_recv.load(Ordering::SeqCst);
-            alive = tx.flush(s, ack, &mut stats, &ep.rec, ep.obs_node());
+            alive = link.flush(ack, &mut stats, &ep.rec, ep.obs_node());
+        }
+        if let Some(l) = buddy.as_mut().filter(|l| l.link.stream.is_some()) {
+            let writable = buddy_fd.is_some_and(|i| fds[i].writable());
+            if l.link.owes_flush(writable, buddy_had_backlog)
+                && !(l.link).flush(l.last_recv, &mut stats, &ep.rec, ep.obs_node())
+            {
+                l.detach(&ep, max);
+            }
         }
         if !alive {
-            detach_endpoint(&ep, &mut stream, &mut tx);
+            link.detach(&ep.conn);
         }
         #[cfg(test)]
-        ep.ring.publish(&tx.ring);
+        {
+            ep.ring.publish(&link.tx.ring);
+            if let Some(l) = &buddy {
+                ep.buddy_ring.publish(&l.link.tx.ring);
+            }
+        }
     }
     stats.emit(&ep.rec, ep.obs_node());
-    detach_endpoint(&ep, &mut stream, &mut tx);
-}
-
-/// Close the endpoint's socket (if any) and forget what was queued for it
-/// — the ring still holds it for the next socket.
-fn detach_endpoint(ep: &Endpoint, stream: &mut Option<TcpStream>, tx: &mut SendSide) {
-    if let Some(s) = stream.take() {
-        let _ = s.shutdown(Shutdown::Both);
+    link.detach(&ep.conn);
+    if let Some(l) = buddy.as_mut() {
+        l.detach(&ep, max);
     }
-    *ep.conn.lock() = None;
-    tx.detach();
 }
 
-/// Hand every complete frame in `dec` to the node's inbox, dropping replay
-/// duplicates; `tx` takes the acknowledgements they carry. Returns `false`
-/// when the stream is corrupt — the caller detaches.
-fn deliver_frames(
+/// One dial + handshake with the router: connect, send the hello (with
+/// our high-water receive mark and the port buddies dial us on), read the
+/// welcome. Blocking with timeouts; the socket goes nonblocking after the
+/// handshake. The first connect also binds `listener`, on the interface
+/// the router is reached through.
+fn dial(
     ep: &Endpoint,
-    dec: &mut FrameDecoder,
-    tx: &mut SendSide,
-    stats: &mut WireStats,
-) -> bool {
-    loop {
-        let frame = match dec.next_frame() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return true,
-            Err(_) => return false,
-        };
-        tx.received(&frame);
-        if frame.seq == 0 {
-            continue; // bodiless: its acknowledgement was all of it
-        }
-        let prev = ep.last_recv.fetch_max(frame.seq, Ordering::SeqCst);
-        if prev >= frame.seq {
-            continue; // replay duplicate
-        }
-        stats.frames_recv += 1;
-        let Ok(msg) = decode_net(&frame.body) else {
-            return false;
-        };
-        // A worker that is gone (job tearing down) swallows the delivery:
-        // count it like the in-process backend does.
-        let delivered = (ep.inbox_tx.lock().as_ref()).is_some_and(|tx| tx.send(msg).is_ok());
-        if !delivered {
-            ep.rec.inc_counter("acr_send_to_closed_inbox_total", 1);
-        }
-    }
-}
-
-/// One dial + handshake: connect, send the hello (with our high-water
-/// receive mark), read the welcome. Blocking
-/// with timeouts; the socket goes nonblocking after the handshake.
-fn dial(ep: &Endpoint, addr: SocketAddr) -> Result<(TcpStream, Welcome), String> {
+    addr: SocketAddr,
+    listener: &mut Option<TcpListener>,
+) -> Result<(TcpStream, Welcome), String> {
     let mut stream =
         TcpStream::connect_timeout(&addr, Duration::from_secs(1)).map_err(|e| e.to_string())?;
     let _ = stream.set_nodelay(true);
+    if listener.is_none() {
+        let bind = stream
+            .local_addr()
+            .and_then(|a| TcpListener::bind((a.ip(), 0)));
+        *listener = bind.ok().filter(|l| l.set_nonblocking(true).is_ok());
+    }
     let hello = encode_hello(&Hello {
         job: ep.job,
         node: ep.node as u32,
         last_recv_seq: ep.last_recv.load(Ordering::SeqCst),
+        listen_port: (listener.as_ref())
+            .and_then(|l| l.local_addr().ok())
+            .map_or(0, |a| a.port()),
     });
     stream.write_all(&hello).map_err(|e| e.to_string())?;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
@@ -1765,6 +2300,7 @@ mod tests {
             job: 0,
             node,
             last_recv_seq: 0,
+            listen_port: 0,
         }))
         .expect("hello");
         let mut w = [0u8; WELCOME_LEN];
@@ -1782,8 +2318,7 @@ mod tests {
             router.local_addr(),
             tx,
             Recorder::disabled(),
-            Duration::from_millis(1),
-            Duration::from_millis(50),
+            &crate::transport::TcpConfig::default(),
         );
         ep.wait_welcome(Duration::from_secs(10)).expect("welcome");
         (ep, rx)
@@ -2021,6 +2556,7 @@ mod tests {
             job: 0,
             node: 0,
             last_recv_seq: 0,
+            listen_port: 0,
         });
         let t = Instant::now();
         half.write_all(&hello[..HELLO_LEN / 2]).expect("half hello");
@@ -2085,6 +2621,7 @@ mod tests {
                 job: 1,
                 node: 0,
                 last_recv_seq: 0,
+                listen_port: 0,
             }))
             .expect("hello");
             s
@@ -2391,7 +2928,7 @@ mod tests {
     }
 
     /// (i) Acknowledgements empty the rings: after one Compare /
-    /// CompareResult round trip through the router, neither sender of the
+    /// CompareResult round trip sent through the router, neither sender of the
     /// shipped megabyte — the node's endpoint, the router's link to the
     /// buddy — holds a frame (the receivers said so with bodiless frames);
     /// the small frames that flowed back are released by the next thing
@@ -2448,9 +2985,10 @@ mod tests {
             "the router's ring toward the buddy is acknowledged empty",
             || links[1].ring.frames() == 0,
         );
-        // The verdict's two hops are a few bytes each: they wait for the
-        // next frame the other way, which closing a round provides — the
-        // driver's word to each node, then each node's report back.
+        // The verdict crosses the router in two legs of a few bytes each:
+        // they wait for the next frame the other way, which closing a round
+        // provides — the driver's word to each node, then each node's
+        // report back.
         for (node, ep, inbox) in [(0, &ep0, &inbox0), (1, &ep1, &inbox1)] {
             router.send_net(0, node, &Net::Ctrl(crate::message::Ctrl::RoundComplete));
             inbox.recv_timeout(Duration::from_secs(10)).expect("ctrl");
@@ -2468,6 +3006,227 @@ mod tests {
         ep0.shutdown();
         ep1.shutdown();
         router.shutdown();
+    }
+
+    /// Two endpoints of job 0 with the job's address book in hand, as a
+    /// job's fabric sets them up: each has seen a ping the router sent
+    /// after the book, down the same link.
+    fn buddies(router: &Router) -> [(Arc<Endpoint>, Receiver<Net>); 2] {
+        let pair = [endpoint(router, 0), endpoint(router, 1)];
+        router
+            .wait_all_connected(0, Duration::from_secs(10))
+            .expect("links attach");
+        hand_out_book(router, &pair);
+        pair
+    }
+
+    /// Publish job 0's address book and wait until each endpoint has it.
+    fn hand_out_book(router: &Router, pair: &[(Arc<Endpoint>, Receiver<Net>)]) {
+        router.publish_address_book(0);
+        for (node, (_, inbox)) in pair.iter().enumerate() {
+            router.send_net(0, node, &Net::Ctrl(Ctrl::Ping { token: 0 }));
+            match inbox.recv_timeout(Duration::from_secs(10)).expect("ping") {
+                Net::Ctrl(Ctrl::Ping { .. }) => {}
+                other => panic!("unexpected delivery {other:?}"),
+            }
+        }
+    }
+
+    fn compare(iteration: u64, payload: Vec<u8>) -> Net {
+        Net::Compare {
+            iteration,
+            detection: acr_core::Detection::Payload(Bytes::from(payload)),
+        }
+    }
+
+    /// The verdict for `iteration`, as the buddy sends it.
+    fn verdict(iteration: u64) -> Net {
+        Net::CompareResult {
+            iteration,
+            clean: true,
+            base_held: true,
+        }
+    }
+
+    /// The payload of the `Compare` `inbox` delivers next, by iteration.
+    fn compared(inbox: &Receiver<Net>) -> (u64, Bytes) {
+        match inbox.recv_timeout(Duration::from_secs(30)) {
+            Ok(Net::Compare {
+                iteration,
+                detection: acr_core::Detection::Payload(p),
+            }) => (iteration, p),
+            other => panic!("expected a compare, got {other:?}"),
+        }
+    }
+
+    /// Nothing has crossed the router from either node: the round's
+    /// traffic took the buddy link.
+    fn router_carried_nothing_from(router: &Router) -> bool {
+        let links = &router.job(0).expect("registered").links;
+        links
+            .iter()
+            .all(|l| l.last_recv.load(Ordering::SeqCst) == 0)
+    }
+
+    /// (i') The same over the buddy link: after one Compare /
+    /// CompareResult round trip between the buddies, the shipping endpoint
+    /// holds none of the megabyte it sent (the buddy said so with bodiless
+    /// frames), and the verdict that flowed back is released by the next
+    /// record the other way — the next round's compare — which in turn
+    /// waits for the verdict after it. None of it crossed the router.
+    #[test]
+    fn a_buddy_round_trip_leaves_the_rings_empty() {
+        const STATE: usize = 1 << 20;
+        let (router, _events) = router_with_job(2, Duration::from_secs(600));
+        let [(ep0, inbox0), (ep1, inbox1)] = buddies(&router);
+
+        ep0.send_to_buddy(1, &compare(7, vec![0x5A; STATE]));
+        let (iteration, payload) = compared(&inbox1);
+        assert_eq!((iteration, payload.len()), (7, STATE));
+        assert!(payload.iter().all(|&b| b == 0x5A));
+        ep1.send_to_buddy(0, &verdict(7));
+        match inbox0
+            .recv_timeout(Duration::from_secs(10))
+            .expect("verdict")
+        {
+            Net::CompareResult { iteration: 7, .. } => {}
+            other => panic!("unexpected delivery {other:?}"),
+        }
+        eventually("the shipped megabyte is acknowledged", || {
+            ep0.buddy_ring.frames() == 0
+        });
+        eventually("the verdict waits for the next compare", || {
+            ep1.buddy_ring.frames() == 1
+        });
+        ep0.send_to_buddy(1, &compare(8, vec![8; 16]));
+        assert_eq!(compared(&inbox1).0, 8);
+        eventually("the next compare acknowledges the verdict", || {
+            (ep0.buddy_ring.frames(), ep1.buddy_ring.frames()) == (1, 0)
+        });
+        assert!(ep0.buddy_ring.bytes() < 64);
+        assert!(router_carried_nothing_from(&router));
+        ep0.shutdown();
+        ep1.shutdown();
+        router.shutdown();
+    }
+
+    /// (k) The buddy link cut in the middle of a frame larger than
+    /// `REPLAY_RING_BYTES`, from the accepting side: the shipping endpoint
+    /// redials, and the big compare, the small one queued behind it and
+    /// the verdict coming back each arrive once, intact, in order — and
+    /// none of it through the router.
+    #[test]
+    fn a_buddy_link_cut_mid_frame_replays_losslessly() {
+        const BIG: usize = REPLAY_RING_BYTES + (1 << 20);
+        let (router, _events) = router_with_job(2, Duration::from_secs(600));
+        let [(ep0, inbox0), (ep1, inbox1)] = buddies(&router);
+        ep0.send_to_buddy(1, &compare(1, vec![1; 64]));
+        assert_eq!(compared(&inbox1).0, 1, "the first compare opens the link");
+
+        ep0.send_to_buddy(1, &compare(2, vec![0xB5; BIG]));
+        std::thread::sleep(Duration::from_millis(5));
+        assert!(ep1.sever_buddy_link(), "a live buddy link to sever");
+        ep0.send_to_buddy(1, &compare(3, vec![3; 64]));
+        let (iteration, payload) = compared(&inbox1);
+        assert_eq!((iteration, payload.len()), (2, BIG));
+        assert!(payload.iter().all(|&b| b == 0xB5));
+        assert_eq!(compared(&inbox1), (3, Bytes::from(vec![3; 64])));
+        ep1.send_to_buddy(0, &verdict(3));
+        match inbox0.recv_timeout(Duration::from_secs(10)) {
+            Ok(Net::CompareResult { iteration: 3, .. }) => {}
+            other => panic!("expected the verdict, got {other:?}"),
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(
+            inbox0.try_recv().is_err() && inbox1.try_recv().is_err(),
+            "a replayed frame was delivered twice"
+        );
+        assert!(router_carried_nothing_from(&router));
+        ep0.shutdown();
+        ep1.shutdown();
+        router.shutdown();
+    }
+
+    /// (l) A buddy the shipping endpoint cannot reach — the book gives a
+    /// port nothing listens on — is reached through the router: the link
+    /// falls back after the stale window, the compare queued on it
+    /// crosses the router, the verdict comes back the same way, and so
+    /// does the next compare, each delivered once. Once the book gives
+    /// the right port, a later redial attaches the link, and the round
+    /// after that takes it again.
+    #[test]
+    fn an_unreachable_buddy_is_reached_through_the_router() {
+        let (router, _events) = router_with_job(2, Duration::from_secs(600));
+        let pair = [endpoint(&router, 0), endpoint(&router, 1)];
+        router
+            .wait_all_connected(0, Duration::from_secs(10))
+            .expect("links attach");
+        let closed = (TcpListener::bind("127.0.0.1:0").and_then(|l| l.local_addr()))
+            .expect("a port to close");
+        let links = &router.job(0).expect("registered").links;
+        let open = links[1].listen.lock().replace(closed);
+        hand_out_book(&router, &pair);
+        let [(ep0, inbox0), (ep1, inbox1)] = &pair;
+
+        ep0.send_to_buddy(1, &compare(1, vec![1; 64]));
+        assert_eq!(compared(inbox1), (1, Bytes::from(vec![1; 64])));
+        ep1.send_to_buddy(0, &verdict(1));
+        match inbox0.recv_timeout(Duration::from_secs(10)) {
+            Ok(Net::CompareResult { iteration: 1, .. }) => {}
+            other => panic!("expected the verdict, got {other:?}"),
+        }
+        ep0.send_to_buddy(1, &compare(2, vec![2; 64]));
+        assert_eq!(compared(inbox1).0, 2);
+        let from = |node: usize| links[node].last_recv.load(Ordering::SeqCst);
+        assert_eq!(
+            (from(0), from(1)),
+            (2, 1),
+            "every record crossed the router"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(
+            inbox0.try_recv().is_err() && inbox1.try_recv().is_err(),
+            "a record was delivered twice"
+        );
+
+        *links[1].listen.lock() = open;
+        hand_out_book(&router, &pair);
+        eventually("the link attaches", || ep0.buddy_conn.lock().is_some());
+        ep0.send_to_buddy(1, &compare(3, vec![3; 64]));
+        assert_eq!(compared(inbox1).0, 3);
+        ep1.send_to_buddy(0, &verdict(3));
+        match inbox0.recv_timeout(Duration::from_secs(10)) {
+            Ok(Net::CompareResult { iteration: 3, .. }) => {}
+            other => panic!("expected the verdict, got {other:?}"),
+        }
+        assert_eq!((from(0), from(1)), (2, 1), "round 3 took the buddy link");
+        ep0.shutdown();
+        ep1.shutdown();
+        router.shutdown();
+    }
+
+    /// Nothing polls for a handshake: `wait_welcome` and
+    /// `wait_all_connected` return as the link attaches, not at the next
+    /// tick of a timer. (A 2 ms and a 5 ms sleep between checks put both
+    /// behind a local handshake, which takes well under a millisecond.)
+    #[test]
+    fn waiters_wake_as_the_link_attaches() {
+        let mut best = Duration::MAX;
+        for _ in 0..5 {
+            let (router, _events) = router_with_job(1, Duration::from_secs(600));
+            let t = Instant::now();
+            let waiter = {
+                let router = Arc::clone(&router);
+                std::thread::spawn(move || router.wait_all_connected(0, Duration::from_secs(10)))
+            };
+            let (ep, _inbox) = endpoint(&router, 0);
+            waiter.join().expect("waiter").expect("the link attaches");
+            best = best.min(t.elapsed());
+            ep.shutdown();
+            router.shutdown();
+        }
+        println!("endpoint spawn to every waiter released: best {best:?}");
+        assert!(best < Duration::from_millis(2), "best of five: {best:?}");
     }
 
     /// (j) One-way bulk is acknowledged by bodiless frames: 64 MiB pushed
@@ -2541,6 +3300,7 @@ mod tests {
                 job: 0,
                 node: node as u32,
                 last_recv_seq: 0,
+                listen_port: 0,
             }))
             .expect("hello");
             clients.push(s);
@@ -2557,18 +3317,19 @@ mod tests {
         router.shutdown();
     }
 
-    /// An older dialer — v6 (the same 24-byte hello, but it would batch
-    /// into `"ACRS"` super-frames) or v5 (no `ack` in its frame headers) —
-    /// is refused at the handshake: the reactor fails the version check
-    /// and closes the socket — no welcome, no link.
+    /// An older dialer — v8 (no listen port, so no buddy link), v6 (it
+    /// would batch into `"ACRS"` super-frames) or v5 (no `ack` in its
+    /// frame headers) — is refused at the handshake: the reactor fails the
+    /// version check and closes the socket — no welcome, no link.
     #[test]
     fn v5_hello_is_refused_at_the_handshake() {
         let (router, _events) = router_with_job(1, Duration::from_secs(600));
-        for old in [6u32, 5] {
+        for old in [8u32, 6, 5] {
             let mut hello = encode_hello(&Hello {
                 job: 0,
                 node: 0,
                 last_recv_seq: 0,
+                listen_port: 0,
             });
             hello[4..8].copy_from_slice(&old.to_le_bytes());
             assert_eq!(
@@ -2617,6 +3378,7 @@ mod tests {
                 job,
                 node,
                 last_recv_seq: 0,
+                listen_port: 0,
             }))
             .expect("hello");
             let mut w = [0u8; WELCOME_LEN];
@@ -2644,6 +3406,7 @@ mod tests {
                 job: 99,
                 node: 0,
                 last_recv_seq: 0,
+                listen_port: 0,
             }))
             .expect("hello");
         let _ = ghost.set_read_timeout(Some(Duration::from_secs(5)));

@@ -1,9 +1,10 @@
 //! Pluggable channel fabric: the same driver/node protocol can run over
 //! in-process crossbeam channels (the default, and the only option under
 //! [`ExecMode::Virtual`](crate::driver::ExecMode)) or over length-prefixed
-//! framed TCP on localhost with one socket pair per node — the wire path
-//! that makes buddy-checkpoint shipping and spare-node restart real
-//! (§2.1/§3 of the paper run replicas on separate physical nodes).
+//! framed TCP with one link per node to the driver's router and one direct
+//! link per buddy pair — the wire path that makes buddy-checkpoint shipping
+//! and spare-node restart real (§2.1/§3 of the paper run replicas on
+//! separate physical nodes).
 //!
 //! Only the *send* side is abstracted: a [`Port`] turns `Net`/`Event`
 //! values into deliveries, while every receiver keeps an ordinary
@@ -71,15 +72,20 @@ impl Port for ChannelPort {
 }
 
 /// TCP backend, node side: every send is framed and handed to the
-/// node's [`Endpoint`] (star topology — all traffic routes through the
-/// driver's router, which re-frames by destination).
+/// node's [`Endpoint`], which routes it by kind. The round's comparison
+/// records (`Compare`, `CompareResult`, always addressed to the node's
+/// current buddy) take the direct buddy link; everything else routes
+/// through the driver's router, which re-frames by destination.
 struct TcpNodePort {
     ep: Arc<Endpoint>,
 }
 
 impl Port for TcpNodePort {
     fn send(&self, to: NodeIndex, msg: Net) {
-        self.ep.send_net(to, &msg);
+        match msg {
+            Net::Compare { .. } | Net::CompareResult { .. } => self.ep.send_to_buddy(to, &msg),
+            _ => self.ep.send_net(to, &msg),
+        }
     }
 
     fn send_event(&self, ev: Event) {
@@ -175,7 +181,9 @@ pub struct TcpConfig {
     pub reconnect_max: Duration,
     /// How long a node's link may stay detached before the router's
     /// stale monitor reports it to the driver (which answers with a
-    /// targeted liveness probe — a dead socket is not a dead node).
+    /// targeted liveness probe — a dead socket is not a dead node), and
+    /// how long a buddy link may before its traffic falls back to the
+    /// router.
     pub stale_after: Duration,
     /// How long the driver waits for every node to complete the
     /// connect/accept handshake before declaring the job failed.
@@ -224,8 +232,9 @@ pub struct TransportControl {
     router: Arc<Mutex<Option<AttachedFabric>>>,
 }
 
-/// What a control is attached to: the reactor plus the job id it routes.
-type AttachedFabric = (Weak<Router>, u32);
+/// What a control is attached to: the reactor, the job id it routes, and
+/// the job's local endpoints (none when the nodes run elsewhere).
+type AttachedFabric = (Weak<Router>, u32, Vec<Weak<Endpoint>>);
 
 impl TransportControl {
     /// New, unattached control (attaches when the job builds its fabric).
@@ -234,26 +243,50 @@ impl TransportControl {
     }
 
     fn with_router<T>(&self, f: impl FnOnce(&Router, u32) -> T) -> Option<T> {
-        let (weak, job) = self.router.lock().clone()?;
+        let (weak, job, _) = self.router.lock().clone()?;
         weak.upgrade().map(|r| f(&r, job))
     }
 
-    /// Kill `node`'s current socket (both directions). Returns `false`
-    /// if the fabric is gone or the link was already detached.
+    fn endpoint(&self, node: NodeIndex) -> Option<Arc<Endpoint>> {
+        let guard = self.router.lock();
+        guard.as_ref()?.2.get(node)?.upgrade()
+    }
+
+    /// Kill `node`'s current socket to the router (both directions).
+    /// Returns `false` if the fabric is gone or the link was already
+    /// detached.
     pub fn sever(&self, node: NodeIndex) -> bool {
         self.with_router(|r, job| r.sever(job, node))
             .unwrap_or(false)
     }
 
-    /// Kill `node`'s socket *and* refuse its reconnect attempts, making
-    /// the node permanently unreachable (transport-level death).
+    /// Kill the current socket of the direct link between `node` and its
+    /// buddy; the side that dialed it redials. Returns `false` if `node`
+    /// runs elsewhere or has no live buddy link.
+    pub fn sever_buddy_link(&self, node: NodeIndex) -> bool {
+        self.endpoint(node).is_some_and(|ep| ep.sever_buddy_link())
+    }
+
+    /// Kill `node`'s sockets *and* refuse its reconnect attempts — the
+    /// router's link and, for a local node, its buddy link — making the
+    /// node permanently unreachable (transport-level death).
     pub fn quarantine(&self, node: NodeIndex) -> bool {
+        self.partition_buddy_links(node);
         self.with_router(|r, job| r.quarantine(job, node))
             .unwrap_or(false)
     }
 
-    pub(crate) fn attach(&self, router: &Arc<Router>, job: u32) {
-        *self.router.lock() = Some((Arc::downgrade(router), job));
+    /// Cut `node` off from direct links — the buddy link it has, any it
+    /// would dial, any dialed to it — while its router link stays up: node
+    /// hosts that reach the driver but not one another. Returns `false` if
+    /// `node` runs elsewhere or the fabric is gone.
+    pub fn partition_buddy_links(&self, node: NodeIndex) -> bool {
+        self.endpoint(node).map(|ep| ep.quarantine()).is_some()
+    }
+
+    pub(crate) fn attach(&self, router: &Arc<Router>, job: u32, endpoints: &[Arc<Endpoint>]) {
+        let endpoints = endpoints.iter().map(Arc::downgrade).collect();
+        *self.router.lock() = Some((Arc::downgrade(router), job, endpoints));
     }
 }
 
@@ -295,8 +328,9 @@ pub(crate) enum FabricHandle {
 }
 
 impl FabricHandle {
-    /// Block until every node's link has completed the handshake (TCP
-    /// only; trivially ready in-process).
+    /// Block until every node's link has completed the handshake, then
+    /// hand every node the job's address book, from which a node dials its
+    /// buddy (TCP only; trivially ready in-process).
     pub fn wait_transport_ready(&self) -> Result<(), String> {
         match self {
             FabricHandle::InProcess => Ok(()),
@@ -305,7 +339,11 @@ impl FabricHandle {
                 job,
                 connect_timeout,
                 ..
-            } => router.wait_all_connected(*job, *connect_timeout),
+            } => {
+                router.wait_all_connected(*job, *connect_timeout)?;
+                router.publish_address_book(*job);
+                Ok(())
+            }
         }
     }
 
@@ -386,30 +424,23 @@ pub(crate) fn build_fabric(
                     tcp.stale_after,
                 )
                 .unwrap_or_else(|e| panic!("tcp transport: cannot register job {job}: {e}"));
-            if let Some(control) = &tcp.control {
-                control.attach(&router, job);
-            }
             let mut node_ports: Vec<Arc<dyn Port>> = Vec::new();
             let mut inboxes = Vec::new();
             let mut endpoints = Vec::new();
             if !tcp.remote_nodes {
                 for node in 0..total {
                     let (tx, rx) = unbounded::<Net>();
-                    let ep = Endpoint::spawn(
-                        job,
-                        node,
-                        router.dial_addr(),
-                        tx,
-                        Arc::clone(rec),
-                        tcp.reconnect_initial,
-                        tcp.reconnect_max,
-                    );
+                    let ep =
+                        Endpoint::spawn(job, node, router.dial_addr(), tx, Arc::clone(rec), tcp);
                     node_ports.push(Arc::new(TcpNodePort {
                         ep: Arc::clone(&ep),
                     }));
                     inboxes.push(rx);
                     endpoints.push(ep);
                 }
+            }
+            if let Some(control) = &tcp.control {
+                control.attach(&router, job, &endpoints);
             }
             let driver_port: Arc<dyn Port> = Arc::new(TcpDriverPort {
                 router: Arc::clone(&router),
@@ -481,15 +512,7 @@ pub fn run_node_host_for_job(
     let mut handles = Vec::new();
     for &node in nodes {
         let (tx, rx) = unbounded::<Net>();
-        let ep = Endpoint::spawn(
-            job,
-            node,
-            addr,
-            tx,
-            Arc::clone(&rec),
-            Duration::from_millis(1),
-            Duration::from_millis(50),
-        );
+        let ep = Endpoint::spawn(job, node, addr, tx, Arc::clone(&rec), &TcpConfig::default());
         let welcome = ep.wait_welcome(Duration::from_secs(30)).ok_or_else(|| {
             format!("node {node}: no welcome from the driver at {addr} within 30s")
         })?;

@@ -1,8 +1,9 @@
 //! Wire serialization for the TCP transport: length-prefixed frames with a
 //! Fletcher-64 body trailer, tag-byte codecs for the `message.rs` protocol
-//! enums, and the connect/accept handshake records.
+//! enums, the connect/accept handshake records, and the address book that
+//! lets a node dial its buddy.
 //!
-//! ## Frame format (wire version 8)
+//! ## Frame format (wire version 9)
 //!
 //! Every message crossing a socket travels in one frame, and a frame is the
 //! only thing a socket carries after the handshake (all integers
@@ -11,7 +12,8 @@
 //! ```text
 //! magic   u32   0x41435246 ("ACRF")
 //! len     u32   body length in bytes (≤ MAX_FRAME_BODY)
-//! to      u32   destination node index; DRIVER_DEST for the driver
+//! to      u32   destination node index; DRIVER_DEST for the driver;
+//!               ENDPOINT_DEST for the receiving endpoint itself
 //! seq     u64   per-link-direction sequence number, starting at 1
 //! ack     u64   highest seq the sender has received on this link
 //! body    [u8; len]   tag-byte-encoded Net or Event
@@ -30,6 +32,11 @@
 //! the frame is assembled for the socket, not when the message was queued,
 //! and like `to` and `seq` it sits outside the checksum (a relayed body
 //! keeps its trailer while its header is rewritten per link).
+//!
+//! The router sends each node one frame addressed to `ENDPOINT_DEST` once
+//! every link of the job is up: its body is the job's address book (where
+//! each node's endpoint accepts its buddy's link, learned from the version-9
+//! hello's listen port), which the endpoint keeps and does not hand on.
 //!
 //! A link that receives but has nothing to say sends a *bodiless* frame:
 //! `len 0`, `seq 0`, `to 0`, only the `ack` meaningful. Sequence 0 is never
@@ -54,16 +61,18 @@
 //! body: small encoded runs, and every shared byte string of
 //! 4 KiB (`SEGMENT_MIN`) or more — a packed checkpoint, a delta window, a
 //! final task state — as a reference to the caller's own allocation. The
-//! checksum streams over the segments and the socket takes them in one
-//! vectored write, so a shipped checkpoint is never copied on its way out.
-//! On the way in, [`FrameDecoder::read_from`] receives a large plain
-//! frame's body into an allocation of its own size, and the body decoders
-//! return those byte strings as slices of it.
+//! checksum streams over the segments (for a large body, in `tcp.rs`, as the
+//! socket takes them) and the socket takes them in one vectored write, so a
+//! shipped checkpoint is never copied on its way out. On the way in,
+//! [`FrameDecoder::read_from`] reads a large frame's body into an
+//! allocation reserved for its size, checksumming each read as it lands,
+//! and the body decoders return those byte strings as slices of it.
 
 use acr_core::{Checkpoint, ChunkTable, ConsensusMsg, Detection, DetectionMethod};
 use acr_pup::{fletcher64, Fletcher64};
 use bytes::Bytes;
 use std::io::Read;
+use std::net::{IpAddr, Ipv6Addr, SocketAddr};
 
 use crate::message::{AppMsg, Ctrl, Event, Net, NodeFault, Scope, TaskId};
 
@@ -82,11 +91,17 @@ pub const WELCOME_MAGIC: u32 = u32::from_le_bytes(*b"ACRW");
 /// fields); version 6 added the `ack` field to the frame headers; version 7
 /// removed the `"ACRS"` super-frame, leaving the plain frame as the only
 /// thing on a socket; version 8 removed the welcome's delta anchor interval
-/// and added `CompareResult`'s `base_held` byte. Peers of any other version
-/// are refused at the handshake.
-pub const WIRE_VERSION: u32 = 8;
+/// and added `CompareResult`'s `base_held` byte; version 9 added the hello's
+/// listen port and the router's address book (`ENDPOINT_DEST`), which let a
+/// node open a direct link to its buddy. Peers of any other version are
+/// refused at the handshake.
+pub const WIRE_VERSION: u32 = 9;
 /// `to` value addressing the driver rather than a node.
 pub const DRIVER_DEST: u32 = u32::MAX;
+/// `to` value of a frame the router sends a node's endpoint itself rather
+/// than the node: its body is the job's address book (where each node
+/// accepts its buddy's link), not a message.
+pub const ENDPOINT_DEST: u32 = u32::MAX - 1;
 /// Upper bound on a frame body; anything larger is a corrupt length field.
 pub const MAX_FRAME_BODY: usize = 256 << 20;
 
@@ -94,11 +109,12 @@ pub const MAX_FRAME_BODY: usize = 256 << 20;
 pub const FRAME_HEADER: usize = 4 + 4 + 4 + 8 + 8;
 /// Trailer bytes after the body (the Fletcher-64 checksum).
 pub const FRAME_TRAILER: usize = 8;
-/// Encoded hello length (fixed): magic, version, job, node, last_recv.
-/// The job id (added in wire version 4) scopes the link: node indices are
-/// per-job namespaces, so a service reactor hosting several jobs routes a
-/// frame's `to` within the job its link handshook into.
-pub const HELLO_LEN: usize = 4 + 4 + 4 + 4 + 8;
+/// Encoded hello length (fixed): magic, version, job, node, last_recv,
+/// listen port. The job id (added in wire version 4) scopes the link: node
+/// indices are per-job namespaces, so a service reactor hosting several jobs
+/// routes a frame's `to` within the job its link handshook into. The listen
+/// port (version 9) is where the dialing endpoint accepts its buddy's link.
+pub const HELLO_LEN: usize = 4 + 4 + 4 + 4 + 8 + 2;
 /// Encoded welcome length (fixed). The final byte is the delta-checkpoint
 /// enable flag.
 pub const WELCOME_LEN: usize = 4 + 4 + 8 + 4 * 4 + 1 + 8 + 8 + 8 + 1;
@@ -114,7 +130,7 @@ pub(crate) const SEGMENT_MIN: usize = 4096;
 /// Shortest frame body that [`FrameDecoder`] receives into an
 /// allocation of its own, which then becomes the body, instead of copying
 /// it out of the stream buffer once complete. At one socket read
-/// (`tcp.rs` takes 64 KiB at a time) a smaller body has usually arrived
+/// (`tcp.rs` takes 64 KiB or more at a time) a smaller body has usually arrived
 /// whole, and copying it out keeps the stream buffer small.
 const OWN_ALLOC_MIN: usize = 64 << 10;
 
@@ -419,14 +435,34 @@ pub fn encode_batch(records: &[(u32, u64, &[u8])], _codec: WireCodec) -> Encoded
 }
 
 /// A frame of [`OWN_ALLOC_MIN`] bytes or more whose body is still
-/// arriving: `buf` is the body plus its trailer, filled so far to `got`.
+/// arriving: `buf` is the body plus its trailer as far as it has landed, in
+/// an allocation reserved for all of it, and `check` the body's Fletcher-64
+/// over what has landed.
 #[derive(Debug)]
 struct Arriving {
     to: u32,
     seq: u64,
     ack: u64,
+    /// Body length; the trailer follows it in `buf`.
+    len: usize,
     buf: Vec<u8>,
-    got: usize,
+    check: Fletcher64,
+}
+
+impl Arriving {
+    /// Bytes of body and trailer still to come.
+    fn missing(&self) -> usize {
+        self.len + FRAME_TRAILER - self.buf.len()
+    }
+
+    /// `buf` grew from `from` bytes: run the checksum over the body bytes
+    /// that just landed, while they are still in cache.
+    fn landed(&mut self, from: usize) {
+        let end = self.buf.len().min(self.len);
+        if from < end {
+            self.check.update(&self.buf[from..end]);
+        }
+    }
 }
 
 /// Incremental frame decoder for a byte stream delivered in arbitrary
@@ -437,12 +473,13 @@ struct Arriving {
 /// dropped (a fresh connection starts a fresh decoder).
 ///
 /// A frame of 64 KiB (`OWN_ALLOC_MIN`) or more that is met before its
-/// body has fully arrived gets an allocation of exactly its size; the rest
-/// of the body lands there directly and, once the trailer verifies, that
-/// allocation *is* [`Frame::body`]. Every smaller body is copied out of the
-/// stream buffer into a buffer of its own, so a few bytes of heartbeat
-/// never keep a larger buffer alive. The frames yielded are the same either
-/// way.
+/// body has fully arrived gets an allocation reserved for exactly its size
+/// and never zero-filled; the rest of the body is read straight into it,
+/// the trailer's checksum is updated over each read as it lands, and once
+/// the trailer verifies that allocation *is* [`Frame::body`]. Every smaller
+/// body is copied out of the stream buffer into a buffer of its own, so a
+/// few bytes of heartbeat never keep a larger buffer alive. The frames
+/// yielded are the same either way.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -462,9 +499,10 @@ impl FrameDecoder {
     /// Append received bytes.
     pub fn feed(&mut self, mut data: &[u8]) {
         if let Some(a) = &mut self.arriving {
-            let k = data.len().min(a.buf.len() - a.got);
-            a.buf[a.got..a.got + k].copy_from_slice(&data[..k]);
-            a.got += k;
+            let k = data.len().min(a.missing());
+            let from = a.buf.len();
+            a.buf.extend_from_slice(&data[..k]);
+            a.landed(from);
             data = &data[k..];
         }
         self.finish_arriving();
@@ -476,37 +514,45 @@ impl FrameDecoder {
         self.buf.extend_from_slice(data);
     }
 
-    /// Take one `read` from `r`, of at most `scratch.len()` bytes: straight
-    /// into the arriving frame's own allocation when there is one, through
-    /// `scratch` into the stream buffer otherwise. Returns what `read` did
-    /// (`Ok(0)` is end of stream).
+    /// Read at most `scratch.len()` bytes from `r`: straight into the
+    /// arriving frame's reserved allocation when there is one (as many
+    /// reads as it takes, stopping early when `r` would block), through
+    /// `scratch` into the stream buffer otherwise (one read). Returns how
+    /// many bytes landed — `Ok(0)` is end of stream — or the error of a
+    /// read that landed none.
     pub fn read_from(&mut self, r: &mut impl Read, scratch: &mut [u8]) -> std::io::Result<usize> {
         let Some(a) = &mut self.arriving else {
             let k = r.read(scratch)?;
             self.feed(&scratch[..k]);
             return Ok(k);
         };
-        let end = a.buf.len().min(a.got + scratch.len());
-        let k = r.read(&mut a.buf[a.got..end])?;
-        a.got += k;
+        let from = a.buf.len();
+        let want = a.missing().min(scratch.len().max(1));
+        // `read_to_end` reads into the reserved capacity without zeroing
+        // it first; the limit keeps it from growing the allocation.
+        let res = r.by_ref().take(want as u64).read_to_end(&mut a.buf);
+        a.landed(from);
+        let k = a.buf.len() - from;
         self.finish_arriving();
-        Ok(k)
+        match res {
+            Err(e) if k == 0 => Err(e),
+            _ => Ok(k),
+        }
     }
 
-    /// If the arriving frame is complete: verify it in place and hold it
-    /// for the next [`next_frame`](Self::next_frame).
+    /// If the arriving frame is complete: verify it and hold it for the
+    /// next [`next_frame`](Self::next_frame).
     fn finish_arriving(&mut self) {
-        let Some(mut a) = self.arriving.take_if(|a| a.got == a.buf.len()) else {
+        let Some(mut a) = self.arriving.take_if(|a| a.missing() == 0) else {
             return;
         };
-        let len = a.buf.len() - FRAME_TRAILER;
-        let found = u64::from_le_bytes(a.buf[len..].try_into().unwrap());
-        let expected = fletcher64(&a.buf[..len]);
+        let found = u64::from_le_bytes(a.buf[a.len..].try_into().unwrap());
+        let expected = a.check.digest();
         if expected != found {
             self.poisoned = Some(WireError::Checksum { expected, found });
             return;
         }
-        a.buf.truncate(len);
+        a.buf.truncate(a.len);
         self.arrived = Some(Frame {
             to: a.to,
             seq: a.seq,
@@ -552,16 +598,17 @@ impl FrameDecoder {
             if len >= OWN_ALLOC_MIN {
                 // Everything past the header is this frame's: move it to
                 // the frame's own allocation, where the rest will land.
-                let mut buf = vec![0u8; len + FRAME_TRAILER];
-                let got = avail.len() - FRAME_HEADER;
-                buf[..got].copy_from_slice(&avail[FRAME_HEADER..]);
-                self.arriving = Some(Arriving {
+                let mut a = Arriving {
                     to,
                     seq,
                     ack,
-                    buf,
-                    got,
-                });
+                    len,
+                    buf: Vec::with_capacity(len + FRAME_TRAILER),
+                    check: Fletcher64::new(),
+                };
+                a.buf.extend_from_slice(&avail[FRAME_HEADER..]);
+                a.landed(0);
+                self.arriving = Some(a);
                 self.buf.clear();
                 self.pos = 0;
             }
@@ -591,13 +638,15 @@ impl FrameDecoder {
 
 /// Client hello: which job the link belongs to, the connecting node's
 /// identity within that job, the highest frame sequence it has received
-/// from the router (so the router can replay the tail a dropped socket
-/// swallowed).
+/// from the peer (so the peer can replay the tail a dropped socket
+/// swallowed), and — to the router — the port the node accepts its buddy's
+/// link on (0 when it has none, and on a buddy link itself).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Hello {
     pub job: u32,
     pub node: u32,
     pub last_recv_seq: u64,
+    pub listen_port: u16,
 }
 
 pub(crate) fn encode_hello(h: &Hello) -> Vec<u8> {
@@ -607,6 +656,7 @@ pub(crate) fn encode_hello(h: &Hello) -> Vec<u8> {
     put_u32(&mut buf, h.job);
     put_u32(&mut buf, h.node);
     put_u64(&mut buf, h.last_recv_seq);
+    buf.extend_from_slice(&h.listen_port.to_le_bytes());
     debug_assert_eq!(buf.len(), HELLO_LEN);
     buf
 }
@@ -625,9 +675,53 @@ pub(crate) fn decode_hello(buf: &[u8]) -> Result<Hello, WireError> {
         job: r.u32()?,
         node: r.u32()?,
         last_recv_seq: r.u64()?,
+        listen_port: u16::from_le_bytes(r.take(2)?.try_into().unwrap()),
     };
     r.finish()?;
     Ok(h)
+}
+
+/// Bytes per entry of an address book: an IPv6 address (IPv4 mapped into
+/// it) and a port, 0 for a node whose address is not known.
+const BOOK_ENTRY: usize = 16 + 2;
+
+/// The job's address book, node by node: where each node's endpoint
+/// accepts its buddy's link (`None` where unknown). The router sends it to
+/// every endpoint in a frame addressed to [`ENDPOINT_DEST`] once all links
+/// are up; layout `count u32`, then per node an IPv6 address (an IPv4
+/// address mapped into it) and a `u16` port, port 0 meaning unknown.
+pub(crate) fn encode_address_book(book: &[Option<SocketAddr>]) -> Vec<Bytes> {
+    let mut buf = Vec::with_capacity(4 + book.len() * BOOK_ENTRY);
+    put_u32(&mut buf, book.len() as u32);
+    for addr in book {
+        let (ip, port) = match addr {
+            Some(SocketAddr::V4(a)) => (a.ip().to_ipv6_mapped(), a.port()),
+            Some(SocketAddr::V6(a)) => (*a.ip(), a.port()),
+            None => (Ipv6Addr::UNSPECIFIED, 0),
+        };
+        buf.extend_from_slice(&ip.octets());
+        buf.extend_from_slice(&port.to_le_bytes());
+    }
+    vec![Bytes::from(buf)]
+}
+
+/// Decode an [`encode_address_book`] body.
+pub(crate) fn decode_address_book(body: &[u8]) -> Result<Vec<Option<SocketAddr>>, WireError> {
+    let mut r = Reader::new(body);
+    let n = r.u32()? as usize;
+    let mut book = Vec::with_capacity(n.min(body.len() / BOOK_ENTRY));
+    for _ in 0..n {
+        let entry = r.take(BOOK_ENTRY)?;
+        let ip = Ipv6Addr::from(<[u8; 16]>::try_from(&entry[..16]).unwrap());
+        let port = u16::from_le_bytes([entry[16], entry[17]]);
+        let ip = match ip.to_ipv4_mapped() {
+            Some(v4) => IpAddr::V4(v4),
+            None => IpAddr::V6(ip),
+        };
+        book.push((port != 0).then_some(SocketAddr::new(ip, port)));
+    }
+    r.finish()?;
+    Ok(book)
 }
 
 /// The job-shape blob the welcome carries, enough for a remote node host to
@@ -1827,10 +1921,21 @@ mod tests {
             job: 7,
             node: 5,
             last_recv_seq: 123,
+            listen_port: 40_123,
         };
         let buf = encode_hello(&h);
         assert_eq!(buf.len(), HELLO_LEN);
         assert_eq!(decode_hello(&buf).unwrap(), h);
+
+        let v4: SocketAddr = "127.0.0.1:7070".parse().unwrap();
+        let v6: SocketAddr = "[fe80::1]:9".parse().unwrap();
+        let book = vec![Some(v4), None, Some(v6)];
+        let body = flatten(&encode_address_book(&book));
+        assert_eq!(decode_address_book(&body), Ok(book));
+        assert_eq!(
+            decode_address_book(&body[..body.len() - 1]),
+            Err(WireError::Truncated)
+        );
 
         let w = sample_welcome();
         let buf = encode_welcome(&w);
@@ -1845,27 +1950,44 @@ mod tests {
         u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
     }
 
-    /// The v8 handshake records, the frame layout and the compare verdict,
-    /// byte for byte: a peer written against this layout interoperates,
-    /// and any reshuffle must bump [`WIRE_VERSION`].
+    /// The v9 handshake records, the address book, the frame layout and
+    /// the compare verdict, byte for byte: a peer written against this
+    /// layout interoperates, and any reshuffle must bump [`WIRE_VERSION`].
     #[test]
-    fn v8_handshake_and_frame_layouts_are_pinned() {
-        assert_eq!(WIRE_VERSION, 8);
-        assert_eq!((HELLO_LEN, WELCOME_LEN), (24, 58));
+    fn v9_handshake_and_frame_layouts_are_pinned() {
+        assert_eq!(WIRE_VERSION, 9);
+        assert_eq!((HELLO_LEN, WELCOME_LEN), (26, 58));
         assert_eq!((FRAME_HEADER, FRAME_TRAILER), (28, 8));
+        assert_eq!((DRIVER_DEST, ENDPOINT_DEST), (u32::MAX, u32::MAX - 1));
 
         let h = encode_hello(&Hello {
             job: 7,
             node: 5,
             last_recv_seq: 123,
+            listen_port: 0xBEEF,
         });
         assert_eq!(&h[0..4], b"ACRH");
-        assert_eq!((le32(&h, 4), le32(&h, 8), le32(&h, 12)), (8, 7, 5));
+        assert_eq!((le32(&h, 4), le32(&h, 8), le32(&h, 12)), (9, 7, 5));
         assert_eq!(le64(&h, 16), 123);
+        assert_eq!(&h[24..26], &0xBEEFu16.to_le_bytes(), "listen port");
+
+        // Count, then per node a v4-mapped IPv6 address and a port (0:
+        // unknown).
+        let book = flatten(&encode_address_book(&[
+            Some("10.1.2.3:4660".parse().unwrap()),
+            None,
+        ]));
+        assert_eq!((book.len(), le32(&book, 0)), (4 + 2 * 18, 2));
+        assert_eq!(
+            &book[4..20],
+            &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 10, 1, 2, 3]
+        );
+        assert_eq!(&book[20..22], &0x1234u16.to_le_bytes());
+        assert_eq!(&book[22..40], &[0u8; 18]);
 
         let w = encode_welcome(&sample_welcome());
         assert_eq!(&w[0..4], b"ACRW");
-        assert_eq!((le32(&w, 4), le64(&w, 8)), (8, 456));
+        assert_eq!((le32(&w, 4), le64(&w, 8)), (9, 456));
         assert_eq!(
             (le32(&w, 16), le32(&w, 20), le32(&w, 24), le32(&w, 28)),
             (4, 1, 2, 10),
@@ -1939,25 +2061,31 @@ mod tests {
     }
 
     /// Older peers are refused, never misparsed: the version field is read
-    /// before anything else, so a v7–v5 hello or welcome (v7's welcome is
-    /// four bytes longer, with the anchor interval) and a v4 hello (one
-    /// codec-mask byte longer) fail on it whatever their length.
+    /// before anything else, so a v8–v5 hello (two bytes shorter, without
+    /// the listen port) or welcome (v7's is four bytes longer, with the
+    /// anchor interval) and a v4 hello (a codec-mask byte where v9 has
+    /// the port) fail on it whatever their length.
     #[test]
-    fn v7_to_v4_handshake_records_are_refused_with_a_version_error() {
+    fn v8_to_v4_handshake_records_are_refused_with_a_version_error() {
         let hello = encode_hello(&Hello {
             job: 0,
             node: 1,
             last_recv_seq: 0,
+            listen_port: 0,
         });
         let welcome = encode_welcome(&sample_welcome());
-        for old in [7u32, 6, 5, 4] {
+        for old in [8u32, 7, 6, 5, 4] {
             let (mut h, mut w) = (hello.clone(), welcome.clone());
             h[4..8].copy_from_slice(&old.to_le_bytes());
             w[4..8].copy_from_slice(&old.to_le_bytes());
             assert_eq!(decode_hello(&h), Err(WireError::BadVersion(old)));
             assert_eq!(decode_welcome(&w), Err(WireError::BadVersion(old)));
         }
-        let mut v4_hello = hello;
+        let mut v8_hello = hello;
+        v8_hello[4..8].copy_from_slice(&8u32.to_le_bytes());
+        v8_hello.truncate(24);
+        assert_eq!(decode_hello(&v8_hello), Err(WireError::BadVersion(8)));
+        let mut v4_hello = v8_hello;
         v4_hello[4..8].copy_from_slice(&4u32.to_le_bytes());
         v4_hello.push(0b111);
         assert_eq!(v4_hello.len(), 25);

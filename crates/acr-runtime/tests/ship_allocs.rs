@@ -4,13 +4,15 @@
 //! This test binary installs a counting global allocator (in the style of
 //! `acr-obs/tests/noalloc.rs`) and runs a two-replica TCP job whose nodes
 //! carry 1 MiB of state each, `FullCompare` — so every round packs both
-//! replicas and ships one whole checkpoint endpoint → router → endpoint. A
-//! buffer the size of the checkpoint can only come from the allocator in a
-//! large block, so the bytes requested in blocks of 64 KiB or more, per
-//! round, count the copies: two packs and the two hops' receive buffers is
-//! all there should be. And because a sent frame is released by the peer's
-//! acknowledgement, not by 32 MiB of later traffic, what the process holds
-//! must stop growing after the first rounds.
+//! replicas and ships one whole checkpoint over the buddy link, endpoint to
+//! endpoint. A buffer the size of the checkpoint can only come from the
+//! allocator in a large block, so the bytes requested in blocks of 64 KiB
+//! or more, per round, count the copies: two packs and the buddy's receive
+//! buffer is all there should be. And because a sent frame is released by
+//! the peer's acknowledgement, not by 32 MiB of later traffic, what the
+//! process holds must stop growing after the first rounds. A second test
+//! reads the router's own traffic counters: the checkpoints do not cross
+//! it.
 //!
 //! The task samples the counters each time it is packed (`Dir::Packing`:
 //! once per node per checkpoint round), so round boundaries are observed
@@ -21,9 +23,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use acr_obs::{EventKind, DRIVER_NODE};
 use acr_pup::{Dir, Pup, PupResult, Puper};
 use acr_runtime::{
-    AppMsg, DetectionMethod, ExecMode, Job, JobConfig, Scheme, Task, TaskCtx, TcpConfig,
+    AppMsg, DetectionMethod, ExecMode, Job, JobConfig, JobReport, Scheme, Task, TaskCtx, TcpConfig,
     TransportKind,
 };
 
@@ -80,6 +83,9 @@ const ITERS: u64 = 500;
 /// `(BIG_BYTES, PEAK)` at each pack, in the order the packs happened.
 static PACKS: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
 
+/// The allocator counts are process-wide: one job at a time.
+static JOB_SERIAL: Mutex<()> = Mutex::new(());
+
 /// 1 MiB of state, a few words of it rewritten per ~0.5 ms step; both
 /// replicas compute the same thing, so every comparison is clean.
 struct Slab {
@@ -124,8 +130,8 @@ impl Task for Slab {
     }
 }
 
-#[test]
-fn a_shipped_checkpoint_is_allocated_once_per_process_and_let_go() {
+/// A fault-free two-replica TCP `FullCompare` job of [`Slab`]s.
+fn slab_job() -> JobReport {
     let cfg = JobConfig::builder()
         .ranks(1)
         .tasks_per_rank(1)
@@ -150,6 +156,14 @@ fn a_shipped_checkpoint_is_allocated_once_per_process_and_let_go() {
     assert!(report.completed, "job did not complete: {:?}", report.error);
     assert!(report.replicas_agree());
     assert_eq!(report.hard_errors_recovered, 0, "a false death");
+    report
+}
+
+#[test]
+fn a_shipped_checkpoint_is_allocated_once_per_process_and_let_go() {
+    let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    PACKS.lock().expect("no panic holds it").clear();
+    let report = slab_job();
 
     // Two packs per round (one per replica), in round order; the final
     // states' two packs come last. Round `r` starts at its first pack.
@@ -166,14 +180,48 @@ fn a_shipped_checkpoint_is_allocated_once_per_process_and_let_go() {
         "{rounds} rounds: {per_round:.2} x state allocated in large blocks per round; \
          high-water mark grew {grew:.2} x state from round {from} to round {to}"
     );
-    // Two packs, the router's receive buffer, the buddy's — and slack.
+    // Two packs and the buddy's receive buffer — and slack.
     assert!(
-        per_round <= 5.0,
+        per_round <= 3.5,
         "{per_round:.2} x the state size per round in blocks >= 64 KiB: a copy is back"
     );
     assert!(
         grew <= 2.0,
         "live bytes' high-water mark grew {grew:.2} x the state size after round {from}: \
          something keeps old checkpoints"
+    );
+}
+
+/// The checkpoints go endpoint to endpoint: what the router receives over
+/// the whole job is the final states (which the driver collects) and a
+/// little control traffic per round — not a state's worth per round, as
+/// when every compare record was relayed through it.
+#[test]
+fn the_router_carries_no_checkpoint() {
+    let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let report = slab_job();
+    let rounds = report.checkpoints_verified as u64;
+    assert!(rounds >= 8, "only {rounds} rounds: too short to tell");
+    let router_recv: u64 = (report.events.iter())
+        .filter(|e| e.node == DRIVER_NODE)
+        .filter_map(|e| match e.kind {
+            EventKind::WireBytes { bytes_recv, .. } => Some(bytes_recv),
+            _ => None,
+        })
+        .sum();
+    let final_states: u64 = (report.final_states.values())
+        .flatten()
+        .map(|state| state.len() as u64)
+        .sum();
+    const PER_ROUND: u64 = 16 << 10;
+    println!(
+        "{rounds} rounds: router received {router_recv} bytes, final states {final_states}, \
+         {:.0} bytes per round besides",
+        router_recv.saturating_sub(final_states) as f64 / rounds as f64
+    );
+    assert!(
+        router_recv < final_states + rounds * PER_ROUND,
+        "the router received {router_recv} bytes over {rounds} rounds \
+         ({final_states} of final states): checkpoints are crossing it"
     );
 }

@@ -6,7 +6,8 @@
 //! process never crashed.
 //!
 //! The tests drive the fault through [`TransportControl`], the test
-//! handle that severs or quarantines a node's router link mid-run.
+//! handle that severs a node's router link or its direct buddy link, or
+//! quarantines the node on both, mid-run.
 
 use std::sync::Mutex;
 use std::time::Duration;
@@ -14,8 +15,8 @@ use std::time::Duration;
 use acr::obs::{EventKind, DRIVER_NODE};
 use acr::pup::{Pup, PupResult, Puper};
 use acr::runtime::{
-    run_node_host, AppMsg, DetectionMethod, ExecMode, Job, JobConfig, JobReport, Scheme, Task,
-    TaskCtx, TaskId, TcpConfig, TransportControl, TransportKind,
+    run_node_host, AppMsg, DetectionMethod, ExecMode, FaultAction, FaultScript, Job, JobConfig,
+    JobReport, Scheme, Task, TaskCtx, TaskId, TcpConfig, TransportControl, TransportKind, Trigger,
 };
 
 /// Threaded TCP jobs are thread-heavy; concurrent cases oversubscribe CI
@@ -109,6 +110,19 @@ fn base_cfg(heartbeat_timeout: Duration, transport: TransportKind) -> JobConfig 
         .transport(transport)
         .build()
         .expect("valid reconnect config")
+}
+
+/// A counter's value in the report's metrics exposition (0 when absent).
+fn counter(report: &JobReport, name: &str) -> u64 {
+    report
+        .metrics
+        .lines()
+        .filter(|l| {
+            l.strip_prefix(name)
+                .is_some_and(|rest| rest.starts_with([' ', '{']))
+        })
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+        .sum()
 }
 
 fn connects_for(report: &JobReport, node: u32) -> usize {
@@ -469,12 +483,14 @@ impl Task for PacedSlab {
     }
 }
 
-/// Sockets cut while 4 MiB checkpoint frames are crossing them — mid
-/// vectored write on one side, mid receive-into-its-own-allocation on the
-/// other: each frame still arrives once and intact. A torn or repeated
-/// frame would show as a poisoned link that never recovers, a comparison
-/// that finds the replicas apart, or a final state that differs from the
-/// undisturbed run's; a frame lost, as a round that never completes.
+/// Sockets cut while 4 MiB checkpoint frames are crossing them — the
+/// buddy link the frames take, from either end, mid vectored write on one
+/// side and mid receive-into-its-own-allocation on the other, and the
+/// router links beside it: each frame still arrives once and intact. A
+/// torn or repeated frame would show as a poisoned link that never
+/// recovers, a comparison that finds the replicas apart, or a final state
+/// that differs from the undisturbed run's; a frame lost, as a round that
+/// never completes.
 #[test]
 fn socket_kills_mid_checkpoint_ship_lose_nothing() {
     let _guard = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -507,12 +523,16 @@ fn socket_kills_mid_checkpoint_ship_lose_nothing() {
         let control = control.clone();
         std::thread::spawn(move || {
             // A ship takes a few milliseconds of every 15 ms round: cuts
-            // 4 ms apart on the two replica nodes land inside several.
+            // 4 ms apart land inside several — on the buddy link from
+            // either end, and on the two replica nodes' router links.
             std::thread::sleep(Duration::from_millis(30));
             (0..40)
                 .filter(|i| {
                     std::thread::sleep(Duration::from_millis(4));
-                    control.sever(i % 2)
+                    match i % 4 {
+                        0 | 2 => control.sever_buddy_link(i / 2 % 2),
+                        _ => control.sever(i / 2 % 2),
+                    }
                 })
                 .count()
         })
@@ -520,6 +540,11 @@ fn socket_kills_mid_checkpoint_ship_lose_nothing() {
     let report = run(Some(control));
     let severed = killer.join().unwrap();
     assert!(severed >= 10, "only {severed} cuts found a live link");
+    let redials = counter(&report, "acr_buddy_link_attaches_total");
+    assert!(
+        redials >= 2,
+        "the buddy link was never redialed ({redials} attaches)"
+    );
     assert!(
         report.completed,
         "job failed: {:?}\n{}",
@@ -660,4 +685,194 @@ fn teardown_delivers_large_final_states() {
         }
         assert!(report.replicas_agree());
     }
+}
+
+/// The buddy link follows the buddy: a crashed replica-1 node is replaced
+/// by a spare, its replica-0 partner drops the link to the dead node and
+/// dials the spare at its next compare, and the rounds after the promotion
+/// verify over that link.
+#[test]
+fn a_promoted_spare_is_dialed_and_its_rounds_verify() {
+    let _guard = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = JobConfig::builder()
+        .ranks(1)
+        .tasks_per_rank(1)
+        .spares(1)
+        .scheme(Scheme::Strong)
+        .detection(DetectionMethod::FullCompare)
+        .checkpoint_interval(Duration::from_millis(15))
+        .heartbeat_period(Duration::from_millis(10))
+        .heartbeat_timeout(Duration::from_millis(150))
+        .max_duration(Duration::from_secs(30))
+        .transport(TransportKind::Tcp(TcpConfig::default()))
+        .build()
+        .expect("valid crash config");
+    let script = FaultScript::single(
+        Trigger::AfterCheckpoints(2),
+        FaultAction::Crash {
+            replica: 1,
+            rank: 0,
+        },
+    );
+    let report = Job::new(cfg)
+        .with_faults(script)
+        .mode(ExecMode::Threaded)
+        .run(|rank, _| Box::new(PacedRing::new(rank)) as Box<dyn Task>);
+    assert!(
+        report.completed,
+        "job failed: {:?}\n{}",
+        report.error,
+        report.trace.join("\n")
+    );
+    assert!(report.replicas_agree());
+    assert_eq!(
+        report.hard_errors_recovered,
+        1,
+        "{}",
+        report.trace.join("\n")
+    );
+    // Node 0 shipped to node 1, then to the spare (node 2): two links.
+    let dialed = counter(&report, "acr_buddy_link_attaches_total");
+    assert!(
+        dialed >= 2,
+        "the spare was never dialed ({dialed} attaches)"
+    );
+    let promoted_at = (report.events.iter())
+        .find(|e| matches!(e.kind, EventKind::NodeDead { .. }))
+        .map(|e| e.t)
+        .expect("a death was recorded");
+    let verified_after = (report.events.iter())
+        .filter(|e| e.t > promoted_at)
+        .filter(|e| matches!(e.kind, EventKind::CompareOutcome { clean: true, .. }))
+        .filter(|e| e.node == 2)
+        .count();
+    assert!(
+        verified_after >= 1,
+        "the spare compared nothing after its promotion:\n{}",
+        report.trace.join("\n")
+    );
+    audit_transport_attribution(&report);
+}
+
+/// A node quarantined on every path — its router link and its buddy link
+/// — while it is the buddy a checkpoint ships to: the shipping side's
+/// endpoint gives the buddy link up and queues its compare on the router
+/// link, the router reports the node's own link stale, the driver's probe
+/// goes unanswered, a spare takes the node's place, and the job completes
+/// instead of waiting on a compare that can no longer arrive.
+#[test]
+fn a_quarantined_buddy_is_probed_through_the_router_and_replaced() {
+    let _guard = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let control = TransportControl::new();
+    let cfg = JobConfig::builder()
+        .ranks(1)
+        .tasks_per_rank(1)
+        .spares(1)
+        .scheme(Scheme::Strong)
+        .detection(DetectionMethod::FullCompare)
+        .checkpoint_interval(Duration::from_millis(15))
+        .heartbeat_period(Duration::from_millis(10))
+        // Long: the heartbeat path must not be what replaces the node.
+        .heartbeat_timeout(Duration::from_secs(5))
+        .max_duration(Duration::from_secs(30))
+        .transport(TransportKind::Tcp(TcpConfig {
+            control: Some(control.clone()),
+            ..TcpConfig::default()
+        }))
+        .build()
+        .expect("valid quarantine config");
+    let killer = {
+        let control = control.clone();
+        std::thread::spawn(move || {
+            // A few rounds in, so node 0 has dialed node 1.
+            std::thread::sleep(Duration::from_millis(60));
+            control.quarantine(1)
+        })
+    };
+    let report = run_tcp(cfg);
+    assert!(
+        killer.join().unwrap(),
+        "quarantine found no link for node 1"
+    );
+    assert!(
+        report.completed,
+        "job failed: {:?}\n{}",
+        report.error,
+        report.trace.join("\n")
+    );
+    assert!(report.replicas_agree());
+    assert!(
+        report.hard_errors_recovered >= 1,
+        "the unreachable buddy was never replaced:\n{}",
+        report.trace.join("\n")
+    );
+    assert!(
+        counter(&report, "acr_buddy_link_fallbacks_total") >= 1,
+        "the detached buddy link never fell back to the router:\n{}",
+        report.metrics
+    );
+    assert!(
+        (report.events.iter()).any(|e| matches!(e.kind, EventKind::ProbeSent { suspect: 1 })),
+        "no probe of node 1:\n{}",
+        report.trace.join("\n")
+    );
+    audit_transport_attribution(&report);
+}
+
+/// Node hosts that reach the driver but not one another — a partition
+/// between them, a firewall, a host that reached the driver over loopback
+/// — still finish: the replica-1 nodes refuse every buddy link from the
+/// start, so each shipping node's link falls back to the router after the
+/// stale window and every comparison record of the job crosses the router.
+/// Nobody is declared dead, and the redials that follow, refused like the
+/// first, change nothing: one fallback per side of a pair at most, however
+/// many rounds follow.
+#[test]
+fn buddies_that_cannot_reach_each_other_compare_through_the_router() {
+    let _guard = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let control = TransportControl::new();
+    let cfg = base_cfg(
+        Duration::from_secs(1),
+        TransportKind::Tcp(TcpConfig {
+            control: Some(control.clone()),
+            ..TcpConfig::default()
+        }),
+    );
+    let partition = {
+        let control = control.clone();
+        std::thread::spawn(move || {
+            // As soon as the fabric is built, before the first compare.
+            while !control.partition_buddy_links(2) {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            control.partition_buddy_links(3)
+        })
+    };
+    let report = run_tcp(cfg);
+    assert!(partition.join().unwrap(), "no endpoint to partition");
+    assert!(
+        report.completed,
+        "job failed: {:?}\n{}",
+        report.error,
+        report.trace.join("\n")
+    );
+    assert!(report.replicas_agree());
+    assert_eq!(
+        report.hard_errors_recovered,
+        0,
+        "an unreachable buddy link was misread as node death:\n{}",
+        report.trace.join("\n")
+    );
+    assert!(
+        report.checkpoints_verified >= 3,
+        "only {} rounds verified",
+        report.checkpoints_verified
+    );
+    let fallbacks = counter(&report, "acr_buddy_link_fallbacks_total");
+    assert!(
+        (1..=4).contains(&fallbacks),
+        "{fallbacks} fallbacks over {} rounds: one per round, not per outage",
+        report.checkpoints_verified
+    );
+    audit_transport_attribution(&report);
 }

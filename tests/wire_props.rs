@@ -267,30 +267,37 @@ proptest! {
 // --------------------------------------------------------------------------
 
 /// A reader that hands out `stream` in reads whose sizes cycle through
-/// `cuts` (never more than the caller's buffer takes).
+/// `cuts` (never more than the caller's buffer takes), and — like a
+/// nonblocking socket the sender has not caught up with — says it would
+/// block on every `stall`-th call (never when `stall` is 0).
 struct ChunkedReader<'a> {
     stream: &'a [u8],
     cuts: &'a [usize],
     reads: usize,
+    stall: usize,
 }
 
 impl std::io::Read for ChunkedReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
+        if self.stall > 0 && self.reads.is_multiple_of(self.stall) && !self.stream.is_empty() {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
         let cut = self.cuts[self.reads % self.cuts.len()].max(1);
         let k = cut.min(buf.len()).min(self.stream.len());
         buf[..k].copy_from_slice(&self.stream[..k]);
         self.stream = &self.stream[k..];
-        self.reads += 1;
         Ok(k)
     }
 }
 
-/// Drain `stream` through `read_from` with the given read sizes, pulling
-/// frames into `out` after every read as the transport loops do; stops at
-/// the first error, and a decoder that erred must stay down.
+/// Drain `stream` through `read_from` with the given read sizes and
+/// stalls, pulling frames into `out` after every read as the transport
+/// loops do (a read that would block is tried again); stops at the first
+/// error, and a decoder that erred must stay down.
 fn read_all(
     stream: &[u8],
-    cuts: &[usize],
+    (cuts, stall): (&[usize], usize),
     scratch: usize,
     out: &mut Vec<Frame>,
 ) -> Result<(), WireError> {
@@ -298,14 +305,17 @@ fn read_all(
         stream,
         cuts,
         reads: 0,
+        stall,
     };
     let mut dec = FrameDecoder::new();
     let mut scratch = vec![0u8; scratch];
-    while dec
-        .read_from(&mut r, &mut scratch)
-        .expect("reads cannot fail")
-        > 0
-    {
+    loop {
+        match dec.read_from(&mut r, &mut scratch) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => continue,
+            Err(e) => panic!("reads cannot fail: {e}"),
+        }
         loop {
             match dec.next_frame() {
                 Ok(Some(f)) => out.push(f),
@@ -346,21 +356,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `read_from` ≡ `feed`: for bodies of 0–512 KiB — large frames taking
-    /// the own-allocation path, small ones the copy-out path, in any order,
-    /// a large frame followed by small ones in the same read included —
-    /// every split of the stream into reads yields the frames one `feed` of
-    /// the whole stream does.
+    /// the own-allocation path (read into reserved, never-zeroed capacity
+    /// and checksummed read by read), small ones the copy-out path, in any
+    /// order, a large frame followed by small ones in the same read
+    /// included — every split of the stream into reads, with reads that
+    /// would block between them, yields the frames one `feed` of the whole
+    /// stream does.
     #[test]
     fn read_from_yields_what_feed_does_whatever_the_reads(
         bodies in mixed_bodies(),
         cuts in prop::collection::vec(1usize..(96 << 10), 1..8),
         scratch in (1usize..(80 << 10)),
+        stall in 0usize..4,
         ack in any::<u64>(),
     ) {
         let mut stream = Vec::new();
         for (j, body) in bodies.iter().enumerate() {
             stream.extend_from_slice(&encode_frame_acked(j as u32, j as u64 + 1, ack, body));
         }
+        // No stall, or one on every second to fourth read.
+        let stall = if stall == 0 { 0 } else { stall + 1 };
         let mut dec = FrameDecoder::new();
         let fed = feed_chunked(&mut dec, &stream, &[]);
         prop_assert_eq!(fed.len(), bodies.len());
@@ -372,7 +387,7 @@ proptest! {
         // the strategy drew.
         for (cuts, scratch) in [(&cuts[..], scratch), (&[4096, 1, 28, 36], 64 << 10)] {
             let mut read = Vec::new();
-            read_all(&stream, cuts, scratch, &mut read).expect("clean stream");
+            read_all(&stream, (cuts, stall), scratch, &mut read).expect("clean stream");
             prop_assert_eq!(&read, &fed);
         }
     }
@@ -400,7 +415,7 @@ proptest! {
         prop_assert!(matches!(dec.next_frame(), Err(WireError::Checksum { .. })));
 
         let mut yielded = Vec::new();
-        let verdict = read_all(&stream, &cuts, 64 << 10, &mut yielded);
+        let verdict = read_all(&stream, (&cuts, 2), 64 << 10, &mut yielded);
         prop_assert!(matches!(verdict, Err(WireError::Checksum { .. })), "{verdict:?}");
         prop_assert_eq!(yielded.iter().map(|f| f.seq).collect::<Vec<_>>(), vec![1]);
     }
