@@ -56,13 +56,12 @@ pub enum Detection {
     },
     /// Incremental ship (FullCompare with delta checkpoints enabled): only
     /// the chunks that changed since `base_iteration` travel as bytes; the
-    /// rest are covered by the full per-chunk digest table. The buddy
-    /// overlays the dirty windows onto its retained base payload, verifies
-    /// the whole-payload digest, and then byte-compares exactly as if the
-    /// full payload had been shipped. When the buddy's base doesn't match
-    /// (reconnect, recovery, spare promotion) the record still carries
-    /// everything needed for a digest-table-grade comparison, so the
-    /// verdict never depends on the base being present.
+    /// rest are covered by the full per-chunk digest table. The buddy keeps
+    /// no copy of an earlier ship: it byte-compares each dirty window
+    /// against the same span of its own checkpoint and every other chunk's
+    /// digest against its own table, which names the same diverged ranges
+    /// a full-payload compare does. The verdict is a function of the record
+    /// and the buddy's checkpoint alone, whatever the buddy held before.
     Delta {
         /// Iteration of the base checkpoint the dirty windows apply to.
         base_iteration: u64,
@@ -203,13 +202,7 @@ impl SdcDetector {
                     Divergence::whole(local.len())
                 }
             }
-            Detection::DigestTable { digest, table }
-            // A delta the node could not reconstruct (missing or mismatched
-            // base) still carries the whole digest and the full chunk
-            // table: compare at digest-table grade. The clean/corrupt
-            // verdict is identical to the byte compare — only the
-            // localization is coarser.
-            | Detection::Delta { digest, table, .. } => {
+            Detection::DigestTable { digest, table } => {
                 if local.digest == *digest {
                     return Divergence::clean();
                 }
@@ -228,6 +221,13 @@ impl SdcDetector {
                     None => Divergence::whole(local.len()),
                 }
             }
+            Detection::Delta {
+                payload_len,
+                digest,
+                table,
+                dirty,
+                ..
+            } => delta_diverged(local, *payload_len, *digest, table, dirty).0,
         }
     }
 
@@ -266,7 +266,8 @@ impl SdcDetector {
 
     /// [`SdcDetector::diverged`] plus flight-recorder bookkeeping: emits a
     /// `compare_outcome` event with the divergence-window summary and bumps
-    /// the clean/SDC counters.
+    /// the clean/SDC counters. A delta verdict also counts the chunks it
+    /// took from the record's digest table.
     pub fn diverged_recorded(
         &self,
         local: &Checkpoint,
@@ -275,56 +276,19 @@ impl SdcDetector {
         node: u32,
         iteration: u64,
     ) -> Divergence {
-        let div = self.diverged(local, remote);
-        self.record_outcome(&div, rec, node, iteration);
-        div
-    }
-
-    /// Byte-compare only the `candidates` chunks of `remote` against the
-    /// local checkpoint — the incremental-checkpoint fast path.
-    ///
-    /// Sound only when the caller has proven every non-candidate chunk
-    /// byte-identical on both sides by transitivity through a common
-    /// verified base: the delta's base round compared clean byte-for-byte,
-    /// so a chunk whose digest is unchanged since that base on *both* the
-    /// sender (its dirty set) and the receiver (its own digest table vs the
-    /// base's) still matches without re-reading it. `candidates` must be
-    /// sorted ascending so adjacent diverged chunks coalesce.
-    ///
-    /// Emits the same `compare_outcome` event and clean/SDC counters as
-    /// [`SdcDetector::diverged_recorded`], so verdicts and event logs are
-    /// indistinguishable from a full compare.
-    pub fn diverged_restricted_recorded(
-        &self,
-        local: &Checkpoint,
-        remote: &bytes::Bytes,
-        candidates: &[usize],
-        rec: &acr_obs::Recorder,
-        node: u32,
-        iteration: u64,
-    ) -> Divergence {
-        let div = if local.payload.len() != remote.len() {
-            // Same conservative stance as the full compare: a size change
-            // is corruption, and no chunk restriction applies.
-            Divergence::whole(local.len().max(remote.len()))
-        } else {
-            let chunk = self.compare_chunk(local);
-            let mut ranges: Vec<Range<usize>> = Vec::new();
-            for &index in candidates {
-                let start = index * chunk;
-                if start >= local.payload.len() {
-                    continue;
-                }
-                let end = (start + chunk).min(local.payload.len());
-                if local.payload[start..end] != remote[start..end] {
-                    match ranges.last_mut() {
-                        Some(last) if last.end == start => last.end = end,
-                        _ => ranges.push(start..end),
-                    }
-                }
-            }
-            Divergence { ranges }
+        let (div, by_digest) = match remote {
+            Detection::Delta {
+                payload_len,
+                digest,
+                table,
+                dirty,
+                ..
+            } => delta_diverged(local, *payload_len, *digest, table, dirty),
+            _ => (self.diverged(local, remote), 0),
         };
+        if by_digest > 0 {
+            rec.inc_counter("acr_delta_compare_skipped_total", by_digest);
+        }
         self.record_outcome(&div, rec, node, iteration);
         div
     }
@@ -358,6 +322,70 @@ impl SdcDetector {
             .filter(|&c| c > 0)
             .unwrap_or(FALLBACK_COMPARE_CHUNK)
     }
+}
+
+/// The verdict on a [`Detection::Delta`] record, and how many chunks it
+/// judged by digest alone.
+///
+/// Each dirty window is byte-compared against the same span of `local`;
+/// every other chunk's digest in the record's table is compared against
+/// `local`'s own (§4.2: the digest stands in for the bytes). A clean
+/// chunk's digest on the sender is unchanged since the base both buddies
+/// verified, so a flip on the buddy escapes only by a Fletcher-64
+/// collision with it. A length change is
+/// whole-payload corruption; a local checkpoint without a table of the
+/// record's geometry falls back to the whole-payload digest.
+fn delta_diverged(
+    local: &Checkpoint,
+    payload_len: usize,
+    digest: u64,
+    table: &ChunkTable,
+    dirty: &[(u32, bytes::Bytes)],
+) -> (Divergence, u64) {
+    if local.len() != payload_len {
+        return (Divergence::whole(local.len().max(payload_len)), 0);
+    }
+    let Some(mine) = local.chunks.as_ref().filter(|mine| {
+        mine.chunk_size == table.chunk_size
+            && mine.chunk_size > 0
+            && mine.digests.len() == table.digests.len()
+            && mine.digests.len() == payload_len.div_ceil(mine.chunk_size as usize)
+    }) else {
+        // No chunk-for-chunk correspondence: judge by the whole digest.
+        let div = if local.digest == digest {
+            Divergence::clean()
+        } else {
+            Divergence::whole(local.len())
+        };
+        return (div, 0);
+    };
+    let chunk = mine.chunk_size as usize;
+    let mut windows = dirty.iter().peekable();
+    let mut ranges: Vec<Range<usize>> = Vec::new();
+    let mut by_digest = 0;
+    for (i, (own, theirs)) in mine.digests.iter().zip(&table.digests).enumerate() {
+        let span = i * chunk..((i + 1) * chunk).min(local.len());
+        let same = match windows.next_if(|(index, _)| *index as usize == i) {
+            Some((_, window)) => local.payload.get(span.clone()) == Some(&window[..]),
+            None => {
+                by_digest += 1;
+                own == theirs
+            }
+        };
+        if !same {
+            match ranges.last_mut() {
+                Some(last) if last.end == span.start => last.end = span.end,
+                _ => ranges.push(span),
+            }
+        }
+    }
+    if windows.next().is_some() || (ranges.is_empty() && local.digest != digest) {
+        // A window out of range or out of order, or every chunk agreeing
+        // while the whole digests do not — only reachable through a
+        // corrupted message; stay conservative.
+        return (Divergence::whole(local.len()), by_digest);
+    }
+    (Divergence { ranges }, by_digest)
 }
 
 /// Chunk-granular diff of two equal-length buffers, coalesced.
@@ -530,18 +558,39 @@ mod tests {
     }
 
     #[test]
-    fn delta_without_base_compares_at_digest_table_grade() {
-        let mut data = vec![3u8; 100];
+    fn delta_compares_dirty_windows_by_bytes_and_clean_chunks_by_digest() {
         let d = SdcDetector::new(DetectionMethod::FullCompare);
-        let msg = delta_msg(&data, vec![(0, &[9u8; 16])]);
-        // Same payload on the local side: clean, regardless of the dirty
-        // windows (they describe the sender's own evolution, not a diff
-        // against us).
-        assert!(d.diverged(&chunked_ckpt(&data), &msg).is_clean());
-        // Local divergence in chunk 2 is localized from the carried table.
-        data[40] ^= 0xFF;
-        let div = d.diverged(&chunked_ckpt(&data), &msg);
-        assert_eq!(div.ranges, vec![32..48]);
+        // The sender rewrote chunk 0 since the base; 7 chunks of 16 bytes.
+        let mut sender = vec![3u8; 100];
+        sender[..16].fill(9);
+        let msg = delta_msg(&sender, vec![(0, &sender[..16])]);
+        assert!(d.diverged(&chunked_ckpt(&sender), &msg).is_clean());
+
+        // A flip in a clean chunk is caught by the record's digest table.
+        let mut buddy = sender.clone();
+        buddy[40] ^= 0xFF;
+        assert_eq!(d.diverged(&chunked_ckpt(&buddy), &msg).ranges, vec![32..48]);
+
+        // A flip inside the dirty window is caught by its bytes, even where
+        // the record's digest for that chunk would have let it through.
+        let mut buddy = sender.clone();
+        buddy[5] ^= 0x01;
+        let mut lying = msg.clone();
+        if let Detection::Delta { table, .. } = &mut lying {
+            table.digests[0] = chunked_ckpt(&buddy).chunks.unwrap().digests[0];
+        }
+        assert_eq!(
+            d.diverged(&chunked_ckpt(&buddy), &lying).ranges,
+            vec![0..16]
+        );
+
+        // Diverged dirty and clean chunks coalesce as a byte compare does.
+        buddy[20] ^= 0x01;
+        let local = chunked_ckpt(&buddy);
+        let by_delta = d.diverged(&local, &msg);
+        assert_eq!(by_delta.ranges, vec![0..32]);
+        let full = Detection::Payload(Bytes::from(sender));
+        assert_eq!(by_delta, d.diverged(&local, &full));
     }
 
     #[test]

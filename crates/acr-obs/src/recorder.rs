@@ -360,8 +360,9 @@ fn metric_help(name: &str) -> &'static str {
         "acr_pack_chunks_total" => "Checkpoint chunks produced by packing.",
         "acr_pack_seconds" => "Wall-clock seconds spent packing task state.",
         "acr_compare_wire_bytes_total" => "Bytes shipped between buddies for comparison.",
-        "acr_delta_compare_skipped_total" => "Delta rounds that skipped clean-chunk comparison.",
-        "acr_delta_fallback_total" => "Delta rounds that fell back to a full-state ship.",
+        "acr_delta_compare_skipped_total" => {
+            "Chunks a delta verdict took from the record's digest table."
+        }
         "acr_global_restarts_total" => "Whole-job restarts from the last verified checkpoint.",
         "acr_heartbeat_expired_total" => "Heartbeat windows that expired on the driver.",
         "acr_nodes_declared_dead_total" => "Nodes the failure detector declared dead.",

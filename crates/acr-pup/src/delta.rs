@@ -1,20 +1,21 @@
-//! Incremental-checkpoint delta kernel: dirty-chunk tracking against the
-//! previous round's digest table, extraction of only the changed chunk
-//! windows, and reconstruction of the full payload on the receiving side.
+//! Incremental-checkpoint delta kernel: dirty-chunk tracking against an
+//! earlier checkpoint's digest table, extraction of only the changed chunk
+//! windows, and reconstruction of the full payload from a base.
 //!
 //! The fused pipeline already produces a per-chunk Fletcher-64 table for
-//! every checkpoint ([`crate::ChunkedDigest`]). Two consecutive rounds of
-//! the same job therefore carry enough information to answer *which chunks
-//! changed* for free: compare the tables entrywise. A [`DeltaPlan`] names
-//! the dirty chunks; [`extract_delta`] borrows exactly those windows out of
-//! the current payload; [`apply_delta`] overlays them onto a retained base
-//! payload to reproduce the new checkpoint byte-for-byte.
+//! every checkpoint ([`crate::ChunkedDigest`]). Two rounds of the same job
+//! therefore carry enough information to answer *which chunks changed* for
+//! free: compare the tables entrywise. A [`DeltaPlan`] names the dirty
+//! chunks; [`extract_delta`] borrows exactly those windows out of the
+//! current payload. The runtime's receiver compares those windows and the
+//! clean chunks' digests against its own checkpoint and rebuilds nothing.
+//! [`apply_delta`] overlays the windows onto a base payload to reproduce
+//! the new checkpoint byte-for-byte: the benchmark times it as a kernel,
+//! and the runtime uses it only after a mismatch, to build the reference
+//! payload the field-level re-check reads.
 //!
-//! Correctness never rests on the diff: the receiver re-verifies the
-//! whole-payload Fletcher-64 digest of the reconstruction before accepting
-//! it, and any structural disagreement (chunk count, chunk size, payload
-//! length) makes the planner refuse so the caller falls back to a full
-//! ship.
+//! Any structural disagreement (chunk count, chunk size, payload length)
+//! makes the planner refuse so the caller falls back to a full ship.
 
 use std::ops::Range;
 
@@ -22,8 +23,7 @@ use std::ops::Range;
 /// digest table, plus the shape shared by both rounds.
 ///
 /// Produced by [`diff_tables`]; consumed by [`extract_delta`] on the
-/// sending side and (after the wire trip) by [`apply_delta`] on the
-/// receiving side.
+/// sending side.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaPlan {
     /// Chunk granularity both tables were computed with.
@@ -145,10 +145,10 @@ pub fn extract_delta<'a>(payload: &'a [u8], plan: &DeltaPlan) -> Vec<(u32, &'a [
 }
 
 /// Reconstruct the full checkpoint payload by overlaying dirty chunk
-/// windows onto the retained `base` payload.
+/// windows onto the `base` payload they were diffed against.
 ///
-/// Validation is strict — any of the following returns `None` and the
-/// caller must fall back to the digest-table compare path:
+/// Validation is strict — any of the following returns `None` (the
+/// windows do not fit this base):
 ///
 /// * `base` length differs from `payload_len` (the payload was resized, so
 ///   the clean chunks of the base no longer line up);
@@ -157,9 +157,9 @@ pub fn extract_delta<'a>(payload: &'a [u8], plan: &DeltaPlan) -> Vec<(u32, &'a [
 /// * a window's length does not equal its chunk span (truncated or padded
 ///   record).
 ///
-/// The caller is expected to verify the whole-payload Fletcher-64 digest
-/// of the result against the digest carried alongside the delta before
-/// accepting the reconstruction.
+/// A caller that must have the sender's exact payload verifies the
+/// whole-payload Fletcher-64 digest of the result against the digest
+/// carried alongside the delta.
 pub fn apply_delta(
     base: &[u8],
     chunk_size: usize,

@@ -75,9 +75,9 @@ pub struct CampaignConfig {
     pub transport: TransportKind,
     /// Run every case with incremental delta checkpoints enabled (small
     /// chunk size so the per-chunk machinery actually runs). The scripted
-    /// faults then double as a soak of the delta reset/fallback paths:
-    /// every rollback, spare promotion, and reconnect lands mid-chain and
-    /// must recover through the deterministic full-ship fallback.
+    /// faults then double as a soak of the delta path: every rollback,
+    /// spare promotion, and reconnect lands mid-chain, and the next ship
+    /// diffs against whatever rollback target the recovery left.
     pub delta_checkpoints: bool,
     /// Let scripted scenarios kill the driver mid-run (virtual-time only).
     /// A killed case is resumed from its durable store with

@@ -64,14 +64,14 @@ pub struct JobConfig {
     pub heartbeat_period: Duration,
     /// Silence after which a buddy is declared dead (§6.1).
     pub heartbeat_timeout: Duration,
-    /// Ship incremental delta checkpoints on the buddy-compare path: once
-    /// the buddy acknowledges holding the previous round's payload, only
-    /// chunks whose digests changed since then travel, and clean chunks
-    /// are covered by their digest table. Only effective with
+    /// Ship incremental delta checkpoints on the buddy-compare path: only
+    /// chunks whose digests changed since the sender's rollback target (the
+    /// last checkpoint both buddies verified) travel, and clean chunks are
+    /// covered by their digest table. The buddy keeps no copy of an earlier
+    /// ship: it byte-compares the dirty windows and every other chunk by
+    /// its digest against its own checkpoint. Only effective with
     /// [`DetectionMethod::FullCompare`] (the checksum methods already ship
-    /// a few bytes per round); correctness never depends on it — any base
-    /// mismatch falls back to a digest-table compare, and the buddy's
-    /// "no base" answer makes the next ship full.
+    /// a few bytes per round).
     pub delta_checkpoints: bool,
     /// Job-clock safety limit; exceeding it fails the job. Wall seconds in
     /// threaded mode, virtual seconds under [`ExecMode::Virtual`].

@@ -60,14 +60,8 @@ pub(crate) enum Net {
         iteration: u64,
         detection: Detection,
     },
-    /// Replica-1 → replica-0 buddy: comparison verdict, and whether the
-    /// buddy now holds this compare's payload as the base the next delta
-    /// record overlays onto (`false` makes the sender's next ship full).
-    CompareResult {
-        iteration: u64,
-        clean: bool,
-        base_held: bool,
-    },
+    /// Replica-1 → replica-0 buddy: comparison verdict.
+    CompareResult { iteration: u64, clean: bool },
     /// Recovery: install this checkpoint as the verified state and resume
     /// from it.
     Install { checkpoint: Checkpoint },

@@ -11,8 +11,8 @@ use acr_core::{
 use acr_fault::SdcInjector;
 use acr_obs::{debug_trace, EventKind, ObsScope, Recorder};
 use acr_pup::{
-    apply_delta, chunk_span, diff_tables, fletcher64, record_pack, Checker, ChunkedDigest,
-    DigestingPacker, Packer, PupResult, Puper, Sizer, Unpacker,
+    apply_delta, chunk_span, diff_tables, record_pack, Checker, ChunkedDigest, DigestingPacker,
+    Packer, PupResult, Puper, Sizer, Unpacker,
 };
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
@@ -74,43 +74,14 @@ pub(crate) struct NodeConfig {
     pub chunk_size: usize,
     pub heartbeat_period: Duration,
     pub heartbeat_timeout: Duration,
-    /// Ship only dirty chunk windows on the buddy-compare path, clean
-    /// chunks covered by their digests, while the buddy holds the base.
+    /// Ship only the chunk windows that changed since the rollback target
+    /// on the buddy-compare path; the buddy byte-compares those windows and
+    /// every other chunk by its digest.
     pub delta_checkpoints: bool,
     /// This node keeps its own copy of the replica layout (remote node
     /// hosts over TCP) rather than sharing the driver's: spare promotions
     /// arrive as `Ctrl::LayoutChanged` and must be applied locally.
     pub private_layout: bool,
-}
-
-/// Sender-side record of the last comparison this node shipped — the base
-/// the buddy is expected to hold when the next delta record arrives.
-struct PrevShip {
-    iteration: u64,
-    payload_len: usize,
-    chunk_digests: Vec<u64>,
-}
-
-/// Incremental-checkpoint state. The sender half (previous chunk table) is
-/// live on replica 0; the receiver half (retained base payload) on
-/// replica 1. Every protocol disruption clears the whole thing, and the
-/// sender drops its half whenever the buddy's `CompareResult` says it holds
-/// no base — correctness never depends on this state, only wire savings do:
-/// a delta record always carries the full digest and chunk table, so a
-/// buddy without the base still reaches the same verdict.
-#[derive(Default)]
-struct DeltaState {
-    prev: Option<PrevShip>,
-    /// Receiver side: the buddy payload from the last compare processed,
-    /// keyed by its iteration — what the next delta overlays onto.
-    base: Option<(u64, Bytes)>,
-    /// Receiver side: this node's *own* per-chunk digests at the base
-    /// iteration. Chunks whose digest is unchanged here AND absent from the
-    /// sender's dirty set were byte-verified clean at the base round on both
-    /// sides, so the next compare may skip them (transitivity through the
-    /// common verified base). Purely an optimization key: when it is stale
-    /// or absent the compare simply runs over every chunk.
-    local_base: Option<(u64, Vec<u64>)>,
 }
 
 pub(crate) struct NodeWorker {
@@ -141,8 +112,6 @@ pub(crate) struct NodeWorker {
     scheduled_faults: Vec<(u64, NodeFault)>,
     /// Round floor for freshly built engines.
     floor: u64,
-    /// Incremental-checkpoint continuity (see [`DeltaState`]).
-    delta: DeltaState,
     /// Iteration of the in-flight checkpoint, per scope, so stale compare
     /// traffic can be recognized.
     pending_remote: Option<(u64, Detection)>,
@@ -198,7 +167,6 @@ impl NodeWorker {
             hb_muted_until: 0.0,
             scheduled_faults: Vec::new(),
             floor: 0,
-            delta: DeltaState::default(),
             pending_remote: None,
             awaiting_verdict: None,
             outbox: Vec::new(),
@@ -384,7 +352,7 @@ impl NodeWorker {
                     // remote checkpoint is sent to replica 2 only for SDC
                     // detection purposes"). With delta checkpoints on, this
                     // may thin to the dirty chunk windows only.
-                    let detection = self.plan_compare_ship(iteration, &payload, &chunked, &table);
+                    let detection = self.compare_ship(&payload, &chunked, &table);
                     self.detector.record_ship(
                         &detection,
                         &self.rec,
@@ -427,58 +395,36 @@ impl NodeWorker {
         self.cfg.delta_checkpoints && self.cfg.detection == DetectionMethod::FullCompare
     }
 
-    /// Forget all incremental-checkpoint continuity. Every disruption that
-    /// can desynchronize the sender's idea of the buddy's base from what the
-    /// buddy actually holds lands here; the next compare full-ships and the
-    /// chain restarts.
-    fn reset_delta_state(&mut self) {
-        self.delta = DeltaState::default();
-    }
-
-    /// Decide what the replica-0 node ships for comparison this round: the
-    /// detector's full message, or — when deltas are enabled and the
-    /// previous round's table is available — an incremental record carrying
-    /// only the dirty chunk windows.
-    fn plan_compare_ship(
-        &mut self,
-        iteration: u64,
-        payload: &Bytes,
-        chunked: &ChunkedDigest,
-        table: &ChunkTable,
-    ) -> Detection {
-        if !self.delta_enabled() {
-            return self
-                .detector
-                .outgoing(self.store.tentative().expect("just stored"));
-        }
-        let detection = self.build_delta(payload, chunked, table);
-        // This round's table is what the next round diffs against, and its
-        // payload is the base the buddy will retain after comparing.
-        self.delta.prev = Some(PrevShip {
-            iteration,
-            payload_len: payload.len(),
-            chunk_digests: table.digests.clone(),
-        });
-        detection
-    }
-
-    /// The delta record for this round, or the full payload when any
-    /// eligibility condition fails. Every condition is structural — the
-    /// same on every run of the same job, whatever the clock reads.
-    fn build_delta(
+    /// What the replica-0 node ships for comparison this round: the
+    /// detector's full message, or — when deltas are enabled — a record
+    /// carrying only the chunk windows that changed since the rollback
+    /// target, the last checkpoint both buddies verified (or installed).
+    /// A rollback, install or promotion moves that base with it, so no
+    /// separate state has to follow them. Every condition is structural —
+    /// the same on every run of the same job, whatever the clock reads.
+    fn compare_ship(
         &self,
         payload: &Bytes,
         chunked: &ChunkedDigest,
         table: &ChunkTable,
     ) -> Detection {
-        let full = || Detection::Payload(payload.clone());
-        let Some(prev) = &self.delta.prev else {
-            return full(); // first compare of a chain, or the buddy holds no base
+        let full = || {
+            self.detector
+                .outgoing(self.store.tentative().expect("just stored"))
         };
-        if prev.payload_len != payload.len() {
-            return full(); // repacked size changed: base is incompatible
+        if !self.delta_enabled() {
+            return full();
         }
-        let Some(plan) = diff_tables(&prev.chunk_digests, chunked, payload.len()) else {
+        let Some(base) = self.store.rollback_target() else {
+            return full(); // nothing verified yet
+        };
+        let Some(base_table) = base.chunks.as_ref() else {
+            return full();
+        };
+        if base.len() != payload.len() || base_table.chunk_size != table.chunk_size {
+            return full(); // repacked size or geometry changed: base is incompatible
+        }
+        let Some(plan) = diff_tables(&base_table.digests, chunked, payload.len()) else {
             return full();
         };
         if plan.is_full() {
@@ -495,7 +441,7 @@ impl NodeWorker {
             })
             .collect();
         let delta = Detection::Delta {
-            base_iteration: prev.iteration,
+            base_iteration: base.iteration,
             payload_len: payload.len(),
             digest: chunked.digest,
             table: table.clone(),
@@ -507,117 +453,6 @@ impl NodeWorker {
             return full();
         }
         delta
-    }
-
-    /// This node's own tentative per-chunk digest table, if the in-flight
-    /// checkpoint carries one (the receiver side of the clean-chunk-skip
-    /// bookkeeping).
-    fn tentative_chunks(&self) -> Option<(u32, Vec<u64>)> {
-        self.store
-            .tentative()
-            .and_then(|t| t.chunks.as_ref())
-            .map(|c| (c.chunk_size, c.digests.clone()))
-    }
-
-    /// Resolve a buddy detection message into the form the comparison runs
-    /// on. A delta record is overlaid onto the retained base and verified
-    /// against its whole-payload digest; success yields a byte-exact
-    /// [`Detection::Payload`], so comparison and the field-level re-check
-    /// behave exactly as under a full ship. Failure (base missing or
-    /// mismatched, overlay rejected, digest wrong) falls back to the
-    /// record's own digest-table-grade comparison — same verdict, coarser
-    /// localization — and drops the base. Full payloads are retained as the
-    /// next round's base.
-    ///
-    /// The second return value is the clean-chunk-skip candidate set: when a
-    /// delta resolves against a base whose round was byte-verified on both
-    /// sides, only chunks dirty on the sender (its dirty windows) or the
-    /// receiver (own digest changed since that base) can possibly differ —
-    /// every other chunk matched byte-for-byte at the base round and is
-    /// unchanged since on both sides. `Some(indices)` (sorted, deduplicated)
-    /// licenses the restricted compare; `None` means compare everything.
-    fn resolve_incoming(
-        &mut self,
-        iteration: u64,
-        detection: Detection,
-    ) -> (Detection, Option<Vec<usize>>) {
-        if !self.delta_enabled() {
-            return (detection, None);
-        }
-        match &detection {
-            Detection::Payload(p) => {
-                self.delta.base = Some((iteration, p.clone()));
-                // A full ship round, once verified, is a fresh transitivity
-                // base: remember our own chunk digests at this iteration.
-                self.delta.local_base = self
-                    .tentative_chunks()
-                    .map(|(_, digests)| (iteration, digests));
-                (detection, None)
-            }
-            Detection::Delta {
-                base_iteration,
-                payload_len,
-                digest,
-                table,
-                dirty,
-            } => {
-                if let Some((base_iter, base)) = self.delta.base.take() {
-                    if base_iter == *base_iteration && base.len() == *payload_len {
-                        let windows: Vec<(u32, &[u8])> =
-                            dirty.iter().map(|(i, w)| (*i, w.as_ref())).collect();
-                        if let Some(rebuilt) =
-                            apply_delta(&base, table.chunk_size as usize, *payload_len, &windows)
-                        {
-                            if fletcher64(&rebuilt) == *digest {
-                                let payload = Bytes::from(rebuilt);
-                                self.delta.base = Some((iteration, payload.clone()));
-                                let candidates =
-                                    self.skip_candidates(*base_iteration, table, dirty);
-                                self.delta.local_base = self
-                                    .tentative_chunks()
-                                    .map(|(_, digests)| (iteration, digests));
-                                return (Detection::Payload(payload), candidates);
-                            }
-                        }
-                    }
-                }
-                self.delta.base = None;
-                self.delta.local_base = None;
-                self.rec.inc_counter("acr_delta_fallback_total", 1);
-                (detection, None)
-            }
-            _ => (detection, None),
-        }
-    }
-
-    /// Chunk indices that can possibly differ this round, or `None` when the
-    /// transitivity preconditions don't hold (stale or absent own-base
-    /// digests, chunk geometry changed) and the full compare must run.
-    fn skip_candidates(
-        &self,
-        base_iteration: u64,
-        table: &ChunkTable,
-        dirty: &[(u32, Bytes)],
-    ) -> Option<Vec<usize>> {
-        let (lb_iter, lb_digests) = self.delta.local_base.as_ref()?;
-        if *lb_iter != base_iteration {
-            return None; // our own base is from a different round than the delta's
-        }
-        let (cur_chunk_size, cur_digests) = self.tentative_chunks()?;
-        if cur_chunk_size != table.chunk_size
-            || cur_digests.len() != lb_digests.len()
-            || cur_digests.len() != table.digests.len()
-        {
-            return None; // geometry drifted: per-chunk correspondence is void
-        }
-        let mut candidates: std::collections::BTreeSet<usize> =
-            dirty.iter().map(|&(i, _)| i as usize).collect();
-        for (i, (cur, old)) in cur_digests.iter().zip(lb_digests).enumerate() {
-            if cur != old {
-                candidates.insert(i);
-            }
-        }
-        Some(candidates.into_iter().collect())
     }
 
     /// Replica-1 side: compare once both the local tentative checkpoint and
@@ -633,39 +468,17 @@ impl NodeWorker {
             return; // stale traffic from an aborted round
         }
         let (_, detection) = self.pending_remote.take().expect("checked above");
-        let (detection, candidates) = self.resolve_incoming(iteration, detection);
         let tentative = self.store.tentative().expect("checked above");
         // Promotion is deferred to the driver's RoundComplete: a mismatch
         // *anywhere* invalidates the whole round, so locally-clean pairs
         // must not advance their rollback target ahead of the others.
-        let divergence = match (&detection, &candidates) {
-            (Detection::Payload(remote), Some(cands)) => {
-                // Transitivity through the verified base (see
-                // `resolve_incoming`): chunks outside the candidate set are
-                // provably identical and need not be re-read.
-                let total = tentative.chunks.as_ref().map_or(0, |t| t.digests.len());
-                let skipped = total.saturating_sub(cands.len()) as u64;
-                if skipped > 0 {
-                    self.rec
-                        .inc_counter("acr_delta_compare_skipped_total", skipped);
-                }
-                self.detector.diverged_restricted_recorded(
-                    tentative,
-                    remote,
-                    cands,
-                    &self.rec,
-                    self.cfg.index as u32,
-                    iteration,
-                )
-            }
-            _ => self.detector.diverged_recorded(
-                tentative,
-                &detection,
-                &self.rec,
-                self.cfg.index as u32,
-                iteration,
-            ),
-        };
+        let divergence = self.detector.diverged_recorded(
+            tentative,
+            &detection,
+            &self.rec,
+            self.cfg.index as u32,
+            iteration,
+        );
         let clean = divergence.is_clean();
         let payload_len = tentative.len();
         debug_trace!(self.rec, self.obs_node(),
@@ -678,21 +491,14 @@ impl NodeWorker {
         // remote payload is exact.
         let mut fields_flagged = 0;
         if !clean {
-            if let Detection::Payload(remote) = &detection {
+            if let Some(remote) = self.reference_payload(&detection) {
                 if remote.len() == payload_len {
-                    fields_flagged = self.check_diverged_fields(remote, &divergence.ranges);
+                    fields_flagged = self.check_diverged_fields(&remote, &divergence.ranges);
                 }
             }
         }
         let buddy = self.buddy.expect("active node has a buddy");
-        self.send(
-            buddy,
-            Net::CompareResult {
-                iteration,
-                clean,
-                base_held: self.delta.base.is_some(),
-            },
-        );
+        self.send(buddy, Net::CompareResult { iteration, clean });
         self.awaiting_verdict = None;
         if !clean {
             self.port.send_event(Event::SdcDetected {
@@ -709,6 +515,38 @@ impl NodeWorker {
             iteration,
             verified: Some(clean),
         });
+    }
+
+    /// The buddy's payload for the field-level re-check after a mismatch:
+    /// the shipped bytes, or — for a delta record whose base is this node's
+    /// own rollback target — that target with the dirty windows laid over
+    /// it. `None` (no reference) leaves the re-check out.
+    fn reference_payload(&self, detection: &Detection) -> Option<Bytes> {
+        match detection {
+            Detection::Payload(remote) => Some(remote.clone()),
+            Detection::Delta {
+                base_iteration,
+                payload_len,
+                table,
+                dirty,
+                ..
+            } => {
+                let base = self
+                    .store
+                    .rollback_target()
+                    .filter(|base| base.iteration == *base_iteration)?;
+                let windows: Vec<(u32, &[u8])> =
+                    dirty.iter().map(|(i, w)| (*i, w.as_ref())).collect();
+                apply_delta(
+                    &base.payload,
+                    table.chunk_size as usize,
+                    *payload_len,
+                    &windows,
+                )
+                .map(Bytes::from)
+            }
+            _ => None,
+        }
     }
 
     /// Field-level comparison of live tasks against the buddy payload,
@@ -743,14 +581,12 @@ impl NodeWorker {
             Ctrl::AbortRound { floor } => {
                 self.awaiting_verdict = None;
                 self.pending_remote = None;
-                self.reset_delta_state();
                 self.rebuild_engines(floor);
             }
             Ctrl::Rollback { floor } => {
                 self.store.discard_tentative();
                 self.pending_remote = None;
                 self.awaiting_verdict = None;
-                self.reset_delta_state();
                 if let Some(ckpt) = self.store.rollback_target() {
                     let payload = ckpt.payload.clone();
                     self.unpack_tasks(&payload);
@@ -801,7 +637,6 @@ impl NodeWorker {
                 let now = self.now();
                 self.monitor.watch(buddy, now);
                 self.store = CheckpointStore::new();
-                self.reset_delta_state();
                 self.rebuild_engines(floor);
                 self.enter_epoch(floor);
                 self.parked = true; // driver resumes explicitly
@@ -813,8 +648,6 @@ impl NodeWorker {
                 self.buddy = Some(buddy);
                 let now = self.now();
                 self.monitor.watch(buddy, now);
-                // The new buddy holds no base from us (nor we from it).
-                self.reset_delta_state();
             }
             Ctrl::RoundComplete => {
                 // The driver saw a clean verdict from every buddy pair: the
@@ -834,7 +667,6 @@ impl NodeWorker {
             Ctrl::Resume { floor } => {
                 self.enter_epoch(floor);
                 self.parked = false;
-                self.reset_delta_state();
                 self.rebuild_engines(floor);
             }
             Ctrl::HardRestart { floor } => {
@@ -844,7 +676,6 @@ impl NodeWorker {
                 self.store = CheckpointStore::new();
                 self.pending_remote = None;
                 self.awaiting_verdict = None;
-                self.reset_delta_state();
                 if let Some((_, rank)) = self.identity {
                     self.tasks = (0..self.cfg.tasks_per_rank)
                         .map(|t| (self.factory)(rank, t))
@@ -1239,15 +1070,7 @@ impl NodeWorker {
                     self.try_compare(round);
                 }
             }
-            Net::CompareResult {
-                iteration,
-                clean,
-                base_held,
-            } => {
-                if !base_held {
-                    // The next delta would have nothing to overlay onto.
-                    self.delta.prev = None;
-                }
+            Net::CompareResult { iteration, clean } => {
                 if let Some((round, it)) = self.awaiting_verdict {
                     if it == iteration {
                         self.awaiting_verdict = None;
@@ -1262,9 +1085,6 @@ impl NodeWorker {
             }
             Net::Install { checkpoint } => {
                 let payload = checkpoint.payload.clone();
-                // A wholesale install is a recovery path: any delta chain
-                // spanning it is meaningless on both sides.
-                self.reset_delta_state();
                 self.store.install_verified(checkpoint);
                 self.unpack_tasks(&payload);
                 self.rebuild_engines(self.floor);
@@ -1469,21 +1289,42 @@ mod tests {
         assert_eq!(again, buf, "restored tasks repack identically");
     }
 
-    /// Everything a pair of nodes sends, for the test to deliver by hand.
+    /// An `SdcDetected` report: iteration, diverged ranges, fields flagged.
+    type SdcReport = (u64, Vec<std::ops::Range<usize>>, usize);
+
+    /// Everything a pair of nodes sends, for the test to deliver by hand,
+    /// and the SDC reports they raise.
     #[derive(Default)]
-    struct Mailbox(parking_lot::Mutex<Vec<(NodeIndex, Net)>>);
+    struct Mailbox {
+        sent: parking_lot::Mutex<Vec<(NodeIndex, Net)>>,
+        sdc: parking_lot::Mutex<Vec<SdcReport>>,
+    }
 
     impl Port for Mailbox {
         fn send(&self, to: NodeIndex, msg: Net) {
-            self.0.lock().push((to, msg));
+            self.sent.lock().push((to, msg));
         }
-        fn send_event(&self, _ev: Event) {}
+        fn send_event(&self, ev: Event) {
+            if let Event::SdcDetected {
+                iteration,
+                diverged,
+                fields_flagged,
+                ..
+            } = ev
+            {
+                self.sdc.lock().push((iteration, diverged, fields_flagged));
+            }
+        }
     }
 
     /// 4 KiB of state in 64-byte chunks; only the first chunk (which holds
-    /// `iter`) changes from one iteration to the next.
-    fn blob_at(iter: u64) -> Box<dyn Task> {
-        let data = vec![0.5; 512];
+    /// `iter`) changes from one iteration to the next. `flip` corrupts one
+    /// data word, as a silent error on one replica would.
+    fn blob_at(iter: u64, flip: Option<usize>) -> Box<dyn Task> {
+        let mut data = vec![0.5; 512];
+        if let Some(at) = flip {
+            data[at] = -0.5;
+        }
         Box::new(Blob {
             iter,
             data,
@@ -1491,11 +1332,13 @@ mod tests {
         })
     }
 
-    /// A buddy that lost its base mid-chain still reaches a verdict and says
-    /// it holds no base; the sender's next ship is the full payload, and the
-    /// round after it is a delta again: a lost base heals in one round.
+    /// The buddy judges a delta record by its own checkpoint alone: losing
+    /// its store mid-chain costs nothing, a rollback keeps the chain going
+    /// against the rollback target, and a silent error is caught in a chunk
+    /// the sender left clean (by its digest) and inside a dirty window (by
+    /// its bytes), each re-checked down to the field.
     #[test]
-    fn a_buddy_without_its_base_gets_one_full_ship_then_deltas_again() {
+    fn deltas_need_no_base_on_the_buddy() {
         // Node 0 (replica 0) and its buddy node 1 (replica 1), one rank.
         let layout = Arc::new(RwLock::new(ReplicaLayout::new(2, 0).expect("one rank")));
         let mail = Arc::new(Mailbox::default());
@@ -1514,7 +1357,7 @@ mod tests {
             let identity = layout.read().locate(index);
             let port = Arc::clone(&mail) as Arc<dyn Port>;
             let (_, inbox) = crossbeam::channel::unbounded();
-            let factory: Arc<TaskFactory> = Arc::new(|_, _| blob_at(0));
+            let factory: Arc<TaskFactory> = Arc::new(|_, _| blob_at(0, None));
             let (clock, rec) = (Clock::simulated(), Recorder::disabled());
             NodeWorker::new(
                 cfg,
@@ -1527,43 +1370,72 @@ mod tests {
                 rec,
             )
         });
-        // One clean global round per iteration: both nodes checkpoint, the
-        // compare and then its verdict are delivered, the round completes.
+        // One global round per iteration: both nodes checkpoint (the buddy
+        // with `flip` planted), the compare and then its verdict are
+        // delivered, and the round completes — or, on an SDC, both roll
+        // back to their last verified checkpoint.
         let mut log = String::new();
-        for iteration in 1..=5 {
+        for (iteration, flip) in [
+            (1, None),
+            (2, None),
+            (3, None),
+            (4, Some(300)), // a chunk the sender left clean
+            (5, None),
+            (6, Some(0)), // inside chunk 0, the sender's dirty window
+        ] {
             if iteration == 3 {
-                pair[1].delta.base = None; // lost between rounds 2 and 3
+                pair[1].store = CheckpointStore::new(); // lost between rounds 2 and 3
             }
-            for w in pair.iter_mut() {
-                w.tasks = vec![blob_at(iteration)];
+            for (w, flip) in pair.iter_mut().zip([None, flip]) {
+                w.tasks = vec![blob_at(iteration, flip)];
                 w.take_checkpoint(Scope::Global, iteration, iteration);
             }
+            let mut clean = true;
             for _ in 0..2 {
-                let sent = std::mem::take(&mut *mail.0.lock());
+                let sent = std::mem::take(&mut *mail.sent.lock());
                 for (to, msg) in sent {
-                    log += match &msg {
-                        Net::Compare { detection, .. } => match detection {
-                            Detection::Payload(_) => "full ",
-                            _ => "delta ",
-                        },
-                        Net::CompareResult { clean: false, .. } => "SDC; ",
-                        Net::CompareResult {
-                            base_held: true, ..
-                        } => "held; ",
-                        Net::CompareResult { .. } => "no base; ",
-                        _ => "",
-                    };
+                    match &msg {
+                        Net::Compare {
+                            detection: Detection::Delta { base_iteration, .. },
+                            ..
+                        } => log += &format!("delta@{base_iteration} "),
+                        Net::Compare { .. } => log += "full ",
+                        Net::CompareResult { clean: c, .. } => {
+                            clean = *c;
+                            log += if *c { "clean; " } else { "SDC; " };
+                        }
+                        _ => {}
+                    }
                     pair[to].handle_net(msg);
                 }
             }
             for w in pair.iter_mut() {
-                w.handle_ctrl(Ctrl::RoundComplete);
+                w.handle_ctrl(if clean {
+                    Ctrl::RoundComplete
+                } else {
+                    Ctrl::Rollback { floor: iteration }
+                });
             }
         }
-        // Round 3's verdict comes from the delta record's digest table.
         assert_eq!(
             log,
-            "full held; delta held; delta no base; full held; delta held; "
+            "full clean; delta@1 clean; delta@2 clean; delta@3 SDC; \
+             delta@3 clean; delta@5 SDC; "
         );
+        let sdc = mail.sdc.lock().clone();
+        assert_eq!(sdc.len(), 2, "{sdc:?}");
+        let (iteration, diverged, fields) = &sdc[0];
+        assert_eq!(*iteration, 4);
+        assert!(
+            diverged.len() == 1 && diverged[0].len() == 64 && diverged[0].start > 0,
+            "one clean chunk diverged: {diverged:?}"
+        );
+        assert!(*fields >= 1, "the clean-chunk flip is re-checked by field");
+        let (iteration, diverged, fields) = &sdc[1];
+        assert_eq!(
+            (*iteration, diverged.len(), diverged[0].clone()),
+            (6, 1, 0..64)
+        );
+        assert!(*fields >= 1, "the dirty-window flip is re-checked by field");
     }
 }

@@ -2964,7 +2964,6 @@ mod tests {
             &Net::CompareResult {
                 iteration: 7,
                 clean: true,
-                base_held: true,
             },
         );
         match inbox0
@@ -2974,7 +2973,6 @@ mod tests {
             Net::CompareResult {
                 iteration: 7,
                 clean: true,
-                base_held: true,
             } => {}
             other => panic!("unexpected delivery {other:?}"),
         }
@@ -3044,7 +3042,6 @@ mod tests {
         Net::CompareResult {
             iteration,
             clean: true,
-            base_held: true,
         }
     }
 

@@ -3,7 +3,7 @@
 //! enums, the connect/accept handshake records, and the address book that
 //! lets a node dial its buddy.
 //!
-//! ## Frame format (wire version 9)
+//! ## Frame format (wire version 10)
 //!
 //! Every message crossing a socket travels in one frame, and a frame is the
 //! only thing a socket carries after the handshake (all integers
@@ -91,11 +91,12 @@ pub const WELCOME_MAGIC: u32 = u32::from_le_bytes(*b"ACRW");
 /// fields); version 6 added the `ack` field to the frame headers; version 7
 /// removed the `"ACRS"` super-frame, leaving the plain frame as the only
 /// thing on a socket; version 8 removed the welcome's delta anchor interval
-/// and added `CompareResult`'s `base_held` byte; version 9 added the hello's
-/// listen port and the router's address book (`ENDPOINT_DEST`), which let a
-/// node open a direct link to its buddy. Peers of any other version are
-/// refused at the handshake.
-pub const WIRE_VERSION: u32 = 9;
+/// and added a byte to `CompareResult` acknowledging the buddy's delta
+/// base; version 9 added the hello's listen port and the router's address
+/// book (`ENDPOINT_DEST`), which let a node open a direct link to its
+/// buddy; version 10 removed that acknowledgement again (the buddy keeps no
+/// delta base). Peers of any other version are refused at the handshake.
+pub const WIRE_VERSION: u32 = 10;
 /// `to` value addressing the driver rather than a node.
 pub const DRIVER_DEST: u32 = u32::MAX;
 /// `to` value of a frame the router sends a node's endpoint itself rather
@@ -1255,15 +1256,10 @@ pub(crate) fn encode_net(msg: &Net) -> Vec<Bytes> {
             put_u64(buf, *iteration);
             put_detection(&mut w, detection);
         }
-        Net::CompareResult {
-            iteration,
-            clean,
-            base_held,
-        } => {
+        Net::CompareResult { iteration, clean } => {
             put_u8(buf, 3);
             put_u64(buf, *iteration);
             put_u8(buf, *clean as u8);
-            put_u8(buf, *base_held as u8);
         }
         Net::Install { checkpoint } => {
             put_u8(buf, 4);
@@ -1305,7 +1301,6 @@ fn net_from(mut r: Reader<'_>) -> Result<Net, WireError> {
         3 => Net::CompareResult {
             iteration: r.u64()?,
             clean: r.u8()? != 0,
-            base_held: r.u8()? != 0,
         },
         4 => Net::Install {
             checkpoint: get_checkpoint(&mut r)?,
@@ -1657,12 +1652,10 @@ mod tests {
             Net::CompareResult {
                 iteration: 40,
                 clean: true,
-                base_held: true,
             },
             Net::CompareResult {
                 iteration: 41,
                 clean: false,
-                base_held: false,
             },
             Net::Install {
                 checkpoint: Checkpoint::new(9, Bytes::from_static(b"state"), 0xabc),
@@ -1950,12 +1943,12 @@ mod tests {
         u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
     }
 
-    /// The v9 handshake records, the address book, the frame layout and
+    /// The v10 handshake records, the address book, the frame layout and
     /// the compare verdict, byte for byte: a peer written against this
     /// layout interoperates, and any reshuffle must bump [`WIRE_VERSION`].
     #[test]
-    fn v9_handshake_and_frame_layouts_are_pinned() {
-        assert_eq!(WIRE_VERSION, 9);
+    fn v10_handshake_and_frame_layouts_are_pinned() {
+        assert_eq!(WIRE_VERSION, 10);
         assert_eq!((HELLO_LEN, WELCOME_LEN), (26, 58));
         assert_eq!((FRAME_HEADER, FRAME_TRAILER), (28, 8));
         assert_eq!((DRIVER_DEST, ENDPOINT_DEST), (u32::MAX, u32::MAX - 1));
@@ -1967,7 +1960,7 @@ mod tests {
             listen_port: 0xBEEF,
         });
         assert_eq!(&h[0..4], b"ACRH");
-        assert_eq!((le32(&h, 4), le32(&h, 8), le32(&h, 12)), (9, 7, 5));
+        assert_eq!((le32(&h, 4), le32(&h, 8), le32(&h, 12)), (10, 7, 5));
         assert_eq!(le64(&h, 16), 123);
         assert_eq!(&h[24..26], &0xBEEFu16.to_le_bytes(), "listen port");
 
@@ -1987,7 +1980,7 @@ mod tests {
 
         let w = encode_welcome(&sample_welcome());
         assert_eq!(&w[0..4], b"ACRW");
-        assert_eq!((le32(&w, 4), le64(&w, 8)), (9, 456));
+        assert_eq!((le32(&w, 4), le64(&w, 8)), (10, 456));
         assert_eq!(
             (le32(&w, 16), le32(&w, 20), le32(&w, 24), le32(&w, 28)),
             (4, 1, 2, 10),
@@ -2001,14 +1994,12 @@ mod tests {
         );
         assert_eq!(w[57], 1, "delta on");
 
-        // Tag, iteration, verdict, then whether the buddy holds the base.
+        // Tag, iteration, verdict.
         let v = flatten(&encode_net(&Net::CompareResult {
             iteration: 40,
             clean: true,
-            base_held: false,
         }));
-        assert_eq!((v.len(), v[0], le64(&v, 1)), (11, 3, 40));
-        assert_eq!((v[9], v[10]), (1, 0), "clean, no base held");
+        assert_eq!((v.len(), v[0], le64(&v, 1), v[9]), (10, 3, 40, 1));
 
         // magic, len, to, seq, ack, body, check — and the segmented send
         // path's two ends are those same bytes.
@@ -2061,12 +2052,13 @@ mod tests {
     }
 
     /// Older peers are refused, never misparsed: the version field is read
-    /// before anything else, so a v8–v5 hello (two bytes shorter, without
-    /// the listen port) or welcome (v7's is four bytes longer, with the
-    /// anchor interval) and a v4 hello (a codec-mask byte where v9 has
-    /// the port) fail on it whatever their length.
+    /// before anything else, so a v9 peer (whose handshake is this one's
+    /// layout, but whose verdicts carry one byte more), a v8–v5 hello (two
+    /// bytes shorter, without the listen port) or welcome (v7's is four
+    /// bytes longer, with the anchor interval) and a v4 hello (a codec-mask
+    /// byte where v10 has the port) fail on it whatever their length.
     #[test]
-    fn v8_to_v4_handshake_records_are_refused_with_a_version_error() {
+    fn v9_to_v4_handshake_records_are_refused_with_a_version_error() {
         let hello = encode_hello(&Hello {
             job: 0,
             node: 1,
@@ -2074,7 +2066,7 @@ mod tests {
             listen_port: 0,
         });
         let welcome = encode_welcome(&sample_welcome());
-        for old in [8u32, 7, 6, 5, 4] {
+        for old in [9u32, 8, 7, 6, 5, 4] {
             let (mut h, mut w) = (hello.clone(), welcome.clone());
             h[4..8].copy_from_slice(&old.to_le_bytes());
             w[4..8].copy_from_slice(&old.to_le_bytes());

@@ -10,9 +10,11 @@
 //! or more, per round, count the copies: two packs and the buddy's receive
 //! buffer is all there should be. And because a sent frame is released by
 //! the peer's acknowledgement, not by 32 MiB of later traffic, what the
-//! process holds must stop growing after the first rounds. A second test
-//! reads the router's own traffic counters: the checkpoints do not cross
-//! it.
+//! process holds must stop growing after the first rounds. The same job with
+//! delta checkpoints on, its writes confined to two chunks, ships only those
+//! windows: two packs and the small record, nothing rebuilt on the buddy. A
+//! last test reads the router's own traffic counters: the checkpoints do not
+//! cross it.
 //!
 //! The task samples the counters each time it is packed (`Dir::Packing`:
 //! once per node per checkpoint round), so round boundaries are observed
@@ -78,6 +80,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const STATE_WORDS: usize = 128 << 10;
 const STATE_BYTES: usize = STATE_WORDS * 8;
+/// Two of the state's 16 default-size (64 KiB) chunks, in words.
+const TWO_CHUNKS_WORDS: usize = 16 << 10;
 const ITERS: u64 = 500;
 
 /// `(BIG_BYTES, PEAK)` at each pack, in the order the packs happened.
@@ -86,11 +90,13 @@ static PACKS: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
 /// The allocator counts are process-wide: one job at a time.
 static JOB_SERIAL: Mutex<()> = Mutex::new(());
 
-/// 1 MiB of state, a few words of it rewritten per ~0.5 ms step; both
-/// replicas compute the same thing, so every comparison is clean.
+/// 1 MiB of state, a few words of its first `span` rewritten per ~0.5 ms
+/// step; both replicas compute the same thing, so every comparison is
+/// clean.
 struct Slab {
     iter: u64,
     words: Vec<u64>,
+    span: usize,
 }
 
 impl Task for Slab {
@@ -100,7 +106,7 @@ impl Task for Slab {
         }
         std::thread::sleep(Duration::from_micros(500));
         for k in 0..8 {
-            let at = (self.iter as usize * 8191 + k * 131) % STATE_WORDS;
+            let at = (self.iter as usize * 8191 + k * 131) % self.span;
             self.words[at] = self.words[at].wrapping_mul(6364136223846793005) ^ self.iter;
         }
         self.iter += 1;
@@ -130,14 +136,17 @@ impl Task for Slab {
     }
 }
 
-/// A fault-free two-replica TCP `FullCompare` job of [`Slab`]s.
-fn slab_job() -> JobReport {
+/// A fault-free two-replica TCP `FullCompare` job of [`Slab`]s: writing all
+/// over the state with delta checkpoints off, or inside its first two
+/// chunks with them on.
+fn slab_job(delta: bool) -> JobReport {
     let cfg = JobConfig::builder()
         .ranks(1)
         .tasks_per_rank(1)
         .spares(1)
         .scheme(Scheme::Strong)
         .detection(DetectionMethod::FullCompare)
+        .delta_checkpoints(delta)
         .checkpoint_interval(Duration::from_millis(20))
         // Nothing here is about liveness: keep a busy runner from
         // declaring a node dead mid-measurement.
@@ -147,10 +156,11 @@ fn slab_job() -> JobReport {
         .transport(TransportKind::Tcp(TcpConfig::default()))
         .build()
         .expect("valid config");
-    let report = Job::new(cfg).mode(ExecMode::Threaded).run(|rank, _| {
+    let report = Job::new(cfg).mode(ExecMode::Threaded).run(move |rank, _| {
         Box::new(Slab {
             iter: 0,
             words: (0..STATE_WORDS as u64).map(|i| i ^ rank as u64).collect(),
+            span: if delta { TWO_CHUNKS_WORDS } else { STATE_WORDS },
         }) as Box<dyn Task>
     });
     assert!(report.completed, "job did not complete: {:?}", report.error);
@@ -159,11 +169,13 @@ fn slab_job() -> JobReport {
     report
 }
 
-#[test]
-fn a_shipped_checkpoint_is_allocated_once_per_process_and_let_go() {
+/// Run [`slab_job`] and read, from round 2 to the last, the bytes allocated
+/// in large blocks per round as a multiple of the state size, and check
+/// that the high-water mark grew by at most two states over those rounds.
+fn large_blocks_per_round(delta: bool) -> f64 {
     let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     PACKS.lock().expect("no panic holds it").clear();
-    let report = slab_job();
+    let report = slab_job(delta);
 
     // Two packs per round (one per replica), in round order; the final
     // states' two packs come last. Round `r` starts at its first pack.
@@ -177,18 +189,38 @@ fn a_shipped_checkpoint_is_allocated_once_per_process_and_let_go() {
     let per_round = (big1 - big0) as f64 / (to - from) as f64 / STATE_BYTES as f64;
     let grew = (peak1 - peak0) as f64 / STATE_BYTES as f64;
     println!(
-        "{rounds} rounds: {per_round:.2} x state allocated in large blocks per round; \
-         high-water mark grew {grew:.2} x state from round {from} to round {to}"
-    );
-    // Two packs and the buddy's receive buffer — and slack.
-    assert!(
-        per_round <= 3.5,
-        "{per_round:.2} x the state size per round in blocks >= 64 KiB: a copy is back"
+        "delta {delta}, {rounds} rounds: {per_round:.2} x state allocated in large blocks \
+         per round; high-water mark grew {grew:.2} x state from round {from} to round {to}"
     );
     assert!(
         grew <= 2.0,
         "live bytes' high-water mark grew {grew:.2} x the state size after round {from}: \
          something keeps old checkpoints"
+    );
+    per_round
+}
+
+#[test]
+fn a_shipped_checkpoint_is_allocated_once_per_process_and_let_go() {
+    let per_round = large_blocks_per_round(false);
+    // Two packs and the buddy's receive buffer — and slack.
+    assert!(
+        per_round <= 3.5,
+        "{per_round:.2} x the state size per round in blocks >= 64 KiB: a copy is back"
+    );
+}
+
+/// A delta buddy judges the record against its own checkpoint: a round is
+/// two packs and a receive buffer for at most two dirty windows (2.10–2.13
+/// x state), with no payload rebuilt from a retained copy of the last one
+/// (3.13 x).
+#[test]
+fn a_delta_round_allocates_two_packs_and_the_dirty_windows() {
+    let per_round = large_blocks_per_round(true);
+    assert!(
+        per_round <= 2.25,
+        "{per_round:.2} x the state size per delta round in blocks >= 64 KiB: \
+         the buddy builds a state-sized buffer again"
     );
 }
 
@@ -199,7 +231,7 @@ fn a_shipped_checkpoint_is_allocated_once_per_process_and_let_go() {
 #[test]
 fn the_router_carries_no_checkpoint() {
     let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let report = slab_job();
+    let report = slab_job(false);
     let rounds = report.checkpoints_verified as u64;
     assert!(rounds >= 8, "only {rounds} rounds: too short to tell");
     let router_recv: u64 = (report.events.iter())

@@ -361,8 +361,8 @@ fn ships_per_node(r: &JobReport) -> std::collections::BTreeMap<u32, (usize, usiz
     ships
 }
 
-/// Buddy-side digest compares skipped because the chunk was clean in the
-/// incoming delta and the local base epoch matched.
+/// Chunks the buddy's delta verdicts took from the record's digest table
+/// (the chunks the sender left clean) rather than from shipped bytes.
 fn compare_skips(r: &JobReport) -> u64 {
     r.metrics
         .lines()

@@ -295,9 +295,9 @@ impl Task for DriftPacedRing {
 /// A socket kill in the middle of an active delta chain must be absorbed
 /// exactly like any other transient outage: the replay ring re-delivers
 /// the in-flight compare records, nobody is declared dead, the replicas
-/// still agree, and the delta path keeps (or resumes) shipping thin
-/// records — any base desync the outage could cause is covered by the
-/// deterministic full-ship fallback, never by a wrong verdict.
+/// still agree, and the delta path keeps shipping thin records: the
+/// sender's base is its own rollback target and the buddy keeps none, so
+/// an outage has no base to desynchronize.
 #[test]
 fn socket_kill_mid_delta_chain_recovers_cleanly() {
     let _guard = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());

@@ -12,7 +12,7 @@
 //! frames must yield exactly what `feed` does, whatever the reads.
 
 use acr::protocol::{Checkpoint, ChunkTable, Detection, DetectionMethod, SdcDetector};
-use acr::pup::{chunk_digests, chunk_span};
+use acr::pup::{chunk_digests, chunk_span, diff_tables, extract_delta};
 use acr::runtime::wire::{
     body_check, decode_compare_body, encode_batch, encode_compare_body, encode_frame,
     encode_frame_acked, Frame, FrameDecoder, WireCodec, WireError, FRAME_HEADER, FRAME_MAGIC,
@@ -551,11 +551,10 @@ proptest! {
         );
     }
 
-    /// A delta record whose base the receiver does not hold degrades to a
-    /// digest-table-grade comparison — and that fallback must be
-    /// verdict-identical to the full digest-table record, clean exactly
-    /// when the underlying payloads agree. This is what makes the forced
-    /// full-ship fallback safe: no verdict ever depends on the base.
+    /// A delta record is judged without any base on the receiver, so
+    /// whatever base it names, its verdict on a record whose dirty window
+    /// matches its own table is the full digest-table record's, clean
+    /// exactly when the underlying payloads agree.
     #[test]
     fn base_epoch_mismatch_falls_back_verdict_identically(
         payload in prop::collection::vec(any::<u8>(), 1..800),
@@ -586,8 +585,8 @@ proptest! {
             digests: remote_chunked.chunk_digests.clone(),
         };
         let digest = remote_chunked.digest;
-        // The dirty windows are irrelevant to the fallback verdict; carry
-        // one real one.
+        // One real window: chunk 0 of the remote payload, so comparing its
+        // bytes agrees with comparing its digest.
         let span = chunk_span(chunk_size, remote.len(), 0);
         let delta = Detection::Delta {
             base_iteration,
@@ -665,4 +664,104 @@ proptest! {
             "structurally malformed delta record decoded"
         );
     }
+
+    /// A buddy judging a delta record names exactly the ranges it would
+    /// name if the sender had shipped its whole payload: dirty windows are
+    /// compared by bytes, every other chunk by its digest, and flips on
+    /// either side — in dirty chunks or clean ones — land in the same
+    /// coalesced chunk ranges.
+    #[test]
+    fn delta_verdict_matches_the_full_payload_compare(
+        state in prop::collection::vec(any::<u8>(), 1..800),
+        chunk_size in (1usize..12).prop_map(|k| k * 4),
+        base_edits in prop::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+        sender_flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        buddy_flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+    ) {
+        let edited = |edits: &[(usize, u8)]| {
+            let mut out = state.clone();
+            for &(at, bits) in edits {
+                let at = at % out.len();
+                out[at] ^= bits | 1;
+            }
+            out
+        };
+        let (base, sender, buddy) =
+            (edited(&base_edits), edited(&sender_flips), edited(&buddy_flips));
+        let record = delta_of(&base, &sender, chunk_size);
+        let local = chunked(&buddy, chunk_size);
+        let det = SdcDetector::new(DetectionMethod::FullCompare);
+        let full = Detection::Payload(Bytes::from(sender.clone()));
+        prop_assert_eq!(det.diverged(&local, &record), det.diverged(&local, &full));
+        prop_assert_eq!(det.diverged(&local, &record).is_clean(), buddy == sender);
+    }
+}
+
+/// `payload` as a checkpoint carrying its chunk table.
+fn chunked(payload: &[u8], chunk_size: usize) -> Checkpoint {
+    let c = chunk_digests(payload, chunk_size);
+    Checkpoint::with_chunks(
+        2,
+        Bytes::copy_from_slice(payload),
+        c.digest,
+        ChunkTable {
+            chunk_size: chunk_size as u32,
+            digests: c.chunk_digests,
+        },
+    )
+}
+
+/// The delta record a sender at `current` ships against its `base`.
+fn delta_of(base: &[u8], current: &[u8], chunk_size: usize) -> Detection {
+    let (was, now) = (
+        chunk_digests(base, chunk_size),
+        chunk_digests(current, chunk_size),
+    );
+    let plan = diff_tables(&was.chunk_digests, &now, current.len()).expect("same geometry");
+    let dirty = extract_delta(current, &plan)
+        .into_iter()
+        .map(|(i, w)| (i, Bytes::copy_from_slice(w)))
+        .collect();
+    Detection::Delta {
+        base_iteration: 1,
+        payload_len: current.len(),
+        digest: now.digest,
+        table: ChunkTable {
+            chunk_size: chunk_size as u32,
+            digests: now.chunk_digests,
+        },
+        dirty,
+    }
+}
+
+/// A delta of another length than the buddy's checkpoint is whole-payload
+/// corruption, as a full payload of another length is.
+#[test]
+fn a_resized_delta_is_whole_payload_corruption() {
+    let det = SdcDetector::new(DetectionMethod::FullCompare);
+    let sender = vec![7u8; 100];
+    let record = delta_of(&sender, &sender, 16);
+    let local = chunked(&[7u8; 96], 16);
+    assert_eq!(det.diverged(&local, &record).ranges, vec![0..100]);
+    let full = Detection::Payload(Bytes::from(sender));
+    assert_eq!(det.diverged(&local, &record), det.diverged(&local, &full));
+}
+
+/// A buddy whose chunk table has another geometry than the record's cannot
+/// match chunks one to one: it judges by the whole-payload digest, clean or
+/// all of it.
+#[test]
+fn a_delta_of_another_chunk_size_falls_back_to_the_whole_digest() {
+    let det = SdcDetector::new(DetectionMethod::FullCompare);
+    let sender: Vec<u8> = (0..100u8).collect();
+    let mut base = sender.clone();
+    base[3] ^= 1;
+    let record = delta_of(&base, &sender, 16);
+    assert!(det.diverged(&chunked(&sender, 32), &record).is_clean());
+    let mut buddy = sender.clone();
+    buddy[70] ^= 1;
+    assert_eq!(
+        det.diverged(&chunked(&buddy, 32), &record).ranges,
+        vec![0..100]
+    );
 }
