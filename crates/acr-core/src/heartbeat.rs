@@ -59,6 +59,18 @@ impl HeartbeatMonitor {
         dead.into_iter().map(|(p, _)| p).collect()
     }
 
+    /// The boundary of the next expiry: the earliest watched peer's last
+    /// hearing plus the timeout, `None` when nobody is watched. The
+    /// comparison is strict, so [`expired`](Self::expired) reports that
+    /// peer for any time *past* this one and not at it: a caller that
+    /// wakes exactly here must wait a little more, not zero.
+    pub fn next_expiry(&self) -> Option<f64> {
+        let timeout = self.timeout;
+        (self.watched.iter())
+            .map(|&(_, last)| last + timeout)
+            .reduce(f64::min)
+    }
+
     /// Peers currently being watched.
     pub fn watching(&self) -> usize {
         self.watched.len()
@@ -85,6 +97,25 @@ mod tests {
         assert_eq!(m.watching(), 1);
         // peer 1 eventually expires too
         assert_eq!(m.expired(10.0), vec![1]);
+    }
+
+    #[test]
+    fn next_expiry_is_the_strict_boundary() {
+        let mut m = HeartbeatMonitor::new(0.5);
+        assert_eq!(m.next_expiry(), None, "nobody watched, nothing to wake for");
+        m.watch(1, 2.0);
+        m.watch(2, 1.0);
+        m.heard_from(1, 3.0);
+        assert_eq!(m.next_expiry(), Some(1.5), "the quietest peer sets it");
+        // Exactly at the boundary nothing has expired yet, so the wake-up
+        // computed there is still ahead: the boundary itself, not before.
+        assert!(m.expired(1.5).is_empty());
+        assert_eq!(m.next_expiry(), Some(1.5));
+        // Any moment past it reports the peer, and the next boundary moves on.
+        assert_eq!(m.expired(1.5 + 1e-9), vec![2]);
+        assert_eq!(m.next_expiry(), Some(3.5));
+        m.unwatch(1);
+        assert_eq!(m.next_expiry(), None);
     }
 
     #[test]

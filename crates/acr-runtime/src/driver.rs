@@ -737,6 +737,9 @@ struct Driver {
     /// liveness probe.
     last_event: f64,
     probe: Option<Probe>,
+    /// The earliest deadline the last policy pass found still ahead (job
+    /// clock): the threaded loop waits for an event until then.
+    wake: f64,
     report: JobReport,
     rec: Arc<Recorder>,
     /// Durable store (event log + checkpoint slots) when persistence is
@@ -915,6 +918,7 @@ where
             triggers: Vec::new(),
             last_event: 0.0,
             probe: None,
+            wake: 0.0,
             report: JobReport::default(),
             rec,
             store: None,
@@ -1092,6 +1096,17 @@ pub(crate) fn detection_from_tag(t: u8) -> DetectionMethod {
         1 => DetectionMethod::Checksum,
         _ => DetectionMethod::ChunkedChecksum,
     }
+}
+
+/// Whether a deadline has come: `passed` is the caller's own comparison
+/// (strict or not, in its own arithmetic, so virtual traces stay exact) and
+/// `at` the job-clock time it turns true. A deadline still ahead is folded
+/// into `wake`, the earliest one so far, like `earliest()` in `tcp.rs`.
+fn due(wake: &mut f64, passed: bool, at: f64) -> bool {
+    if !passed {
+        *wake = wake.min(at);
+    }
+    passed
 }
 
 impl Driver {
@@ -1286,19 +1301,20 @@ impl Driver {
         let now = self.now();
         let ckpts = self.report.checkpoints_verified as u32;
         let holding = self.capture.is_some();
-        let mut due = Vec::new();
+        let mut fired = Vec::new();
         self.triggers.retain(|t| {
-            let ready = match t.when {
-                Trigger::At(at) => now >= at,
-                Trigger::AfterCheckpoints(c) => ckpts >= c,
-                Trigger::AtIteration(_) => unreachable!("compiled to node-local triggers"),
-            } && (!holding || t.action == FaultAction::KillDriver);
+            let ready = (!holding || t.action == FaultAction::KillDriver)
+                && match t.when {
+                    Trigger::At(at) => due(&mut self.wake, now >= at, at),
+                    Trigger::AfterCheckpoints(c) => ckpts >= c,
+                    Trigger::AtIteration(_) => unreachable!("compiled to node-local triggers"),
+                };
             if ready {
-                due.push((t.seq, t.action));
+                fired.push((t.seq, t.action));
             }
             !ready
         });
-        for (seq, action) in due {
+        for (seq, action) in fired {
             self.fire(seq, action);
         }
     }
@@ -1356,13 +1372,20 @@ impl Driver {
 
     /// One policy pass: timeouts, due faults, pending recoveries, completion
     /// detection, checkpoint scheduling. Shared by both execution modes.
+    /// Each timed check goes through [`due`], so the pass leaves in
+    /// `wake` the earliest deadline still ahead. A pass that returns with
+    /// work left, or changes the state a deadline hangs on after that
+    /// deadline's check ran (a round opened, a probe sent or answered, a
+    /// death declared), leaves `now` there: the next pass reads the
+    /// deadlines of the new state.
     fn poll(&mut self) -> LoopCtl {
         let now = self.now();
         let max = self.cfg.max_duration.as_secs_f64();
+        self.wake = f64::INFINITY;
         if self.report.error.is_some() {
             return LoopCtl::Done;
         }
-        if now > max {
+        if due(&mut self.wake, now > max, max) {
             self.report.error = Some(format!(
                 "job exceeded max_duration ({max:.1}s) in phase {:?}",
                 self.phase
@@ -1379,10 +1402,12 @@ impl Driver {
         if matches!(self.phase, Phase::Running) {
             if let Some(dead) = self.pending_failures.pop_front() {
                 self.start_recovery(dead);
+                self.wake = now;
                 return LoopCtl::Continue;
             }
             if self.needs_global_restart {
                 self.global_restart();
+                self.wake = now;
                 return LoopCtl::Continue;
             }
             if self.capture.is_some() {
@@ -1399,25 +1424,29 @@ impl Driver {
                 self.tlog("job completed".into());
                 return LoopCtl::Done;
             }
-            if now >= self.next_ckpt {
+            if due(&mut self.wake, now >= self.next_ckpt, self.next_ckpt) {
                 if self.weak_parked {
                     self.start_ship_round();
                 } else {
                     self.start_global_round();
                 }
+                self.wake = now;
             }
         }
         LoopCtl::Continue
     }
 
-    /// Threaded policy loop: alternate event receipt and policy passes.
+    /// Threaded policy loop: a policy pass, then a wait for the next event
+    /// until the deadline that pass left in `wake`, then a pass again.
     fn run_threaded(&mut self) {
-        loop {
-            if let Ok(ev) = self.events.recv_timeout(Duration::from_millis(1)) {
-                self.handle_event(ev);
-            }
-            if self.poll() == LoopCtl::Done {
-                return;
+        while self.poll() == LoopCtl::Continue {
+            let wait = Duration::try_from_secs_f64((self.wake - self.now()).max(0.0));
+            let wait = wait.unwrap_or(Duration::MAX);
+            match self.events.recv_timeout(wait) {
+                Ok(ev) => self.handle_event(ev),
+                Err(RecvTimeoutError::Timeout) => {}
+                // Every node is gone: only the deadlines are left.
+                Err(RecvTimeoutError::Disconnected) => std::thread::sleep(wait),
             }
         }
     }
@@ -1671,7 +1700,8 @@ impl Driver {
         let timeout = self.cfg.heartbeat_timeout.as_secs_f64();
         match self.probe.take() {
             None => {
-                if now - self.last_event > 2.0 * timeout {
+                let quiet = now - self.last_event > 2.0 * timeout;
+                if due(&mut self.wake, quiet, self.last_event + 2.0 * timeout) {
                     let token = self.alloc_round();
                     let nodes = self.active_nodes();
                     self.tlog(format!("liveness probe token={token}"));
@@ -1686,13 +1716,20 @@ impl Driver {
                         sent_at: now,
                         awaiting: nodes.into_iter().collect(),
                     });
+                    self.wake = now;
                 }
             }
             Some(p) => {
                 if p.awaiting.is_empty() {
                     // Everyone answered: the stall is slowness, not death.
+                    // The next pass starts the silence clock again.
                     self.last_event = now;
-                } else if now - p.sent_at > timeout {
+                    self.wake = now;
+                } else if due(
+                    &mut self.wake,
+                    now - p.sent_at > timeout,
+                    p.sent_at + timeout,
+                ) {
                     // Deterministic order: declare in ascending node index.
                     let mut dead: Vec<NodeIndex> = p.awaiting.into_iter().collect();
                     dead.sort_unstable();
@@ -1703,6 +1740,7 @@ impl Driver {
                             .emit_with(DRIVER_NODE, || EventKind::ProbeDeath { dead: d as u32 });
                         self.declare_dead(d);
                     }
+                    self.wake = now;
                 } else {
                     self.probe = Some(p);
                 }
@@ -1742,7 +1780,7 @@ impl Driver {
         let expired: Vec<NodeIndex> = self
             .transport_suspects
             .iter()
-            .filter(|&(_, &deadline)| now >= deadline)
+            .filter(|&(_, &deadline)| due(&mut self.wake, now >= deadline, deadline))
             .map(|(&n, _)| n)
             .collect();
         for node in expired {
@@ -1754,6 +1792,7 @@ impl Driver {
             self.rec
                 .emit_with(DRIVER_NODE, || EventKind::ProbeDeath { dead: node as u32 });
             self.declare_dead(node);
+            self.wake = now;
         }
     }
 

@@ -15,7 +15,7 @@ use acr_pup::{
     Packer, PupResult, Puper, Sizer, Unpacker,
 };
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,6 +29,17 @@ use crate::transport::Port;
 /// padding rounds each task segment up). The layout is part of the
 /// checkpoint format: payloads, digests and chunk tables depend on it.
 const SEGMENT_ALIGN: usize = 8;
+
+/// The threaded loop's wait while a task may advance: the forward pace
+/// (see `NodeWorker::next_wait`).
+const FORWARD_PACE: Duration = Duration::from_millis(1);
+
+/// The wait from job-clock `now` until `at`, rounded up to the microsecond
+/// and never zero: a deadline that is met exactly (a heartbeat expires only
+/// strictly after its timeout) waits a microsecond more instead of spinning.
+fn wait_until(at: f64, now: f64) -> Duration {
+    Duration::from_micros(((at - now) * 1e6).ceil().max(1.0) as u64)
+}
 
 /// Zero padding needed after `offset` to reach the next segment boundary.
 fn padding_after(offset: usize) -> usize {
@@ -971,6 +982,20 @@ impl NodeWorker {
         }
     }
 
+    /// Whether task `t` is unfinished and both consensus engines let it
+    /// advance.
+    fn may_step(&self, t: usize) -> bool {
+        !self.tasks[t].done()
+            && self.engine_global.as_ref().is_none_or(|e| e.may_advance(t))
+            && (self.engine_replica.as_ref()).is_none_or(|e| e.may_advance(t))
+    }
+
+    /// Whether the next pass may step a task: the node is not parked and
+    /// some task may advance (a spare hosts none).
+    fn runnable(&self) -> bool {
+        !self.parked && (0..self.tasks.len()).any(|t| self.may_step(t))
+    }
+
     fn step_tasks(&mut self) {
         let Some((_, rank)) = self.identity else {
             return;
@@ -979,15 +1004,7 @@ impl NodeWorker {
             return;
         }
         for t in 0..self.tasks.len() {
-            if self.tasks[t].done() {
-                continue;
-            }
-            let may = self.engine_global.as_ref().is_none_or(|e| e.may_advance(t))
-                && self
-                    .engine_replica
-                    .as_ref()
-                    .is_none_or(|e| e.may_advance(t));
-            if !may {
+            if !self.may_step(t) {
                 continue;
             }
             let mut outbox = std::mem::take(&mut self.outbox);
@@ -1115,12 +1132,47 @@ impl NodeWorker {
         self.step_tasks();
     }
 
-    /// Threaded scheduler loop: block briefly for messages, then tick.
+    /// How long the threaded loop may wait for its next message, judged
+    /// from the state the last pass left; `None` waits until one comes.
+    ///
+    /// - A crashed node waits for nothing but `Shutdown` (§6.1).
+    /// - A node with a task that may advance keeps the forward pace: a
+    ///   task can be runnable yet wait on a peer's message, and the pass
+    ///   after the pace retries it.
+    /// - Every other node — a spare, a node paused in a round, a parked or
+    ///   a done one — has nothing to do before a message or its earliest
+    ///   deadline: the next heartbeat to its buddy (never before a mute
+    ///   ends) or the buddy's expiry.
+    fn next_wait(&self) -> Option<Duration> {
+        if self.crashed {
+            return None;
+        }
+        if self.runnable() {
+            return Some(FORWARD_PACE);
+        }
+        let period = self.cfg.heartbeat_period.as_secs_f64();
+        let heartbeat =
+            (self.buddy).map(|_| (self.last_heartbeat + period).max(self.hb_muted_until));
+        let at = (heartbeat.into_iter())
+            .chain(self.monitor.next_expiry())
+            .reduce(f64::min)?;
+        Some(wait_until(at, self.now()))
+    }
+
+    /// Threaded scheduler loop: one pass on entry, then for each message
+    /// (or deadline) one pass, waiting between them as [`next_wait`]
+    /// says.
+    ///
+    /// [`next_wait`]: NodeWorker::next_wait
     pub(crate) fn run(mut self) {
+        self.tick();
         loop {
             let msg = match self.backlog.pop_front() {
                 Some(m) => Ok(m),
-                None => self.inbox.recv_timeout(Duration::from_millis(1)),
+                None => match self.next_wait() {
+                    Some(wait) => self.inbox.recv_timeout(wait),
+                    None => (self.inbox.recv()).map_err(|_| RecvTimeoutError::Disconnected),
+                },
             };
             if self.crashed {
                 // §6.1 "no-response scheme": the process on that node stops
@@ -1131,7 +1183,8 @@ impl NodeWorker {
                         self.report_final_state();
                         return;
                     }
-                    _ => continue,
+                    Ok(_) => continue,
+                    Err(_) => return,
                 }
             }
             match msg {
@@ -1140,8 +1193,8 @@ impl NodeWorker {
                         return;
                     }
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return,
             }
             self.tick();
         }
@@ -1298,6 +1351,7 @@ mod tests {
     struct Mailbox {
         sent: parking_lot::Mutex<Vec<(NodeIndex, Net)>>,
         sdc: parking_lot::Mutex<Vec<SdcReport>>,
+        dead: parking_lot::Mutex<Vec<NodeIndex>>,
     }
 
     impl Port for Mailbox {
@@ -1305,14 +1359,15 @@ mod tests {
             self.sent.lock().push((to, msg));
         }
         fn send_event(&self, ev: Event) {
-            if let Event::SdcDetected {
-                iteration,
-                diverged,
-                fields_flagged,
-                ..
-            } = ev
-            {
-                self.sdc.lock().push((iteration, diverged, fields_flagged));
+            match ev {
+                Event::SdcDetected {
+                    iteration,
+                    diverged,
+                    fields_flagged,
+                    ..
+                } => self.sdc.lock().push((iteration, diverged, fields_flagged)),
+                Event::BuddyDead { dead, .. } => self.dead.lock().push(dead),
+                _ => {}
             }
         }
     }
@@ -1330,6 +1385,67 @@ mod tests {
             data,
             tail: Vec::new(),
         })
+    }
+
+    /// A node with nothing to step sleeps until its next deadline: a spare
+    /// until a message, a parked node on a silent buddy until the buddy
+    /// expires — waking at most twice around the expiry, never in a spin —
+    /// and then until its next heartbeat is due.
+    #[test]
+    fn a_parked_node_sleeps_until_its_next_deadline() {
+        assert!(
+            wait_until(1.5, 1.5) > Duration::ZERO,
+            "a deadline met exactly"
+        );
+        assert_eq!(wait_until(1.0, 1.5), Duration::from_micros(1), "one passed");
+        let layout = Arc::new(RwLock::new(ReplicaLayout::new(3, 1).expect("one rank")));
+        let mail = Arc::new(Mailbox::default());
+        let clock = Clock::simulated();
+        let [mut node, spare] = [0, 2].map(|index| {
+            let cfg = NodeConfig {
+                index,
+                ranks: 1,
+                tasks_per_rank: 1,
+                detection: DetectionMethod::FullCompare,
+                chunk_size: 64,
+                heartbeat_period: Duration::from_secs(10),
+                heartbeat_timeout: Duration::from_millis(300),
+                delta_checkpoints: false,
+                private_layout: false,
+            };
+            let identity = layout.read().locate(index);
+            let port = Arc::clone(&mail) as Arc<dyn Port>;
+            let (_, inbox) = crossbeam::channel::unbounded();
+            let factory: Arc<TaskFactory> = Arc::new(|_, _| blob_at(0, None));
+            let rec = Recorder::disabled();
+            NodeWorker::new(
+                cfg,
+                identity,
+                Arc::clone(&layout),
+                port,
+                inbox,
+                factory,
+                clock.clone(),
+                rec,
+            )
+        });
+        assert_eq!(spare.next_wait(), None, "a spare waits for a message");
+        node.handle_ctrl(Ctrl::Park);
+        let mut wakes = 0;
+        while mail.dead.lock().is_empty() {
+            let wait = node.next_wait().expect("a buddy is watched");
+            assert!(wait > Duration::ZERO, "no spin");
+            clock.advance(wait.as_secs_f64());
+            node.tick();
+            wakes += 1;
+            assert!(wakes <= 2, "woke {wakes} times for one expiry");
+        }
+        assert_eq!(*mail.dead.lock(), vec![1]);
+        let next = node.next_wait().expect("the next heartbeat is due");
+        assert!(
+            next > Duration::from_secs(9),
+            "then the heartbeat: {next:?}"
+        );
     }
 
     /// The buddy judges a delta record by its own checkpoint alone: losing

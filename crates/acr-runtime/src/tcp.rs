@@ -105,8 +105,7 @@ const ACK_AFTER_BYTES: usize = 256 << 10;
 /// dirty windows than this takes another write).
 const MAX_IOV: usize = 16;
 
-/// How long backoff sleeps are sliced (bounds shutdown latency), and the
-/// pause of the two error paths that must not spin.
+/// The pause of the two error paths that must not spin.
 const POLL_TICK: Duration = Duration::from_millis(5);
 
 /// A dialer that sends no (or a partial) hello is cut off after this, and
@@ -1580,6 +1579,10 @@ pub(crate) struct Endpoint {
     welcome: std::sync::Mutex<Option<WelcomeCfg>>,
     /// Notified when the welcome arrives and at shutdown.
     welcomed: Condvar,
+    /// Set as the endpoint thread's loop returns.
+    exited: std::sync::Mutex<bool>,
+    /// Notified when `exited` is set.
+    exit: Condvar,
     rec: Arc<Recorder>,
     thread: Mutex<Option<JoinHandle<()>>>,
 }
@@ -1618,13 +1621,19 @@ impl Endpoint {
             inbox_tx: Mutex::new(Some(inbox)),
             welcome: std::sync::Mutex::new(None),
             welcomed: Condvar::new(),
+            exited: std::sync::Mutex::new(false),
+            exit: Condvar::new(),
             rec,
             thread: Mutex::new(None),
         });
         let e = Arc::clone(&ep);
         let h = std::thread::Builder::new()
             .name(format!("acr-ep-{node}"))
-            .spawn(move || endpoint_loop(e, addr, rx))
+            .spawn(move || {
+                endpoint_loop(Arc::clone(&e), addr, rx);
+                *lock(&e.exited) = true;
+                e.exit.notify_all();
+            })
             .expect("spawn endpoint");
         *ep.thread.lock() = Some(h);
         ep
@@ -1669,13 +1678,9 @@ impl Endpoint {
     /// wakes the wait as the welcome lands.
     pub(crate) fn wait_welcome(&self, timeout: Duration) -> Option<WelcomeCfg> {
         let deadline = Instant::now() + timeout;
-        let mut welcome = lock(&self.welcome);
-        while welcome.is_none() && !self.is_shutdown() && Instant::now() < deadline {
-            let left = deadline.saturating_duration_since(Instant::now());
-            welcome = (self.welcomed.wait_timeout(welcome, left))
-                .map_or_else(|e| e.into_inner().0, |(g, _)| g);
-        }
-        *welcome
+        *wait_for(&self.welcome, &self.welcomed, deadline, |w| {
+            w.is_some() || self.is_shutdown()
+        })
     }
 
     /// Kill the buddy link's current socket (test hook). The dialing side
@@ -1704,10 +1709,9 @@ impl Endpoint {
     /// `deadline` bounds the wait; then [`shutdown`](Endpoint::shutdown).
     pub(crate) fn linger(&self, deadline: Instant) {
         self.lingering.store(true, Ordering::SeqCst);
-        let finished = || self.thread.lock().as_ref().is_none_or(|h| h.is_finished());
-        while !finished() && Instant::now() < deadline {
-            std::thread::sleep(POLL_TICK);
-        }
+        drop(wait_for(&self.exited, &self.exit, deadline, |&exited| {
+            exited
+        }));
         self.shutdown();
     }
 
@@ -1892,6 +1896,25 @@ fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Wait on `cv` until `done` holds for what `m` guards or `deadline`
+/// passes; whoever changes what `done` reads notifies `cv` under `m`.
+fn wait_for<'a, T>(
+    m: &'a std::sync::Mutex<T>,
+    cv: &Condvar,
+    deadline: Instant,
+    done: impl Fn(&T) -> bool,
+) -> std::sync::MutexGuard<'a, T> {
+    let mut guard = lock(m);
+    while !done(&guard) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        guard = (cv.wait_timeout(guard, left)).map_or_else(|e| e.into_inner().0, |(g, _)| g);
+    }
+    guard
+}
+
 /// `at` is a deadline of interest: fold it into the earliest one so far.
 fn earliest(next: &mut Option<Instant>, at: Instant) {
     *next = Some(next.map_or(at, |t| t.min(at)));
@@ -1953,13 +1976,14 @@ fn endpoint_loop(ep: Arc<Endpoint>, addr: SocketAddr, rx: Receiver<EpMsg>) {
                         attempt: a,
                         delay_us: delay.as_micros() as u64,
                     });
-                    // Backoff in small slices so shutdown stays prompt.
+                    // Back off on the condvar shutdown notifies, so
+                    // shutdown stays prompt.
                     let deadline = Instant::now() + delay;
-                    while Instant::now() < deadline {
-                        if ep.is_shutdown() {
-                            break 'main;
-                        }
-                        std::thread::sleep(POLL_TICK.min(delay));
+                    drop(wait_for(&ep.welcome, &ep.welcomed, deadline, |_| {
+                        ep.is_shutdown()
+                    }));
+                    if ep.is_shutdown() {
+                        break 'main;
                     }
                     backoff = (backoff * 2).min(max);
                 }
