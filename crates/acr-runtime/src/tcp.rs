@@ -1,16 +1,16 @@
 //! The TCP fabric: a driver-side [`Router`] — a **single-threaded
 //! nonblocking reactor** multiplexing every node link — and a node-side
-//! [`Endpoint`] (one thread: dialer with capped-exponential reconnect,
-//! polled reads, batched writes), exchanging [`wire`](crate::wire) frames.
-//! Topology: a star for control, plus one data link per buddy pair. Every
-//! node's link to the router carries the control plane and membership —
-//! consensus, heartbeats, application messages, events, `Install` — while
-//! the round's comparison traffic (`Compare`, `CompareResult`) goes
-//! straight from a node's endpoint to its buddy's (§2.1 sends the remote
-//! checkpoint *to the buddy*). The buddy link is dialed by the node that
-//! ships the first compare record, to the address the router's address
-//! book gives for the buddy, and re-pointed when the driver names a new
-//! buddy; a job that never ships never opens one.
+//! [`Endpoint`] (one thread serving the node's two links), exchanging
+//! [`wire`](crate::wire) frames. Topology: a star for control, plus one
+//! data link per buddy pair. Every node's link to the router carries the
+//! control plane and membership — consensus, heartbeats, application
+//! messages, events, `Install` — while the round's comparison traffic
+//! (`Compare`, `CompareResult`) goes straight from a node's endpoint to its
+//! buddy's (§2.1 sends the remote checkpoint *to the buddy*). The buddy
+//! link is dialed by the node that ships the first compare record, to the
+//! address the router's address book gives for the buddy, and re-pointed
+//! when the driver names a new buddy; a job that never ships never opens
+//! one.
 //!
 //! Reliability model: the protocol has no message-level timeouts (a lost
 //! consensus contribution would wedge a round forever), so the wire layer
@@ -20,17 +20,19 @@
 //! it — every frame header carries the highest sequence its sender has
 //! received, and a link with nothing to say acknowledges with a bodiless
 //! frame after [`ACK_AFTER_BYTES`] — so the ring is the unacknowledged
-//! window and nothing more. The connect/accept handshake exchanges the
-//! same high-water mark, and the reattaching side replays everything
-//! newer. Receivers drop duplicates by sequence. A buddy link works the
-//! same way, the dialing endpoint in the router's place.
-//! A socket drop therefore looks, to the protocol, like a brief stall —
-//! which is exactly what distinguishes it from node death: the reactor's
-//! stale-link timer reports a link detached too long, and the *driver's
-//! liveness probe* (not the transport) decides whether the node behind it
-//! is dead. A buddy link detached that long is not reported: the router
-//! carries that pair's comparison traffic until the link attaches again,
-//! so buddies that can reach the driver but not each other still finish.
+//! window and nothing more. The handshake exchanges the same high-water
+//! mark, and each side replays everything newer. One [`Link`] does this
+//! for every link of the fabric: it drops duplicates by sequence and
+//! acknowledges what it received, and each link an endpoint dials has one
+//! handshake — a bounded `connect`, the hello, the welcome read as it
+//! lands — and one redial timer, the buddy link the same as the router
+//! link. A socket drop therefore looks, to the protocol, like a brief
+//! stall — which is exactly what distinguishes it from node death: the
+//! reactor's stale-link timer reports a link detached too long, and the
+//! *driver's liveness probe* (not the transport) decides whether the node
+//! behind it is dead. A buddy link detached that long is not reported: the
+//! router carries that pair's comparison traffic until the link attaches
+//! again, so buddies that can reach the driver but not each other finish.
 //!
 //! Threading: the reactor is O(1) threads regardless of link count, and
 //! both it and the endpoint loop are *readiness-driven*: every socket (and
@@ -38,15 +40,17 @@
 //! ([`poller::wait`]) over its sockets plus a wake descriptor that every
 //! command sender pokes ([`Waker`]). A byte arriving on a socket, a
 //! queued command, or the next timer (a pending handshake's deadline, a
-//! detached link turning stale) ends the wait; nothing else does, so an
-//! idle fabric makes no system calls. Per wake-up the reactor drains its
-//! commands, accepts and progresses handshakes, takes one bounded read
-//! from each link poll reported readable, dispatches the frames, and
-//! flushes the links that took frames or were reported writable. An
-//! endpoint serves its router link, its listener and its buddy link the
-//! same way, but reads a readable link until it would block. A write
-//! that would block parks the rest in a per-link buffer and the link asks
-//! poll for `POLLOUT` until it drains.
+//! redial, a detached link turning stale) ends the wait; nothing else
+//! does, so an idle fabric makes no system calls. Per wake-up the reactor
+//! drains its commands, accepts and progresses handshakes, takes one
+//! bounded read from each link poll reported readable, dispatches the
+//! frames, and flushes the links that took frames or were reported
+//! writable. An endpoint serves its router link, its listener and its
+//! buddy link the same way, but reads a readable link until it would
+//! block; while its router link redials, the buddy link, the listener and
+//! the commands are served as ever. A write that would block parks the
+//! rest in a per-link buffer and the link asks poll for `POLLOUT` until it
+//! drains.
 //!
 //! Nothing large is assembled that is already in memory. A message's body
 //! is a short list of shared segments (see [`wire`](crate::wire)), and a
@@ -558,14 +562,41 @@ fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) {
     }
 }
 
+/// Park a fabric loop whose poll set `fds` opens with `waker`'s entry
+/// until a socket, a command on `rx` or the timer `next` needs it; return
+/// the first command. Flag first, channel second (see [`Waker`]): a
+/// command that slips in after the check is followed by a wake byte. With
+/// a command in hand the wait only collects what the sockets have ready.
+fn park<T>(
+    waker: &Waker,
+    rx: &Receiver<T>,
+    fds: &mut [PollFd],
+    next: Option<Instant>,
+) -> Option<T> {
+    waker.park();
+    let cmd = rx.try_recv().ok();
+    let timeout = match (&cmd, next) {
+        (Some(_), _) => Some(Duration::ZERO),
+        (None, Some(at)) => Some(at.saturating_duration_since(Instant::now())),
+        (None, None) => None,
+    };
+    wait_ready(fds, timeout);
+    waker.unpark(fds[0].readable());
+    cmd
+}
+
 /// One link's own state, the same on every link of the fabric — a
 /// reactor link, an endpoint's router link, a buddy link: the socket, the
-/// decoder of what arrives on it, the send side, and since when it has
-/// been without a socket.
+/// decoder of what arrives on it, the send side, what has arrived, and
+/// since when it has been without a socket.
 struct Link {
     stream: Option<TcpStream>,
     dec: FrameDecoder,
     tx: SendSide,
+    /// Highest frame sequence received, across sockets: what every frame
+    /// that leaves acknowledges, what the handshake tells the peer to
+    /// replay above, and at or below which a frame is a replayed duplicate.
+    last_recv: u64,
     /// When the link lost its socket, or was opened without one; `None`
     /// while attached (and a reactor link's before its first attach).
     /// Drives the stale timers.
@@ -578,6 +609,7 @@ impl Link {
             stream: None,
             dec: FrameDecoder::new(),
             tx: SendSide::default(),
+            last_recv: 0,
             detached_since,
         }
     }
@@ -637,24 +669,19 @@ impl Link {
         self.stream.as_ref().map(|s| PollFd::new(s, events))
     }
 
-    /// Whether an endpoint's link owes a flush: poll reported it writable,
-    /// or it parked with nothing waiting and now has something to say —
-    /// new frames, or an acknowledgement that came due.
-    fn owes_flush(&self, writable: bool, had_backlog: bool) -> bool {
-        writable || (!had_backlog && (self.tx.backlog() || self.tx.ack_due()))
-    }
-
     /// Read the socket poll reported readable: one read of at most
     /// `scratch.len()` bytes, or — with `drain` — reads until it would
-    /// block. What each frame acknowledges goes to the send side, then the
-    /// frame to `deliver`, which answers `false` for a frame that must end
-    /// the link. Returns whether the link is still alive (end of stream, a
-    /// read error or a corrupt stream end it too).
+    /// block. What each frame acknowledges goes to the send side; a
+    /// bodiless frame (sequence 0) ends there, and so does a replayed
+    /// duplicate. Every new frame goes to `deliver`, which answers `false`
+    /// for a frame that must end the link. Returns whether the link is
+    /// still alive (end of stream, a read error or a corrupt stream end it
+    /// too).
     fn read(
         &mut self,
         scratch: &mut [u8],
         drain: bool,
-        bytes_recv: &mut u64,
+        stats: &mut WireStats,
         mut deliver: impl FnMut(Frame) -> bool,
     ) -> bool {
         let Some(stream) = self.stream.as_mut() else {
@@ -663,7 +690,7 @@ impl Link {
         loop {
             match self.dec.read_from(stream, scratch) {
                 Ok(0) => return false,
-                Ok(k) => *bytes_recv += k as u64,
+                Ok(k) => stats.bytes_recv += k as u64,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return e.kind() == ErrorKind::WouldBlock,
             }
@@ -671,6 +698,11 @@ impl Link {
                 match self.dec.next_frame() {
                     Ok(Some(frame)) => {
                         self.tx.received(&frame);
+                        if frame.seq <= self.last_recv {
+                            continue;
+                        }
+                        self.last_recv = frame.seq;
+                        stats.frames_recv += 1;
                         if !deliver(frame) {
                             return false;
                         }
@@ -686,10 +718,11 @@ impl Link {
     }
 
     /// Flush the send side into the socket, if there is one (see
-    /// [`SendSide::flush`]); `false` on a fatal socket error.
-    fn flush(&mut self, ack: u64, stats: &mut WireStats, rec: &Recorder, obs_node: u32) -> bool {
+    /// [`SendSide::flush`]), acknowledging everything received; `false` on
+    /// a fatal socket error.
+    fn flush(&mut self, stats: &mut WireStats, rec: &Recorder, obs_node: u32) -> bool {
         match self.stream.as_mut() {
-            Some(s) => self.tx.flush(s, ack, stats, rec, obs_node),
+            Some(s) => self.tx.flush(s, self.last_recv, stats, rec, obs_node),
             None => true,
         }
     }
@@ -714,8 +747,7 @@ impl Link {
     }
 }
 
-/// A freshly-accepted socket still reading its hello. Which job (and
-/// link) it belongs to is unknown until the hello decodes.
+/// A freshly-accepted socket still reading its hello.
 struct PendingHello {
     stream: TcpStream,
     buf: [u8; HELLO_LEN],
@@ -725,53 +757,88 @@ struct PendingHello {
     ready: bool,
 }
 
-impl PendingHello {
-    /// Take what has arrived of the hello: `None` while it is incomplete,
-    /// `Some(None)` for garbage or a closed socket, `Some(Some(hello))`
-    /// once it is whole.
-    fn progress(&mut self) -> Option<Option<Hello>> {
-        loop {
-            match self.stream.read(&mut self.buf[self.got..]) {
-                Ok(0) => return Some(None),
-                Ok(k) => {
-                    self.got += k;
-                    if self.got == HELLO_LEN {
-                        return Some(decode_hello(&self.buf).ok());
-                    }
-                }
-                // Still reading; the owner enforces the deadline.
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return None,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return Some(None),
-            }
+/// Read a handshake record into `buf` as it arrives, `got` bytes of it in
+/// already: `None` while more is to come, then whether it is whole
+/// (`false`: the socket closed or failed first).
+fn read_record(s: &mut TcpStream, buf: &mut [u8], got: &mut usize) -> Option<bool> {
+    while *got < buf.len() {
+        match s.read(&mut buf[*got..]) {
+            Ok(0) => return Some(false),
+            Ok(k) => *got += k,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return None,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return Some(false),
         }
     }
+    Some(true)
 }
 
-/// Accept every connection waiting on `listener` into `pending`.
-fn accept_into(listener: &TcpListener, pending: &mut Vec<PendingHello>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(true);
-                let _ = stream.set_nodelay(true);
-                pending.push(PendingHello {
-                    stream,
-                    buf: [0u8; HELLO_LEN],
-                    got: 0,
-                    since: Instant::now(),
-                    // The hello usually rides in with the connect.
-                    ready: true,
-                });
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(_) => {
-                // Out of descriptors, most likely. The listener stays
-                // readable, so pause rather than spin on it.
-                std::thread::sleep(POLL_TICK);
-                break;
+/// The sockets accepted on a listener that are still reading their hello;
+/// which job (and link) one belongs to is unknown until the hello decodes.
+/// The reactor keeps one set, and so does each endpoint, for its buddies.
+#[derive(Default)]
+struct Hellos(Vec<PendingHello>);
+
+impl Hellos {
+    /// Cut off every dialer that has not finished its hello within
+    /// [`HANDSHAKE_DEADLINE`], fold the next such deadline into `next`, and
+    /// put the rest on the end of the poll set. Returns where they start.
+    fn watch(&mut self, now: Instant, next: &mut Option<Instant>, fds: &mut Vec<PollFd>) -> usize {
+        self.0.retain(|p| now < p.since + HANDSHAKE_DEADLINE);
+        for p in &self.0 {
+            earliest(next, p.since + HANDSHAKE_DEADLINE);
+            fds.push(PollFd::new(&p.stream, POLLIN));
+        }
+        fds.len() - self.0.len()
+    }
+
+    /// After the wait: accept every connection waiting on `listener`, if
+    /// poll reported it, then read each hello that poll reported (`fds`,
+    /// as [`watch`](Self::watch) laid them out) or that rode in with its
+    /// connect. Hands back every socket that is done, with its hello —
+    /// `None` for garbage or a socket that closed first.
+    fn arrived(
+        &mut self,
+        fds: &[PollFd],
+        listener: Option<&TcpListener>,
+    ) -> Vec<(TcpStream, Option<Hello>)> {
+        for (p, fd) in self.0.iter_mut().zip(fds) {
+            p.ready = fd.readable();
+        }
+        if let Some(l) = listener {
+            loop {
+                match l.accept() {
+                    Ok((stream, _)) => {
+                        let _ = stream.set_nonblocking(true);
+                        let _ = stream.set_nodelay(true);
+                        self.0.push(PendingHello {
+                            stream,
+                            buf: [0u8; HELLO_LEN],
+                            got: 0,
+                            since: Instant::now(),
+                            // The hello usually rides in with the connect.
+                            ready: true,
+                        });
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(_) => {
+                        // Out of descriptors, most likely. The listener stays
+                        // readable, so pause rather than spin on it.
+                        std::thread::sleep(POLL_TICK);
+                        break;
+                    }
+                }
             }
         }
+        let done = |p: &mut PendingHello| read_record(&mut p.stream, &mut p.buf, &mut p.got);
+        (self
+            .0
+            .extract_if(.., |p| std::mem::take(&mut p.ready) && done(p).is_some()))
+        .map(|p| {
+            let hello = (p.got == HELLO_LEN).then(|| decode_hello(&p.buf).ok());
+            (p.stream, hello.flatten())
+        })
+        .collect()
     }
 }
 
@@ -867,8 +934,6 @@ struct LinkShared {
     connected: AtomicBool,
     /// Quarantined links refuse re-accept (test hook: transport death).
     quarantined: AtomicBool,
-    /// Highest frame sequence received from this node (dedup + handshake).
-    last_recv: AtomicU64,
     /// One stale report per outage (reset on attach).
     stale_reported: AtomicBool,
     /// A clone of the attached socket, for severing from other threads.
@@ -879,6 +944,9 @@ struct LinkShared {
     /// The reactor → node direction's replay ring, as of the last wake-up.
     #[cfg(test)]
     ring: RingGauge,
+    /// The highest sequence received from the node, as of the last read.
+    #[cfg(test)]
+    received: AtomicU64,
 }
 
 enum Cmd {
@@ -994,12 +1062,13 @@ impl Router {
             .map(|_| LinkShared {
                 connected: AtomicBool::new(false),
                 quarantined: AtomicBool::new(false),
-                last_recv: AtomicU64::new(0),
                 stale_reported: AtomicBool::new(false),
                 conn: Mutex::new(None),
                 listen: Mutex::new(None),
                 #[cfg(test)]
                 ring: RingGauge::default(),
+                #[cfg(test)]
+                received: AtomicU64::new(0),
             })
             .collect();
         let shared = Arc::new(JobShared {
@@ -1223,11 +1292,11 @@ fn teardown_job(jl: &mut JobLinks) {
 /// I/O, parked in `poll` until a socket, a command or a timer needs it.
 fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
     let mut jobs: BTreeMap<u32, JobLinks> = BTreeMap::new();
-    let mut pending: Vec<PendingHello> = Vec::new();
+    let mut hellos = Hellos::default();
     let mut rdbuf = vec![0u8; READ_BUDGET];
     let mut inbound: Vec<(u32, usize, Frame)> = Vec::new();
     // The poll set: the wake descriptor, the listener, one entry per
-    // pending handshake (in `pending` order), then one per attached link
+    // pending handshake (see `Hellos::watch`), then one per attached link
     // (`polled_links` says which).
     let mut fds: Vec<PollFd> = Vec::new();
     let mut polled_links: Vec<(u32, usize)> = Vec::new();
@@ -1241,24 +1310,11 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
         // A timer that is due fires here; one that is not bounds the wait.
         let now = Instant::now();
         let mut next_timer: Option<Instant> = None;
-        let mut due = |at: Instant| {
-            if at > now {
-                next_timer = Some(next_timer.map_or(at, |t| t.min(at)));
-            }
-            at <= now
-        };
         fds.clear();
         fds.push(router.waker.pollfd());
         fds.push(PollFd::new(&listener, POLLIN));
-        pending.retain(|p| {
-            // A dialer that never finishes its hello is cut off.
-            if due(p.since + HANDSHAKE_DEADLINE) {
-                let _ = p.stream.shutdown(Shutdown::Both);
-                return false;
-            }
-            fds.push(PollFd::new(&p.stream, POLLIN));
-            true
-        });
+        hellos.watch(now, &mut next_timer, &mut fds);
+        let links_at = fds.len();
         polled_links.clear();
         for (&job, jl) in jobs.iter_mut() {
             let links = jl.shared.links.iter().zip(&mut jl.links);
@@ -1284,19 +1340,9 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
         router.ticks.record(woke.elapsed());
 
         // --- 2. park until a socket, a command or a timer -------------
-        // Flag first, channel second (see `Waker`): a command that slips
-        // in after this check is followed by a wake byte. (The channel
-        // cannot disconnect: this thread's `Arc<Router>` holds a sender.)
-        router.waker.park();
-        let mut next = cmd_rx.try_recv().ok();
-        let timeout = match (&next, next_timer) {
-            // Work in hand: only collect what the sockets have ready.
-            (Some(_), _) => Some(Duration::ZERO),
-            (None, Some(at)) => Some(at.saturating_duration_since(Instant::now())),
-            (None, None) => None,
-        };
-        wait_ready(&mut fds, timeout);
-        router.waker.unpark(fds[0].readable());
+        // (The channel cannot disconnect: this thread's `Arc<Router>`
+        // holds a sender.)
+        let mut next = park(&router.waker, &cmd_rx, &mut fds, next_timer);
         woke = Instant::now();
 
         // --- 3. command drain -----------------------------------------
@@ -1344,79 +1390,54 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
             break;
         }
 
-        // --- 4. accept fresh sockets ----------------------------------
-        for (p, fd) in pending.iter_mut().zip(&fds[2..]) {
-            p.ready = fd.readable();
-        }
-        let link_fds = &fds[2 + pending.len()..];
-        if fds[1].readable() {
-            accept_into(&listener, &mut pending);
-        }
-
-        // --- 5. progress the handshakes that have bytes ---------------
-        let mut i = 0;
-        while i < pending.len() {
-            let p = &mut pending[i];
-            if !std::mem::take(&mut p.ready) {
-                i += 1;
+        // --- 4. accept fresh sockets, attach the hellos that are whole -
+        // A socket with a garbled hello, or one for a job or node the
+        // reactor does not have or a quarantined node, is dropped, which
+        // closes it.
+        let accepting = fds[1].readable().then_some(&listener);
+        for (stream, hello) in hellos.arrived(&fds[2..links_at], accepting) {
+            let Some(hello) = hello else {
                 continue;
-            }
-            match p.progress() {
-                None => i += 1,
-                Some(None) => {
-                    // Garbage or EOF: drop the socket.
-                    let p = pending.swap_remove(i);
-                    let _ = p.stream.shutdown(Shutdown::Both);
-                }
-                Some(Some(hello)) => {
-                    let p = pending.swap_remove(i);
-                    // Route the link into its job's namespace; a hello
-                    // for an unregistered job is dropped like garbage.
-                    if let Entry::Vacant(slot) = jobs.entry(hello.job) {
-                        if let Some(shared) = router.job(hello.job) {
-                            slot.insert(JobLinks::new(shared));
-                        }
-                    }
-                    let Some(jl) = jobs.get_mut(&hello.job) else {
-                        let _ = p.stream.shutdown(Shutdown::Both);
-                        continue;
-                    };
-                    let node = hello.node as usize;
-                    let Some(shared) = jl.shared.links.get(node) else {
-                        let _ = p.stream.shutdown(Shutdown::Both);
-                        continue;
-                    };
-                    if shared.quarantined.load(Ordering::SeqCst) {
-                        let _ = p.stream.shutdown(Shutdown::Both);
-                        continue;
-                    }
-                    *shared.listen.lock() = (hello.listen_port != 0)
-                        .then(|| p.stream.peer_addr().ok())
-                        .flatten()
-                        .map(|peer| SocketAddr::new(peer.ip(), hello.listen_port));
-                    // The welcome, then everything the dead socket
-                    // swallowed: the ring above the peer's high-water mark.
-                    let welcome = encode_welcome(&Welcome {
-                        last_recv_seq: shared.last_recv.load(Ordering::SeqCst),
-                        cfg: jl.shared.welcome_cfg,
-                    });
-                    (jl.links[node]).attach(p.stream, &shared.conn, hello.last_recv_seq, welcome);
-                    to_flush.push((hello.job, node));
-                    shared.connected.store(true, Ordering::SeqCst);
-                    shared.stale_reported.store(false, Ordering::SeqCst);
-                    let _attach = lock(&jl.shared.attach_lock);
-                    jl.shared.attached.notify_all();
+            };
+            // Route the link into its job's namespace.
+            if let Entry::Vacant(slot) = jobs.entry(hello.job) {
+                if let Some(shared) = router.job(hello.job) {
+                    slot.insert(JobLinks::new(shared));
                 }
             }
+            let node = hello.node as usize;
+            let Some(jl) = jobs.get_mut(&hello.job).filter(|jl| {
+                (jl.shared.links.get(node)).is_some_and(|l| !l.quarantined.load(Ordering::SeqCst))
+            }) else {
+                continue;
+            };
+            let shared = &jl.shared.links[node];
+            *shared.listen.lock() = (hello.listen_port != 0)
+                .then(|| stream.peer_addr().ok())
+                .flatten()
+                .map(|peer| SocketAddr::new(peer.ip(), hello.listen_port));
+            // The welcome, then everything the dead socket swallowed: the
+            // ring above the peer's high-water mark.
+            let ls = &mut jl.links[node];
+            let welcome = encode_welcome(&Welcome {
+                last_recv_seq: ls.last_recv,
+                cfg: jl.shared.welcome_cfg,
+            });
+            ls.attach(stream, &shared.conn, hello.last_recv_seq, welcome);
+            to_flush.push((hello.job, node));
+            shared.connected.store(true, Ordering::SeqCst);
+            shared.stale_reported.store(false, Ordering::SeqCst);
+            let _attach = lock(&jl.shared.attach_lock);
+            jl.shared.attached.notify_all();
         }
 
-        // --- 6. one bounded read from each link poll reported ---------
+        // --- 5. one bounded read from each link poll reported ---------
         // A hang-up or error polls readable, so a severed socket or a
-        // closed peer detaches here at once. (A socket replaced in step 5
+        // closed peer detaches here at once. (A socket replaced in step 4
         // is read in its predecessor's name; it is nonblocking, so the
         // worst case is a read that would block.)
         inbound.clear();
-        for (&(job, node), fd) in polled_links.iter().zip(link_fds) {
+        for (&(job, node), fd) in polled_links.iter().zip(&fds[links_at..]) {
             if fd.writable() {
                 to_flush.push((job, node));
             }
@@ -1427,16 +1448,21 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                 continue; // deregistered in step 3
             };
             let (shared, ls) = (&jl.shared.links[node], &mut jl.links[node]);
-            let alive = ls.read(&mut rdbuf, false, &mut jl.stats.bytes_recv, |f| {
+            let alive = ls.read(&mut rdbuf, false, &mut jl.stats, |f| {
                 inbound.push((job, node, f));
                 true
             });
+            #[cfg(test)]
+            shared.received.store(ls.last_recv, Ordering::SeqCst);
             if !alive {
                 detach_link(shared, ls);
+            } else if ls.tx.ack_due() && !ls.tx.backlog() {
+                // An idle link owes the sender word that this much arrived.
+                to_flush.push((job, node));
             }
         }
 
-        // --- 7. dispatch: dedup, then route to the driver or a link ---
+        // --- 6. dispatch: route to the driver or a link ---------------
         // A frame's `to` is resolved strictly within the namespace of the
         // job its link handshook into; links cannot address other jobs.
         for (job, from, frame) in inbound.drain(..) {
@@ -1444,18 +1470,6 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
                 continue;
             };
             let (shared, rx) = (&jl.shared.links[from], &mut jl.links[from]);
-            if frame.seq == 0 {
-                continue; // bodiless: its acknowledgement was all of it
-            }
-            jl.stats.frames_recv += 1;
-            let prev = shared.last_recv.fetch_max(frame.seq, Ordering::SeqCst);
-            if prev >= frame.seq {
-                continue; // replay duplicate
-            }
-            // An idle link owes the sender word that this much arrived.
-            if rx.stream.is_some() && rx.tx.ack_due() && !rx.tx.backlog() {
-                to_flush.push((job, from));
-            }
             if frame.to == DRIVER_DEST {
                 match decode_event(&frame.body) {
                     Ok(ev) => {
@@ -1471,14 +1485,13 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
             }
         }
 
-        // --- 8. flush the links that have something new to say --------
+        // --- 7. flush the links that have something new to say --------
         for (job, node) in to_flush.drain(..) {
             let Some(jl) = jobs.get_mut(&job) else {
                 continue;
             };
             let (shared, ls) = (&jl.shared.links[node], &mut jl.links[node]);
-            let ack = shared.last_recv.load(Ordering::SeqCst);
-            if !ls.flush(ack, &mut jl.stats, &jl.shared.rec, DRIVER_NODE) {
+            if !ls.flush(&mut jl.stats, &jl.shared.rec, DRIVER_NODE) {
                 detach_link(shared, ls);
             }
         }
@@ -1504,9 +1517,6 @@ fn reactor(router: Arc<Router>, listener: TcpListener, cmd_rx: Receiver<Cmd>) {
     for jl in jobs.values_mut() {
         teardown_job(jl);
     }
-    for p in pending.drain(..) {
-        let _ = p.stream.shutdown(Shutdown::Both);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1531,12 +1541,10 @@ enum EpMsg {
     Shutdown,
 }
 
-/// A node's side of the fabric: **one** thread that dials the router
-/// (reconnecting with capped exponential backoff), accepts or dials the
-/// direct link to its buddy's endpoint, then parks in `poll` on its
-/// sockets, its listener and its wake descriptor, reading inbound frames
-/// and flushing queued ones in batches as each becomes ready — the
-/// node-side mirror of the reactor's per-link state machine.
+/// A node's side of the fabric: **one** thread serving the node's link to
+/// the router, the direct link to its buddy's endpoint and the listener
+/// buddies dial in on — the node-side mirror of the reactor (see
+/// [`endpoint_loop`]).
 pub(crate) struct Endpoint {
     /// Job namespace this endpoint's hello routes its link into.
     job: u32,
@@ -1566,9 +1574,6 @@ pub(crate) struct Endpoint {
     lingering: AtomicBool,
     /// Set by [`Endpoint::quarantine`]: no buddy link is dialed or accepted.
     quarantined: AtomicBool,
-    /// Highest frame sequence received from the router (dedup; sent in
-    /// the hello so the router replays what a dropped socket swallowed).
-    last_recv: AtomicU64,
     /// A clone of the live router socket, for shutdown/sever.
     conn: Mutex<Option<TcpStream>>,
     /// A clone of the buddy link's live socket, for sever/quarantine.
@@ -1615,7 +1620,6 @@ impl Endpoint {
             shutdown: AtomicBool::new(false),
             lingering: AtomicBool::new(false),
             quarantined: AtomicBool::new(false),
-            last_recv: AtomicU64::new(0),
             conn: Mutex::new(None),
             buddy_conn: Mutex::new(None),
             inbox_tx: Mutex::new(Some(inbox)),
@@ -1758,11 +1762,16 @@ impl Endpoint {
     }
 }
 
-/// An endpoint's direct link to its buddy's endpoint. The node that ships
-/// the first compare record dials it, to the address in the router's
-/// address book, and redials it after a drop; the other side accepts it.
-/// Sequencing, replay and acknowledgement work as on the router link.
-struct BuddyLink {
+/// One of an endpoint's two links: to the router, or to its buddy's
+/// endpoint. Both dial the same way — a `connect` with a timeout, the
+/// hello, then the welcome read as it lands, under [`HANDSHAKE_DEADLINE`],
+/// so the loop never blocks on a peer — and redial on one timer: a link
+/// that was attached redials at once, a dial that failed waits out a
+/// backoff. The router link is always dialed; a buddy link by the node
+/// that ships the first compare record, to the address in the router's
+/// address book, and accepted by the other side.
+struct EpLink {
+    /// The buddy at the other end; [`DRIVER_DEST`] for the router link.
     peer: u32,
     /// This side dialed the link; only the dialer redials.
     dialer: bool,
@@ -1770,123 +1779,195 @@ struct BuddyLink {
     /// A dialed socket waiting for its whole welcome: the bytes so far,
     /// and when the hello went out.
     greeting: Option<(TcpStream, [u8; WELCOME_LEN], usize, Instant)>,
-    /// Highest sequence received from the peer (dedup, acknowledgements,
-    /// and the dialer's hello).
-    last_recv: u64,
     /// The link has been without a socket for the stale window: its
     /// traffic takes the router until it attaches again.
     routed: bool,
+    /// Dials since the link last attached, and how long the redial after
+    /// the next failed one waits.
+    attempts: u32,
     backoff: Duration,
     next_dial: Instant,
 }
 
-impl BuddyLink {
-    fn new(peer: u32, dialer: bool, backoff: Duration) -> BuddyLink {
+impl EpLink {
+    fn new(peer: u32, dialer: bool, backoff: Duration) -> EpLink {
         let now = Instant::now();
-        BuddyLink {
+        EpLink {
             peer,
             dialer,
             link: Link::new(Some(now)),
             greeting: None,
-            last_recv: 0,
             routed: false,
+            attempts: 0,
             backoff,
             next_dial: now,
         }
     }
 
-    /// Close the socket, dialed or attached; what was queued for it stays
-    /// in the ring, and a dialer tries again after its backoff, which
-    /// doubles up to `max` — or [`ROUTED_REDIAL_MAX`] once the router
-    /// carries the link's traffic. (A link being dropped is detached
-    /// first, to close its socket.)
-    fn detach(&mut self, ep: &Endpoint, max: Duration) {
-        if let Some((s, ..)) = self.greeting.take() {
-            let _ = s.shutdown(Shutdown::Both);
+    /// Where the attached socket's clone is kept, for sever and shutdown.
+    fn conn<'a>(&self, ep: &'a Endpoint) -> &'a Mutex<Option<TcpStream>> {
+        match self.peer {
+            DRIVER_DEST => &ep.conn,
+            _ => &ep.buddy_conn,
         }
-        self.link.detach(&ep.buddy_conn);
-        self.next_dial = Instant::now() + self.backoff;
-        let cap = if self.routed { ROUTED_REDIAL_MAX } else { max };
-        self.backoff = (self.backoff * 2).min(cap);
     }
 
-    /// A handshaken socket attached: the link carries its own traffic again.
-    fn attached(&mut self, ep: &Endpoint) {
-        self.routed = false;
-        self.backoff = ep.redial.0;
+    /// The socket to poll: the dialed one until its welcome is whole.
+    fn pollfd(&self) -> Option<PollFd> {
+        match &self.greeting {
+            Some((s, ..)) => Some(PollFd::new(s, POLLIN)),
+            None => self.link.pollfd(),
+        }
     }
 
-    /// Dial the peer at `addr` and send the hello; the welcome is read as
-    /// it arrives ([`read_greeting`](Self::read_greeting)).
-    fn dial(&mut self, ep: &Endpoint, addr: SocketAddr) -> std::io::Result<()> {
-        let mut s = TcpStream::connect_timeout(&addr, BUDDY_CONNECT_TIMEOUT.min(ep.stale_after))?;
+    /// When the dialer needs the loop next: the welcome's deadline, or the
+    /// redial while the link has no socket.
+    fn deadline(&self) -> Option<Instant> {
+        match &self.greeting {
+            Some(g) => Some(g.3 + HANDSHAKE_DEADLINE),
+            None => self.link.stream.is_none().then_some(self.next_dial),
+        }
+    }
+
+    /// The dialer's timers as of `now`: an overdue welcome fails the dial,
+    /// and so does a redial that came due when `dial` cannot connect. The
+    /// next deadline is folded into `next`.
+    fn tick(
+        &mut self,
+        ep: &Endpoint,
+        now: Instant,
+        next: &mut Option<Instant>,
+        dial: impl FnOnce(&mut EpLink) -> std::io::Result<()>,
+    ) {
+        if self.deadline().is_some_and(|at| now >= at)
+            && (self.greeting.is_some() || dial(self).is_err())
+        {
+            self.detach(ep);
+        }
+        if let Some(at) = self.deadline() {
+            earliest(next, at);
+        }
+    }
+
+    /// Connect to `addr` within `timeout` and send the hello: who this
+    /// side is, what it holds, and the port `listen_port` names once the
+    /// socket is connected. [`serve`](Self::serve) reads the welcome.
+    fn dial(
+        &mut self,
+        ep: &Endpoint,
+        addr: SocketAddr,
+        timeout: Duration,
+        listen_port: impl FnOnce(&TcpStream) -> u16,
+    ) -> std::io::Result<()> {
+        self.attempts += 1;
+        let mut s = TcpStream::connect_timeout(&addr, timeout)?;
         let _ = s.set_nodelay(true);
         s.write_all(&encode_hello(&Hello {
             job: ep.job,
             node: ep.node as u32,
-            last_recv_seq: self.last_recv,
-            listen_port: 0,
+            last_recv_seq: self.link.last_recv,
+            listen_port: listen_port(&s),
         }))?;
         s.set_nonblocking(true)?;
         self.greeting = Some((s, [0; WELCOME_LEN], 0, Instant::now()));
         Ok(())
     }
 
-    /// Read what has arrived of a dialed link's welcome; once it is whole
-    /// the link attaches and replays what the peer has not acknowledged.
-    /// Returns `false` when the link must be dropped (refused, closed,
-    /// garbage).
-    fn read_greeting(&mut self, ep: &Endpoint) -> bool {
+    /// Serve what poll reported readable: the welcome of the dial in
+    /// flight, or frames until the socket would block, each new one handed
+    /// to `deliver` (see [`Link::read`]). A whole welcome attaches the
+    /// link, which replays what the peer has not acknowledged; the router
+    /// link's also releases [`Endpoint::wait_welcome`]. A refused, closed
+    /// or garbled socket is detached.
+    fn serve(
+        &mut self,
+        ep: &Endpoint,
+        scratch: &mut [u8],
+        stats: &mut WireStats,
+        deliver: impl FnMut(Frame) -> bool,
+    ) {
         let Some((s, buf, got, _)) = self.greeting.as_mut() else {
-            return true;
-        };
-        while *got < WELCOME_LEN {
-            match s.read(&mut buf[*got..]) {
-                Ok(0) => return false,
-                Ok(k) => *got += k,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return false,
+            if !self.link.read(scratch, true, stats, deliver) {
+                self.detach(ep);
             }
-        }
-        let Ok(welcome) = decode_welcome(buf) else {
-            return false;
+            return;
         };
-        let (s, ..) = self.greeting.take().expect("read above");
-        (self.link).attach(s, &ep.buddy_conn, welcome.last_recv_seq, Vec::new());
-        self.attached(ep);
-        ep.rec.inc_counter("acr_buddy_link_attaches_total", 1);
-        true
+        let Some(whole) = read_record(s, buf, got) else {
+            return;
+        };
+        let welcome = whole.then(|| decode_welcome(buf).ok()).flatten();
+        let (Some(welcome), Some((s, ..))) = (welcome, self.greeting.take()) else {
+            self.detach(ep);
+            return;
+        };
+        let conn = self.conn(ep);
+        self.link.attach(s, conn, welcome.last_recv_seq, Vec::new());
+        self.routed = false;
+        self.backoff = ep.redial.0;
+        if self.peer == DRIVER_DEST {
+            *lock(&ep.welcome) = Some(welcome.cfg);
+            ep.welcomed.notify_all();
+            let attempt = std::mem::take(&mut self.attempts);
+            ep.rec.inc_counter("acr_transport_connects_total", 1);
+            (ep.rec).emit_with(ep.obs_node(), || EventKind::TransportConnect { attempt });
+        } else {
+            ep.rec.inc_counter("acr_buddy_link_attaches_total", 1);
+        }
     }
 
     /// Attach an accepted socket whose hello came from the peer: the
     /// welcome leaves first, then everything the peer has not acknowledged.
     fn accept(&mut self, ep: &Endpoint, stream: TcpStream, hello: &Hello, cfg: WelcomeCfg) {
         let welcome = encode_welcome(&Welcome {
-            last_recv_seq: self.last_recv,
+            last_recv_seq: self.link.last_recv,
             cfg,
         });
         (self.link).attach(stream, &ep.buddy_conn, hello.last_recv_seq, welcome);
-        self.attached(ep);
+        self.routed = false;
     }
 
-    /// Read the attached link until it would block, handing each frame to
-    /// the node; a replayed duplicate is dropped. Returns whether the link
-    /// is still alive.
-    fn read(&mut self, ep: &Endpoint, scratch: &mut [u8], stats: &mut WireStats) -> bool {
-        let last_recv = &mut self.last_recv;
-        (self.link).read(scratch, true, &mut stats.bytes_recv, |frame| {
-            if frame.seq == 0 || frame.seq <= *last_recv {
-                return true; // bodiless, or a replay duplicate
-            }
-            *last_recv = frame.seq;
-            stats.frames_recv += 1;
-            let Ok(msg) = decode_net(&frame.body) else {
-                return false;
+    /// Flush the link if it owes it — poll reported it writable, or it
+    /// parked with nothing waiting and now has something to say: new
+    /// frames, or an acknowledgement that came due. A fatal socket error
+    /// detaches it.
+    fn flush(&mut self, ep: &Endpoint, stats: &mut WireStats, writable: bool, had_backlog: bool) {
+        let tx = &self.link.tx;
+        if (writable || (!had_backlog && (tx.backlog() || tx.ack_due())))
+            && !self.link.flush(stats, &ep.rec, ep.obs_node())
+        {
+            self.detach(ep);
+        }
+    }
+
+    /// Close the socket, dialed or attached; what was queued for it stays
+    /// in the ring. A link that was attached redials at once. After a dial
+    /// that failed — on the router link, a `TransportRetry` — the redial
+    /// waits out the backoff, which then doubles up to the endpoint's cap,
+    /// or [`ROUTED_REDIAL_MAX`] once the router carries the link's traffic.
+    fn detach(&mut self, ep: &Endpoint) {
+        let mut wait = Duration::ZERO;
+        if self.link.stream.is_none() {
+            let cap = if self.routed {
+                ROUTED_REDIAL_MAX
+            } else {
+                ep.redial.1
             };
-            ep.deliver(msg);
-            true
-        })
+            wait = self.backoff;
+            self.backoff = (wait * 2).min(cap);
+            if self.peer == DRIVER_DEST {
+                let attempt = self.attempts;
+                ep.rec.inc_counter("acr_transport_retries_total", 1);
+                ep.rec
+                    .emit_with(ep.obs_node(), || EventKind::TransportRetry {
+                        attempt,
+                        delay_us: wait.as_micros() as u64,
+                    });
+            }
+        }
+        self.greeting = None;
+        let conn = self.conn(ep);
+        self.link.detach(conn);
+        self.next_dial = Instant::now() + wait;
     }
 }
 
@@ -1920,17 +2001,24 @@ fn earliest(next: &mut Option<Instant>, at: Instant) {
     *next = Some(next.map_or(at, |t| t.min(at)));
 }
 
-/// The endpoint's single-thread loop: dial the router (with backoff and
-/// `TransportRetry`/`TransportConnect` events), replay the ring tail, then
-/// park in `poll` on the router socket, the buddy listener and link, and
-/// the wake descriptor — draining commands, reading each readable link
-/// until it would block, flushing in batches — until the router socket or
-/// the endpoint dies.
+/// Add `fd`, if there is one, to the poll set; its index there.
+fn polled(fds: &mut Vec<PollFd>, fd: Option<PollFd>) -> Option<usize> {
+    fd.map(|fd| {
+        fds.push(fd);
+        fds.len() - 1
+    })
+}
+
+/// The endpoint's single-thread loop: park in `poll` on its two links (or
+/// the dial in flight of either), the buddy listener, the hellos arriving
+/// on it and the wake descriptor — draining commands, reading each
+/// readable link until it would block, flushing in batches, and dialing
+/// on timers — until shutdown, or until a lingering endpoint's router
+/// link is gone. While the router link redials, the buddy link, the
+/// listener and the commands are served as ever.
 fn endpoint_loop(ep: Arc<Endpoint>, addr: SocketAddr, rx: Receiver<EpMsg>) {
-    let (initial, max) = ep.redial;
-    let mut link = Link::new(None);
-    let mut backoff = initial;
-    let mut attempt: u32 = 0;
+    let initial = ep.redial.0;
+    let mut router = EpLink::new(DRIVER_DEST, true, initial);
     let mut stats = WireStats::default();
     let mut rdbuf = vec![0u8; READ_BUDGET];
     let mut fds: Vec<PollFd> = Vec::new();
@@ -1938,72 +2026,39 @@ fn endpoint_loop(ep: Arc<Endpoint>, addr: SocketAddr, rx: Receiver<EpMsg>) {
     // the link itself, the job's address book, and the buddy the driver
     // last named (until it names one, any node of the job may dial in).
     let mut listener: Option<TcpListener> = None;
-    let mut pending: Vec<PendingHello> = Vec::new();
-    let mut buddy: Option<BuddyLink> = None;
+    let mut hellos = Hellos::default();
+    let mut buddy: Option<EpLink> = None;
     let mut book: Vec<Option<SocketAddr>> = Vec::new();
     let mut expected: Option<u32> = None;
+    // The buddy link goes, closing its socket, unless it is to `peer`.
+    let repoint = |buddy: &mut Option<EpLink>, peer: u32| {
+        if let Some(mut old) = buddy.take_if(|l| l.peer != peer) {
+            old.detach(&ep);
+        }
+    };
 
     'main: while !ep.is_shutdown() {
-        // --- dial until attached --------------------------------------
-        if link.stream.is_none() {
-            if ep.lingering.load(Ordering::SeqCst) {
-                break;
-            }
-            attempt += 1;
-            match dial(&ep, addr, &mut listener) {
-                Ok((s, welcome)) => {
-                    let _ = s.set_nonblocking(true);
-                    // Replay is driven by the router's view of what it
-                    // received; everything newer went down with the old
-                    // socket.
-                    link.attach(s, &ep.conn, welcome.last_recv_seq, Vec::new());
-                    *lock(&ep.welcome) = Some(welcome.cfg);
-                    ep.welcomed.notify_all();
-                    let a = attempt;
-                    ep.rec.inc_counter("acr_transport_connects_total", 1);
-                    let node = ep.obs_node();
-                    ep.rec
-                        .emit_with(node, || EventKind::TransportConnect { attempt: a });
-                    backoff = initial;
-                    attempt = 0;
-                }
-                Err(_) => {
-                    let delay = backoff;
-                    let a = attempt;
-                    ep.rec.inc_counter("acr_transport_retries_total", 1);
-                    let node = ep.obs_node();
-                    ep.rec.emit_with(node, || EventKind::TransportRetry {
-                        attempt: a,
-                        delay_us: delay.as_micros() as u64,
-                    });
-                    // Back off on the condvar shutdown notifies, so
-                    // shutdown stays prompt.
-                    let deadline = Instant::now() + delay;
-                    drop(wait_for(&ep.welcome, &ep.welcomed, deadline, |_| {
-                        ep.is_shutdown()
-                    }));
-                    if ep.is_shutdown() {
-                        break 'main;
-                    }
-                    backoff = (backoff * 2).min(max);
-                }
-            }
-            continue;
-        }
-
-        // --- buddy-side timers, and the poll set ----------------------
-        // A due timer fires here; one that is not bounds the wait.
+        // --- timers, and the poll set ---------------------------------
+        // A due timer fires here; one that is not bounds the wait. A
+        // lingering endpoint ends where the router link would redial; the
+        // first connect binds the buddy listener, on the interface the
+        // router is reached through.
         let now = Instant::now();
         let mut next_timer: Option<Instant> = None;
-        pending.retain(|p| {
-            // A dialer that never finishes its hello is cut off.
-            let cut = now >= p.since + HANDSHAKE_DEADLINE;
-            if cut {
-                let _ = p.stream.shutdown(Shutdown::Both);
-            } else {
-                earliest(&mut next_timer, p.since + HANDSHAKE_DEADLINE);
-            }
-            !cut
+        let idle = router.greeting.is_none() && router.link.stream.is_none();
+        if idle && ep.lingering.load(Ordering::SeqCst) {
+            break;
+        }
+        router.tick(&ep, now, &mut next_timer, |l| {
+            l.dial(&ep, addr, Duration::from_secs(1), |s| {
+                if listener.is_none() {
+                    let bind = s.local_addr().and_then(|a| TcpListener::bind((a.ip(), 0)));
+                    listener = bind.ok().filter(|l| l.set_nonblocking(true).is_ok());
+                }
+                (listener.as_ref())
+                    .and_then(|l| l.local_addr().ok())
+                    .map_or(0, |a| a.port())
+            })
         });
         // A buddy link without a socket for the stale window — the buddy's
         // host cannot be reached directly, or the peer gave the link up —
@@ -2020,72 +2075,45 @@ fn endpoint_loop(ep: Arc<Endpoint>, addr: SocketAddr, rx: Receiver<EpMsg>) {
             if l.link.stale(now, ep.stale_after, &mut next_timer) {
                 l.routed = true;
                 for f in std::mem::take(&mut l.link.tx.ring).frames {
-                    link.tx.enqueue(f.to, f.body, None);
+                    router.link.tx.enqueue(f.to, f.body, None);
                 }
                 ep.rec.inc_counter("acr_buddy_link_fallbacks_total", 1);
             }
         }
-        if let Some(l) = buddy.as_mut().filter(|l| l.dialer) {
-            if l.greeting
-                .as_ref()
-                .is_some_and(|g| now >= g.3 + HANDSHAKE_DEADLINE)
-            {
-                l.detach(&ep, max);
-            }
-            let idle = l.link.stream.is_none() && l.greeting.is_none() && !ep.is_quarantined();
-            if idle && now >= l.next_dial {
-                let dialed = book.get(l.peer as usize).copied().flatten();
-                if dialed.is_none_or(|at| l.dial(&ep, at).is_err()) {
-                    l.detach(&ep, max);
-                }
-            }
-            if let Some(g) = &l.greeting {
-                earliest(&mut next_timer, g.3 + HANDSHAKE_DEADLINE);
-            } else if l.link.stream.is_none() && !ep.is_quarantined() {
-                earliest(&mut next_timer, l.next_dial);
-            }
+        // A quarantined endpoint dials no buddy (a dial in flight still
+        // runs out its deadline).
+        let dials = |l: &&mut EpLink| l.dialer && (l.greeting.is_some() || !ep.is_quarantined());
+        if let Some(l) = buddy.as_mut().filter(dials) {
+            let at = book.get(l.peer as usize).copied().flatten();
+            let timeout = BUDDY_CONNECT_TIMEOUT.min(ep.stale_after);
+            l.tick(&ep, now, &mut next_timer, |l| match at {
+                Some(at) => l.dial(&ep, at, timeout, |_| 0),
+                None => Err(ErrorKind::AddrNotAvailable.into()),
+            });
         }
-        let had_backlog = link.tx.backlog();
+        let had_backlog = router.link.tx.backlog();
         let buddy_had_backlog = buddy.as_ref().is_some_and(|l| l.link.tx.backlog());
         fds.clear();
         fds.push(ep.waker.pollfd());
-        fds.push(link.pollfd().expect("attached above"));
-        let buddy_fd = buddy.as_ref().and_then(|l| match &l.greeting {
-            Some((s, ..)) => Some(PollFd::new(s, POLLIN)),
-            None => l.link.pollfd(),
-        });
-        let buddy_fd = buddy_fd.map(|fd| {
-            fds.push(fd);
-            fds.len() - 1
-        });
-        let listener_fd = listener.as_ref().map(|l| {
-            fds.push(PollFd::new(l, POLLIN));
-            fds.len() - 1
-        });
-        let pending_fd = fds.len();
-        fds.extend(pending.iter().map(|p| PollFd::new(&p.stream, POLLIN)));
+        let router_fd = polled(&mut fds, router.pollfd());
+        let buddy_fd = polled(&mut fds, buddy.as_ref().and_then(EpLink::pollfd));
+        let listener_fd = polled(&mut fds, listener.as_ref().map(|l| PollFd::new(l, POLLIN)));
+        let hellos_at = hellos.watch(now, &mut next_timer, &mut fds);
 
         // --- park until a socket, a command or a timer ----------------
         // `POLLOUT` only while a backlog waits (the last flush stopped at
-        // a write that would block, or a replay was just queued). Flag
-        // first, channel second (see `Waker`).
-        ep.waker.park();
-        let mut next = rx.try_recv().ok();
-        let timeout = match (&next, next_timer) {
-            (Some(_), _) => Some(Duration::ZERO),
-            (None, Some(at)) => Some(at.saturating_duration_since(Instant::now())),
-            (None, None) => None,
-        };
-        wait_ready(&mut fds, timeout);
-        ep.waker.unpark(fds[0].readable());
+        // a write that would block, or a replay was just queued).
+        let mut next = park(&ep.waker, &rx, &mut fds, next_timer);
         #[cfg(test)]
         ep.wakeups.fetch_add(1, Ordering::Relaxed);
+        let readable = |at: Option<usize>| at.is_some_and(|i| fds[i].readable());
+        let writable = |at: Option<usize>| at.is_some_and(|i| fds[i].writable());
 
         // --- command drain --------------------------------------------
         loop {
             match next {
                 Some(EpMsg::Shutdown) => break 'main,
-                Some(EpMsg::Frame { to, body }) => link.tx.enqueue(to, body, None),
+                Some(EpMsg::Frame { to, body }) => router.link.tx.enqueue(to, body, None),
                 Some(EpMsg::Buddy { to, body, open }) => {
                     match buddy.as_mut().filter(|l| l.peer == to) {
                         Some(l) if !l.routed => l.link.tx.enqueue(to, body, None),
@@ -2095,16 +2123,13 @@ fn endpoint_loop(ep: Arc<Endpoint>, addr: SocketAddr, rx: Receiver<EpMsg>) {
                         {
                             // Open (or re-point) the link; the top of the next
                             // pass dials it.
-                            if let Some(mut old) = buddy.take() {
-                                old.detach(&ep, max);
-                            }
-                            let mut l = BuddyLink::new(to, true, initial);
+                            repoint(&mut buddy, to);
+                            let l = buddy.insert(EpLink::new(to, true, initial));
                             l.link.tx.enqueue(to, body, None);
-                            buddy = Some(l);
                         }
                         // No link to `to` that can carry it, and none to open:
                         // the router carries it like any other message.
-                        _ => link.tx.enqueue(to, body, None),
+                        _ => router.link.tx.enqueue(to, body, None),
                     }
                 }
                 None => break,
@@ -2112,18 +2137,12 @@ fn endpoint_loop(ep: Arc<Endpoint>, addr: SocketAddr, rx: Receiver<EpMsg>) {
             next = rx.try_recv().ok();
         }
 
-        // --- the router link: read until it would block ---------------
+        // --- the router link: its welcome, or frames until it would block
         // (A hang-up or error polls readable: shutdown, sever and a
-        // closed router all land here at once.)
-        let mut alive = true;
-        if fds[1].readable() {
-            alive = link.read(&mut rdbuf, true, &mut stats.bytes_recv, |frame| {
-                if frame.seq == 0
-                    || ep.last_recv.fetch_max(frame.seq, Ordering::SeqCst) >= frame.seq
-                {
-                    return true; // bodiless, or a replay duplicate
-                }
-                stats.frames_recv += 1;
+        // closed router all land here at once. Replay is driven by the
+        // router's view of what it received.)
+        if readable(router_fd) {
+            router.serve(&ep, &mut rdbuf, &mut stats, |frame| {
                 if frame.to == ENDPOINT_DEST {
                     return decode_address_book(&frame.body).map(|b| book = b).is_ok();
                 }
@@ -2137,9 +2156,7 @@ fn endpoint_loop(ep: Arc<Endpoint>, addr: SocketAddr, rx: Receiver<EpMsg>) {
                 ) = &msg
                 {
                     expected = Some(*named as u32);
-                    if let Some(mut old) = buddy.take_if(|l| l.peer != *named as u32) {
-                        old.detach(&ep, max);
-                    }
+                    repoint(&mut buddy, *named as u32);
                 }
                 ep.deliver(msg);
                 true
@@ -2147,135 +2164,56 @@ fn endpoint_loop(ep: Arc<Endpoint>, addr: SocketAddr, rx: Receiver<EpMsg>) {
         }
 
         // --- buddies dialing in ---------------------------------------
-        for (p, fd) in pending.iter_mut().zip(&fds[pending_fd..]) {
-            p.ready = fd.readable();
-        }
-        if listener_fd.is_some_and(|i| fds[i].readable()) {
-            if let Some(l) = &listener {
-                accept_into(l, &mut pending);
-            }
-        }
-        let mut i = 0;
-        while i < pending.len() {
-            if !std::mem::take(&mut pending[i].ready) {
-                i += 1;
-                continue;
-            }
-            let Some(verdict) = pending[i].progress() else {
-                i += 1;
-                continue;
-            };
-            let p = pending.swap_remove(i);
+        // Only the job's nodes, only the buddy the driver named (if it
+        // has), never over a link this side dialed, and not before the
+        // router's welcome; anyone else's socket is dropped.
+        let accepting = listener.as_ref().filter(|_| readable(listener_fd));
+        for (stream, hello) in hellos.arrived(&fds[hellos_at..], accepting) {
             let cfg = *lock(&ep.welcome);
-            // Only the job's nodes, only the buddy the driver named (if it
-            // has), and never over a link this side dialed.
-            let admit = |h: &Hello| {
-                h.job == ep.job
-                    && h.node != ep.node as u32
-                    && !ep.is_quarantined()
-                    && expected.is_none_or(|b| b == h.node)
-                    && !buddy.as_ref().is_some_and(|l| l.peer == h.node && l.dialer)
+            let (Some(hello), Some(cfg)) = (hello, cfg) else {
+                continue;
             };
-            match (verdict, cfg) {
-                (Some(hello), Some(cfg)) if admit(&hello) => {
-                    let l = match buddy.take() {
-                        Some(l) if l.peer == hello.node => l,
-                        old => {
-                            if let Some(mut old) = old {
-                                old.detach(&ep, max);
-                            }
-                            BuddyLink::new(hello.node, false, initial)
-                        }
-                    };
-                    let l = buddy.insert(l);
-                    l.accept(&ep, p.stream, &hello, cfg);
-                }
-                _ => {
-                    let _ = p.stream.shutdown(Shutdown::Both);
-                }
+            if hello.job != ep.job
+                || hello.node == ep.node as u32
+                || ep.is_quarantined()
+                || expected.is_some_and(|b| b != hello.node)
+                || buddy
+                    .as_ref()
+                    .is_some_and(|l| l.peer == hello.node && l.dialer)
+            {
+                continue;
             }
+            repoint(&mut buddy, hello.node);
+            let l = buddy.get_or_insert_with(|| EpLink::new(hello.node, false, initial));
+            l.accept(&ep, stream, &hello, cfg);
         }
 
-        // --- the buddy link: the welcome, or frames until it would block
-        if let (Some(l), Some(i)) = (buddy.as_mut(), buddy_fd) {
-            if fds[i].readable() {
-                let ok = if l.greeting.is_some() {
-                    l.read_greeting(&ep)
-                } else {
-                    l.read(&ep, &mut rdbuf, &mut stats)
-                };
-                if !ok {
-                    l.detach(&ep, max);
-                }
-            }
+        // --- the buddy link: its welcome, or frames until it would block
+        if let Some(l) = buddy.as_mut().filter(|_| readable(buddy_fd)) {
+            l.serve(&ep, &mut rdbuf, &mut stats, |frame| {
+                decode_net(&frame.body).map(|msg| ep.deliver(msg)).is_ok()
+            });
         }
 
         // --- flush: writable, or an idle link with something to say ---
         // (new frames, or an acknowledgement that has come due).
-        if alive && link.owes_flush(fds[1].writable(), had_backlog) {
-            let ack = ep.last_recv.load(Ordering::SeqCst);
-            alive = link.flush(ack, &mut stats, &ep.rec, ep.obs_node());
-        }
-        if let Some(l) = buddy.as_mut().filter(|l| l.link.stream.is_some()) {
-            let writable = buddy_fd.is_some_and(|i| fds[i].writable());
-            if l.link.owes_flush(writable, buddy_had_backlog)
-                && !(l.link).flush(l.last_recv, &mut stats, &ep.rec, ep.obs_node())
-            {
-                l.detach(&ep, max);
-            }
-        }
-        if !alive {
-            link.detach(&ep.conn);
+        router.flush(&ep, &mut stats, writable(router_fd), had_backlog);
+        if let Some(l) = buddy.as_mut() {
+            l.flush(&ep, &mut stats, writable(buddy_fd), buddy_had_backlog);
         }
         #[cfg(test)]
         {
-            ep.ring.publish(&link.tx.ring);
+            ep.ring.publish(&router.link.tx.ring);
             if let Some(l) = &buddy {
                 ep.buddy_ring.publish(&l.link.tx.ring);
             }
         }
     }
     stats.emit(&ep.rec, ep.obs_node());
-    link.detach(&ep.conn);
+    router.link.detach(&ep.conn);
     if let Some(l) = buddy.as_mut() {
-        l.detach(&ep, max);
+        l.link.detach(&ep.buddy_conn);
     }
-}
-
-/// One dial + handshake with the router: connect, send the hello (with
-/// our high-water receive mark and the port buddies dial us on), read the
-/// welcome. Blocking with timeouts; the socket goes nonblocking after the
-/// handshake. The first connect also binds `listener`, on the interface
-/// the router is reached through.
-fn dial(
-    ep: &Endpoint,
-    addr: SocketAddr,
-    listener: &mut Option<TcpListener>,
-) -> Result<(TcpStream, Welcome), String> {
-    let mut stream =
-        TcpStream::connect_timeout(&addr, Duration::from_secs(1)).map_err(|e| e.to_string())?;
-    let _ = stream.set_nodelay(true);
-    if listener.is_none() {
-        let bind = stream
-            .local_addr()
-            .and_then(|a| TcpListener::bind((a.ip(), 0)));
-        *listener = bind.ok().filter(|l| l.set_nonblocking(true).is_ok());
-    }
-    let hello = encode_hello(&Hello {
-        job: ep.job,
-        node: ep.node as u32,
-        last_recv_seq: ep.last_recv.load(Ordering::SeqCst),
-        listen_port: (listener.as_ref())
-            .and_then(|l| l.local_addr().ok())
-            .map_or(0, |a| a.port()),
-    });
-    stream.write_all(&hello).map_err(|e| e.to_string())?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut buf = [0u8; WELCOME_LEN];
-    stream.read_exact(&mut buf).map_err(|e| e.to_string())?;
-    let welcome = decode_welcome(&buf).map_err(|e| e.to_string())?;
-    let _ = stream.set_read_timeout(None);
-    Ok((stream, welcome))
 }
 
 #[cfg(test)]
@@ -2678,6 +2616,33 @@ mod tests {
             lingered < Duration::from_millis(30) + prompt,
             "linger outlasted the router by {:?}",
             lingered.saturating_sub(Duration::from_millis(30))
+        );
+    }
+
+    /// An endpoint whose router takes the connection but never answers
+    /// the hello shuts down at once: the welcome is read as it lands, by
+    /// the loop that also takes commands, not by a read that blocks it.
+    #[test]
+    fn shutdown_is_prompt_while_the_welcome_never_comes() {
+        let mute = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let (tx, _inbox) = unbounded();
+        let ep = Endpoint::spawn(
+            0,
+            0,
+            mute.local_addr().expect("bound address"),
+            tx,
+            Recorder::disabled(),
+            &crate::transport::TcpConfig::default(),
+        );
+        let (mut dialed, _) = mute.accept().expect("the endpoint dials");
+        let mut hello = [0u8; HELLO_LEN];
+        dialed.read_exact(&mut hello).expect("the endpoint's hello");
+        let t = Instant::now();
+        ep.shutdown();
+        assert!(
+            t.elapsed() < Duration::from_millis(100),
+            "Endpoint::shutdown took {:?}",
+            t.elapsed()
         );
     }
 
@@ -3084,9 +3049,7 @@ mod tests {
     /// traffic took the buddy link.
     fn router_carried_nothing_from(router: &Router) -> bool {
         let links = &router.job(0).expect("registered").links;
-        links
-            .iter()
-            .all(|l| l.last_recv.load(Ordering::SeqCst) == 0)
+        links.iter().all(|l| l.received.load(Ordering::SeqCst) == 0)
     }
 
     /// (i') The same over the buddy link: after one Compare /
@@ -3198,7 +3161,7 @@ mod tests {
         }
         ep0.send_to_buddy(1, &compare(2, vec![2; 64]));
         assert_eq!(compared(inbox1).0, 2);
-        let from = |node: usize| links[node].last_recv.load(Ordering::SeqCst);
+        let from = |node: usize| links[node].received.load(Ordering::SeqCst);
         assert_eq!(
             (from(0), from(1)),
             (2, 1),
@@ -3221,6 +3184,29 @@ mod tests {
             other => panic!("expected the verdict, got {other:?}"),
         }
         assert_eq!((from(0), from(1)), (2, 1), "round 3 took the buddy link");
+        ep0.shutdown();
+        ep1.shutdown();
+        router.shutdown();
+    }
+
+    /// (m) A router link that redials holds up nothing else: with node 0
+    /// refused at the router, a compare on its attached buddy link still
+    /// reaches node 1, at once.
+    #[test]
+    fn a_buddy_link_flows_while_the_router_link_redials() {
+        let (router, _events) = router_with_job(2, Duration::from_secs(600));
+        let [(ep0, _inbox0), (ep1, inbox1)] = buddies(&router);
+        ep0.send_to_buddy(1, &compare(1, vec![1; 64]));
+        assert_eq!(compared(&inbox1).0, 1, "the first compare opens the link");
+
+        assert!(router.quarantine(0, 0), "a router link to cut");
+        eventually("node 0 loses its router link", || ep0.conn.lock().is_none());
+        ep0.send_to_buddy(1, &compare(2, vec![2; 64]));
+        match inbox1.recv_timeout(Duration::from_secs(1)) {
+            Ok(Net::Compare { iteration: 2, .. }) => {}
+            other => panic!("expected the compare over the buddy link, got {other:?}"),
+        }
+        assert_eq!(router.connected_links(), 1, "node 0 is still refused");
         ep0.shutdown();
         ep1.shutdown();
         router.shutdown();

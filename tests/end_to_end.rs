@@ -12,7 +12,7 @@ static JOB_SERIAL: Mutex<()> = Mutex::new(());
 
 use acr::apps::{Hpccg, Jacobi3d, LeanMd, MiniApp, MiniMd};
 use acr::integration::{JacobiHaloTask, MiniAppTask};
-use acr::runtime::{DetectionMethod, Fault, Job, JobConfig, Scheme};
+use acr::runtime::{DetectionMethod, FaultAction, FaultScript, Job, JobConfig, Scheme, Trigger};
 
 fn base_cfg(scheme: Scheme, detection: DetectionMethod) -> JobConfig {
     JobConfig::builder()
@@ -28,22 +28,39 @@ fn base_cfg(scheme: Scheme, detection: DetectionMethod) -> JobConfig {
         .expect("valid end-to-end config")
 }
 
+/// Faults that land when their victim first reaches an iteration, so
+/// where they land does not depend on how fast the machine steps.
+fn at_iterations(faults: &[(u64, FaultAction)]) -> FaultScript {
+    let mut script = FaultScript::new();
+    for &(iteration, action) in faults {
+        script.push(Trigger::AtIteration(iteration), action);
+    }
+    script
+}
+
+fn crash(replica: u8, rank: usize) -> FaultAction {
+    FaultAction::Crash { replica, rank }
+}
+
+fn sdc(replica: u8, rank: usize, seed: u64) -> FaultAction {
+    FaultAction::Sdc {
+        replica,
+        rank,
+        seed,
+        bits: 1,
+    }
+}
+
 #[test]
 fn jacobi_halo_exchange_survives_a_crash() {
     let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const RANKS: usize = 3;
     let cfg = base_cfg(Scheme::Strong, DetectionMethod::FullCompare);
-    let faults = vec![(
-        Duration::from_millis(300),
-        Fault::Crash {
-            replica: 1,
-            rank: 1,
-        },
-    )];
     let report = Job::new(cfg)
-        .with_timed_faults(faults)
+        .with_faults(at_iterations(&[(1000, crash(1, 1))]))
         .run(move |rank, _| Box::new(JacobiHaloTask::new(rank, RANKS, 8, 10, 10, 2000)));
     assert!(report.completed, "{:?}", report.error);
+    assert_eq!(report.crashes_injected_at.len(), 1, "the crash fired");
     assert_eq!(report.hard_errors_recovered, 1);
     assert!(report.replicas_agree());
 
@@ -83,18 +100,11 @@ fn acr_task_mut(t: &mut JacobiHaloTask) -> impl acr::pup::Pup + '_ {
 fn leanmd_checksum_detection_under_sdc() {
     let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = base_cfg(Scheme::Strong, DetectionMethod::Checksum);
-    let faults = vec![(
-        Duration::from_millis(300),
-        Fault::Sdc {
-            replica: 0,
-            rank: 2,
-            seed: 11,
-        },
-    )];
     let report = Job::new(cfg)
-        .with_timed_faults(faults)
+        .with_faults(at_iterations(&[(250, sdc(0, 2, 11))]))
         .run(|rank, _| Box::new(MiniAppTask::new(LeanMd::new(64, rank as u64), 500)));
     assert!(report.completed, "{:?}", report.error);
+    assert_eq!(report.sdc_injected_at.len(), 1, "the SDC fired");
     assert!(report.sdc_rounds_detected >= 1, "{report:?}");
     assert!(report.replicas_agree());
 }
@@ -103,17 +113,11 @@ fn leanmd_checksum_detection_under_sdc() {
 fn hpccg_medium_scheme_crash() {
     let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = base_cfg(Scheme::Medium, DetectionMethod::FullCompare);
-    let faults = vec![(
-        Duration::from_millis(300),
-        Fault::Crash {
-            replica: 0,
-            rank: 0,
-        },
-    )];
     let report = Job::new(cfg)
-        .with_timed_faults(faults)
+        .with_faults(at_iterations(&[(400, crash(0, 0))]))
         .run(|_rank, _| Box::new(MiniAppTask::new(Hpccg::new(12, 12, 12), 800)));
     assert!(report.completed, "{:?}", report.error);
+    assert_eq!(report.crashes_injected_at.len(), 1, "the crash fired");
     assert_eq!(report.hard_errors_recovered, 1);
     assert!(report.unverified_recoveries >= 1);
     assert!(report.replicas_agree());
@@ -123,17 +127,11 @@ fn hpccg_medium_scheme_crash() {
 fn minimd_weak_scheme_crash() {
     let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = base_cfg(Scheme::Weak, DetectionMethod::Checksum);
-    let faults = vec![(
-        Duration::from_millis(300),
-        Fault::Crash {
-            replica: 1,
-            rank: 0,
-        },
-    )];
     let report = Job::new(cfg)
-        .with_timed_faults(faults)
+        .with_faults(at_iterations(&[(400, crash(1, 0))]))
         .run(|rank, _| Box::new(MiniAppTask::new(MiniMd::new(64, rank as u64), 800)));
     assert!(report.completed, "{:?}", report.error);
+    assert_eq!(report.crashes_injected_at.len(), 1, "the crash fired");
     assert_eq!(report.hard_errors_recovered, 1);
     assert!(report.replicas_agree());
 }
@@ -143,31 +141,23 @@ fn recovered_run_matches_undisturbed_run_bit_for_bit() {
     let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // The paper's user-oblivious recovery claim: the answer after a crash +
     // restart is the *same answer*.
-    let mk = |faults: Vec<(Duration, Fault)>| {
+    let mk = |faults: &[(u64, FaultAction)]| {
         let cfg = base_cfg(Scheme::Strong, DetectionMethod::FullCompare);
         Job::new(cfg)
-            .with_timed_faults(faults)
+            .with_faults(at_iterations(faults))
             .run(|rank, _| Box::new(MiniAppTask::new(LeanMd::new(64, rank as u64), 800)))
     };
-    let undisturbed = mk(vec![]);
-    let disturbed = mk(vec![
-        (
-            Duration::from_millis(300),
-            Fault::Sdc {
-                replica: 1,
-                rank: 1,
-                seed: 5,
-            },
-        ),
-        (
-            Duration::from_millis(600),
-            Fault::Crash {
-                replica: 0,
-                rank: 2,
-            },
-        ),
-    ]);
+    let undisturbed = mk(&[]);
+    let disturbed = mk(&[(300, sdc(1, 1, 5)), (600, crash(0, 2))]);
     assert!(undisturbed.completed && disturbed.completed);
+    assert_eq!(
+        (
+            disturbed.sdc_injected_at.len(),
+            disturbed.crashes_injected_at.len()
+        ),
+        (1, 1),
+        "both faults fired"
+    );
     for rank in 0..3 {
         assert_eq!(
             undisturbed.task_state(0, rank, 0),
