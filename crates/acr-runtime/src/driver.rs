@@ -1019,8 +1019,8 @@ where
         ranks: a.ranks as usize,
         tasks_per_rank: a.tasks_per_rank as usize,
         spares: a.spares as usize,
-        scheme: scheme_from_tag(a.scheme),
-        detection: detection_from_tag(a.detection),
+        scheme: a.scheme,
+        detection: a.detection,
         chunk_size: a.chunk_size as usize,
         checkpoint_interval: Duration::from_secs_f64(a.checkpoint_interval),
         heartbeat_period: Duration::from_secs_f64(a.heartbeat_period),
@@ -1050,8 +1050,8 @@ fn admit_record(cfg: &JobConfig, script: &FaultScript, mode: ExecMode) -> AdmitR
         ranks: cfg.ranks as u64,
         tasks_per_rank: cfg.tasks_per_rank as u64,
         spares: cfg.spares as u64,
-        scheme: scheme_tag(cfg.scheme),
-        detection: detection_tag(cfg.detection),
+        scheme: cfg.scheme,
+        detection: cfg.detection,
         chunk_size: cfg.chunk_size as u64,
         checkpoint_interval: cfg.checkpoint_interval.as_secs_f64(),
         heartbeat_period: cfg.heartbeat_period.as_secs_f64(),
@@ -1063,38 +1063,6 @@ fn admit_record(cfg: &JobConfig, script: &FaultScript, mode: ExecMode) -> AdmitR
             ExecMode::Threaded => None,
         },
         script: script.to_repro(),
-    }
-}
-
-fn scheme_tag(s: Scheme) -> u8 {
-    match s {
-        Scheme::Strong => 0,
-        Scheme::Medium => 1,
-        Scheme::Weak => 2,
-    }
-}
-
-pub(crate) fn scheme_from_tag(t: u8) -> Scheme {
-    match t {
-        0 => Scheme::Strong,
-        1 => Scheme::Medium,
-        _ => Scheme::Weak,
-    }
-}
-
-fn detection_tag(d: DetectionMethod) -> u8 {
-    match d {
-        DetectionMethod::FullCompare => 0,
-        DetectionMethod::Checksum => 1,
-        DetectionMethod::ChunkedChecksum => 2,
-    }
-}
-
-pub(crate) fn detection_from_tag(t: u8) -> DetectionMethod {
-    match t {
-        0 => DetectionMethod::FullCompare,
-        1 => DetectionMethod::Checksum,
-        _ => DetectionMethod::ChunkedChecksum,
     }
 }
 

@@ -19,7 +19,6 @@
 //! bytes the driver appended since the last call — the store-follow mode
 //! of `acr-top` polls this without ever re-scanning the file.
 
-use crate::driver::{detection_from_tag, scheme_from_tag};
 use crate::persist::{DriverRecord, LOG_FILE, NO_NODE};
 use acr_obs::{EventKind, RecordedEvent, StatusModel, DRIVER_NODE};
 use acr_store::LogTailer;
@@ -139,8 +138,7 @@ impl StoreView {
     fn fold_record(&mut self, record: &DriverRecord) {
         match record {
             DriverRecord::JobAdmitted(a) => {
-                let scheme = scheme_from_tag(a.scheme);
-                self.scheme = Some(scheme);
+                self.scheme = Some(a.scheme);
                 self.identity.clear();
                 for n in 0..2 * a.ranks {
                     let replica = (n >= a.ranks) as u8;
@@ -149,8 +147,8 @@ impl StoreView {
                 self.emit(
                     DRIVER_NODE,
                     EventKind::JobStart {
-                        scheme: scheme.name().to_string(),
-                        detection: detection_from_tag(a.detection).name().to_string(),
+                        scheme: a.scheme.name().to_string(),
+                        detection: a.detection.name().to_string(),
                         ranks: a.ranks as u32,
                         spares: a.spares as u32,
                     },

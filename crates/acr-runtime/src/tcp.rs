@@ -88,8 +88,9 @@ use crate::poller::{self, PollFd, Waker, POLLIN, POLLOUT};
 use crate::wire::{
     body_check, body_len, decode_address_book, decode_event, decode_hello, decode_net,
     decode_welcome, encode_address_book, encode_event, encode_frame_acked, encode_hello,
-    encode_net, encode_welcome, frame_ends, Frame, FrameDecoder, Hello, Welcome, WelcomeCfg,
-    DRIVER_DEST, ENDPOINT_DEST, FRAME_HEADER, FRAME_TRAILER, HELLO_LEN, SEGMENT_MIN, WELCOME_LEN,
+    encode_net, encode_welcome, frame_ends, ship_of, Frame, FrameDecoder, Hello, Ship, Welcome,
+    WelcomeCfg, DRIVER_DEST, ENDPOINT_DEST, FRAME_HEADER, FRAME_TRAILER, HELLO_LEN, SEGMENT_MIN,
+    WELCOME_LEN,
 };
 
 /// Body bytes a *stale* link's replay ring is shed to (see
@@ -139,9 +140,10 @@ const FLUSH_BYTES: u64 = 256 * 1024;
 /// wake-up: level-triggered poll reports the link again while more is
 /// waiting, so a bulk sender shares every wake-up with the other links'
 /// small consensus frames instead of being drained to the end first. An
-/// endpoint reads a readable link until the socket would block, this much
-/// at a time, and a frame arriving into its own allocation is checksummed
-/// read by read, while what just landed is still in cache.
+/// endpoint reads a readable link until the socket would block or it owes
+/// an acknowledgement, this much at a time, and a frame arriving into its
+/// own allocation is checksummed read by read, while what just landed is
+/// still in cache.
 const READ_BUDGET: usize = 64 * 1024;
 
 // ---------------------------------------------------------------------------
@@ -372,27 +374,20 @@ impl WireStats {
     }
 
     /// Count one frame about to leave, and classify it: checkpoint-ship
-    /// traffic is told by body tag (`Net::Compare` = 2, `Net::Install` = 4;
-    /// driver-bound event bodies share the tag space, so only node-bound
-    /// frames are classified). Field offsets inside a delta `Net::Compare`
-    /// body are fixed (pinned by
-    /// `wire::tests::delta_compare_body_offsets_are_pinned`) and all fall
-    /// inside the body's first segment, so the delta columns come from a
-    /// cheap peek instead of a full decode.
+    /// traffic as [`ship_of`] tells it from the body's first segment
+    /// (driver-bound event bodies share the tag space, so only node-bound
+    /// frames are classified).
     fn sending(&mut self, f: &OutFrame) {
         let len = f.len as u64;
         let wire = (FRAME_HEADER + FRAME_TRAILER) as u64 + len;
         self.frames_sent += 1;
         self.bytes_sent += wire;
-        let head = f.body.first().map_or(&[][..], |seg| &seg[..]);
-        if f.to == DRIVER_DEST || !matches!(head.first(), Some(&2) | Some(&4)) {
+        let Some(ship) = ship_of(&f.body).filter(|_| f.to != DRIVER_DEST) else {
             return;
-        }
+        };
         self.ship_raw_bytes += len;
         self.ship_wire_bytes += wire;
-        if head.len() >= 38 && head[0] == 2 && head[9] == 3 {
-            let payload_len = u64::from_le_bytes(head[18..26].try_into().unwrap());
-            let dirty = u32::from_le_bytes(head[34..38].try_into().unwrap());
+        if let Ship::Delta { payload_len, dirty } = ship {
             self.delta_raw_bytes += payload_len;
             self.delta_shipped_bytes += len;
             self.chunks_dirty += dirty as u64;
@@ -671,12 +666,16 @@ impl Link {
 
     /// Read the socket poll reported readable: one read of at most
     /// `scratch.len()` bytes, or — with `drain` — reads until it would
-    /// block. What each frame acknowledges goes to the send side; a
-    /// bodiless frame (sequence 0) ends there, and so does a replayed
-    /// duplicate. Every new frame goes to `deliver`, which answers `false`
-    /// for a frame that must end the link. Returns whether the link is
-    /// still alive (end of stream, a read error or a corrupt stream end it
-    /// too).
+    /// block or an acknowledgement comes due. Stopping there lets the pass
+    /// flush the acknowledgement (the socket, still readable, wakes the
+    /// next pass at once): a sender that answers each delivery with its
+    /// next frame would otherwise keep the loop reading, and its ring
+    /// growing, a frame per delivery. What each frame acknowledges goes to
+    /// the send side; a bodiless frame (sequence 0) ends there, and so does
+    /// a replayed duplicate. Every new frame goes to `deliver`, which
+    /// answers `false` for a frame that must end the link. Returns whether
+    /// the link is still alive (end of stream, a read error or a corrupt
+    /// stream end it too).
     fn read(
         &mut self,
         scratch: &mut [u8],
@@ -711,7 +710,7 @@ impl Link {
                     Err(_) => return false,
                 }
             }
-            if !drain {
+            if !drain || self.tx.ack_due() {
                 return true;
             }
         }

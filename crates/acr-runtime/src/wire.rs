@@ -3,6 +3,12 @@
 //! enums, the connect/accept handshake records, and the address book that
 //! lets a node dial its buddy.
 //!
+//! This is also the crate's one binary record codec: the `put_*` writers
+//! and `Reader` serve frames, handshakes and the driver journal's
+//! records (`persist.rs`) alike, each configuration enum has one tag table
+//! (`Tagged`), and only this file knows a body's layout — the transport
+//! classifies checkpoint-ship traffic through `ship_of`.
+//!
 //! ## Frame format (wire version 10)
 //!
 //! Every message crossing a socket travels in one frame, and a frame is the
@@ -68,7 +74,7 @@
 //! allocation reserved for its size, checksumming each read as it lands,
 //! and the body decoders return those byte strings as slices of it.
 
-use acr_core::{Checkpoint, ChunkTable, ConsensusMsg, Detection, DetectionMethod};
+use acr_core::{Checkpoint, ChunkTable, ConsensusMsg, Detection, DetectionMethod, Scheme};
 use acr_pup::{fletcher64, Fletcher64};
 use bytes::Bytes;
 use std::io::Read;
@@ -163,6 +169,8 @@ pub enum WireError {
     Truncated,
     /// Handshake version mismatch.
     BadVersion(u32),
+    /// Bytes after the record's end, or a string that is not UTF-8.
+    Malformed(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -179,6 +187,7 @@ impl std::fmt::Display for WireError {
             WireError::BadTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
             WireError::Truncated => write!(f, "record truncated"),
             WireError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
+            WireError::Malformed(what) => write!(f, "malformed record: {what}"),
         }
     }
 }
@@ -199,19 +208,19 @@ pub enum WireCodec {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive writers / reader
+// Primitive writers / reader: the crate's one binary record codec
 // ---------------------------------------------------------------------------
 
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
+pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
+pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 fn put_usize(buf: &mut Vec<u8>, v: usize) {
@@ -220,6 +229,52 @@ fn put_usize(buf: &mut Vec<u8>, v: usize) {
 fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
     put_u64(buf, v.len() as u64);
     buf.extend_from_slice(v);
+}
+/// A `u32`-counted list of `f64`s.
+pub(crate) fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
+    put_u32(buf, vs.len() as u32);
+    for &v in vs {
+        put_f64(buf, v);
+    }
+}
+/// A `u32`-length-prefixed UTF-8 string.
+pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
+}
+
+/// A configuration enum with a stable one-byte tag: its index in `TAGS`,
+/// the only place the tags are written down. Encoding is total (every
+/// variant is listed); decoding refuses a byte past the table.
+pub(crate) trait Tagged: Copy + PartialEq + 'static {
+    const WHAT: &'static str;
+    const TAGS: &'static [Self];
+}
+
+impl Tagged for Scheme {
+    const WHAT: &'static str = "Scheme";
+    const TAGS: &'static [Self] = &[Self::Strong, Self::Medium, Self::Weak];
+}
+
+/// `Event::CheckpointDone.verified`: no verdict, dirty, clean.
+impl Tagged for Option<bool> {
+    const WHAT: &'static str = "CheckpointDone.verified";
+    const TAGS: &'static [Self] = &[None, Some(false), Some(true)];
+}
+
+impl Tagged for DetectionMethod {
+    const WHAT: &'static str = "DetectionMethod";
+    const TAGS: &'static [Self] = &[Self::FullCompare, Self::Checksum, Self::ChunkedChecksum];
+}
+
+/// The error of a tag byte outside its table.
+pub(crate) fn unknown<T>(what: &'static str, tag: u8) -> Result<T, WireError> {
+    Err(WireError::BadTag { what, tag })
+}
+
+pub(crate) fn put_tag<T: Tagged>(buf: &mut Vec<u8>, v: T) {
+    let tag = T::TAGS.iter().position(|&t| t == v);
+    put_u8(buf, tag.expect("every variant has a tag") as u8);
 }
 
 /// A frame body under construction: the encoded run being written, and the
@@ -281,8 +336,15 @@ pub(crate) fn flatten(segs: &[Bytes]) -> Vec<u8> {
     buf
 }
 
-/// Cursor over a received record.
-struct Reader<'a> {
+/// Cursor over a received record: frame headers and bodies, handshake
+/// records and the driver journal's records (`persist.rs`), which the
+/// `put_*` above write, all read through it. So every record meets the same
+/// rules: one that ends early or runs on is refused, a count may not claim
+/// more elements than the bytes left can hold, and a tag or flag byte
+/// outside its table is [`WireError::BadTag`]. Scalars are little-endian
+/// and fixed-width; a wire byte string has a `u64` length, a journal list
+/// or string a `u32` count.
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
     /// The shared buffer `buf` is a view of, when there is one: byte
@@ -291,7 +353,7 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Self {
             buf,
             pos: 0,
@@ -314,26 +376,62 @@ impl<'a> Reader<'a> {
         self.pos += n;
         Ok(s)
     }
-    fn u8(&mut self) -> Result<u8, WireError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.take(N)?.try_into().expect("take(N) returns N bytes"))
     }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
+        Ok(u32::from_le_bytes(self.array()?))
     }
-    fn f64(&mut self) -> Result<f64, WireError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+    pub(crate) fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+    /// A handshake record's `magic` and [`WIRE_VERSION`], both checked.
+    fn preamble(&mut self, magic: u32) -> Result<(), WireError> {
+        match (self.u32()?, self.u32()?) {
+            (m, _) if m != magic => Err(WireError::BadMagic(m)),
+            (_, v) if v != WIRE_VERSION => Err(WireError::BadVersion(v)),
+            _ => Ok(()),
+        }
     }
     fn usize(&mut self) -> Result<usize, WireError> {
         Ok(self.u64()? as usize)
     }
+    /// A bool, or the tag of an `Option`: 0 or 1, `what` naming it.
+    pub(crate) fn flag(&mut self, what: &'static str) -> Result<bool, WireError> {
+        match self.u8()? {
+            t @ 0..=1 => Ok(t == 1),
+            tag => unknown(what, tag),
+        }
+    }
+    /// A [`Tagged`] enum.
+    pub(crate) fn tag<T: Tagged>(&mut self) -> Result<T, WireError> {
+        let tag = self.u8()?;
+        (T::TAGS.get(tag as usize).copied()).ok_or(WireError::BadTag { what: T::WHAT, tag })
+    }
+    /// `n` elements of at least `each` bytes follow: refused before
+    /// anything is sized by it if the bytes left cannot hold them.
+    fn count(&self, n: u64, each: usize) -> Result<usize, WireError> {
+        if n > ((self.buf.len() - self.pos) / each) as u64 {
+            return Err(WireError::Truncated);
+        }
+        Ok(n as usize)
+    }
+    fn count64(&mut self, each: usize) -> Result<usize, WireError> {
+        let n = self.u64()?;
+        self.count(n, each)
+    }
+    fn count32(&mut self, each: usize) -> Result<usize, WireError> {
+        let n = self.u32()?;
+        self.count(n.into(), each)
+    }
     fn bytes(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.usize()?;
-        if n > MAX_FRAME_BODY {
-            return Err(WireError::TooLarge(n));
-        }
         self.take(n)
     }
     /// A length-prefixed byte string the message keeps as [`Bytes`].
@@ -344,11 +442,21 @@ impl<'a> Reader<'a> {
             None => Bytes::copy_from_slice(s),
         })
     }
-    fn finish(self) -> Result<(), WireError> {
+    /// A [`put_f64s`] list.
+    pub(crate) fn f64s(&mut self) -> Result<Vec<f64>, WireError> {
+        (0..self.count32(8)?).map(|_| self.f64()).collect()
+    }
+    /// A [`put_str`] string.
+    pub(crate) fn str(&mut self) -> Result<String, WireError> {
+        let n = self.u32()? as usize;
+        let s = self.take(n)?.to_vec();
+        String::from_utf8(s).map_err(|_| WireError::Malformed("invalid UTF-8"))
+    }
+    pub(crate) fn finish(self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
-            Err(WireError::Truncated)
+            Err(WireError::Malformed("trailing bytes"))
         }
     }
 }
@@ -576,24 +684,24 @@ impl FrameDecoder {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
-        let avail = &self.buf[self.pos..];
-        if self.arriving.is_some() || avail.len() < 4 {
+        if self.arriving.is_some() {
             return Ok(None);
         }
-        let magic = u32::from_le_bytes(avail[0..4].try_into().unwrap());
+        let avail = &self.buf[self.pos..];
+        let mut h = Reader::new(avail);
+        let Ok(magic) = h.u32() else {
+            return Ok(None);
+        };
         if magic != FRAME_MAGIC {
             return self.poison(WireError::BadMagic(magic));
         }
-        if avail.len() < FRAME_HEADER {
+        let (Ok(len), Ok(to), Ok(seq), Ok(ack)) = (h.u32(), h.u32(), h.u64(), h.u64()) else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[4..8].try_into().unwrap()) as usize;
+        };
+        let len = len as usize;
         if len > MAX_FRAME_BODY {
             return self.poison(WireError::TooLarge(len));
         }
-        let to = u32::from_le_bytes(avail[8..12].try_into().unwrap());
-        let seq = u64::from_le_bytes(avail[12..20].try_into().unwrap());
-        let ack = u64::from_le_bytes(avail[20..28].try_into().unwrap());
         let total = FRAME_HEADER + len + FRAME_TRAILER;
         if avail.len() < total {
             if len >= OWN_ALLOC_MIN {
@@ -664,19 +772,12 @@ pub(crate) fn encode_hello(h: &Hello) -> Vec<u8> {
 
 pub(crate) fn decode_hello(buf: &[u8]) -> Result<Hello, WireError> {
     let mut r = Reader::new(buf);
-    let magic = r.u32()?;
-    if magic != HELLO_MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    let version = r.u32()?;
-    if version != WIRE_VERSION {
-        return Err(WireError::BadVersion(version));
-    }
+    r.preamble(HELLO_MAGIC)?;
     let h = Hello {
         job: r.u32()?,
         node: r.u32()?,
         last_recv_seq: r.u64()?,
-        listen_port: u16::from_le_bytes(r.take(2)?.try_into().unwrap()),
+        listen_port: u16::from_le_bytes(r.array()?),
     };
     r.finish()?;
     Ok(h)
@@ -709,8 +810,8 @@ pub(crate) fn encode_address_book(book: &[Option<SocketAddr>]) -> Vec<Bytes> {
 /// Decode an [`encode_address_book`] body.
 pub(crate) fn decode_address_book(body: &[u8]) -> Result<Vec<Option<SocketAddr>>, WireError> {
     let mut r = Reader::new(body);
-    let n = r.u32()? as usize;
-    let mut book = Vec::with_capacity(n.min(body.len() / BOOK_ENTRY));
+    let n = r.count32(BOOK_ENTRY)?;
+    let mut book = Vec::with_capacity(n);
     for _ in 0..n {
         let entry = r.take(BOOK_ENTRY)?;
         let ip = Ipv6Addr::from(<[u8; 16]>::try_from(&entry[..16]).unwrap());
@@ -749,28 +850,6 @@ pub(crate) struct Welcome {
     pub cfg: WelcomeCfg,
 }
 
-fn detection_tag(d: DetectionMethod) -> u8 {
-    match d {
-        DetectionMethod::FullCompare => 0,
-        DetectionMethod::Checksum => 1,
-        DetectionMethod::ChunkedChecksum => 2,
-    }
-}
-
-fn detection_from_tag(tag: u8) -> Result<DetectionMethod, WireError> {
-    Ok(match tag {
-        0 => DetectionMethod::FullCompare,
-        1 => DetectionMethod::Checksum,
-        2 => DetectionMethod::ChunkedChecksum,
-        t => {
-            return Err(WireError::BadTag {
-                what: "DetectionMethod",
-                tag: t,
-            })
-        }
-    })
-}
-
 pub(crate) fn encode_welcome(w: &Welcome) -> Vec<u8> {
     let mut buf = Vec::with_capacity(WELCOME_LEN);
     put_u32(&mut buf, WELCOME_MAGIC);
@@ -780,7 +859,7 @@ pub(crate) fn encode_welcome(w: &Welcome) -> Vec<u8> {
     put_u32(&mut buf, w.cfg.tasks_per_rank);
     put_u32(&mut buf, w.cfg.spares);
     put_u32(&mut buf, w.cfg.total);
-    put_u8(&mut buf, detection_tag(w.cfg.detection));
+    put_tag(&mut buf, w.cfg.detection);
     put_u64(&mut buf, w.cfg.chunk_size);
     put_u64(&mut buf, w.cfg.heartbeat_period_ns);
     put_u64(&mut buf, w.cfg.heartbeat_timeout_ns);
@@ -791,25 +870,18 @@ pub(crate) fn encode_welcome(w: &Welcome) -> Vec<u8> {
 
 pub(crate) fn decode_welcome(buf: &[u8]) -> Result<Welcome, WireError> {
     let mut r = Reader::new(buf);
-    let magic = r.u32()?;
-    if magic != WELCOME_MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    let version = r.u32()?;
-    if version != WIRE_VERSION {
-        return Err(WireError::BadVersion(version));
-    }
+    r.preamble(WELCOME_MAGIC)?;
     let last_recv_seq = r.u64()?;
     let cfg = WelcomeCfg {
         ranks: r.u32()?,
         tasks_per_rank: r.u32()?,
         spares: r.u32()?,
         total: r.u32()?,
-        detection: detection_from_tag(r.u8()?)?,
+        detection: r.tag()?,
         chunk_size: r.u64()?,
         heartbeat_period_ns: r.u64()?,
         heartbeat_timeout_ns: r.u64()?,
-        delta_checkpoints: r.u8()? != 0,
+        delta_checkpoints: r.flag("delta_checkpoints")?,
     };
     r.finish()?;
     Ok(Welcome { last_recv_seq, cfg })
@@ -833,12 +905,7 @@ fn get_scope(r: &mut Reader<'_>) -> Result<Scope, WireError> {
     Ok(match r.u8()? {
         0 => Scope::Global,
         1 => Scope::Replica(r.u8()?),
-        t => {
-            return Err(WireError::BadTag {
-                what: "Scope",
-                tag: t,
-            })
-        }
+        t => return unknown("Scope", t),
     })
 }
 
@@ -882,12 +949,7 @@ fn get_consensus(r: &mut Reader<'_>) -> Result<ConsensusMsg, WireError> {
         },
         3 => ConsensusMsg::ReadyUp { round: r.u64()? },
         4 => ConsensusMsg::Go { round: r.u64()? },
-        t => {
-            return Err(WireError::BadTag {
-                what: "ConsensusMsg",
-                tag: t,
-            })
-        }
+        t => return unknown("ConsensusMsg", t),
     })
 }
 
@@ -901,10 +963,7 @@ fn put_chunk_table(buf: &mut Vec<u8>, t: &ChunkTable) {
 
 fn get_chunk_table(r: &mut Reader<'_>) -> Result<ChunkTable, WireError> {
     let chunk_size = r.u32()?;
-    let n = r.usize()?;
-    if n > MAX_FRAME_BODY / 8 {
-        return Err(WireError::TooLarge(n));
-    }
+    let n = r.count64(8)?;
     let mut digests = Vec::with_capacity(n);
     for _ in 0..n {
         digests.push(r.u64()?);
@@ -938,9 +997,9 @@ fn put_detection(w: &mut BodyWriter, d: &Detection) {
             table,
             dirty,
         } => {
-            // Fixed prefix layout (the transport classifies ship traffic by
-            // peeking at these offsets without a full decode — see the
-            // `delta_compare_body_offsets_are_pinned` test):
+            // Fixed prefix layout ([`ship_of`] reads it without a full
+            // decode — see the `delta_compare_body_offsets_are_pinned`
+            // test):
             //   [0]      detection tag 3
             //   [1..9]   base_iteration u64
             //   [9..17]  payload_len u64
@@ -960,6 +1019,43 @@ fn put_detection(w: &mut BodyWriter, d: &Detection) {
     }
 }
 
+/// Checkpoint-ship traffic, as a node-bound body shows it.
+pub(crate) enum Ship {
+    /// A `Net::Install`, or a `Net::Compare` of anything but a delta.
+    Full,
+    /// A delta `Net::Compare`: the full payload it stands in for, and how
+    /// many dirty windows it carries.
+    Delta { payload_len: u64, dirty: u32 },
+}
+
+/// Classify a node-bound body by its first segment, without decoding it:
+/// `Net::Compare` (tag 2) and `Net::Install` (tag 4) are ships, anything
+/// else is not, and a delta `Compare` states its payload length and dirty
+/// count at the fixed offsets [`put_detection`] writes, all inside the
+/// first segment. Event bodies share the tag space, so they must not be
+/// asked.
+pub(crate) fn ship_of(body: &[Bytes]) -> Option<Ship> {
+    let mut r = Reader::new(body.first()?);
+    match r.u8().ok()? {
+        2 => {}
+        4 => return Some(Ship::Full),
+        _ => return None,
+    }
+    match (
+        r.u64(), // iteration
+        r.u8(),  // detection tag
+        r.u64(), // base_iteration
+        r.u64(), // payload_len
+        r.u64(), // digest
+        r.u32(), // dirty count
+    ) {
+        (Ok(_), Ok(3), Ok(_), Ok(payload_len), Ok(_), Ok(dirty)) => {
+            Some(Ship::Delta { payload_len, dirty })
+        }
+        _ => Some(Ship::Full),
+    }
+}
+
 fn get_detection(r: &mut Reader<'_>) -> Result<Detection, WireError> {
     Ok(match r.u8()? {
         0 => Detection::Payload(r.shared()?),
@@ -975,7 +1071,7 @@ fn get_detection(r: &mut Reader<'_>) -> Result<Detection, WireError> {
                 return Err(WireError::TooLarge(payload_len));
             }
             let digest = r.u64()?;
-            let n = r.u32()? as usize;
+            let n = r.count32(4 + 8)?;
             let table = get_chunk_table(r)?;
             let chunk_size = table.chunk_size as usize;
             let total_chunks = if chunk_size == 0 {
@@ -1016,12 +1112,7 @@ fn get_detection(r: &mut Reader<'_>) -> Result<Detection, WireError> {
                 dirty,
             }
         }
-        t => {
-            return Err(WireError::BadTag {
-                what: "Detection",
-                tag: t,
-            })
-        }
+        t => return unknown("Detection", t),
     })
 }
 
@@ -1043,15 +1134,10 @@ fn get_checkpoint(r: &mut Reader<'_>) -> Result<Checkpoint, WireError> {
     let iteration = r.u64()?;
     let payload = r.shared()?;
     let digest = r.u64()?;
-    Ok(match r.u8()? {
-        0 => Checkpoint::new(iteration, payload, digest),
-        1 => Checkpoint::with_chunks(iteration, payload, digest, get_chunk_table(r)?),
-        t => {
-            return Err(WireError::BadTag {
-                what: "Checkpoint.chunks",
-                tag: t,
-            })
-        }
+    Ok(if r.flag("Checkpoint.chunks")? {
+        Checkpoint::with_chunks(iteration, payload, digest, get_chunk_table(r)?)
+    } else {
+        Checkpoint::new(iteration, payload, digest)
     })
 }
 
@@ -1091,12 +1177,7 @@ fn get_node_fault(r: &mut Reader<'_>) -> Result<NodeFault, WireError> {
             seed: r.u64()?,
             bits: r.u32()?,
         },
-        t => {
-            return Err(WireError::BadTag {
-                what: "NodeFault",
-                tag: t,
-            })
-        }
+        t => return unknown("NodeFault", t),
     })
 }
 
@@ -1219,12 +1300,7 @@ fn get_ctrl(r: &mut Reader<'_>) -> Result<Ctrl, WireError> {
         16 => Ctrl::LayoutChanged { dead: r.usize()? },
         17 => Ctrl::ReportVerified { round: r.u64()? },
         18 => Ctrl::Halt,
-        t => {
-            return Err(WireError::BadTag {
-                what: "Ctrl",
-                tag: t,
-            })
-        }
+        t => return unknown("Ctrl", t),
     })
 }
 
@@ -1300,19 +1376,14 @@ fn net_from(mut r: Reader<'_>) -> Result<Net, WireError> {
         },
         3 => Net::CompareResult {
             iteration: r.u64()?,
-            clean: r.u8()? != 0,
+            clean: r.flag("CompareResult.clean")?,
         },
         4 => Net::Install {
             checkpoint: get_checkpoint(&mut r)?,
         },
         5 => Net::Heartbeat { from: r.usize()? },
         6 => Net::Ctrl(get_ctrl(&mut r)?),
-        t => {
-            return Err(WireError::BadTag {
-                what: "Net",
-                tag: t,
-            })
-        }
+        t => return unknown("Net", t),
     };
     r.finish()?;
     Ok(msg)
@@ -1369,14 +1440,7 @@ pub(crate) fn encode_event(ev: &Event) -> Vec<Bytes> {
             put_usize(buf, *node);
             put_u64(buf, *round);
             put_u64(buf, *iteration);
-            put_u8(
-                buf,
-                match verified {
-                    None => 0,
-                    Some(false) => 1,
-                    Some(true) => 2,
-                },
-            );
+            put_tag(buf, *verified);
         }
         Event::SdcDetected {
             node,
@@ -1474,25 +1538,12 @@ pub(crate) fn decode_event(body: &Bytes) -> Result<Event, WireError> {
             node: r.usize()?,
             round: r.u64()?,
             iteration: r.u64()?,
-            verified: match r.u8()? {
-                0 => None,
-                1 => Some(false),
-                2 => Some(true),
-                t => {
-                    return Err(WireError::BadTag {
-                        what: "CheckpointDone.verified",
-                        tag: t,
-                    })
-                }
-            },
+            verified: r.tag()?,
         },
         2 => {
             let node = r.usize()?;
             let iteration = r.u64()?;
-            let n = r.usize()?;
-            if n > MAX_FRAME_BODY / 16 {
-                return Err(WireError::TooLarge(n));
-            }
+            let n = r.count64(16)?;
             let mut diverged = Vec::with_capacity(n);
             for _ in 0..n {
                 let start = r.usize()?;
@@ -1521,20 +1572,12 @@ pub(crate) fn decode_event(body: &Bytes) -> Result<Event, WireError> {
         },
         8 => {
             let node = r.usize()?;
-            let identity = match r.u8()? {
-                0 => None,
-                1 => Some((r.u8()?, r.usize()?)),
-                t => {
-                    return Err(WireError::BadTag {
-                        what: "FinalState.identity",
-                        tag: t,
-                    })
-                }
+            let identity = if r.flag("FinalState.identity")? {
+                Some((r.u8()?, r.usize()?))
+            } else {
+                None
             };
-            let n = r.usize()?;
-            if n > MAX_FRAME_BODY / 8 {
-                return Err(WireError::TooLarge(n));
-            }
+            let n = r.count64(8)?;
             let mut tasks = Vec::with_capacity(n);
             for _ in 0..n {
                 tasks.push(r.shared()?);
@@ -1553,12 +1596,7 @@ pub(crate) fn decode_event(body: &Bytes) -> Result<Event, WireError> {
             digest: r.u64()?,
             payload: r.shared()?,
         },
-        t => {
-            return Err(WireError::BadTag {
-                what: "Event",
-                tag: t,
-            })
-        }
+        t => return unknown("Event", t),
     };
     r.finish()?;
     Ok(ev)
@@ -2130,6 +2168,77 @@ mod tests {
             1,
             "dirty count"
         );
+    }
+
+    /// [`ship_of`] reads the offsets pinned above: a delta compare states
+    /// its payload length and dirty count, any other compare and an
+    /// install are full ships, every other message is none.
+    #[test]
+    fn ship_of_classifies_by_the_pinned_offsets() {
+        let kind = |ship: Option<Ship>| {
+            ship.map(|s| match s {
+                Ship::Full => None,
+                Ship::Delta { payload_len, dirty } => Some((payload_len, dirty)),
+            })
+        };
+        let mut msgs = all_nets();
+        msgs.push(delta_compare(vec![(1, Bytes::from_static(b"abcd"))]));
+        for msg in msgs {
+            let want = match &msg {
+                Net::Compare {
+                    detection:
+                        Detection::Delta {
+                            payload_len, dirty, ..
+                        },
+                    ..
+                } => Some(Some((*payload_len as u64, dirty.len() as u32))),
+                Net::Compare { .. } | Net::Install { .. } => Some(None),
+                _ => None,
+            };
+            assert_eq!(kind(ship_of(&encode_net(&msg))), want, "{msg:?}");
+        }
+    }
+
+    /// Each enum's one tag table: every variant encodes to its index and
+    /// back, and a byte past the table is refused; a flag is 0 or 1.
+    #[test]
+    fn tag_tables_and_flags_fail_closed() {
+        fn check<T: Tagged + std::fmt::Debug>(all: &[T]) {
+            for (i, &v) in all.iter().enumerate() {
+                let mut b = Vec::new();
+                put_tag(&mut b, v);
+                assert_eq!(b, [i as u8]);
+                assert_eq!(Reader::new(&b).tag::<T>(), Ok(v));
+            }
+            let past = all.len() as u8;
+            let bad = WireError::BadTag {
+                what: T::WHAT,
+                tag: past,
+            };
+            assert_eq!(Reader::new(&[past]).tag::<T>(), Err(bad));
+        }
+        check(&Scheme::ALL);
+        check(&[
+            DetectionMethod::FullCompare,
+            DetectionMethod::Checksum,
+            DetectionMethod::ChunkedChecksum,
+        ]);
+        check(&[None, Some(false), Some(true)]);
+
+        assert_eq!(Reader::new(&[1]).flag("f"), Ok(true));
+        let mut w = encode_welcome(&sample_welcome());
+        w[57] = 2;
+        let bad = WireError::BadTag {
+            what: "delta_checkpoints",
+            tag: 2,
+        };
+        assert_eq!(decode_welcome(&w), Err(bad));
+        let mut v = flatten(&encode_net(&Net::CompareResult {
+            iteration: 40,
+            clean: true,
+        }));
+        v[9] = 2;
+        assert!(decode_net(&Bytes::from(v)).is_err());
     }
 
     #[test]

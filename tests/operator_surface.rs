@@ -493,6 +493,17 @@ fn live_tcp_run_serves_lint_clean_metrics_and_deterministic_status() {
     // No since= parameter: the full buffer, seq 0 (job_start) included.
     let (events_code, events) = http_get(addr, "/events");
     let (miss_code, _) = http_get(addr, "/definitely-not-a-route");
+    // The two since= fetches name the tail's first and last events. They
+    // run while the job is held: once it runs on, its nodes' 4096-event
+    // rings can evict those early events between fetches.
+    let seqs: Vec<u64> = (events.lines())
+        .filter_map(|l| RecordedEvent::from_json(l).ok())
+        .map(|ev| ev.seq)
+        .collect();
+    let (first, last) = (seqs.first().copied(), seqs.last().copied());
+    let since = |seq: Option<u64>| http_get(addr, &format!("/events?since={}", seq.unwrap_or(0)));
+    let (_, tail) = since(last);
+    let (_, all_but_first) = since(first);
     // Unblock the job before asserting so a failure cannot deadlock it.
     release.store(true, Ordering::Relaxed);
 
@@ -543,7 +554,7 @@ fn live_tcp_run_serves_lint_clean_metrics_and_deterministic_status() {
     // (regression: this used to be `seq >= since` here but exclusive in
     // the store tailer).
     let last = parsed.last().unwrap().seq;
-    let (_, tail) = http_get(addr, &format!("/events?since={last}"));
+    assert_eq!(seqs.last(), Some(&last));
     for line in tail.lines().filter(|l| !l.trim().is_empty()) {
         let ev = RecordedEvent::from_json(line).expect("tail line parses");
         assert!(
@@ -555,7 +566,7 @@ fn live_tcp_run_serves_lint_clean_metrics_and_deterministic_status() {
     // Boundary check against the full buffer: polling since= the very
     // first event's seq must drop exactly that event and keep the rest.
     let first = parsed.first().unwrap().seq;
-    let (_, all_but_first) = http_get(addr, &format!("/events?since={first}"));
+    assert_eq!(seqs.first(), Some(&first));
     let refetched: Vec<u64> = all_but_first
         .lines()
         .filter(|l| !l.trim().is_empty())
