@@ -106,11 +106,6 @@ pub enum RecoveryAction {
     /// Defer recovery to the next periodic checkpoint (weak resilience);
     /// the runtime keeps the crashed rank parked until then.
     WaitForNextPeriodicCheckpoint,
-    /// SDC response: both replicas reload their verified checkpoints.
-    RollbackBoth,
-    /// Unrecoverable locally (the buddy of a not-yet-recovered rank also
-    /// died): restart the job from the beginning.
-    RestartFromBeginning,
 }
 
 /// A recovery plan plus its bookkeeping.
@@ -222,40 +217,6 @@ impl RecoveryPlanner {
         });
         plan
     }
-
-    /// Plan the response to a detected SDC (checkpoint comparison mismatch).
-    /// The corrupted side is unknowable, so both replicas roll back to their
-    /// verified checkpoints (§2.1).
-    pub fn plan_sdc(&self) -> RecoveryPlan {
-        RecoveryPlan {
-            actions: vec![RecoveryAction::RollbackBoth],
-            inter_replica_messages: 0,
-            rework: true,
-        }
-    }
-
-    /// Plan the response to a *second* hard failure that lands in the
-    /// healthy replica while a weak/medium recovery is still pending.
-    ///
-    /// If it hit the buddy of the still-unrecovered rank, no copy of that
-    /// rank's state survives anywhere: restart from the beginning (§2.3's
-    /// low-probability catastrophic case [22, 10]). Otherwise both replicas
-    /// fall back to their verified checkpoints.
-    pub fn plan_double_failure(&self, second_hit_pending_buddy: bool) -> RecoveryPlan {
-        if second_hit_pending_buddy {
-            RecoveryPlan {
-                actions: vec![RecoveryAction::RestartFromBeginning],
-                inter_replica_messages: 0,
-                rework: true,
-            }
-        } else {
-            RecoveryPlan {
-                actions: vec![RecoveryAction::RollbackBoth],
-                inter_replica_messages: 0,
-                rework: true,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -311,28 +272,6 @@ mod tests {
             .iter()
             .any(|a| matches!(a, RecoveryAction::ForceCheckpoint { .. })));
         assert!(!plan.rework);
-    }
-
-    #[test]
-    fn sdc_rolls_back_both_replicas_under_every_scheme() {
-        for scheme in Scheme::ALL {
-            let plan = RecoveryPlanner::new(scheme, 4).plan_sdc();
-            assert_eq!(plan.actions, vec![RecoveryAction::RollbackBoth]);
-            assert!(plan.rework);
-        }
-    }
-
-    #[test]
-    fn double_failure_cases() {
-        let p = RecoveryPlanner::new(Scheme::Weak, 4);
-        assert_eq!(
-            p.plan_double_failure(true).actions,
-            vec![RecoveryAction::RestartFromBeginning]
-        );
-        assert_eq!(
-            p.plan_double_failure(false).actions,
-            vec![RecoveryAction::RollbackBoth]
-        );
     }
 
     #[test]

@@ -234,9 +234,10 @@ pub enum EventKind {
         /// The second casualty that triggered the collapse.
         dead: u32,
     },
-    /// The driver restarted every rank from the last verified checkpoint.
+    /// The driver restarted every rank from the newest committed epoch, or
+    /// from the beginning.
     GlobalRestart {
-        /// Iteration of the checkpoint being restored.
+        /// Iteration of the epoch being restored (0: the beginning).
         iteration: u64,
     },
     /// (TCP transport) a node's endpoint completed the connect/accept

@@ -363,7 +363,9 @@ fn metric_help(name: &str) -> &'static str {
         "acr_delta_compare_skipped_total" => {
             "Chunks a delta verdict took from the record's digest table."
         }
-        "acr_global_restarts_total" => "Whole-job restarts from the last verified checkpoint.",
+        "acr_global_restarts_total" => {
+            "Whole-job restarts from the newest committed epoch, or from the beginning."
+        }
         "acr_heartbeat_expired_total" => "Heartbeat windows that expired on the driver.",
         "acr_nodes_declared_dead_total" => "Nodes the failure detector declared dead.",
         "acr_probe_rounds_total" => "Probe rounds launched against suspect nodes.",

@@ -36,7 +36,8 @@ use crate::clock::Clock;
 use crate::message::{Ctrl, Event, Net, NodeFault, NodeIndex, Scope};
 use crate::node::{NodeConfig, NodeWorker, Pump, TaskFactory};
 use crate::persist::{
-    AdmitRecord, CommitRecord, DriverRecord, DriverStore, ResumePlan, NO_NODE, REPORT_FILE,
+    AdmitRecord, CommitRecord, DriverRecord, DriverStore, ResumePlan, SlotStates, NO_NODE,
+    REPORT_FILE,
 };
 use crate::task::Task;
 use crate::transport::{build_fabric, FabricHandle, Port, TransportKind};
@@ -461,9 +462,10 @@ pub struct JobReport {
     pub hard_errors_recovered: usize,
     /// Recovery checkpoints installed without comparison (medium/weak).
     pub unverified_recoveries: usize,
-    /// Restarts from the very beginning (crash before the first verified
-    /// checkpoint, or a failure landing inside an in-flight recovery that
-    /// leaves no consistent checkpoint line).
+    /// Whole-job restarts from the application's initial state, epoch 0:
+    /// no in-memory checkpoint line survived a failure and no committed
+    /// epoch reads back valid from the durable store. A restart from an
+    /// epoch shows only as a `GlobalRestart` event at its iteration.
     pub restarts_from_beginning: usize,
     /// The job ran to completion (vs. timed out or ran out of spares).
     pub completed: bool,
@@ -560,10 +562,6 @@ struct Recovery {
     ship_round: Option<u64>,
     to_resume: Vec<NodeIndex>,
     counts_as_unverified: bool,
-    /// A further failure landed inside this recovery and broke its
-    /// dependency chain; when the surviving expectations drain, the driver
-    /// restarts the job from the beginning instead of resuming.
-    failed: bool,
 }
 
 impl Recovery {
@@ -724,8 +722,8 @@ struct Driver {
     /// parked replica for the deferred weak-scheme ship).
     last_recovery_identity: Option<(u8, usize)>,
     /// A failure collapsed an in-flight recovery (or struck before any
-    /// verified checkpoint): once pending promotions are done, hard-restart
-    /// the whole job.
+    /// verified checkpoint): once pending promotions are done, restart the
+    /// whole job from the newest durable line (`global_restart`).
     needs_global_restart: bool,
     done_nodes: HashSet<NodeIndex>,
     dead_nodes: HashSet<NodeIndex>,
@@ -1863,7 +1861,7 @@ impl Driver {
     /// compacted, advance the clock to the committed epoch, replay the
     /// layout history (halting corpses), seed every active node with its
     /// slot checkpoint, and re-arm the filtered fault script.
-    fn apply_resume(&mut self, dir: &Path, plan: ResumePlan) {
+    fn apply_resume(&mut self, dir: &Path, mut plan: ResumePlan) {
         match DriverStore::resume(dir, &plan.kept, Arc::clone(&self.rec)) {
             Ok(store) => self.store = Some(store),
             Err(e) => {
@@ -1935,6 +1933,17 @@ impl Driver {
             self.send(n, Ctrl::Halt);
         }
 
+        // Every worker armed its heartbeat watch at clock 0; with the clock
+        // now at the commit time, re-watch before the first tick or every
+        // buddy would look timed out instantly.
+        for n in self.active_nodes() {
+            let buddy = self
+                .layout
+                .read()
+                .buddy(n)
+                .expect("active node has a buddy");
+            self.send(n, Ctrl::BuddyChanged { buddy });
+        }
         if let Some(c) = &plan.commit {
             self.round_counter = c.round_counter;
             self.report.checkpoints_verified = c.checkpoints_verified as usize;
@@ -1949,39 +1958,12 @@ impl Driver {
             self.report.crashes_injected_at = c.crashes_injected_at.clone();
             self.verified_exists = true;
             self.next_ckpt = c.t + self.cfg.checkpoint_interval.as_secs_f64();
-            // Every worker armed its heartbeat watch at clock 0; with the
-            // clock now at the commit time, re-watch before the first tick
-            // or every buddy would look timed out instantly.
-            for n in self.active_nodes() {
-                let buddy = self
-                    .layout
-                    .read()
-                    .buddy(n)
-                    .expect("active node has a buddy");
-                self.send(n, Ctrl::BuddyChanged { buddy });
-            }
-            for (&(replica, rank), (it, digest, payload)) in &plan.slot_states {
-                let node = self.layout.read().host(replica, rank);
-                self.port.send(
-                    node,
-                    Net::Install {
-                        checkpoint: Checkpoint::new(*it, payload.clone(), *digest),
-                    },
-                );
-            }
+            self.install_epoch(std::mem::take(&mut plan.slot_states));
             self.tlog(format!(
                 "resumed from {} checkpoint: epoch {} iteration {}",
                 plan.report.source, c.round, c.iteration
             ));
         } else {
-            for n in self.active_nodes() {
-                let buddy = self
-                    .layout
-                    .read()
-                    .buddy(n)
-                    .expect("active node has a buddy");
-                self.send(n, Ctrl::BuddyChanged { buddy });
-            }
             if !plan.promotions.is_empty() {
                 // The layout changed but no epoch was ever captured:
                 // restart the application from a common clean slate.
@@ -2072,37 +2054,18 @@ impl Driver {
                     }
                 }
             }
-            Phase::Recovery(_) => {
+            Phase::Recovery(rec) => {
+                // The dead node owed this recovery a rollback, a ship-round
+                // checkpoint or an install, or was the pending install
+                // source for its buddy (strong scheme's SendVerifiedTo):
+                // the recovery can never complete.
+                let partner = self.layout.read().host(1 - replica, rank);
+                let hit = [&rec.expect_installed, &rec.expect_rolled, &rec.expect_ckpt]
+                    .iter()
+                    .any(|owed| owed.contains(&dead))
+                    || rec.expect_installed.contains(&partner);
                 self.pending_failures.push_back(dead);
-                let (partner, located) = {
-                    let layout = self.layout.read();
-                    match layout.locate(dead) {
-                        Some((r, k)) => (layout.host(1 - r, k), true),
-                        None => (0, false),
-                    }
-                };
-                let Phase::Recovery(rec) = &mut self.phase else {
-                    unreachable!()
-                };
-                // Strip the dead node from the recovery's dependency chain:
-                // anything it owed (rollback, ship checkpoint) or was owed
-                // (install from its now-dead buddy) will never complete.
-                let mut hit = rec.expect_installed.remove(&dead);
-                hit |= rec.expect_rolled.remove(&dead);
-                if rec.expect_ckpt.remove(&dead) {
-                    hit = true;
-                    // Its ship-round install target starves too.
-                    if located {
-                        rec.expect_installed.remove(&partner);
-                    }
-                }
-                // The dead node was the pending install *source* for its
-                // buddy (strong scheme's SendVerifiedTo).
-                if located && rec.expect_installed.remove(&partner) {
-                    hit = true;
-                }
                 if hit {
-                    rec.failed = true;
                     self.rec
                         .emit_with(DRIVER_NODE, || EventKind::RecoveryCollapsed {
                             dead: dead as u32,
@@ -2112,11 +2075,7 @@ impl Driver {
                     // would wait forever for the dead member's consensus
                     // vote: don't wait for the remaining expectations —
                     // unstick everyone and queue the global restart now.
-                    self.verified_exists = false;
-                    self.weak_parked = false;
-                    self.needs_global_restart = true;
-                    self.enter_phase(RunPhase::Forward);
-                    self.phase = Phase::Running;
+                    self.queue_restart();
                     let floor = self.alloc_round();
                     for n in self.active_nodes() {
                         if n != dead {
@@ -2209,11 +2168,8 @@ impl Driver {
         if !self.verified_exists || self.needs_global_restart {
             // Crash before any verified checkpoint (or amid a collapsed
             // recovery): promotion done, the pending global restart resets
-            // every node to a common clean slate.
-            self.needs_global_restart = true;
-            self.weak_parked = false;
-            self.enter_phase(RunPhase::Forward);
-            self.phase = Phase::Running;
+            // every node to a common line.
+            self.queue_restart();
             return;
         }
 
@@ -2234,7 +2190,6 @@ impl Driver {
                     ship_round: None,
                     to_resume: crashed_nodes,
                     counts_as_unverified: false,
-                    failed: false,
                 });
             }
             Scheme::Medium => {
@@ -2256,7 +2211,6 @@ impl Driver {
                     ship_round: Some(ship_round),
                     to_resume: crashed_nodes,
                     counts_as_unverified: true,
-                    failed: false,
                 });
             }
             Scheme::Weak => {
@@ -2271,10 +2225,7 @@ impl Driver {
                                 "weak double failure across replicas: restart from beginning"
                                     .into(),
                             );
-                            self.needs_global_restart = true;
-                            self.weak_parked = false;
-                            self.enter_phase(RunPhase::Forward);
-                            self.phase = Phase::Running;
+                            self.queue_restart();
                             return;
                         }
                     }
@@ -2318,7 +2269,6 @@ impl Driver {
             ship_round: Some(ship_round),
             to_resume: crashed_nodes,
             counts_as_unverified: true,
-            failed: false,
         });
     }
 
@@ -2332,16 +2282,6 @@ impl Driver {
         let Phase::Recovery(rec) = std::mem::replace(&mut self.phase, Phase::Running) else {
             unreachable!()
         };
-        if rec.failed {
-            // The dependency chain broke: no consistent checkpoint line
-            // survives across both replicas. Queue a restart from the very
-            // beginning (after pending spare promotions).
-            self.verified_exists = false;
-            self.weak_parked = false;
-            self.needs_global_restart = true;
-            self.back_to_running();
-            return;
-        }
         if rec.counts_as_unverified {
             self.report.unverified_recoveries += 1;
             let now = self.now();
@@ -2365,27 +2305,71 @@ impl Driver {
         self.back_to_running();
     }
 
-    /// Restart the whole job from the application's initial state: every
-    /// active node discards its checkpoints and rebuilds its tasks. Used
-    /// when a crash precedes the first verified checkpoint, and when a
-    /// failure inside an in-flight recovery leaves no consistent line.
+    /// No in-memory checkpoint line survives: back to running, with a
+    /// global restart queued behind any pending spare promotions.
+    fn queue_restart(&mut self) {
+        self.needs_global_restart = true;
+        self.weak_parked = false;
+        self.back_to_running();
+    }
+
+    /// Seed every active node with its identity's state from a committed
+    /// epoch: `Install` makes it the node's verified checkpoint.
+    fn install_epoch(&self, states: SlotStates) {
+        for ((replica, rank), (iteration, digest, payload)) in states {
+            let node = self.layout.read().host(replica, rank);
+            let checkpoint = Checkpoint::new(iteration, payload, digest);
+            self.port.send(node, Net::Install { checkpoint });
+        }
+    }
+
+    /// Restart the whole job from the newest durable line. That is the
+    /// newest committed epoch whose slot reads back valid — read from disk
+    /// here only, installed on every node, then restored as after an SDC —
+    /// or, with no store, commit or valid slot, epoch 0: every node forgets
+    /// its checkpoints and starts the application over.
     fn global_restart(&mut self) {
         self.last_event = self.now();
         self.needs_global_restart = false;
-        self.verified_exists = false;
         self.weak_parked = false;
         self.last_recovery_identity = None;
-        self.report.restarts_from_beginning += 1;
         let floor = self.alloc_round();
         let nodes = self.active_nodes();
         self.enter_phase(RunPhase::Restart);
+        let mut why = Vec::new();
+        let epoch = (self.store.as_ref()).and_then(|s| s.newest_epoch(self.cfg.ranks, &mut why));
+        for d in why {
+            self.tlog(format!("restart: {d}"));
+        }
+        self.verified_exists = epoch.is_some();
+        let iteration = match epoch {
+            Some((c, states)) => {
+                self.tlog(format!(
+                    "restart from epoch {} iteration {}",
+                    c.round, c.iteration
+                ));
+                self.next_slot = 1 - c.slot;
+                self.install_epoch(states);
+                c.iteration
+            }
+            None => {
+                self.report.restarts_from_beginning += 1;
+                self.tlog("restart from beginning".into());
+                0
+            }
+        };
         self.rec
-            .emit(DRIVER_NODE, EventKind::GlobalRestart { iteration: 0 });
+            .emit(DRIVER_NODE, EventKind::GlobalRestart { iteration });
         self.rec.inc_counter("acr_global_restarts_total", 1);
-        self.tlog("restart from beginning".into());
         for &n in &nodes {
             self.done_nodes.remove(&n);
-            self.send(n, Ctrl::HardRestart { floor });
+            if self.verified_exists {
+                // Parked survivors and promoted spares run again.
+                self.send(n, Ctrl::Rollback { floor });
+                self.send(n, Ctrl::Resume { floor });
+            } else {
+                self.send(n, Ctrl::HardRestart { floor });
+            }
         }
         self.phase = Phase::AwaitRollback {
             pending: nodes.into_iter().collect(),

@@ -186,9 +186,7 @@ impl NodeWorker {
             future_msgs: Vec::new(),
         };
         if let Some((_, rank)) = w.identity {
-            w.tasks = (0..w.cfg.tasks_per_rank)
-                .map(|t| (w.factory)(rank, t))
-                .collect();
+            w.fresh_tasks(rank);
             w.rebuild_engines(0);
             let buddy = w
                 .layout
@@ -594,38 +592,7 @@ impl NodeWorker {
                 self.pending_remote = None;
                 self.rebuild_engines(floor);
             }
-            Ctrl::Rollback { floor } => {
-                self.store.discard_tentative();
-                self.pending_remote = None;
-                self.awaiting_verdict = None;
-                if let Some(ckpt) = self.store.rollback_target() {
-                    let payload = ckpt.payload.clone();
-                    self.unpack_tasks(&payload);
-                } else if let Some((_, rank)) = self.identity {
-                    // No checkpoint yet: restart from the beginning.
-                    self.tasks = (0..self.cfg.tasks_per_rank)
-                        .map(|t| (self.factory)(rank, t))
-                        .collect();
-                }
-                self.rebuild_engines(floor);
-                // Epoch bump comes *after* the state restore: entering the
-                // epoch releases stashed messages from peers that rolled
-                // back first, and those must land in the restored tasks,
-                // not in state about to be overwritten.
-                self.enter_epoch(floor);
-                debug_trace!(
-                    self.rec,
-                    self.obs_node(),
-                    "[node {} {:?}] rolled back to progress={:?} (floor {floor}, epoch {})",
-                    self.cfg.index,
-                    self.identity,
-                    self.tasks.iter().map(|t| t.progress()).collect::<Vec<_>>(),
-                    self.epoch
-                );
-                self.port.send_event(Event::RolledBack {
-                    node: self.cfg.index,
-                });
-            }
+            Ctrl::Rollback { floor } => self.restore(floor),
             Ctrl::SendVerifiedTo { to } => {
                 let ckpt = self
                     .store
@@ -641,9 +608,7 @@ impl NodeWorker {
                 floor,
             } => {
                 self.identity = Some((replica, rank));
-                self.tasks = (0..self.cfg.tasks_per_rank)
-                    .map(|t| (self.factory)(rank, t))
-                    .collect();
+                self.fresh_tasks(rank);
                 self.buddy = Some(buddy);
                 let now = self.now();
                 self.monitor.watch(buddy, now);
@@ -681,24 +646,12 @@ impl NodeWorker {
                 self.rebuild_engines(floor);
             }
             Ctrl::HardRestart { floor } => {
-                // No consistent checkpoint line survives: scrap everything
-                // and start the application over (a §2.3 restart-from-
-                // beginning, as after a weak-scheme buddy double failure).
+                // No checkpoint line survives: forget every checkpoint and
+                // start the application over (§2.3's restart from the
+                // beginning, the driver's epoch 0).
                 self.store = CheckpointStore::new();
-                self.pending_remote = None;
-                self.awaiting_verdict = None;
-                if let Some((_, rank)) = self.identity {
-                    self.tasks = (0..self.cfg.tasks_per_rank)
-                        .map(|t| (self.factory)(rank, t))
-                        .collect();
-                }
-                self.done_reported = false;
                 self.parked = false;
-                self.rebuild_engines(floor);
-                self.enter_epoch(floor);
-                self.port.send_event(Event::RolledBack {
-                    node: self.cfg.index,
-                });
+                self.restore(floor);
             }
             Ctrl::InjectCrash => {
                 self.apply_fault(NodeFault::Crash);
@@ -763,6 +716,49 @@ impl NodeWorker {
             }
         }
         false
+    }
+
+    /// Restore the tasks to the verified checkpoint — or, with none, to the
+    /// application's initial state — and rejoin at round floor `floor`.
+    /// The tentative checkpoint and any pending verdict go with the state
+    /// they described. Answers `RolledBack`.
+    fn restore(&mut self, floor: u64) {
+        self.store.discard_tentative();
+        self.pending_remote = None;
+        self.awaiting_verdict = None;
+        if let Some(ckpt) = self.store.rollback_target() {
+            let payload = ckpt.payload.clone();
+            self.unpack_tasks(&payload);
+        } else if let Some((_, rank)) = self.identity {
+            self.fresh_tasks(rank);
+        }
+        self.done_reported = false;
+        self.rebuild_engines(floor);
+        // Epoch bump comes *after* the state restore: entering the epoch
+        // releases stashed messages from peers that restored first, and
+        // those must land in the restored tasks, not in state about to be
+        // overwritten.
+        self.enter_epoch(floor);
+        debug_trace!(
+            self.rec,
+            self.obs_node(),
+            "[node {} {:?}] restored to progress={:?} (floor {floor}, epoch {})",
+            self.cfg.index,
+            self.identity,
+            self.tasks.iter().map(|t| t.progress()).collect::<Vec<_>>(),
+            self.epoch
+        );
+        self.port.send_event(Event::RolledBack {
+            node: self.cfg.index,
+        });
+    }
+
+    /// Rank `rank`'s tasks as the factory builds them: the application's
+    /// initial state.
+    fn fresh_tasks(&mut self, rank: usize) {
+        self.tasks = (0..self.cfg.tasks_per_rank)
+            .map(|t| (self.factory)(rank, t))
+            .collect();
     }
 
     /// Send the shutdown `FinalState` event (empty for a crashed node).

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use acr_core::{DetectionMethod, Scheme};
 use acr_fault::{FaultAction, FaultScript};
 use acr_obs::{EventKind, Recorder, DRIVER_NODE};
-use acr_store::{scan_log, EventLog, RecoveryReport, SlotData, SlotEntryRef, SlotStore};
+use acr_store::{scan_log, EventLog, RecoveryReport, SlotEntryRef, SlotStore};
 use bytes::Bytes;
 
 use crate::wire::{
@@ -308,6 +308,9 @@ impl DriverRecord {
 pub(crate) struct DriverStore {
     log: EventLog,
     slots: SlotStore,
+    /// The last two commits appended, oldest first: the only ones whose
+    /// slots can still hold their epoch (see [`read_epoch`]).
+    commits: Vec<CommitRecord>,
     rec: Arc<Recorder>,
 }
 
@@ -319,6 +322,7 @@ impl DriverStore {
         Ok(DriverStore {
             log: EventLog::create(dir.join(LOG_FILE))?,
             slots: SlotStore::new(dir),
+            commits: Vec::new(),
             rec,
         })
     }
@@ -357,7 +361,24 @@ impl DriverStore {
             self.log.append_unsynced(&payload)?
         };
         self.note(r.kind(), bytes, synced);
+        if let DriverRecord::EpochCommit(c) = r {
+            if self.commits.len() == 2 {
+                self.commits.remove(0);
+            }
+            self.commits.push(c.clone());
+        }
         Ok(())
+    }
+
+    /// The newest epoch this store committed whose slot reads back valid
+    /// ([`read_epoch`]): the newest durable line.
+    pub(crate) fn newest_epoch(
+        &self,
+        ranks: usize,
+        diagnostics: &mut Vec<String>,
+    ) -> Option<(CommitRecord, SlotStates)> {
+        let (i, _, states) = read_epoch(&self.slots, &self.commits, ranks, diagnostics)?;
+        Some((self.commits[i].clone(), states))
     }
 
     /// Write one epoch's checkpoints to a slot (synchronous, fsynced).
@@ -384,6 +405,66 @@ impl DriverStore {
     }
 }
 
+/// One committed epoch read back from its slot, ready for `Install`:
+/// `(replica, rank)` → `(iteration, digest, payload)`.
+pub(crate) type SlotStates = BTreeMap<(u8, usize), (u64, u64, Bytes)>;
+
+/// Read back the newest of `commits` (oldest first) whose slot validates:
+/// it reads back whole, holds the epoch its commit names, and holds a state
+/// for each of the job's `2·ranks` identities. Only the last two can, as
+/// slots alternate. Returns the commit's index, "primary" (the newest) or
+/// "rollback", and the states; `diagnostics` says why a slot was rejected.
+pub(crate) fn read_epoch(
+    slots: &SlotStore,
+    commits: &[CommitRecord],
+    ranks: usize,
+    diagnostics: &mut Vec<String>,
+) -> Option<(usize, &'static str, SlotStates)> {
+    for (which, (i, c)) in commits.iter().enumerate().rev().take(2).enumerate() {
+        let label = if which == 0 { "primary" } else { "rollback" };
+        let data = match slots.read(c.slot) {
+            Ok(data) if data.epoch == c.round => data,
+            Ok(data) => {
+                diagnostics.push(format!(
+                    "{label} slot {} holds epoch {}, commit names epoch {}; rejected as stale",
+                    c.slot, data.epoch, c.round
+                ));
+                continue;
+            }
+            Err(e) => {
+                diagnostics.push(format!("{label} slot {} rejected: {e}", c.slot));
+                continue;
+            }
+        };
+        let mut states = SlotStates::new();
+        for e in data.entries {
+            if e.iteration != c.iteration {
+                diagnostics.push(format!(
+                    "slot entry ({},{}) at iteration {} disagrees with commit iteration {}",
+                    e.replica, e.rank, e.iteration, c.iteration
+                ));
+            }
+            let payload = Bytes::from(e.payload);
+            let digest = acr_pup::fletcher64(&payload);
+            states.insert((e.replica, e.rank as usize), (e.iteration, digest, payload));
+        }
+        if states.len() != 2 * ranks {
+            diagnostics.push(format!(
+                "{label} slot {} holds {} node states, job shape needs {}; rejected as partial",
+                c.slot,
+                states.len(),
+                2 * ranks
+            ));
+            continue;
+        }
+        if which == 1 {
+            diagnostics.push("primary slot unusable; falling back to rollback slot".into());
+        }
+        return Some((i, label, states));
+    }
+    None
+}
+
 /// A spare promotion the resume replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Promotion {
@@ -404,9 +485,8 @@ pub(crate) struct ResumePlan {
     /// The chosen commit; `None` means no epoch ever committed and the job
     /// restarts from its initial state under the replayed layout.
     pub commit: Option<CommitRecord>,
-    /// `(replica, rank)` → `(iteration, digest, payload)` from the chosen
-    /// slot, ready for `Install`.
-    pub slot_states: BTreeMap<(u8, usize), (u64, u64, Bytes)>,
+    /// The chosen slot's states; empty when `commit` is `None`.
+    pub slot_states: SlotStates,
     /// Nodes dead at the chosen commit, in declaration order.
     pub dead: Vec<usize>,
     /// Spare promotions up to the chosen commit, in order.
@@ -500,38 +580,22 @@ impl ResumePlan {
             }
         };
 
-        // Choose the checkpoint source. Only the last two commits can be
-        // usable — slots alternate, so older commits' slots have been
-        // overwritten. Last commit whose slot validates wins: "primary" when
-        // it is the newest, "rollback" when the newest was rejected.
-        let slots = SlotStore::new(dir);
-        let commits: Vec<(usize, CommitRecord)> = records
+        // Choose the checkpoint source: the last commit whose slot
+        // validates.
+        let (positions, commits): (Vec<usize>, Vec<CommitRecord>) = records
             .iter()
             .enumerate()
             .filter_map(|(i, r)| match r {
                 DriverRecord::EpochCommit(c) => Some((i, c.clone())),
                 _ => None,
             })
-            .collect();
-        let mut chosen: Option<(usize, CommitRecord, SlotData, &'static str)> = None;
-        for (which, (pos, c)) in commits.iter().rev().take(2).enumerate() {
-            let label = if which == 0 { "primary" } else { "rollback" };
-            match slots.read(c.slot) {
-                Ok(data) if data.epoch == c.round => {
-                    if which == 1 {
-                        diagnostics
-                            .push("primary slot unusable; falling back to rollback slot".into());
-                    }
-                    chosen = Some((*pos, c.clone(), data, label));
-                    break;
-                }
-                Ok(data) => diagnostics.push(format!(
-                    "{label} slot {} holds epoch {}, commit names epoch {}; rejected as stale",
-                    c.slot, data.epoch, c.round
-                )),
-                Err(e) => diagnostics.push(format!("{label} slot {} rejected: {e}", c.slot)),
-            }
-        }
+            .unzip();
+        let chosen = read_epoch(
+            &SlotStore::new(dir),
+            &commits,
+            admit.ranks as usize,
+            &mut diagnostics,
+        );
         if chosen.is_none() && !commits.is_empty() {
             return Err(fail(
                 "no usable checkpoint slot: the journal names committed epochs but neither \
@@ -540,9 +604,9 @@ impl ResumePlan {
                 diagnostics,
             ));
         }
-        let (commit_pos, commit, slot_data, source) = match chosen {
-            Some((p, c, d, s)) => (p, Some(c), Some(d), s),
-            None => (usize::MAX, None, None, "none"),
+        let (commit_pos, commit, slot_states, source) = match chosen {
+            Some((i, source, states)) => (positions[i], Some(commits[i].clone()), states, source),
+            None => (usize::MAX, None, SlotStates::new(), "none"),
         };
 
         // The capture boundary: the committing round's RoundOpened record.
@@ -638,32 +702,6 @@ impl ResumePlan {
             }
         }
         let records_skipped = records.len() as u64 - records_replayed;
-
-        let mut slot_states = BTreeMap::new();
-        if let (Some(c), Some(data)) = (&commit, &slot_data) {
-            for e in &data.entries {
-                if e.iteration != c.iteration {
-                    diagnostics.push(format!(
-                        "slot entry ({},{}) at iteration {} disagrees with commit iteration {}",
-                        e.replica, e.rank, e.iteration, c.iteration
-                    ));
-                }
-                let payload = Bytes::from(e.payload.clone());
-                let digest = acr_pup::fletcher64(&payload);
-                slot_states.insert((e.replica, e.rank as usize), (e.iteration, digest, payload));
-            }
-            let expected = 2 * admit.ranks as usize;
-            if slot_states.len() != expected {
-                return Err(fail(
-                    format!(
-                        "chosen slot holds {} node states, job shape needs {expected}; \
-                         refusing to resume from partial state",
-                        slot_states.len()
-                    ),
-                    diagnostics,
-                ));
-            }
-        }
 
         let next_slot = commit.as_ref().map(|c| 1 - c.slot).unwrap_or(0);
         let report = RecoveryReport {

@@ -110,6 +110,18 @@ const ACK_AFTER_BYTES: usize = 256 << 10;
 /// dirty windows than this takes another write).
 const MAX_IOV: usize = 16;
 
+/// First redial backoff of an endpoint link after a failed dial; each
+/// further failure doubles it up to [`REDIAL_MAX`].
+const REDIAL_INITIAL: Duration = Duration::from_millis(1);
+
+/// Largest redial backoff of an endpoint link whose traffic has not fallen
+/// back to the router.
+const REDIAL_MAX: Duration = Duration::from_millis(50);
+
+/// How long the driver waits for every node to complete the connect/accept
+/// handshake before declaring the job failed.
+pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// The pause of the two error paths that must not spin.
 const POLL_TICK: Duration = Duration::from_millis(5);
 
@@ -1552,8 +1564,6 @@ pub(crate) struct Endpoint {
     /// Ends the loop's `poll`; every message goes through
     /// [`Endpoint::post`], which pokes it.
     waker: Waker,
-    /// First and largest redial backoff, for both links.
-    redial: (Duration, Duration),
     /// How long a buddy link this endpoint dialed may stay detached before
     /// it reports its peer to the driver.
     stale_after: Duration,
@@ -1593,7 +1603,7 @@ pub(crate) struct Endpoint {
 
 impl Endpoint {
     /// Start `node`'s endpoint for `job`, dialing the router at `addr`, with
-    /// `tcp`'s reconnect backoff and stale window.
+    /// `tcp`'s stale window.
     pub(crate) fn spawn(
         job: u32,
         node: usize,
@@ -1608,7 +1618,6 @@ impl Endpoint {
             node,
             tx,
             waker: Waker::new().expect("endpoint wake pipe"),
-            redial: (tcp.reconnect_initial, tcp.reconnect_max),
             stale_after: tcp.stale_after,
             #[cfg(test)]
             wakeups: AtomicU64::new(0),
@@ -1789,7 +1798,7 @@ struct EpLink {
 }
 
 impl EpLink {
-    fn new(peer: u32, dialer: bool, backoff: Duration) -> EpLink {
+    fn new(peer: u32, dialer: bool) -> EpLink {
         let now = Instant::now();
         EpLink {
             peer,
@@ -1798,7 +1807,7 @@ impl EpLink {
             greeting: None,
             routed: false,
             attempts: 0,
-            backoff,
+            backoff: REDIAL_INITIAL,
             next_dial: now,
         }
     }
@@ -1902,7 +1911,7 @@ impl EpLink {
         let conn = self.conn(ep);
         self.link.attach(s, conn, welcome.last_recv_seq, Vec::new());
         self.routed = false;
-        self.backoff = ep.redial.0;
+        self.backoff = REDIAL_INITIAL;
         if self.peer == DRIVER_DEST {
             *lock(&ep.welcome) = Some(welcome.cfg);
             ep.welcomed.notify_all();
@@ -1941,7 +1950,7 @@ impl EpLink {
     /// Close the socket, dialed or attached; what was queued for it stays
     /// in the ring. A link that was attached redials at once. After a dial
     /// that failed — on the router link, a `TransportRetry` — the redial
-    /// waits out the backoff, which then doubles up to the endpoint's cap,
+    /// waits out the backoff, which then doubles up to [`REDIAL_MAX`],
     /// or [`ROUTED_REDIAL_MAX`] once the router carries the link's traffic.
     fn detach(&mut self, ep: &Endpoint) {
         let mut wait = Duration::ZERO;
@@ -1949,7 +1958,7 @@ impl EpLink {
             let cap = if self.routed {
                 ROUTED_REDIAL_MAX
             } else {
-                ep.redial.1
+                REDIAL_MAX
             };
             wait = self.backoff;
             self.backoff = (wait * 2).min(cap);
@@ -2016,8 +2025,7 @@ fn polled(fds: &mut Vec<PollFd>, fd: Option<PollFd>) -> Option<usize> {
 /// link is gone. While the router link redials, the buddy link, the
 /// listener and the commands are served as ever.
 fn endpoint_loop(ep: Arc<Endpoint>, addr: SocketAddr, rx: Receiver<EpMsg>) {
-    let initial = ep.redial.0;
-    let mut router = EpLink::new(DRIVER_DEST, true, initial);
+    let mut router = EpLink::new(DRIVER_DEST, true);
     let mut stats = WireStats::default();
     let mut rdbuf = vec![0u8; READ_BUDGET];
     let mut fds: Vec<PollFd> = Vec::new();
@@ -2123,7 +2131,7 @@ fn endpoint_loop(ep: Arc<Endpoint>, addr: SocketAddr, rx: Receiver<EpMsg>) {
                             // Open (or re-point) the link; the top of the next
                             // pass dials it.
                             repoint(&mut buddy, to);
-                            let l = buddy.insert(EpLink::new(to, true, initial));
+                            let l = buddy.insert(EpLink::new(to, true));
                             l.link.tx.enqueue(to, body, None);
                         }
                         // No link to `to` that can carry it, and none to open:
@@ -2183,7 +2191,7 @@ fn endpoint_loop(ep: Arc<Endpoint>, addr: SocketAddr, rx: Receiver<EpMsg>) {
                 continue;
             }
             repoint(&mut buddy, hello.node);
-            let l = buddy.get_or_insert_with(|| EpLink::new(hello.node, false, initial));
+            let l = buddy.get_or_insert_with(|| EpLink::new(hello.node, false));
             l.accept(&ep, stream, &hello, cfg);
         }
 

@@ -27,7 +27,7 @@ use crate::clock::Clock;
 use crate::driver::JobConfig;
 use crate::message::{Event, Net, NodeIndex};
 use crate::node::{NodeConfig, NodeWorker, TaskFactory};
-use crate::tcp::{Endpoint, Router};
+use crate::tcp::{Endpoint, Router, CONNECT_TIMEOUT};
 use crate::wire::{WelcomeCfg, WireCodec};
 
 /// Send side of the fabric, as seen by one sender (the driver or one
@@ -160,8 +160,8 @@ impl fmt::Debug for SharedReactor {
     }
 }
 
-/// Tuning for the TCP backend: where the router listens, how endpoints
-/// reconnect, and when a silent link counts as stale. The wire format
+/// Tuning for the TCP backend: where the router listens and when a silent
+/// link counts as stale. The wire format
 /// itself has no options — one frame layout, no payload compression (see
 /// [`wire`](crate::wire)).
 #[derive(Debug, Clone)]
@@ -175,19 +175,12 @@ pub struct TcpConfig {
     /// Ignored when [`shared`](TcpConfig::shared) is set (the service
     /// already bound its reactor).
     pub addr: Option<SocketAddr>,
-    /// First reconnect backoff delay after a failed dial.
-    pub reconnect_initial: Duration,
-    /// Backoff cap (delays double per consecutive failure up to this).
-    pub reconnect_max: Duration,
     /// How long a node's link may stay detached before the router's
     /// stale monitor reports it to the driver (which answers with a
     /// targeted liveness probe — a dead socket is not a dead node), and
     /// how long a buddy link may before its traffic falls back to the
     /// router.
     pub stale_after: Duration,
-    /// How long the driver waits for every node to complete the
-    /// connect/accept handshake before declaring the job failed.
-    pub connect_timeout: Duration,
     /// When true, the driver spawns no local workers and instead waits
     /// for `2·ranks + spares` external node hosts (see
     /// [`run_node_host`]) to connect.
@@ -210,10 +203,7 @@ impl Default for TcpConfig {
     fn default() -> Self {
         Self {
             addr: None,
-            reconnect_initial: Duration::from_millis(1),
-            reconnect_max: Duration::from_millis(50),
             stale_after: Duration::from_millis(50),
-            connect_timeout: Duration::from_secs(10),
             remote_nodes: false,
             codec: WireCodec::None,
             control: None,
@@ -323,7 +313,6 @@ pub(crate) enum FabricHandle {
         /// deregistered and keeps serving its other jobs.
         owned: bool,
         endpoints: Vec<Arc<Endpoint>>,
-        connect_timeout: Duration,
     },
 }
 
@@ -334,13 +323,8 @@ impl FabricHandle {
     pub fn wait_transport_ready(&self) -> Result<(), String> {
         match self {
             FabricHandle::InProcess => Ok(()),
-            FabricHandle::Tcp {
-                router,
-                job,
-                connect_timeout,
-                ..
-            } => {
-                router.wait_all_connected(*job, *connect_timeout)?;
+            FabricHandle::Tcp { router, job, .. } => {
+                router.wait_all_connected(*job, CONNECT_TIMEOUT)?;
                 router.publish_address_book(*job);
                 Ok(())
             }
@@ -456,7 +440,6 @@ pub(crate) fn build_fabric(
                     job,
                     owned,
                     endpoints,
-                    connect_timeout: tcp.connect_timeout,
                 },
                 remote_nodes: tcp.remote_nodes,
             }

@@ -479,6 +479,139 @@ fn the_next_round_and_the_job_close_wait_for_the_commit() {
     );
 }
 
+/// Both members of buddy pair 0 crash two iterations apart, inside one
+/// heartbeat timeout: the liveness probe finds them together, the strong
+/// recovery of the first collapses, and no in-memory copy of rank 0 is
+/// left (§2.3's catastrophic case).
+fn buddy_pair_script() -> FaultScript {
+    let mut s = FaultScript::new();
+    s.push(
+        Trigger::AtIteration(150),
+        FaultAction::Crash {
+            replica: 0,
+            rank: 0,
+        },
+    );
+    s.push(
+        Trigger::AtIteration(152),
+        FaultAction::Crash {
+            replica: 1,
+            rank: 0,
+        },
+    );
+    s
+}
+
+/// Iterations of a run's `GlobalRestart` events.
+fn global_restarts(r: &JobReport) -> Vec<u64> {
+    r.events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::GlobalRestart { iteration } => Some(iteration),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Iteration of the last epoch a run committed before job-clock time `t`:
+/// each commit follows its clean verdict (`assert_commits_trail_verdicts`).
+fn committed_iteration_before(r: &JobReport, t: f64) -> Option<u64> {
+    let (mut verdict, mut committed) = (None, None);
+    for e in r.events.iter().take_while(|e| e.t < t) {
+        match &e.kind {
+            EventKind::RoundVerdict {
+                iteration,
+                clean: true,
+                ..
+            } => verdict = Some(*iteration),
+            EventKind::StoreAppend { kind, .. } if kind == "commit" => committed = verdict,
+            _ => {}
+        }
+    }
+    committed
+}
+
+/// With a durable store, losing a whole buddy pair restarts the job from
+/// the newest committed epoch, not from iteration 0: both crashes are
+/// recovered onto spares, the one whole-job restart carries the last
+/// committed iteration, and the finals are those of the undisturbed run.
+/// Without a store the same script restarts from the beginning — epoch 0
+/// — to the same finals.
+#[test]
+fn a_lost_buddy_pair_restarts_from_the_newest_committed_epoch() {
+    let baseline = run_persisted(Scheme::Strong, &FaultScript::new(), &tmp("pair_base"));
+    assert!(baseline.completed, "baseline: {:?}", baseline.error);
+
+    let r = run_persisted(Scheme::Strong, &buddy_pair_script(), &tmp("pair"));
+    let trace = r.trace.join("\n");
+    assert!(r.completed, "{:?}\n{trace}", r.error);
+    assert_eq!(r.crashes_injected_at.len(), 2, "{trace}");
+    assert_eq!(r.restarts_from_beginning, 0, "{trace}");
+    assert_eq!(r.hard_errors_recovered, 2, "{trace}");
+    let committed = committed_iteration_before(&r, r.crashes_injected_at[0]);
+    assert_eq!(committed, Some(120), "{trace}");
+    assert_eq!(global_restarts(&r), vec![120], "{trace}");
+    assert_eq!(counter(&r, "acr_global_restarts_total"), 1);
+    assert!(r.replicas_agree());
+    assert_eq!(r.final_states, baseline.final_states);
+    assert_commits_trail_verdicts(&r);
+
+    // The no-store twin: epoch 0.
+    let twin = Job::new(cfg(Scheme::Strong))
+        .with_faults(buddy_pair_script())
+        .mode(ExecMode::virtual_default())
+        .run(factory);
+    let trace = twin.trace.join("\n");
+    assert!(twin.completed, "{:?}\n{trace}", twin.error);
+    assert_eq!(twin.restarts_from_beginning, 1, "{trace}");
+    assert_eq!(twin.hard_errors_recovered, 2, "{trace}");
+    assert_eq!(global_restarts(&twin), vec![0], "{trace}");
+    assert_eq!(twin.final_states, baseline.final_states);
+}
+
+/// A journal that holds an in-job restore resumes like any other. The
+/// driver is killed after the buddy pair's restart from the newest epoch:
+/// at 0.35 s before the next commit, so the resume starts from the very
+/// epoch the restore installed and replays the crashes; at 0.40 s after
+/// it, so the resume replays the promotions. Either way the resumed run
+/// finishes with the outcome of the run nobody killed.
+#[test]
+fn a_kill_after_an_in_job_restore_resumes_to_the_same_outcome() {
+    let unkilled = run_persisted(Scheme::Strong, &buddy_pair_script(), &tmp("restore_base"));
+    assert!(unkilled.completed, "{:?}", unkilled.error);
+    let restored_at = unkilled
+        .events
+        .iter()
+        .find(|e| matches!(e.kind, EventKind::GlobalRestart { .. }))
+        .map(|e| e.t)
+        .expect("the pair's loss restarted the job");
+
+    for (kill_at, epoch) in [(0.35, 120), (0.40, 181)] {
+        assert!(restored_at < kill_at, "restore at {restored_at}");
+        let mut script = buddy_pair_script();
+        script.push(Trigger::At(kill_at), FaultAction::KillDriver);
+        let dir = tmp(&format!("restore_kill_{kill_at}"));
+        let killed = run_persisted(Scheme::Strong, &script, &dir);
+        assert_killed(&killed);
+        assert_eq!(global_restarts(&killed), vec![120]);
+
+        let resumed = Job::resume(&dir).run(factory);
+        assert!(
+            resumed.completed,
+            "resume failed: {:?}\n{}",
+            resumed.error,
+            resumed.trace.join("\n")
+        );
+        assert_eq!(resumed.recovery.as_ref().map(|r| r.iteration), Some(epoch));
+        assert_eq!(
+            outcome_tuple(&resumed),
+            outcome_tuple(&unkilled),
+            "kill at {kill_at}: resumed outcome differs from the run nobody killed\nresumed:\n{}",
+            resumed.trace.join("\n")
+        );
+    }
+}
+
 /// C-02: a torn tail append (power loss mid-write) must be skipped by the
 /// self-healing reader, reported in the recovery report, and must not
 /// prevent a successful resume.
