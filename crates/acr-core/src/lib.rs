@@ -16,7 +16,8 @@
 //! * [`SdcDetector`] — full-payload vs. Fletcher-checksum comparison
 //!   strategies (§4.2).
 //! * [`RecoveryPlanner`] — the strong/medium/weak recovery schemes as
-//!   explicit action plans (§2.3, Figs. 4–5).
+//!   explicit action plans (§2.3, Figs. 4–5), the ones the runtime
+//!   executes.
 //! * [`HeartbeatMonitor`] — buddy heartbeat bookkeeping used to declare
 //!   fail-stopped nodes dead (§6.1).
 
@@ -42,4 +43,4 @@ pub use detector::{Detection, DetectionMethod, Divergence, SdcDetector};
 pub use heartbeat::HeartbeatMonitor;
 pub use layout::{LayoutError, NodeSlot, ReplicaLayout};
 pub use policy::{GammaBetaEstimator, RateEstimate};
-pub use recovery::{RecoveryAction, RecoveryPlan, RecoveryPlanner, Scheme};
+pub use recovery::{HardError, RecoveryAction, RecoveryPlan, RecoveryPlanner, Scheme};

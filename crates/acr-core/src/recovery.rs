@@ -1,10 +1,13 @@
 //! The three recovery schemes as explicit plans (§2.3, Figs. 4–5).
 //!
-//! When a failure is detected, the runtime asks the [`RecoveryPlanner`] what
-//! to do; the plan is a list of [`RecoveryAction`]s the runtime executes in
-//! order. Keeping the decision logic here — pure and table-driven — lets the
-//! real runtime and the simulator recover identically, and makes the §2.3
-//! trade-offs (rework vs. SDC-window vs. network traffic) directly testable.
+//! When a node crashes, the runtime promotes a spare in its place and asks
+//! the [`RecoveryPlanner`] what to do next; the plan is a list of
+//! [`RecoveryAction`]s the runtime executes in order, and nothing else. The
+//! decision is a pure function of the [`HardError`] facts, so the §2.3
+//! trade-offs (rework vs. SDC window vs. network traffic) are testable here.
+//! The application's initial state, epoch 0, is a line like any verified
+//! checkpoint: a crash before the first verified round recovers by its
+//! scheme, and the whole job restarts only when no replica holds a line.
 
 /// The resilience level chosen for a job (§2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,16 +69,10 @@ impl std::fmt::Display for Scheme {
     }
 }
 
-/// One step of a recovery plan, executed by the runtime.
+/// One step of a recovery plan, executed by the runtime after it has
+/// promoted a spare in the crashed node's place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryAction {
-    /// Bind the crashed node's `(replica, rank)` to a spare node.
-    PromoteSpare {
-        /// The crashed node.
-        failed: usize,
-        /// The spare taking over.
-        spare: usize,
-    },
     /// Send the sender's **verified** checkpoint to one node (strong
     /// restart: the only inter-replica message).
     SendVerifiedCheckpoint {
@@ -98,14 +95,19 @@ pub enum RecoveryAction {
         from_replica: u8,
     },
     /// Every surviving node of the crashed replica reloads its own local
-    /// verified checkpoint (strong resilience).
+    /// verified checkpoint, or the initial state when none exists yet
+    /// (strong resilience).
     RollbackReplica {
         /// The crashed replica.
         replica: u8,
     },
-    /// Defer recovery to the next periodic checkpoint (weak resilience);
-    /// the runtime keeps the crashed rank parked until then.
+    /// Defer recovery to the next periodic checkpoint (weak resilience):
+    /// the runtime keeps the crashed replica parked until then, and then
+    /// forces a checkpoint in the healthy replica and ships it.
     WaitForNextPeriodicCheckpoint,
+    /// Restart the whole job from the newest line both replicas share —
+    /// no replica holds a complete state any more.
+    RestartJob,
 }
 
 /// A recovery plan plus its bookkeeping.
@@ -114,10 +116,31 @@ pub struct RecoveryPlan {
     /// Steps to execute in order.
     pub actions: Vec<RecoveryAction>,
     /// Inter-replica checkpoint messages this plan will generate (1 for
-    /// strong, `ranks` for medium/weak) — the Fig. 10 network-load factor.
+    /// strong from a verified checkpoint, 0 from the initial state or for a
+    /// restart, `ranks` for medium/weak) — the Fig. 10 network-load factor.
     pub inter_replica_messages: usize,
     /// Whether the crashed replica re-executes work it had already done.
     pub rework: bool,
+}
+
+/// The facts that decide the recovery from one fail-stop crash, read
+/// after the spare has been promoted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HardError {
+    /// The crashed node's replica.
+    pub replica: u8,
+    /// The crashed node's buddy, in the healthy replica.
+    pub buddy: usize,
+    /// The spare now hosting the crashed node's identity.
+    pub spare: usize,
+    /// Every node holds a checkpoint newer than the initial state (a
+    /// verified round, or an earlier recovery ship). Without one the
+    /// initial state, epoch 0, is the line.
+    pub line: bool,
+    /// An earlier failure collapsed a recovery: a restart is already due.
+    pub collapsed: bool,
+    /// The replica parked waiting for a weak ship, if any.
+    pub parked: Option<u8>,
 }
 
 /// Plans recovery for a configured scheme.
@@ -135,40 +158,39 @@ impl RecoveryPlanner {
         Self { scheme, ranks }
     }
 
-    /// The configured scheme.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
-    /// Plan the response to a fail-stop crash of `failed` (in
-    /// `crashed_replica`), whose buddy is `buddy` and whose replacement is
-    /// `spare`.
-    pub fn plan_hard_error(
-        &self,
-        failed: usize,
-        buddy: usize,
-        spare: usize,
-        crashed_replica: u8,
-    ) -> RecoveryPlan {
-        let healthy = 1 - crashed_replica;
-        match self.scheme {
-            Scheme::Strong => RecoveryPlan {
-                actions: vec![
-                    RecoveryAction::PromoteSpare { failed, spare },
-                    RecoveryAction::SendVerifiedCheckpoint {
-                        from: buddy,
-                        to: spare,
-                    },
-                    RecoveryAction::RollbackReplica {
-                        replica: crashed_replica,
-                    },
-                ],
-                inter_replica_messages: 1,
+    /// Plan the response to a fail-stop crash. The job restarts only when
+    /// a recovery collapsed, or under weak when the other replica is
+    /// already parked; otherwise the scheme's own recovery runs, from the
+    /// initial state when no newer line exists.
+    pub fn plan_hard_error(&self, e: HardError) -> RecoveryPlan {
+        let healthy = 1 - e.replica;
+        let double = self.scheme == Scheme::Weak && e.parked.is_some_and(|p| p != e.replica);
+        if e.collapsed || double {
+            return RecoveryPlan {
+                actions: vec![RecoveryAction::RestartJob],
+                inter_replica_messages: 0,
                 rework: true,
-            },
+            };
+        }
+        match self.scheme {
+            Scheme::Strong => {
+                // With no line the spare already holds epoch 0.
+                let mut actions = Vec::with_capacity(2);
+                if e.line {
+                    actions.push(RecoveryAction::SendVerifiedCheckpoint {
+                        from: e.buddy,
+                        to: e.spare,
+                    });
+                }
+                actions.push(RecoveryAction::RollbackReplica { replica: e.replica });
+                RecoveryPlan {
+                    inter_replica_messages: actions.len() - 1,
+                    actions,
+                    rework: true,
+                }
+            }
             Scheme::Medium => RecoveryPlan {
                 actions: vec![
-                    RecoveryAction::PromoteSpare { failed, spare },
                     RecoveryAction::ForceCheckpoint { replica: healthy },
                     RecoveryAction::ShipCheckpointsToBuddies {
                         from_replica: healthy,
@@ -178,44 +200,11 @@ impl RecoveryPlanner {
                 rework: false,
             },
             Scheme::Weak => RecoveryPlan {
-                actions: vec![
-                    RecoveryAction::PromoteSpare { failed, spare },
-                    RecoveryAction::WaitForNextPeriodicCheckpoint,
-                    RecoveryAction::ShipCheckpointsToBuddies {
-                        from_replica: healthy,
-                    },
-                ],
+                actions: vec![RecoveryAction::WaitForNextPeriodicCheckpoint],
                 inter_replica_messages: self.ranks,
                 rework: false,
             },
         }
-    }
-
-    /// [`RecoveryPlanner::plan_hard_error`] plus flight-recorder
-    /// bookkeeping: emits a `recovery_plan` event summarizing the plan's
-    /// cost (action count, inter-replica transfers, rework).
-    #[allow(clippy::too_many_arguments)] // mirrors plan_hard_error + recorder context
-    pub fn plan_hard_error_recorded(
-        &self,
-        failed: usize,
-        buddy: usize,
-        spare: usize,
-        crashed_replica: u8,
-        rec: &acr_obs::Recorder,
-        node: u32,
-    ) -> RecoveryPlan {
-        let plan = self.plan_hard_error(failed, buddy, spare, crashed_replica);
-        let (actions, msgs, rework) = (
-            plan.actions.len() as u32,
-            plan.inter_replica_messages as u32,
-            plan.rework,
-        );
-        rec.emit_with(node, || acr_obs::EventKind::RecoveryPlan {
-            actions,
-            inter_replica_messages: msgs,
-            rework,
-        });
-        plan
     }
 }
 
@@ -223,55 +212,80 @@ impl RecoveryPlanner {
 mod tests {
     use super::*;
 
-    #[test]
-    fn strong_plan_is_single_message_with_rework() {
-        let p = RecoveryPlanner::new(Scheme::Strong, 64);
-        let plan = p.plan_hard_error(3, 67, 128, 0);
-        assert_eq!(plan.inter_replica_messages, 1, "only buddy → spare");
-        assert!(plan.rework);
-        assert_eq!(
-            plan.actions,
-            vec![
-                RecoveryAction::PromoteSpare {
-                    failed: 3,
-                    spare: 128
-                },
-                RecoveryAction::SendVerifiedCheckpoint { from: 67, to: 128 },
-                RecoveryAction::RollbackReplica { replica: 0 },
-            ]
-        );
+    /// What §2.3 asks of a crash, as a table: the restart comes only from
+    /// a collapse or weak's cross-replica double failure, and strong sends
+    /// a checkpoint across replicas only when a line exists.
+    fn expected(scheme: Scheme, e: HardError, ranks: usize) -> RecoveryPlan {
+        use RecoveryAction::*;
+        let healthy = 1 - e.replica;
+        let plan = |actions, inter_replica_messages, rework| RecoveryPlan {
+            actions,
+            inter_replica_messages,
+            rework,
+        };
+        if e.collapsed || (scheme == Scheme::Weak && e.parked == Some(healthy)) {
+            return plan(vec![RestartJob], 0, true);
+        }
+        let (from, to, replica) = (e.buddy, e.spare, e.replica);
+        match (scheme, e.line) {
+            (Scheme::Strong, true) => plan(
+                vec![
+                    SendVerifiedCheckpoint { from, to },
+                    RollbackReplica { replica },
+                ],
+                1,
+                true,
+            ),
+            (Scheme::Strong, false) => plan(vec![RollbackReplica { replica }], 0, true),
+            (Scheme::Medium, _) => plan(
+                vec![
+                    ForceCheckpoint { replica: healthy },
+                    ShipCheckpointsToBuddies {
+                        from_replica: healthy,
+                    },
+                ],
+                ranks,
+                false,
+            ),
+            (Scheme::Weak, _) => plan(vec![WaitForNextPeriodicCheckpoint], ranks, false),
+        }
     }
 
+    /// Every input the driver can hand the planner — scheme × crashed
+    /// replica × line or none × collapsed or not × parked replica none,
+    /// same or other — for a crash of node 3 (buddy 67, spare 128) in a
+    /// job of 64 ranks per replica.
     #[test]
-    fn medium_plan_forces_checkpoint_and_ships_everything() {
-        let p = RecoveryPlanner::new(Scheme::Medium, 64);
-        let plan = p.plan_hard_error(70, 6, 128, 1);
-        assert_eq!(plan.inter_replica_messages, 64);
-        assert!(
-            !plan.rework,
-            "crashed replica catches up instead of redoing work"
-        );
-        assert!(plan
-            .actions
-            .contains(&RecoveryAction::ForceCheckpoint { replica: 0 }));
-        assert!(plan
-            .actions
-            .contains(&RecoveryAction::ShipCheckpointsToBuddies { from_replica: 0 }));
-    }
-
-    #[test]
-    fn weak_plan_waits() {
-        let p = RecoveryPlanner::new(Scheme::Weak, 8);
-        let plan = p.plan_hard_error(1, 9, 16, 0);
-        assert_eq!(
-            plan.actions[1],
-            RecoveryAction::WaitForNextPeriodicCheckpoint
-        );
-        assert!(!plan
-            .actions
-            .iter()
-            .any(|a| matches!(a, RecoveryAction::ForceCheckpoint { .. })));
-        assert!(!plan.rework);
+    fn plans_cover_every_scheme_line_collapse_and_parked_replica() {
+        let mut inputs = Vec::new();
+        for replica in [0u8, 1] {
+            for line in [false, true] {
+                for collapsed in [false, true] {
+                    for parked in [None, Some(replica), Some(1 - replica)] {
+                        inputs.push(HardError {
+                            replica,
+                            buddy: 67,
+                            spare: 128,
+                            line,
+                            collapsed,
+                            parked,
+                        });
+                    }
+                }
+            }
+        }
+        let mut restarts = 0;
+        for scheme in Scheme::ALL {
+            let planner = RecoveryPlanner::new(scheme, 64);
+            for &e in &inputs {
+                let plan = planner.plan_hard_error(e);
+                assert_eq!(plan, expected(scheme, e, 64), "{scheme} {e:?}");
+                restarts += usize::from(plan.actions == [RecoveryAction::RestartJob]);
+            }
+        }
+        // 12 collapses per scheme, plus weak's 4 uncollapsed inputs parked
+        // in the other replica.
+        assert_eq!((inputs.len(), restarts), (24, 3 * 12 + 4));
     }
 
     #[test]

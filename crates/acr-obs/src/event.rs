@@ -214,7 +214,8 @@ pub enum EventKind {
         /// Spare chosen as the replacement.
         spare: u32,
     },
-    /// The planner produced a recovery plan.
+    /// The planner produced the recovery plan the driver then executes,
+    /// action for action.
     RecoveryPlan {
         /// Number of planned actions.
         actions: u32,

@@ -24,7 +24,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use acr_core::{Checkpoint, DetectionMethod, RecoveryPlanner, ReplicaLayout, Scheme};
+use acr_core::{
+    Checkpoint, DetectionMethod, HardError, RecoveryAction, RecoveryPlanner, ReplicaLayout, Scheme,
+};
 use acr_fault::{FaultAction, FaultScript, ScriptedFault, Trigger};
 use acr_obs::{debug_trace, EventKind, ObsConfig, RecordedEvent, Recorder, RunPhase, DRIVER_NODE};
 use acr_store::{RecoveryReport, SlotEntryRef};
@@ -462,10 +464,13 @@ pub struct JobReport {
     pub hard_errors_recovered: usize,
     /// Recovery checkpoints installed without comparison (medium/weak).
     pub unverified_recoveries: usize,
-    /// Whole-job restarts from the application's initial state, epoch 0:
-    /// no in-memory checkpoint line survived a failure and no committed
-    /// epoch reads back valid from the durable store. A restart from an
-    /// epoch shows only as a `GlobalRestart` event at its iteration.
+    /// Whole-job restarts from the application's initial state, epoch 0.
+    /// The job restarts only when a failure collapsed a recovery or the
+    /// weak scheme lost a node in each replica; it restarts from epoch 0
+    /// when no committed epoch reads back valid from the durable store. A
+    /// crash before the first verified round recovers from epoch 0 by its
+    /// scheme and counts here no more. A restart from an epoch shows only
+    /// as a `GlobalRestart` event at its iteration.
     pub restarts_from_beginning: usize,
     /// The job ran to completion (vs. timed out or ran out of spares).
     pub completed: bool,
@@ -554,7 +559,7 @@ struct Capture {
     states: BTreeMap<(u8, usize), Bytes>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Recovery {
     expect_installed: HashSet<NodeIndex>,
     expect_rolled: HashSet<NodeIndex>,
@@ -716,14 +721,15 @@ struct Driver {
     /// the job does not end, so the journal orders every later decision
     /// after this epoch's commit; a death abandons it.
     capture: Option<Capture>,
+    /// Every node holds a checkpoint newer than the initial state: a
+    /// verified round, a recovery ship or a restored epoch.
     verified_exists: bool,
-    weak_parked: bool,
-    /// `(replica, rank)` of the most recent crash recovery (identifies the
-    /// parked replica for the deferred weak-scheme ship).
-    last_recovery_identity: Option<(u8, usize)>,
-    /// A failure collapsed an in-flight recovery (or struck before any
-    /// verified checkpoint): once pending promotions are done, restart the
-    /// whole job from the newest durable line (`global_restart`).
+    /// The replica parked until the next periodic time, when the weak
+    /// scheme's deferred ship recovers it.
+    parked: Option<u8>,
+    /// A failure collapsed an in-flight recovery, or the weak scheme lost
+    /// a node in each replica: once pending promotions are done, restart
+    /// the whole job from the newest durable line (`global_restart`).
     needs_global_restart: bool,
     done_nodes: HashSet<NodeIndex>,
     dead_nodes: HashSet<NodeIndex>,
@@ -907,8 +913,7 @@ where
             phase: Phase::Running,
             capture: None,
             verified_exists: false,
-            weak_parked: false,
-            last_recovery_identity: None,
+            parked: None,
             needs_global_restart: false,
             done_nodes: HashSet::new(),
             dead_nodes: HashSet::new(),
@@ -1385,14 +1390,14 @@ impl Driver {
                 .active_nodes()
                 .iter()
                 .all(|n| self.done_nodes.contains(n));
-            if everyone_done && !self.weak_parked {
+            if everyone_done && self.parked.is_none() {
                 self.report.completed = true;
                 self.tlog("job completed".into());
                 return LoopCtl::Done;
             }
             if due(&mut self.wake, now >= self.next_ckpt, self.next_ckpt) {
-                if self.weak_parked {
-                    self.start_ship_round();
+                if let Some(replica) = self.parked.take() {
+                    self.start_ship_round(replica);
                 } else {
                     self.start_global_round();
                 }
@@ -1913,7 +1918,6 @@ impl Driver {
                 },
             );
             self.send(p.spare, Ctrl::Resume { floor: 0 });
-            self.last_recovery_identity = Some((p.replica, p.rank));
         }
         // Deaths the journal recorded without a matching promotion (the
         // kill landed between the death and its recovery): halt the corpse
@@ -1964,11 +1968,8 @@ impl Driver {
                 plan.report.source, c.round, c.iteration
             ));
         } else {
-            if !plan.promotions.is_empty() {
-                // The layout changed but no epoch was ever captured:
-                // restart the application from a common clean slate.
-                self.needs_global_restart = true;
-            }
+            // Every node, promoted spares too, was just built by the
+            // factory: the job already stands at epoch 0.
             self.tlog("resumed with no committed epoch: restarting from initial state".into());
         }
         self.report.recovery = Some(plan.report.clone());
@@ -2092,7 +2093,6 @@ impl Driver {
             return;
         };
         self.last_event = self.now();
-        let prev_identity = self.last_recovery_identity;
         let promotion = self.layout.write().replace_with_spare(dead);
         let spare = match promotion {
             Ok(s) => s,
@@ -2117,9 +2117,7 @@ impl Driver {
                 self.send(n, Ctrl::LayoutChanged { dead });
             }
         }
-        self.last_recovery_identity = Some((replica, rank));
-        let healthy = 1 - replica;
-        let buddy_node = self.layout.read().host(healthy, rank);
+        let buddy_node = self.layout.read().host(1 - replica, rank);
         let floor = self.alloc_round();
         self.enter_phase(RunPhase::Recovery);
         self.rec
@@ -2153,123 +2151,95 @@ impl Driver {
         );
         self.send(buddy_node, Ctrl::BuddyChanged { buddy: spare });
 
-        // Consult the planner for the scheme's action list (the executable
-        // plan is what §2.3 specifies; the driver is its interpreter).
-        let planner = RecoveryPlanner::new(self.cfg.scheme, self.cfg.ranks);
-        let _plan = planner.plan_hard_error_recorded(
-            dead,
-            buddy_node,
-            spare,
-            replica,
-            &self.rec,
-            DRIVER_NODE,
-        );
-
-        if !self.verified_exists || self.needs_global_restart {
-            // Crash before any verified checkpoint (or amid a collapsed
-            // recovery): promotion done, the pending global restart resets
-            // every node to a common line.
-            self.queue_restart();
-            return;
-        }
-
-        match self.cfg.scheme {
-            Scheme::Strong => {
-                self.send(buddy_node, Ctrl::SendVerifiedTo { to: spare });
-                let mut expect_rolled = HashSet::new();
-                for &n in &crashed_nodes {
-                    if n != spare {
-                        self.send(n, Ctrl::Rollback { floor });
-                        expect_rolled.insert(n);
-                    }
+        // The planner decides (§2.3); the driver executes its actions.
+        let plan =
+            RecoveryPlanner::new(self.cfg.scheme, self.cfg.ranks).plan_hard_error(HardError {
+                replica,
+                buddy: buddy_node,
+                spare,
+                line: self.verified_exists,
+                collapsed: self.needs_global_restart,
+                parked: self.parked,
+            });
+        self.rec.emit_with(DRIVER_NODE, || EventKind::RecoveryPlan {
+            actions: plan.actions.len() as u32,
+            inter_replica_messages: plan.inter_replica_messages as u32,
+            rework: plan.rework,
+        });
+        let mut recovery = Recovery {
+            to_resume: crashed_nodes,
+            ..Recovery::default()
+        };
+        for action in plan.actions {
+            match action {
+                RecoveryAction::SendVerifiedCheckpoint { from, to } => {
+                    self.send(from, Ctrl::SendVerifiedTo { to });
+                    recovery.expect_installed.insert(to);
                 }
-                self.phase = Phase::Recovery(Recovery {
-                    expect_installed: [spare].into_iter().collect(),
-                    expect_rolled,
-                    expect_ckpt: HashSet::new(),
-                    ship_round: None,
-                    to_resume: crashed_nodes,
-                    counts_as_unverified: false,
-                });
-            }
-            Scheme::Medium => {
-                let ship_round = self.alloc_round();
-                let healthy_nodes = self.replica_nodes(healthy);
-                for &n in &healthy_nodes {
-                    self.send(
-                        n,
-                        Ctrl::StartRound {
-                            scope: Scope::Replica(healthy),
-                            round: ship_round,
-                        },
-                    );
-                }
-                self.phase = Phase::Recovery(Recovery {
-                    expect_installed: crashed_nodes.iter().copied().collect(),
-                    expect_rolled: HashSet::new(),
-                    expect_ckpt: healthy_nodes.into_iter().collect(),
-                    ship_round: Some(ship_round),
-                    to_resume: crashed_nodes,
-                    counts_as_unverified: true,
-                });
-            }
-            Scheme::Weak => {
-                if self.weak_parked {
-                    if let Some((prev_replica, _)) = prev_identity {
-                        if prev_replica != replica {
-                            // While one replica waited for its deferred
-                            // ship, the *other* replica lost a node too:
-                            // neither replica holds a complete state any
-                            // more — §2.3's restart-from-the-beginning case.
-                            self.tlog(
-                                "weak double failure across replicas: restart from beginning"
-                                    .into(),
-                            );
-                            self.queue_restart();
-                            return;
+                RecoveryAction::RollbackReplica { replica } => {
+                    for n in self.replica_nodes(replica) {
+                        if n != spare {
+                            self.send(n, Ctrl::Rollback { floor });
+                            recovery.expect_rolled.insert(n);
                         }
                     }
                 }
-                // Let the healthy replica run on; ship at the next periodic
-                // checkpoint time (§2.3: "zero-overhead" recovery).
-                self.weak_parked = true;
-                self.enter_phase(RunPhase::Forward);
-                self.phase = Phase::Running;
+                RecoveryAction::ForceCheckpoint { replica } => recovery = self.ship(replica),
+                // The forced round's checkpoints travel as they are taken.
+                RecoveryAction::ShipCheckpointsToBuddies { .. } => {}
+                RecoveryAction::WaitForNextPeriodicCheckpoint => {
+                    // The healthy replica runs on (§2.3: "zero-overhead"
+                    // recovery); `poll` ships at the next periodic time.
+                    self.parked = Some(replica);
+                    self.enter_phase(RunPhase::Forward);
+                    self.phase = Phase::Running;
+                    return;
+                }
+                RecoveryAction::RestartJob => {
+                    self.tlog("no replica holds a line: restart".into());
+                    self.queue_restart();
+                    return;
+                }
             }
         }
+        self.phase = Phase::Recovery(recovery);
+        // A one-rank replica recovering from epoch 0 waits on nothing.
+        self.maybe_finish_recovery();
     }
 
-    /// The deferred weak-scheme ship: run a replica-local checkpoint in the
-    /// healthy replica and install it across the parked replica.
-    fn start_ship_round(&mut self) {
+    /// The deferred weak-scheme ship at the periodic time.
+    fn start_ship_round(&mut self, replica: u8) {
         self.last_event = self.now();
-        self.weak_parked = false;
-        let (replica, _) = self
-            .last_recovery_identity
-            .expect("weak ship requires a recorded recovery");
-        let healthy = 1 - replica;
-        let ship_round = self.alloc_round();
-        let healthy_nodes = self.replica_nodes(healthy);
-        let crashed_nodes = self.replica_nodes(replica);
         self.enter_phase(RunPhase::Ship);
-        self.tlog(format!("weak ship round {ship_round} starts"));
-        for &n in &healthy_nodes {
+        self.tlog("weak ship starts".into());
+        self.phase = Phase::Recovery(self.ship(1 - replica));
+    }
+
+    /// The replica-local ship of §2.3's medium and weak schemes: a
+    /// `Scope::Replica` round in the healthy replica `from`, each of whose
+    /// checkpoints its buddy installs across the crashed replica, which
+    /// then resumes from this unverified state.
+    fn ship(&mut self, from: u8) -> Recovery {
+        let round = self.alloc_round();
+        let senders = self.replica_nodes(from);
+        for &n in &senders {
             self.send(
                 n,
                 Ctrl::StartRound {
-                    scope: Scope::Replica(healthy),
-                    round: ship_round,
+                    scope: Scope::Replica(from),
+                    round,
                 },
             );
         }
-        self.phase = Phase::Recovery(Recovery {
-            expect_installed: crashed_nodes.iter().copied().collect(),
+        let receivers = self.replica_nodes(1 - from);
+        Recovery {
+            expect_installed: receivers.iter().copied().collect(),
             expect_rolled: HashSet::new(),
-            expect_ckpt: healthy_nodes.into_iter().collect(),
-            ship_round: Some(ship_round),
-            to_resume: crashed_nodes,
+            expect_ckpt: senders.into_iter().collect(),
+            ship_round: Some(round),
+            to_resume: receivers,
             counts_as_unverified: true,
-        });
+        }
     }
 
     fn maybe_finish_recovery(&mut self) {
@@ -2295,9 +2265,13 @@ impl Driver {
         let floor = self.alloc_round();
         self.tlog("recovery complete".into());
         // Unpause the shipping replica's engines and unpark the recovered
-        // replica.
-        for n in self.active_nodes() {
-            self.send(n, Ctrl::RoundComplete);
+        // replica. Only a ship has a round to complete: after a rollback,
+        // a `RoundComplete` would promote what an aborted round left
+        // tentative, a line nobody verified.
+        if rec.ship_round.is_some() {
+            for n in self.active_nodes() {
+                self.send(n, Ctrl::RoundComplete);
+            }
         }
         for n in rec.to_resume {
             self.send(n, Ctrl::Resume { floor });
@@ -2309,7 +2283,7 @@ impl Driver {
     /// global restart queued behind any pending spare promotions.
     fn queue_restart(&mut self) {
         self.needs_global_restart = true;
-        self.weak_parked = false;
+        self.parked = None;
         self.back_to_running();
     }
 
@@ -2331,8 +2305,7 @@ impl Driver {
     fn global_restart(&mut self) {
         self.last_event = self.now();
         self.needs_global_restart = false;
-        self.weak_parked = false;
-        self.last_recovery_identity = None;
+        self.parked = None;
         let floor = self.alloc_round();
         let nodes = self.active_nodes();
         self.enter_phase(RunPhase::Restart);

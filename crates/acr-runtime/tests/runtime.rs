@@ -12,7 +12,8 @@ static JOB_SERIAL: Mutex<()> = Mutex::new(());
 
 use acr_pup::{Pup, PupResult, Puper};
 use acr_runtime::{
-    AppMsg, DetectionMethod, Fault, FaultScript, Job, JobConfig, Scheme, Task, TaskCtx, TaskId,
+    AppMsg, DetectionMethod, Fault, FaultAction, FaultScript, Job, JobConfig, Scheme, Task,
+    TaskCtx, TaskId, Trigger,
 };
 
 /// A token-ring workload: rank `r`'s iteration `i` computes on its local
@@ -279,17 +280,11 @@ fn chunked_checksum_mode_completes_without_faults() {
 #[test]
 fn crash_recovers_via_spare_under_strong_scheme() {
     let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let faults = vec![(
-        Duration::from_millis(300),
-        Fault::Crash {
-            replica: 1,
-            rank: 1,
-        },
-    )];
     let report = Job::new(ring_cfg(Scheme::Strong, DetectionMethod::FullCompare))
-        .with_timed_faults(faults)
+        .with_faults(crash_at_iteration(ITERS / 2, 1, 1))
         .run(ring_factory);
     assert!(report.completed, "error: {:?}", report.error);
+    assert_eq!(report.crashes_injected_at.len(), 1);
     assert_eq!(report.hard_errors_recovered, 1);
     assert!(report.replicas_agree(), "restarted rank diverged");
     assert_eq!(report.final_states.len(), 8, "all ranks accounted for");
@@ -298,17 +293,11 @@ fn crash_recovers_via_spare_under_strong_scheme() {
 #[test]
 fn crash_recovers_under_medium_scheme() {
     let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let faults = vec![(
-        Duration::from_millis(300),
-        Fault::Crash {
-            replica: 0,
-            rank: 3,
-        },
-    )];
     let report = Job::new(ring_cfg(Scheme::Medium, DetectionMethod::FullCompare))
-        .with_timed_faults(faults)
+        .with_faults(crash_at_iteration(ITERS / 2, 0, 3))
         .run(ring_factory);
     assert!(report.completed, "error: {:?}", report.error);
+    assert_eq!(report.crashes_injected_at.len(), 1);
     assert_eq!(report.hard_errors_recovered, 1);
     assert!(report.unverified_recoveries >= 1, "{report:?}");
     assert!(report.replicas_agree());
@@ -317,38 +306,50 @@ fn crash_recovers_under_medium_scheme() {
 #[test]
 fn crash_recovers_under_weak_scheme() {
     let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let faults = vec![(
-        Duration::from_millis(300),
-        Fault::Crash {
-            replica: 1,
-            rank: 0,
-        },
-    )];
     let report = Job::new(ring_cfg(Scheme::Weak, DetectionMethod::FullCompare))
-        .with_timed_faults(faults)
+        .with_faults(crash_at_iteration(ITERS / 2, 1, 0))
         .run(ring_factory);
     assert!(report.completed, "error: {:?}", report.error);
+    assert_eq!(report.crashes_injected_at.len(), 1);
     assert_eq!(report.hard_errors_recovered, 1);
     assert!(report.unverified_recoveries >= 1, "{report:?}");
     assert!(report.replicas_agree());
 }
 
+/// A crash of `(replica, rank)` when it reaches `iteration`: placed by
+/// progress, not by the clock, so it fires at any step speed. Mid-run it
+/// lands before or after the first verified round depending on that
+/// speed, and either way the scheme's own recovery runs.
+fn crash_at_iteration(iteration: u64, replica: u8, rank: usize) -> FaultScript {
+    let mut script = FaultScript::new();
+    script.push(
+        Trigger::AtIteration(iteration),
+        FaultAction::Crash { replica, rank },
+    );
+    script
+}
+
+/// A crash long before the first checkpoint recovers by the scheme from
+/// the initial state, epoch 0: strong restarts only the crashed replica
+/// from it, medium and weak ship the healthy replica's state. The job
+/// never restarts.
 #[test]
-fn crash_before_first_checkpoint_restarts_from_beginning() {
+fn crash_before_first_checkpoint_recovers_from_epoch_0() {
     let _serial = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let mut cfg = ring_cfg(Scheme::Strong, DetectionMethod::FullCompare);
-    cfg.checkpoint_interval = Duration::from_secs(5); // no checkpoint before the crash
-    let faults = vec![(
-        Duration::from_millis(100),
-        Fault::Crash {
-            replica: 0,
-            rank: 0,
-        },
-    )];
-    let report = Job::new(cfg).with_timed_faults(faults).run(ring_factory);
-    assert!(report.completed, "error: {:?}", report.error);
-    assert_eq!(report.restarts_from_beginning, 1);
-    assert!(report.replicas_agree());
+    for scheme in Scheme::ALL {
+        let mut cfg = ring_cfg(scheme, DetectionMethod::FullCompare);
+        cfg.checkpoint_interval = Duration::from_secs(5); // no checkpoint before the crash
+        let report = Job::new(cfg)
+            .with_faults(crash_at_iteration(20, 0, 0))
+            .run(ring_factory);
+        assert!(report.completed, "{scheme:?} error: {:?}", report.error);
+        assert_eq!(report.crashes_injected_at.len(), 1, "{scheme:?}");
+        assert_eq!(report.restarts_from_beginning, 0, "{scheme:?}");
+        assert_eq!(report.hard_errors_recovered, 1, "{scheme:?}");
+        let unverified = usize::from(scheme != Scheme::Strong);
+        assert_eq!(report.unverified_recoveries, unverified, "{scheme:?}");
+        assert!(report.replicas_agree(), "{scheme:?}");
+    }
 }
 
 /// An SDC and a later crash in one run, placed by checkpoint count so the

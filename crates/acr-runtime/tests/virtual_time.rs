@@ -4,6 +4,7 @@
 
 use std::time::Duration;
 
+use acr_obs::EventKind;
 use acr_pup::{Pup, PupResult, Puper};
 use acr_runtime::{
     AppMsg, DetectionMethod, ExecMode, FaultAction, FaultScript, Job, JobConfig, JobReport, Scheme,
@@ -271,26 +272,106 @@ fn sdc_after_checkpoints_trigger_is_detected_and_purged() {
     assert!(report.replicas_agree());
 }
 
-/// A crash arriving before the first verified checkpoint leaves nothing to
-/// roll back to: the job must restart from the beginning and still finish
-/// correctly — under virtual time this is exact, not racy.
+/// A crash arriving before the first verified checkpoint recovers by its
+/// scheme from the initial state, epoch 0, a line like any verified
+/// checkpoint: strong restarts only the crashed replica from it, medium and
+/// weak ship the healthy replica's state. The job never restarts, and
+/// under virtual time this is exact, not racy. In a one-rank replica a
+/// strong recovery waits on nothing — the spare already holds the initial
+/// state and no survivor rolls back — so it must complete at once.
 #[test]
-fn early_crash_restarts_from_beginning_virtually() {
-    let mut script = FaultScript::new();
-    script.push(
-        Trigger::At(0.010),
-        FaultAction::Crash {
-            replica: 0,
-            rank: 1,
-        },
-    );
-    let report = run(Scheme::Strong, &script);
-    assert!(
-        report.completed,
-        "error: {:?}\n{}",
-        report.error,
-        report.trace.join("\n")
-    );
-    assert_eq!(report.restarts_from_beginning, 1);
-    assert!(report.replicas_agree());
+fn early_crash_recovers_from_epoch_0_virtually() {
+    let cases = Scheme::ALL.map(|s| (s, 2)).into_iter();
+    for (scheme, ranks) in cases.chain([(Scheme::Strong, 1)]) {
+        let mut config = cfg(scheme);
+        config.ranks = ranks;
+        let mut script = FaultScript::new();
+        script.push(
+            Trigger::At(0.010),
+            FaultAction::Crash {
+                replica: 0,
+                rank: ranks - 1,
+            },
+        );
+        let report = Job::new(config)
+            .with_faults(script)
+            .mode(ExecMode::virtual_default())
+            .run(|rank, _| Box::new(MiniRing::new(rank, ITERS)) as Box<dyn Task>);
+        let case = format!("{scheme:?} ranks={ranks}");
+        assert!(
+            report.completed,
+            "{case} error: {:?}\n{}",
+            report.error,
+            report.trace.join("\n")
+        );
+        assert_eq!(report.crashes_injected_at.len(), 1, "{case}");
+        assert_eq!(report.restarts_from_beginning, 0, "{case}");
+        assert_eq!(report.hard_errors_recovered, 1, "{case}");
+        let unverified = usize::from(scheme != Scheme::Strong);
+        assert_eq!(report.unverified_recoveries, unverified, "{case}");
+        assert!(report.replicas_agree(), "{case}");
+        // The event reports the plan the driver executed: from epoch 0,
+        // strong sends nothing across replicas, a ship one per rank.
+        let shipped = report.events.iter().find_map(|e| match e.kind {
+            EventKind::RecoveryPlan {
+                inter_replica_messages,
+                ..
+            } => Some(inter_replica_messages as usize),
+            _ => None,
+        });
+        assert_eq!(shipped, Some(unverified * ranks), "{case}");
+        if ranks == 1 {
+            let at = |needle: &str| {
+                let line = report.trace.iter().find(|l| l.contains(needle));
+                line.and_then(|l| l.split_whitespace().next())
+                    .map(str::to_owned)
+            };
+            let started = at("recovery start");
+            assert!(started.is_some(), "{case}");
+            assert_eq!(started, at("recovery complete"), "{case}");
+        }
+    }
+}
+
+/// A crash inside a round, after the tasks checkpointed but before the
+/// verdict, aborts the round and leaves its checkpoints tentative. A strong
+/// recovery must not promote them: the healthy replica's tentative holds a
+/// flip injected just before the round, and if it became the rollback
+/// target, the rollback after the flip's detection would restore it, and
+/// the job would never finish. Swept across the round, with a line (round
+/// 2, 0.126–0.132 s when undisturbed) and from epoch 0 (round 1,
+/// 0.060–0.066 s).
+#[test]
+fn strong_recovery_never_promotes_an_aborted_round() {
+    for (round_at, sdc_at) in [(0.126, 0.110), (0.060, 0.050)] {
+        for ms in 0..7 {
+            let crash_at = round_at + f64::from(ms) * 0.001;
+            let mut script = FaultScript::new();
+            script.push(
+                Trigger::At(sdc_at),
+                FaultAction::Sdc {
+                    replica: 1,
+                    rank: 0,
+                    seed: 3,
+                    bits: 1,
+                },
+            );
+            script.push(
+                Trigger::At(crash_at),
+                FaultAction::Crash {
+                    replica: 0,
+                    rank: 1,
+                },
+            );
+            let report = run(Scheme::Strong, &script);
+            assert!(
+                report.completed,
+                "crash at {crash_at}: {:?}\n{}",
+                report.error,
+                report.trace.join("\n")
+            );
+            assert_eq!(report.restarts_from_beginning, 0, "crash at {crash_at}");
+            assert!(report.replicas_agree(), "crash at {crash_at}");
+        }
+    }
 }

@@ -191,6 +191,17 @@ fn main() -> ExitCode {
     println!("  SDC detected      : {detected}");
     println!("  known escapes     : {escapes}  (§2.3 unverified-window cases)");
     println!("  violations        : {violations}");
+    let restarted = report
+        .cases
+        .iter()
+        .filter(|c| c.report.restarts_from_beginning > 0);
+    println!("  restarted from 0  : {} cases", restarted.count());
+    let unverified: usize = report
+        .cases
+        .iter()
+        .map(|c| c.report.unverified_recoveries)
+        .sum();
+    println!("  unverified recov. : {unverified}  (medium/weak ships)");
     for path in &report.artifacts {
         println!("  repro written     : {}", path.display());
     }

@@ -232,58 +232,65 @@ fn single_sdc_strong_detected_once_in_both_engines() {
     assert!(rt.replicas_agree());
 }
 
-/// One mid-run crash: one recovered hard error and no restart-from-
-/// beginning in both engines; medium/weak additionally install exactly one
-/// unverified recovery checkpoint (the §2.3 ship).
+/// One crash, before the first verified round and mid-run: one recovered
+/// hard error and no restart-from-beginning in both engines; medium/weak
+/// additionally install exactly one unverified recovery checkpoint (the
+/// §2.3 ship). The early crash recovers from the initial state, a line
+/// like any verified checkpoint, and every disturbed run ends where the
+/// undisturbed one does.
 #[test]
 fn single_crash_counts_agree_per_scheme() {
-    let t_crash = 0.150;
     for scheme in [Scheme::Strong, Scheme::Medium, Scheme::Weak] {
         let cal = calibrate(scheme);
-        let mut script = FaultScript::new();
-        script.push(
-            Trigger::At(t_crash),
-            FaultAction::Crash {
-                replica: 1,
-                rank: 0,
-            },
-        );
-        let rt = run_runtime(scheme, Duration::from_secs_f64(TAU), &script);
-        let sim = run_sim(
-            scheme,
-            &cal,
-            vec![TraceEvent {
-                time: t_crash,
-                node: sim_node(1, 0),
-                kind: FaultKind::HardError,
-            }],
-        );
+        let undisturbed = run_runtime(scheme, Duration::from_secs_f64(TAU), &FaultScript::new());
+        for t_crash in [0.030, 0.150] {
+            let mut script = FaultScript::new();
+            script.push(
+                Trigger::At(t_crash),
+                FaultAction::Crash {
+                    replica: 1,
+                    rank: 0,
+                },
+            );
+            let rt = run_runtime(scheme, Duration::from_secs_f64(TAU), &script);
+            let sim = run_sim(
+                scheme,
+                &cal,
+                vec![TraceEvent {
+                    time: t_crash,
+                    node: sim_node(1, 0),
+                    kind: FaultKind::HardError,
+                }],
+            );
+            let case = format!("{scheme:?} crash at {t_crash}");
 
-        assert_eq!(sim.hard_errors, 1, "{scheme:?}");
-        assert_eq!(
-            rt.hard_errors_recovered,
-            sim.hard_errors,
-            "{scheme:?}: hard-error counts diverged\n{}",
-            rt.trace.join("\n")
-        );
-        assert_eq!(sim.restarts_from_beginning, 0, "{scheme:?}");
-        assert_eq!(
-            rt.restarts_from_beginning,
-            0,
-            "{scheme:?}\n{}",
-            rt.trace.join("\n")
-        );
-        let expected_unverified = match scheme {
-            Scheme::Strong => 0,
-            Scheme::Medium | Scheme::Weak => 1,
-        };
-        assert_eq!(
-            rt.unverified_recoveries,
-            expected_unverified,
-            "{scheme:?}: ship count wrong\n{}",
-            rt.trace.join("\n")
-        );
-        assert!(rt.replicas_agree(), "{scheme:?}");
+            assert_eq!(sim.hard_errors, 1, "{case}");
+            assert_eq!(
+                rt.hard_errors_recovered,
+                sim.hard_errors,
+                "{case}: hard-error counts diverged\n{}",
+                rt.trace.join("\n")
+            );
+            assert_eq!(sim.restarts_from_beginning, 0, "{case}");
+            assert_eq!(
+                rt.restarts_from_beginning,
+                0,
+                "{case}\n{}",
+                rt.trace.join("\n")
+            );
+            let expected_unverified = match scheme {
+                Scheme::Strong => 0,
+                Scheme::Medium | Scheme::Weak => 1,
+            };
+            assert_eq!(
+                rt.unverified_recoveries,
+                expected_unverified,
+                "{case}: ship count wrong\n{}",
+                rt.trace.join("\n")
+            );
+            assert!(rt.replicas_agree(), "{case}");
+            assert_eq!(rt.final_states, undisturbed.final_states, "{case}");
+        }
     }
 }
 
