@@ -25,24 +25,24 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use acr_core::{
-    Checkpoint, DetectionMethod, HardError, RecoveryAction, RecoveryPlanner, ReplicaLayout, Scheme,
+    Checkpoint, DetectionMethod, HardError, LayoutError, RecoveryAction, RecoveryPlanner,
+    ReplicaLayout, Scheme,
 };
 use acr_fault::{FaultAction, FaultScript, ScriptedFault, Trigger};
 use acr_obs::{debug_trace, EventKind, ObsConfig, RecordedEvent, Recorder, RunPhase, DRIVER_NODE};
 use acr_store::{RecoveryReport, SlotEntryRef};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
-use parking_lot::RwLock;
 
 use crate::clock::Clock;
 use crate::message::{Ctrl, Event, Net, NodeFault, NodeIndex, Scope};
-use crate::node::{NodeConfig, NodeWorker, Pump, TaskFactory};
+use crate::node::{NodeWorker, Pump, TaskFactory};
 use crate::persist::{
     AdmitRecord, CommitRecord, DriverRecord, DriverStore, ResumePlan, SlotStates, NO_NODE,
     REPORT_FILE,
 };
 use crate::task::Task;
-use crate::transport::{build_fabric, FabricHandle, Port, TransportKind};
+use crate::transport::{build_fabric, welcome_cfg, FabricHandle, Port, TransportKind};
 
 /// Configuration of a replicated job.
 #[derive(Debug, Clone)]
@@ -698,14 +698,13 @@ impl JobBuilder {
 
 struct Driver {
     cfg: JobConfig,
-    layout: Arc<RwLock<ReplicaLayout>>,
+    /// The driver's copy of the replica layout; every node keeps its own,
+    /// updated by the `LayoutChanged` that [`Driver::promote_spare`] sends.
+    layout: ReplicaLayout,
     port: Arc<dyn Port>,
     /// `2·ranks + spares` (the fabric no longer exposes a peers vec to
     /// count).
     total: usize,
-    /// Remote node hosts keep private layout copies that must be told
-    /// about spare promotions (`Ctrl::LayoutChanged`).
-    distributed_layout: bool,
     /// Owns the transport's background machinery (TCP router/endpoints).
     fabric: FabricHandle,
     /// Nodes whose wire link went stale and are being probed: node →
@@ -829,9 +828,7 @@ where
             }
         }
         let total = 2 * cfg.ranks + cfg.spares;
-        let layout = Arc::new(RwLock::new(
-            ReplicaLayout::new(total, cfg.spares).expect("valid job shape"),
-        ));
+        let layout = ReplicaLayout::new(total, cfg.spares).expect("valid job shape");
         let factory: Arc<TaskFactory> = Arc::new(factory);
         let (event_tx, event_rx) = unbounded::<Event>();
         let clock = match mode {
@@ -864,47 +861,24 @@ where
             },
             None => None,
         };
-        let fabric = build_fabric(&cfg, total, event_tx, &rec);
-
-        let mut workers = Vec::with_capacity(total);
-        for (index, (inbox, port)) in fabric
-            .inboxes
-            .into_iter()
+        let welcome = welcome_cfg(&cfg, total);
+        let fabric = build_fabric(&cfg, welcome, event_tx, &rec);
+        let mut workers: Vec<NodeWorker> = (fabric.inboxes.into_iter())
             .zip(fabric.node_ports)
             .enumerate()
-        {
-            let node_cfg = NodeConfig {
-                index,
-                ranks: cfg.ranks,
-                tasks_per_rank: cfg.tasks_per_rank,
-                detection: cfg.detection,
-                chunk_size: cfg.chunk_size,
-                heartbeat_period: cfg.heartbeat_period,
-                heartbeat_timeout: cfg.heartbeat_timeout,
-                delta_checkpoints: cfg.delta_checkpoints,
-                private_layout: false,
-            };
-            let identity = layout.read().locate(index);
-            workers.push(NodeWorker::new(
-                node_cfg,
-                identity,
-                Arc::clone(&layout),
-                port,
-                inbox,
-                Arc::clone(&factory),
-                clock.clone(),
-                Arc::clone(&rec),
-            ));
-        }
+            .map(|(index, (inbox, port))| {
+                let (factory, rec) = (Arc::clone(&factory), Arc::clone(&rec));
+                NodeWorker::new(index, welcome, port, inbox, factory, clock.clone(), rec)
+                    .expect("valid job shape")
+            })
+            .collect();
 
-        let remote_nodes = fabric.remote_nodes;
         let mut driver = Driver {
             next_ckpt: cfg.checkpoint_interval.as_secs_f64(),
             cfg,
             layout,
             port: fabric.driver_port,
             total,
-            distributed_layout: remote_nodes,
             fabric: fabric.handle,
             transport_suspects: BTreeMap::new(),
             events: event_rx,
@@ -1125,17 +1099,12 @@ impl Driver {
     }
 
     fn active_nodes(&self) -> Vec<NodeIndex> {
-        self.layout
-            .read()
-            .active_nodes()
-            .map(|(n, _, _)| n)
-            .collect()
+        self.layout.active_nodes().map(|(n, _, _)| n).collect()
     }
 
     fn replica_nodes(&self, replica: u8) -> Vec<NodeIndex> {
-        let layout = self.layout.read();
-        (0..layout.ranks())
-            .map(|r| layout.host(replica, r))
+        (0..self.layout.ranks())
+            .map(|r| self.layout.host(replica, r))
             .collect()
     }
 
@@ -1177,7 +1146,7 @@ impl Driver {
         if self.store.is_none() {
             return;
         }
-        let located = self.layout.read().locate(node);
+        let located = self.layout.locate(node);
         let mut matched = None;
         for (seq, f) in self.script_faults.iter().enumerate() {
             if self.fired.get(seq).copied().unwrap_or(true) {
@@ -1223,7 +1192,7 @@ impl Driver {
             }
             match (fault.when, fault.action) {
                 (Trigger::AtIteration(k), FaultAction::Crash { replica, rank }) => {
-                    let node = self.layout.read().host(replica, rank);
+                    let node = self.layout.host(replica, rank);
                     self.send(
                         node,
                         Ctrl::ScheduleFault {
@@ -1241,7 +1210,7 @@ impl Driver {
                         bits,
                     },
                 ) => {
-                    let node = self.layout.read().host(replica, rank);
+                    let node = self.layout.host(replica, rank);
                     self.send(
                         node,
                         Ctrl::ScheduleFault {
@@ -1294,7 +1263,7 @@ impl Driver {
         match action {
             FaultAction::Crash { replica, rank } => {
                 self.journal_fired(seq, NO_NODE);
-                let node = self.layout.read().host(replica, rank);
+                let node = self.layout.host(replica, rank);
                 self.send(node, Ctrl::InjectCrash);
             }
             FaultAction::Sdc {
@@ -1304,7 +1273,7 @@ impl Driver {
                 bits,
             } => {
                 self.journal_fired(seq, NO_NODE);
-                let node = self.layout.read().host(replica, rank);
+                let node = self.layout.host(replica, rank);
                 self.send(node, Ctrl::InjectSdc { seed, bits });
             }
             FaultAction::CrashSpare => {
@@ -1312,7 +1281,7 @@ impl Driver {
                 // stays latent until a crash promotes the corpse. Journal
                 // the corpse's index: it is in no checkpoint, so a resume
                 // must re-halt it explicitly.
-                let spare = self.layout.read().peek_spare();
+                let spare = self.layout.peek_spare();
                 self.journal_fired(seq, spare.map_or(NO_NODE, |s| s as u64));
                 if let Some(spare) = spare {
                     self.send(spare, Ctrl::InjectCrash);
@@ -1324,7 +1293,7 @@ impl Driver {
                 secs,
             } => {
                 self.journal_fired(seq, NO_NODE);
-                let node = self.layout.read().host(replica, rank);
+                let node = self.layout.host(replica, rank);
                 self.send(node, Ctrl::MuteHeartbeats { secs });
             }
             FaultAction::KillDriver => {
@@ -1467,7 +1436,7 @@ impl Driver {
                 }
             }
             while let Ok(ev) = self.events.try_recv() {
-                self.record_final_state(ev);
+                self.record_shutdown_event(ev);
             }
             if exited.iter().all(|&e| e) {
                 break;
@@ -1477,24 +1446,35 @@ impl Driver {
         self.finalize_obs();
     }
 
-    fn record_final_state(&mut self, ev: Event) {
-        if let Event::FinalState {
-            node,
-            identity,
-            tasks,
-        } = ev
-        {
-            // A node declared dead may still be running (a muted-heartbeat
-            // false positive): its stale state must not shadow the state of
-            // the spare that replaced it.
-            if self.dead_nodes.contains(&node) {
-                return;
-            }
-            if let Some((replica, rank)) = identity {
-                if !tasks.is_empty() {
-                    self.report.final_states.insert((replica, rank), tasks);
+    /// Record what a node sends after `job_end`, in either executor's
+    /// shutdown drain: its `FinalState`, or a fault that landed after the
+    /// last policy pass. The journal is closed, but the report must still
+    /// list the fault, or a flip after the last comparison reads as silent
+    /// corruption (`campaign::classify`).
+    fn record_shutdown_event(&mut self, ev: Event) {
+        match ev {
+            Event::FinalState {
+                node,
+                identity,
+                tasks,
+            } => {
+                // A node declared dead may still be running (a muted-heartbeat
+                // false positive): its stale state must not shadow the state
+                // of the spare that replaced it.
+                if self.dead_nodes.contains(&node) {
+                    return;
+                }
+                if let Some((replica, rank)) = identity {
+                    if !tasks.is_empty() {
+                        self.report.final_states.insert((replica, rank), tasks);
+                    }
                 }
             }
+            Event::FaultInjected { at, fault, .. } => match fault {
+                NodeFault::Crash => self.report.crashes_injected_at.push(at),
+                NodeFault::Sdc { .. } => self.report.sdc_injected_at.push(at),
+            },
+            _ => {}
         }
     }
 
@@ -1626,7 +1606,7 @@ impl Driver {
                 payload,
                 ..
             } => {
-                let located = self.layout.read().locate(node);
+                let located = self.layout.locate(node);
                 let Some(c) = self.capture.as_mut().filter(|c| c.commit.round == round) else {
                     return; // an abandoned capture's answer
                 };
@@ -1728,7 +1708,7 @@ impl Driver {
     fn on_transport_stale(&mut self, node: NodeIndex) {
         if self.dead_nodes.contains(&node)
             || self.transport_suspects.contains_key(&node)
-            || self.layout.read().locate(node).is_none()
+            || self.layout.locate(node).is_none()
         {
             return; // already dead, already suspected, or an idle spare
         }
@@ -1893,8 +1873,7 @@ impl Driver {
         // deterministic); divergence means the journal does not describe
         // this job, and resuming would corrupt state.
         for p in &plan.promotions {
-            let picked = self.layout.write().replace_with_spare(p.dead);
-            match picked {
+            match self.promote_spare(p.dead) {
                 Ok(s) if s == p.spare => {}
                 other => {
                     self.report.error = Some(format!(
@@ -1907,7 +1886,7 @@ impl Driver {
             }
             self.dead_nodes.insert(p.dead);
             self.send(p.dead, Ctrl::Halt);
-            let buddy = self.layout.read().host(1 - p.replica, p.rank);
+            let buddy = self.layout.host(1 - p.replica, p.rank);
             self.send(
                 p.spare,
                 Ctrl::AssumeIdentity {
@@ -1941,11 +1920,7 @@ impl Driver {
         // now at the commit time, re-watch before the first tick or every
         // buddy would look timed out instantly.
         for n in self.active_nodes() {
-            let buddy = self
-                .layout
-                .read()
-                .buddy(n)
-                .expect("active node has a buddy");
+            let buddy = self.layout.buddy(n).expect("active node has a buddy");
             self.send(n, Ctrl::BuddyChanged { buddy });
         }
         if let Some(c) = &plan.commit {
@@ -1983,7 +1958,7 @@ impl Driver {
     }
 
     fn on_dead(&mut self, reporter: NodeIndex, dead: NodeIndex) {
-        if self.dead_nodes.contains(&dead) || self.layout.read().locate(dead).is_none() {
+        if self.dead_nodes.contains(&dead) || self.layout.locate(dead).is_none() {
             return; // duplicate report or not an active node
         }
         // Only the node *currently* paired with `dead` is its failure
@@ -1991,7 +1966,7 @@ impl Driver {
         // false positive) keeps running with a stale watch list; its reports
         // against nodes that merely stopped heartbeating *to it* must not
         // kill healthy nodes.
-        if self.layout.read().buddy(dead) != Ok(reporter) {
+        if self.layout.buddy(dead) != Ok(reporter) {
             self.tlog(format!(
                 "ignoring death report of node {dead} from non-buddy {reporter}"
             ));
@@ -2003,8 +1978,7 @@ impl Driver {
     /// Process a legitimate death report (from the current buddy, or from
     /// the driver's own liveness probe).
     fn declare_dead(&mut self, dead: NodeIndex) {
-        let located = self.layout.read().locate(dead);
-        let Some((replica, rank)) = located else {
+        let Some((replica, rank)) = self.layout.locate(dead) else {
             return; // not an active node
         };
         if self.dead_nodes.contains(&dead) {
@@ -2060,7 +2034,7 @@ impl Driver {
                 // checkpoint or an install, or was the pending install
                 // source for its buddy (strong scheme's SendVerifiedTo):
                 // the recovery can never complete.
-                let partner = self.layout.read().host(1 - replica, rank);
+                let partner = self.layout.host(1 - replica, rank);
                 let hit = [&rec.expect_installed, &rec.expect_rolled, &rec.expect_ckpt]
                     .iter()
                     .any(|owed| owed.contains(&dead))
@@ -2088,13 +2062,24 @@ impl Driver {
         }
     }
 
+    /// Promote the next spare into `dead`'s place in the driver's layout,
+    /// and tell every node to do the same to its own copy. Messages to one
+    /// node arrive in order, so each applies the substitution before the
+    /// `Halt`, `Park`, `AssumeIdentity` or `BuddyChanged` that follows it.
+    fn promote_spare(&mut self, dead: NodeIndex) -> Result<NodeIndex, LayoutError> {
+        let spare = self.layout.replace_with_spare(dead)?;
+        for n in 0..self.total {
+            self.send(n, Ctrl::LayoutChanged { dead });
+        }
+        Ok(spare)
+    }
+
     fn start_recovery(&mut self, dead: NodeIndex) {
-        let Some((replica, rank)) = self.layout.read().locate(dead) else {
+        let Some((replica, rank)) = self.layout.locate(dead) else {
             return;
         };
         self.last_event = self.now();
-        let promotion = self.layout.write().replace_with_spare(dead);
-        let spare = match promotion {
+        let spare = match self.promote_spare(dead) {
             Ok(s) => s,
             Err(e) => {
                 self.report.error = Some(format!("cannot recover node {dead}: {e}"));
@@ -2110,14 +2095,7 @@ impl Driver {
             replica,
             rank: rank as u64,
         });
-        if self.distributed_layout {
-            // Remote node hosts hold private layout copies: broadcast the
-            // promotion so their layouts stay in lockstep with ours.
-            for n in 0..self.total {
-                self.send(n, Ctrl::LayoutChanged { dead });
-            }
-        }
-        let buddy_node = self.layout.read().host(1 - replica, rank);
+        let buddy_node = self.layout.host(1 - replica, rank);
         let floor = self.alloc_round();
         self.enter_phase(RunPhase::Recovery);
         self.rec
@@ -2291,7 +2269,7 @@ impl Driver {
     /// epoch: `Install` makes it the node's verified checkpoint.
     fn install_epoch(&self, states: SlotStates) {
         for ((replica, rank), (iteration, digest, payload)) in states {
-            let node = self.layout.read().host(replica, rank);
+            let node = self.layout.host(replica, rank);
             let checkpoint = Checkpoint::new(iteration, payload, digest);
             self.port.send(node, Net::Install { checkpoint });
         }
@@ -2392,21 +2370,10 @@ impl Driver {
             attempts += 1;
             match self.events.recv_timeout(Duration::from_millis(50)) {
                 Ok(ev) => {
-                    match ev {
-                        Event::FinalState { node, .. } => {
-                            owed.remove(&node);
-                        }
-                        // A fault that landed after `job_end`: the journal
-                        // is closed, but the report must still say so, or a
-                        // flip after the last comparison reads as silent
-                        // corruption (`campaign::classify`).
-                        Event::FaultInjected { at, fault, .. } => match fault {
-                            NodeFault::Crash => self.report.crashes_injected_at.push(at),
-                            NodeFault::Sdc { .. } => self.report.sdc_injected_at.push(at),
-                        },
-                        _ => {}
+                    if let Event::FinalState { node, .. } = &ev {
+                        owed.remove(node);
                     }
-                    self.record_final_state(ev);
+                    self.record_shutdown_event(ev);
                 }
                 // A live node's FinalState can take longer than one idle gap
                 // to cross the TCP fabric (megabytes of task state to the

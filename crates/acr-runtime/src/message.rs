@@ -144,10 +144,11 @@ pub(crate) enum Ctrl {
     /// report: replayed deaths are history, not new faults, and must not
     /// perturb restored injection counters.
     Halt,
-    /// (Distributed layout only) the driver replaced `dead` with a spare;
-    /// node hosts that keep a private copy of the replica layout apply the
-    /// same substitution so their layouts stay in lockstep with the
-    /// driver's. In-process nodes share the driver's layout and ignore it.
+    /// The driver replaced `dead` with a spare. Every node keeps its own
+    /// copy of the replica layout, in process as in a node host, and
+    /// applies the same substitution; the driver sends this to every node
+    /// before the promotion's `Halt`, `Park`, `AssumeIdentity` or
+    /// `BuddyChanged`.
     LayoutChanged { dead: NodeIndex },
 }
 

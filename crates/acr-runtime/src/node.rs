@@ -16,7 +16,6 @@ use acr_pup::{
 };
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,6 +23,7 @@ use crate::clock::Clock;
 use crate::message::{AppMsg, Ctrl, Event, Net, NodeFault, NodeIndex, Scope, TaskId};
 use crate::task::{Task, TaskCtx};
 use crate::transport::Port;
+use crate::wire::WelcomeCfg;
 
 /// Every task's packed bytes start at a multiple of this (trailing zero
 /// padding rounds each task segment up). The layout is part of the
@@ -39,6 +39,12 @@ const FORWARD_PACE: Duration = Duration::from_millis(1);
 /// strictly after its timeout) waits a microsecond more instead of spinning.
 fn wait_until(at: f64, now: f64) -> Duration {
     Duration::from_micros(((at - now) * 1e6).ceil().max(1.0) as u64)
+}
+
+/// A welcome's nanosecond duration in seconds, exactly as the `Duration`
+/// the job was configured with reads.
+fn secs(ns: u64) -> f64 {
+    Duration::from_nanos(ns).as_secs_f64()
 }
 
 /// Zero padding needed after `offset` to reach the next segment boundary.
@@ -77,26 +83,10 @@ fn pack_tasks(tasks: &mut [Box<dyn Task>], chunk_size: usize) -> (Vec<u8>, Chunk
 /// bit-identical.
 pub(crate) type TaskFactory = dyn Fn(usize, usize) -> Box<dyn Task> + Send + Sync;
 
-pub(crate) struct NodeConfig {
-    pub index: NodeIndex,
-    pub ranks: usize,
-    pub tasks_per_rank: usize,
-    pub detection: DetectionMethod,
-    pub chunk_size: usize,
-    pub heartbeat_period: Duration,
-    pub heartbeat_timeout: Duration,
-    /// Ship only the chunk windows that changed since the rollback target
-    /// on the buddy-compare path; the buddy byte-compares those windows and
-    /// every other chunk by its digest.
-    pub delta_checkpoints: bool,
-    /// This node keeps its own copy of the replica layout (remote node
-    /// hosts over TCP) rather than sharing the driver's: spare promotions
-    /// arrive as `Ctrl::LayoutChanged` and must be applied locally.
-    pub private_layout: bool,
-}
-
 pub(crate) struct NodeWorker {
-    cfg: NodeConfig,
+    index: NodeIndex,
+    /// The job's shape and settings, as the welcome carries them.
+    cfg: WelcomeCfg,
     identity: Option<(u8, usize)>,
     tasks: Vec<Box<dyn Task>>,
     engine_global: Option<ConsensusEngine>,
@@ -105,7 +95,9 @@ pub(crate) struct NodeWorker {
     detector: SdcDetector,
     monitor: HeartbeatMonitor,
     buddy: Option<NodeIndex>,
-    layout: Arc<RwLock<ReplicaLayout>>,
+    /// This node's own copy of the job's layout, updated by
+    /// `Ctrl::LayoutChanged` as the driver promotes spares.
+    layout: ReplicaLayout,
     port: Arc<dyn Port>,
     inbox: Receiver<Net>,
     factory: Arc<TaskFactory>,
@@ -142,29 +134,41 @@ pub(crate) struct NodeWorker {
 }
 
 impl NodeWorker {
-    #[allow(clippy::too_many_arguments)]
+    /// Node `index` of the job `cfg` describes, holding its own copy of the
+    /// job's initial layout: an active node builds its rank's tasks and
+    /// watches its buddy, a spare waits for `AssumeIdentity`. A node host's
+    /// welcome comes off the wire, so an index or a shape the layout
+    /// refuses is an error, not a panic.
     pub(crate) fn new(
-        cfg: NodeConfig,
-        identity: Option<(u8, usize)>,
-        layout: Arc<RwLock<ReplicaLayout>>,
+        index: NodeIndex,
+        cfg: WelcomeCfg,
         port: Arc<dyn Port>,
         inbox: Receiver<Net>,
         factory: Arc<TaskFactory>,
         clock: Clock,
         rec: Arc<Recorder>,
-    ) -> Self {
-        let detector = SdcDetector::new(cfg.detection);
-        let timeout = cfg.heartbeat_timeout.as_secs_f64();
+    ) -> Result<Self, String> {
+        let total = cfg.total as usize;
+        if index >= total {
+            return Err(format!(
+                "node index {index} out of range (job total {total})"
+            ));
+        }
+        let layout = ReplicaLayout::new(total, cfg.spares as usize)
+            .map_err(|e| format!("node {index}: layout: {e:?}"))?;
+        let identity = layout.locate(index);
+        let buddy = layout.buddy(index).ok();
         let mut w = Self {
+            index,
             cfg,
             identity,
             tasks: Vec::new(),
             engine_global: None,
             engine_replica: None,
             store: CheckpointStore::new(),
-            detector,
-            monitor: HeartbeatMonitor::new(timeout),
-            buddy: None,
+            detector: SdcDetector::new(cfg.detection),
+            monitor: HeartbeatMonitor::new(secs(cfg.heartbeat_timeout_ns)),
+            buddy,
             layout,
             port,
             inbox,
@@ -185,18 +189,12 @@ impl NodeWorker {
             epoch: 0,
             future_msgs: Vec::new(),
         };
-        if let Some((_, rank)) = w.identity {
+        if let (Some((_, rank)), Some(buddy)) = (identity, buddy) {
             w.fresh_tasks(rank);
             w.rebuild_engines(0);
-            let buddy = w
-                .layout
-                .read()
-                .buddy(w.cfg.index)
-                .expect("active node has a buddy");
-            w.buddy = Some(buddy);
             w.monitor.watch(buddy, 0.0);
         }
-        w
+        Ok(w)
     }
 
     fn now(&self) -> f64 {
@@ -205,7 +203,7 @@ impl NodeWorker {
 
     /// This node's id in the flight recorder's numbering.
     fn obs_node(&self) -> u32 {
-        self.cfg.index as u32
+        self.index as u32
     }
 
     fn send(&self, node: NodeIndex, msg: Net) {
@@ -223,7 +221,7 @@ impl NodeWorker {
             self.engine_replica = None;
             return;
         };
-        let ranks = self.cfg.ranks;
+        let ranks = self.cfg.ranks as usize;
         let mut global =
             ConsensusEngine::new(replica as usize * ranks + rank, 2 * ranks, self.tasks.len())
                 .with_observer(ConsensusObserver {
@@ -249,13 +247,13 @@ impl NodeWorker {
 
     /// Physical node currently hosting a consensus participant.
     fn participant_node(&self, scope: Scope, participant: usize) -> NodeIndex {
-        let layout = self.layout.read();
         match scope {
             Scope::Global => {
-                let ranks = self.cfg.ranks;
-                layout.host((participant / ranks) as u8, participant % ranks)
+                let ranks = self.cfg.ranks as usize;
+                self.layout
+                    .host((participant / ranks) as u8, participant % ranks)
             }
-            Scope::Replica(r) => layout.host(r, participant),
+            Scope::Replica(r) => self.layout.host(r, participant),
         }
     }
 
@@ -284,7 +282,7 @@ impl NodeWorker {
             self.rec,
             self.obs_node(),
             "[node {} {:?}] consensus {scope:?} {msg:?} -> {} actions",
-            self.cfg.index,
+            self.index,
             self.identity,
             actions.len()
         );
@@ -326,7 +324,7 @@ impl NodeWorker {
     fn take_checkpoint(&mut self, scope: Scope, round: u64, iteration: u64) {
         self.drain_app_messages();
         let pack_started = std::time::Instant::now();
-        let (payload, chunked) = pack_tasks(&mut self.tasks, self.cfg.chunk_size);
+        let (payload, chunked) = pack_tasks(&mut self.tasks, self.cfg.chunk_size as usize);
         let payload = Bytes::from(payload);
         // Deterministic pack facts go into the event log; the wall-clock
         // latency goes only into the histogram (it would break virtual-mode
@@ -340,7 +338,7 @@ impl NodeWorker {
         );
         debug_trace!(self.rec, self.obs_node(),
             "[node {} {:?}] ckpt scope={scope:?} round={round} iter={iteration} digest={:x} chunks={} progress={:?}",
-            self.cfg.index, self.identity, chunked.digest, chunked.chunk_digests.len(),
+            self.index, self.identity, chunked.digest, chunked.chunk_digests.len(),
             self.tasks.iter().map(|t| t.progress()).collect::<Vec<_>>());
         let table = ChunkTable {
             chunk_size: chunked.chunk_size as u32,
@@ -362,12 +360,8 @@ impl NodeWorker {
                     // detection purposes"). With delta checkpoints on, this
                     // may thin to the dirty chunk windows only.
                     let detection = self.compare_ship(&payload, &chunked, &table);
-                    self.detector.record_ship(
-                        &detection,
-                        &self.rec,
-                        self.cfg.index as u32,
-                        iteration,
-                    );
+                    self.detector
+                        .record_ship(&detection, &self.rec, self.index as u32, iteration);
                     self.awaiting_verdict = Some((round, iteration));
                     self.send(
                         buddy,
@@ -389,7 +383,7 @@ impl NodeWorker {
                 let buddy = self.buddy.expect("active node has a buddy");
                 self.send(buddy, Net::Install { checkpoint: ckpt });
                 self.port.send_event(Event::CheckpointDone {
-                    node: self.cfg.index,
+                    node: self.index,
                     round,
                     iteration,
                     verified: None,
@@ -485,14 +479,14 @@ impl NodeWorker {
             tentative,
             &detection,
             &self.rec,
-            self.cfg.index as u32,
+            self.index as u32,
             iteration,
         );
         let clean = divergence.is_clean();
         let payload_len = tentative.len();
         debug_trace!(self.rec, self.obs_node(),
             "[node {} {:?}] compare iter={iteration} clean={clean} local_len={payload_len} local_digest={:x} diverged={:?}",
-            self.cfg.index, self.identity, tentative.digest, divergence.ranges);
+            self.index, self.identity, tentative.digest, divergence.ranges);
         // On a FullCompare mismatch, re-check at field granularity — but
         // only inside the diverged chunks the table localized, not the whole
         // payload. Live tasks are frozen at the checkpoint state here (packs
@@ -511,7 +505,7 @@ impl NodeWorker {
         self.awaiting_verdict = None;
         if !clean {
             self.port.send_event(Event::SdcDetected {
-                node: self.cfg.index,
+                node: self.index,
                 iteration,
                 diverged: divergence.ranges,
                 payload_len,
@@ -519,7 +513,7 @@ impl NodeWorker {
             });
         }
         self.port.send_event(Event::CheckpointDone {
-            node: self.cfg.index,
+            node: self.index,
             round,
             iteration,
             verified: Some(clean),
@@ -581,7 +575,7 @@ impl NodeWorker {
                     self.rec,
                     self.obs_node(),
                     "[node {} {:?}] StartRound {scope:?} round={round} progress={:?}",
-                    self.cfg.index,
+                    self.index,
                     self.identity,
                     self.tasks.iter().map(|t| t.progress()).collect::<Vec<_>>()
                 );
@@ -670,7 +664,7 @@ impl NodeWorker {
             }
             Ctrl::Ping { token } => {
                 self.port.send_event(Event::Pong {
-                    node: self.cfg.index,
+                    node: self.index,
                     token,
                 });
             }
@@ -692,7 +686,7 @@ impl NodeWorker {
                     .or_else(|| self.store.tentative());
                 if let Some(t) = ckpt {
                     self.port.send_event(Event::VerifiedState {
-                        node: self.cfg.index,
+                        node: self.index,
                         round,
                         iteration: t.iteration,
                         digest: t.digest,
@@ -707,12 +701,7 @@ impl NodeWorker {
                 self.crashed = true;
             }
             Ctrl::LayoutChanged { dead } => {
-                // Only meaningful for private layouts (remote node hosts);
-                // in-process nodes share the driver's layout, which already
-                // reflects the promotion.
-                if self.cfg.private_layout {
-                    let _ = self.layout.write().replace_with_spare(dead);
-                }
+                let _ = self.layout.replace_with_spare(dead);
             }
         }
         false
@@ -743,20 +732,18 @@ impl NodeWorker {
             self.rec,
             self.obs_node(),
             "[node {} {:?}] restored to progress={:?} (floor {floor}, epoch {})",
-            self.cfg.index,
+            self.index,
             self.identity,
             self.tasks.iter().map(|t| t.progress()).collect::<Vec<_>>(),
             self.epoch
         );
-        self.port.send_event(Event::RolledBack {
-            node: self.cfg.index,
-        });
+        self.port.send_event(Event::RolledBack { node: self.index });
     }
 
     /// Rank `rank`'s tasks as the factory builds them: the application's
     /// initial state.
     fn fresh_tasks(&mut self, rank: usize) {
-        self.tasks = (0..self.cfg.tasks_per_rank)
+        self.tasks = (0..self.cfg.tasks_per_rank as usize)
             .map(|t| (self.factory)(rank, t))
             .collect();
     }
@@ -776,7 +763,7 @@ impl NodeWorker {
                 .collect()
         };
         self.port.send_event(Event::FinalState {
-            node: self.cfg.index,
+            node: self.index,
             identity: self.identity,
             tasks,
         });
@@ -794,7 +781,7 @@ impl NodeWorker {
                         iteration,
                     });
                 self.port.send_event(Event::FaultInjected {
-                    node: self.cfg.index,
+                    node: self.index,
                     at: self.now(),
                     fault,
                 });
@@ -808,7 +795,7 @@ impl NodeWorker {
                             iteration,
                         });
                     self.port.send_event(Event::FaultInjected {
-                        node: self.cfg.index,
+                        node: self.index,
                         at: self.now(),
                         fault,
                     });
@@ -950,7 +937,7 @@ impl NodeWorker {
                     rank,
                     task: to_task,
                 },
-                self.cfg.ranks,
+                self.cfg.ranks as usize,
                 &mut outbox,
             );
             self.tasks[to_task].on_message(msg, &mut ctx);
@@ -966,7 +953,7 @@ impl NodeWorker {
         };
         let sends = std::mem::take(&mut self.outbox);
         for (to, msg) in sends {
-            let node = self.layout.read().host(replica, to.rank);
+            let node = self.layout.host(replica, to.rank);
             self.send(
                 node,
                 Net::App {
@@ -1005,7 +992,11 @@ impl NodeWorker {
             }
             let mut outbox = std::mem::take(&mut self.outbox);
             let advanced = {
-                let mut ctx = TaskCtx::new(TaskId { rank, task: t }, self.cfg.ranks, &mut outbox);
+                let mut ctx = TaskCtx::new(
+                    TaskId { rank, task: t },
+                    self.cfg.ranks as usize,
+                    &mut outbox,
+                );
                 self.tasks[t].try_step(&mut ctx)
             };
             self.outbox = outbox;
@@ -1026,25 +1017,19 @@ impl NodeWorker {
         }
         if !self.done_reported && !self.tasks.is_empty() && self.tasks.iter().all(|t| t.done()) {
             self.done_reported = true;
-            self.port.send_event(Event::AllTasksDone {
-                node: self.cfg.index,
-            });
+            self.port
+                .send_event(Event::AllTasksDone { node: self.index });
         }
     }
 
     fn heartbeat_tick(&mut self) {
         let now = self.now();
-        if now - self.last_heartbeat >= self.cfg.heartbeat_period.as_secs_f64()
+        if now - self.last_heartbeat >= secs(self.cfg.heartbeat_period_ns)
             && now >= self.hb_muted_until
         {
             self.last_heartbeat = now;
             if let Some(buddy) = self.buddy {
-                self.send(
-                    buddy,
-                    Net::Heartbeat {
-                        from: self.cfg.index,
-                    },
-                );
+                self.send(buddy, Net::Heartbeat { from: self.index });
             }
         }
         for dead in self.monitor.expired(now) {
@@ -1054,7 +1039,7 @@ impl NodeWorker {
                 });
             self.rec.inc_counter("acr_heartbeat_expired_total", 1);
             self.port.send_event(Event::BuddyDead {
-                reporter: self.cfg.index,
+                reporter: self.index,
                 dead,
             });
         }
@@ -1088,7 +1073,7 @@ impl NodeWorker {
                     if it == iteration {
                         self.awaiting_verdict = None;
                         self.port.send_event(Event::CheckpointDone {
-                            node: self.cfg.index,
+                            node: self.index,
                             round,
                             iteration,
                             verified: Some(clean),
@@ -1101,9 +1086,7 @@ impl NodeWorker {
                 self.store.install_verified(checkpoint);
                 self.unpack_tasks(&payload);
                 self.rebuild_engines(self.floor);
-                self.port.send_event(Event::Installed {
-                    node: self.cfg.index,
-                });
+                self.port.send_event(Event::Installed { node: self.index });
             }
             Net::Heartbeat { from } => {
                 let now = self.now();
@@ -1146,7 +1129,7 @@ impl NodeWorker {
         if self.runnable() {
             return Some(FORWARD_PACE);
         }
-        let period = self.cfg.heartbeat_period.as_secs_f64();
+        let period = secs(self.cfg.heartbeat_period_ns);
         let heartbeat =
             (self.buddy).map(|_| (self.last_heartbeat + period).max(self.hb_muted_until));
         let at = (heartbeat.into_iter())
@@ -1394,36 +1377,26 @@ mod tests {
             "a deadline met exactly"
         );
         assert_eq!(wait_until(1.0, 1.5), Duration::from_micros(1), "one passed");
-        let layout = Arc::new(RwLock::new(ReplicaLayout::new(3, 1).expect("one rank")));
+        let cfg = WelcomeCfg {
+            ranks: 1,
+            tasks_per_rank: 1,
+            spares: 1,
+            total: 3,
+            detection: DetectionMethod::FullCompare,
+            chunk_size: 64,
+            heartbeat_period_ns: 10_000_000_000,
+            heartbeat_timeout_ns: 300_000_000,
+            delta_checkpoints: false,
+        };
         let mail = Arc::new(Mailbox::default());
         let clock = Clock::simulated();
         let [mut node, spare] = [0, 2].map(|index| {
-            let cfg = NodeConfig {
-                index,
-                ranks: 1,
-                tasks_per_rank: 1,
-                detection: DetectionMethod::FullCompare,
-                chunk_size: 64,
-                heartbeat_period: Duration::from_secs(10),
-                heartbeat_timeout: Duration::from_millis(300),
-                delta_checkpoints: false,
-                private_layout: false,
-            };
-            let identity = layout.read().locate(index);
             let port = Arc::clone(&mail) as Arc<dyn Port>;
             let (_, inbox) = crossbeam::channel::unbounded();
             let factory: Arc<TaskFactory> = Arc::new(|_, _| blob_at(0, None));
             let rec = Recorder::disabled();
-            NodeWorker::new(
-                cfg,
-                identity,
-                Arc::clone(&layout),
-                port,
-                inbox,
-                factory,
-                clock.clone(),
-                rec,
-            )
+            NodeWorker::new(index, cfg, port, inbox, factory, clock.clone(), rec)
+                .expect("a node of the job")
         });
         assert_eq!(spare.next_wait(), None, "a spare waits for a message");
         node.handle_ctrl(Ctrl::Park);
@@ -1452,35 +1425,25 @@ mod tests {
     #[test]
     fn deltas_need_no_base_on_the_buddy() {
         // Node 0 (replica 0) and its buddy node 1 (replica 1), one rank.
-        let layout = Arc::new(RwLock::new(ReplicaLayout::new(2, 0).expect("one rank")));
+        let cfg = WelcomeCfg {
+            ranks: 1,
+            tasks_per_rank: 1,
+            spares: 0,
+            total: 2,
+            detection: DetectionMethod::FullCompare,
+            chunk_size: 64,
+            heartbeat_period_ns: 10_000_000,
+            heartbeat_timeout_ns: 1_000_000_000,
+            delta_checkpoints: true,
+        };
         let mail = Arc::new(Mailbox::default());
         let mut pair = [0, 1].map(|index| {
-            let cfg = NodeConfig {
-                index,
-                ranks: 1,
-                tasks_per_rank: 1,
-                detection: DetectionMethod::FullCompare,
-                chunk_size: 64,
-                heartbeat_period: Duration::from_millis(10),
-                heartbeat_timeout: Duration::from_secs(1),
-                delta_checkpoints: true,
-                private_layout: false,
-            };
-            let identity = layout.read().locate(index);
             let port = Arc::clone(&mail) as Arc<dyn Port>;
             let (_, inbox) = crossbeam::channel::unbounded();
             let factory: Arc<TaskFactory> = Arc::new(|_, _| blob_at(0, None));
             let (clock, rec) = (Clock::simulated(), Recorder::disabled());
-            NodeWorker::new(
-                cfg,
-                identity,
-                Arc::clone(&layout),
-                port,
-                inbox,
-                factory,
-                clock,
-                rec,
-            )
+            NodeWorker::new(index, cfg, port, inbox, factory, clock, rec)
+                .expect("a node of the job")
         });
         // One global round per iteration: both nodes checkpoint (the buddy
         // with `flip` planted), the compare and then its verdict are

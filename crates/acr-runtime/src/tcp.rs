@@ -1564,8 +1564,10 @@ pub(crate) struct Endpoint {
     /// Ends the loop's `poll`; every message goes through
     /// [`Endpoint::post`], which pokes it.
     waker: Waker,
-    /// How long a buddy link this endpoint dialed may stay detached before
-    /// it reports its peer to the driver.
+    /// How long the buddy link may stay without a socket before its
+    /// traffic moves onto the router link (it reports nothing: a buddy
+    /// that is gone is the router's to report); also the cap on the buddy
+    /// dial's connect timeout.
     stale_after: Duration,
     /// Times the attached loop woke from `poll` — the endpoint's
     /// counterpart of [`TickStats::count`], kept for the tests only.

@@ -18,15 +18,14 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use acr_core::ReplicaLayout;
 use acr_obs::Recorder;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::clock::Clock;
 use crate::driver::JobConfig;
 use crate::message::{Event, Net, NodeIndex};
-use crate::node::{NodeConfig, NodeWorker, TaskFactory};
+use crate::node::{NodeWorker, TaskFactory};
 use crate::tcp::{Endpoint, Router, CONNECT_TIMEOUT};
 use crate::wire::{WelcomeCfg, WireCodec};
 
@@ -296,8 +295,6 @@ pub(crate) struct Fabric {
     pub inboxes: Vec<Receiver<Net>>,
     /// Teardown + readiness handle.
     pub handle: FabricHandle,
-    /// Whether workers run in external processes.
-    pub remote_nodes: bool,
 }
 
 /// Owns the fabric's background machinery for teardown.
@@ -355,14 +352,16 @@ impl FabricHandle {
     }
 }
 
-/// Build the fabric for a job: channels for [`TransportKind::InProcess`],
-/// a router plus per-node endpoints for [`TransportKind::Tcp`].
+/// Build the fabric for the job `welcome` describes: channels for
+/// [`TransportKind::InProcess`], a router plus per-node endpoints for
+/// [`TransportKind::Tcp`], whose router hands `welcome` to every node.
 pub(crate) fn build_fabric(
     cfg: &JobConfig,
-    total: usize,
+    welcome: WelcomeCfg,
     event_tx: Sender<Event>,
     rec: &Arc<Recorder>,
 ) -> Fabric {
+    let total = welcome.total as usize;
     match &cfg.transport {
         TransportKind::InProcess => {
             let mut senders = Vec::with_capacity(total);
@@ -382,11 +381,9 @@ pub(crate) fn build_fabric(
                 node_ports: (0..total).map(|_| Arc::clone(&port)).collect(),
                 inboxes,
                 handle: FabricHandle::InProcess,
-                remote_nodes: false,
             }
         }
         TransportKind::Tcp(tcp) => {
-            let welcome = welcome_cfg(cfg, total);
             // Private router (job id 0) unless the driver service handed
             // this job a shared reactor to ride.
             let (router, job, owned) = match &tcp.shared {
@@ -441,13 +438,14 @@ pub(crate) fn build_fabric(
                     owned,
                     endpoints,
                 },
-                remote_nodes: tcp.remote_nodes,
             }
         }
     }
 }
 
-fn welcome_cfg(cfg: &JobConfig, total: usize) -> WelcomeCfg {
+/// The job's shape and node settings, as every node is built from them:
+/// in process directly, in a node host from the router's welcome.
+pub(crate) fn welcome_cfg(cfg: &JobConfig, total: usize) -> WelcomeCfg {
     WelcomeCfg {
         ranks: cfg.ranks as u32,
         tasks_per_rank: cfg.tasks_per_rank as u32,
@@ -499,42 +497,19 @@ pub fn run_node_host_for_job(
         let welcome = ep.wait_welcome(Duration::from_secs(30)).ok_or_else(|| {
             format!("node {node}: no welcome from the driver at {addr} within 30s")
         })?;
-        let total = welcome.total as usize;
-        if node >= total {
-            return Err(format!(
-                "node index {node} out of range (job total {total})"
-            ));
-        }
-        // Private layout copy, kept in lockstep with the driver's via
-        // `Ctrl::LayoutChanged` broadcasts.
-        let layout = ReplicaLayout::new(total, welcome.spares as usize)
-            .map_err(|e| format!("node {node}: layout: {e:?}"))?;
-        let layout = Arc::new(RwLock::new(layout));
-        let identity = layout.read().locate(node);
-        let cfg = NodeConfig {
-            index: node,
-            ranks: welcome.ranks as usize,
-            tasks_per_rank: welcome.tasks_per_rank as usize,
-            detection: welcome.detection,
-            chunk_size: welcome.chunk_size as usize,
-            heartbeat_period: Duration::from_nanos(welcome.heartbeat_period_ns),
-            heartbeat_timeout: Duration::from_nanos(welcome.heartbeat_timeout_ns),
-            delta_checkpoints: welcome.delta_checkpoints,
-            private_layout: true,
-        };
         let port: Arc<dyn Port> = Arc::new(TcpNodePort {
             ep: Arc::clone(&ep),
         });
+        let factory = Arc::clone(&factory);
         let worker = NodeWorker::new(
-            cfg,
-            identity,
-            layout,
+            node,
+            welcome,
             port,
             rx,
-            Arc::clone(&factory),
+            factory,
             Clock::real(),
             Arc::clone(&rec),
-        );
+        )?;
         handles.push(
             std::thread::Builder::new()
                 .name(format!("acr-node-{node}"))

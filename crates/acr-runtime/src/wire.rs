@@ -826,9 +826,9 @@ pub(crate) fn decode_address_book(body: &[u8]) -> Result<Vec<Option<SocketAddr>>
     Ok(book)
 }
 
-/// The job-shape blob the welcome carries, enough for a remote node host to
-/// build its `NodeConfig` and a private replica layout matching the
-/// driver's.
+/// The job's shape and node settings. Every node is built from one
+/// (`NodeWorker::new`, with its own replica layout): a node host takes it
+/// from the router's welcome, a local node from the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct WelcomeCfg {
     pub ranks: u32,

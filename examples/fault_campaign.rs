@@ -17,6 +17,8 @@
 //! cargo run --release --example fault_campaign -- --resume target/stores/strong_full-compare_seed3
 //!                                                                    # resume one killed case from its store
 //! cargo run --release --example fault_campaign -- --replay repro.txt # re-run one artifact
+//! cargo run --release --example fault_campaign -- --fingerprint      # one line per case: verdict plus
+//!                                                                    # Fletcher-64 of its trace and event log
 //! ```
 
 use std::path::PathBuf;
@@ -24,9 +26,12 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use acr::fault::FaultScript;
+use acr::obs::sinks::to_jsonl;
+use acr::pup::fletcher64;
 use acr::runtime::campaign::{
     detection_name, parse_detection, parse_scheme, resume_case, run_campaign,
     run_campaign_via_service, run_script_case, scheme_name, CampaignConfig, CaseOutcome,
+    CaseResult,
 };
 use acr::runtime::{TcpConfig, TransportKind};
 
@@ -40,6 +45,7 @@ fn main() -> ExitCode {
     let mut delta = false;
     let mut driver_kill = false;
     let mut service = false;
+    let mut fingerprint = false;
     let mut persist_dir: Option<PathBuf> = None;
     let mut i = 0;
     while i < args.len() {
@@ -92,6 +98,7 @@ fn main() -> ExitCode {
             }
             "--driver-kill" => driver_kill = true,
             "--service" => service = true,
+            "--fingerprint" => fingerprint = true,
             "--persist-dir" => {
                 i += 1;
                 persist_dir = Some(PathBuf::from(
@@ -106,7 +113,8 @@ fn main() -> ExitCode {
                 eprintln!(
                     "usage: fault_campaign [--seeds N] [--repro-dir DIR] \
                      [--transport tcp|in-process] [--delta] [--service] \
-                     [--driver-kill --persist-dir DIR] [--resume STORE] [--replay FILE]"
+                     [--driver-kill --persist-dir DIR] [--fingerprint] [--resume STORE] \
+                     [--replay FILE]"
                 );
                 return ExitCode::from(2);
             }
@@ -202,6 +210,11 @@ fn main() -> ExitCode {
         .map(|c| c.report.unverified_recoveries)
         .sum();
     println!("  unverified recov. : {unverified}  (medium/weak ships)");
+    if fingerprint {
+        for case in &report.cases {
+            println!("{}", fingerprint_line(case));
+        }
+    }
     for path in &report.artifacts {
         println!("  repro written     : {}", path.display());
     }
@@ -220,6 +233,21 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// One case as a line two builds can `diff`: its verdict, then the
+/// Fletcher-64 of its driver trace and of its flight-recorder JSONL. Equal
+/// lines mean the run made the same decisions and emitted the same events.
+fn fingerprint_line(case: &CaseResult) -> String {
+    let trace = fletcher64(case.report.trace.join("\n").as_bytes());
+    let events = fletcher64(to_jsonl(&case.report.events).as_bytes());
+    format!(
+        "seed={} scheme={} detection={} outcome={:?} trace={trace:016x} events={events:016x}",
+        case.seed,
+        scheme_name(case.scheme),
+        detection_name(case.detection),
+        case.outcome
+    )
 }
 
 /// Resume a previously-killed campaign case straight from its store

@@ -687,6 +687,92 @@ fn teardown_delivers_large_final_states() {
     }
 }
 
+/// A spare promoted inside a node host takes over the dead node's rank:
+/// every node keeps its own copy of the replica layout, so the ring's
+/// tokens reach the spare only if each node applied the driver's
+/// `LayoutChanged`. Run with local endpoints and with every node in one
+/// node host, the job recovers the crash and its later rounds verify.
+/// Node-side counters are not read: a node host records nothing.
+#[test]
+fn a_spare_promoted_inside_a_node_host_takes_over() {
+    let _guard = JOB_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const SPARES: usize = 1;
+    for remote_nodes in [false, true] {
+        // Reserve a port by binding then dropping; the router rebinds it.
+        let addr = remote_nodes.then(|| {
+            let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("bind probe");
+            probe.local_addr().expect("probe addr")
+        });
+        let cfg = JobConfig::builder()
+            .ranks(RANKS)
+            .tasks_per_rank(1)
+            .spares(SPARES)
+            .scheme(Scheme::Strong)
+            .detection(DetectionMethod::FullCompare)
+            .checkpoint_interval(Duration::from_millis(15))
+            .heartbeat_period(Duration::from_millis(10))
+            .heartbeat_timeout(Duration::from_millis(150))
+            .max_duration(Duration::from_secs(30))
+            .transport(TransportKind::Tcp(TcpConfig {
+                addr,
+                remote_nodes,
+                ..TcpConfig::default()
+            }))
+            .build()
+            .expect("valid crash config");
+        let host = addr.map(|addr| {
+            let nodes: Vec<usize> = (0..2 * RANKS + SPARES).collect();
+            std::thread::spawn(move || {
+                run_node_host(addr, &nodes, |rank, _| {
+                    Box::new(PacedRing::new(rank)) as Box<dyn Task>
+                })
+            })
+        });
+        let script = FaultScript::single(
+            Trigger::AfterCheckpoints(2),
+            FaultAction::Crash {
+                replica: 0,
+                rank: 1,
+            },
+        );
+        let report = Job::new(cfg)
+            .with_faults(script)
+            .mode(ExecMode::Threaded)
+            .run(|rank, _| Box::new(PacedRing::new(rank)) as Box<dyn Task>);
+        if let Some(host) = host {
+            host.join().unwrap().expect("node host ran");
+        }
+        let trace = report.trace.join("\n");
+        assert!(
+            report.completed,
+            "remote_nodes={remote_nodes}: job failed: {:?}\n{trace}",
+            report.error
+        );
+        assert!(
+            report.replicas_agree(),
+            "remote_nodes={remote_nodes}\n{trace}"
+        );
+        assert_eq!(
+            report.crashes_injected_at.len(),
+            1,
+            "remote_nodes={remote_nodes}\n{trace}"
+        );
+        assert_eq!(
+            report.hard_errors_recovered, 1,
+            "remote_nodes={remote_nodes}\n{trace}"
+        );
+        assert_eq!(
+            report.restarts_from_beginning, 0,
+            "remote_nodes={remote_nodes}\n{trace}"
+        );
+        assert!(
+            report.checkpoints_verified >= 3,
+            "remote_nodes={remote_nodes}: {} rounds verified\n{trace}",
+            report.checkpoints_verified
+        );
+    }
+}
+
 /// The buddy link follows the buddy: a crashed replica-1 node is replaced
 /// by a spare, its replica-0 partner drops the link to the dead node and
 /// dials the spare at its next compare, and the rounds after the promotion
